@@ -9,9 +9,9 @@ endpoints, and a sample of nodes scans its neighbourhood.
 
 Two configurations run the same script:
 
-* **legacy** (1k nodes): a flat ``RoutingTable(repair=False)`` —
-  the pre-dirty-log behaviour, where any epoch bump discards every
-  memoised tree and each re-plan pays a full-component BFS;
+* **legacy** (1k nodes): a flat :class:`RoutingTable`, where any
+  epoch bump discards every memoised tree and each re-plan pays a
+  full-component BFS;
 * **hierarchical** (1k → 10k nodes): :class:`HierarchicalRouter`
   over the dirty-cell journal.
 
@@ -149,7 +149,7 @@ def test_city_scale_round_beats_legacy_1k(benchmark):
 
     legacy_network = _build_world(base_size)
     legacy_table = RoutingTable(
-        legacy_network, adhoc_only=True, repair=False, metrics=registry
+        legacy_network, adhoc_only=True, metrics=registry
     )
     legacy_round_s = _run_rounds(
         legacy_network, legacy_table, _script(base_size, rounds + 1)
@@ -225,13 +225,10 @@ def test_city_scale_round_beats_legacy_1k(benchmark):
         "legacy_round_seconds": legacy_round_s,
         "scaling_speedup": scaling_speedup,
         "topo.dirty_nodes": info["dirty_nodes"],
-        "topo.moves_elided": info["moves_elided"],
         "topo.revalidations": info["revalidations"],
         "routing.hier.hits": float(top_planner.stats["hits"]),
         "routing.hier.misses": float(top_planner.stats["misses"]),
         "routing.hier.greedy": float(top_planner.stats["greedy"]),
-        "routing.hier.corridor": float(top_planner.stats["corridor"]),
-        "routing.hier.cell_corridor": float(top_planner.stats["cell_corridor"]),
         "routing.hier.flat_fallback": float(top_planner.stats["flat_fallback"]),
         # Decimated reservoir bookkeeping (neutral directions): exact
         # observation count vs. samples actually held under the cap.

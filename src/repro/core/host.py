@@ -16,10 +16,9 @@ from typing import Callable, Dict, Generator, Optional, Tuple
 from ..errors import (
     ComponentError,
     MiddlewareError,
+    NetworkError,
     RequestTimeout,
     SecurityError,
-    TransportTimeout,
-    Unreachable,
 )
 from ..lmu import Capsule, Codebase, CodeRepository
 from ..net import Message, NetworkNode
@@ -248,9 +247,9 @@ class MobileHost:
     ) -> Generator:
         """Send ``message`` and wait for its reply (generator helper).
 
-        Returns the reply :class:`Message`.  Raises
-        :class:`~repro.errors.Unreachable` /
-        :class:`~repro.errors.TransportTimeout` when the request cannot
+        Returns the reply :class:`Message`.  Raises a
+        :class:`~repro.errors.NetworkError` (``Unreachable``,
+        ``TransportTimeout``, or a down sender) when the request cannot
         be delivered, and :class:`~repro.errors.RequestTimeout` when no
         reply arrives within ``timeout``.
 
@@ -277,7 +276,7 @@ class MobileHost:
         self._pending[message.id] = reply_event
         try:
             yield self.send(message)
-        except (Unreachable, TransportTimeout) as error:
+        except NetworkError as error:
             self._close_request(message)
             tracer.finish(span, status="error", error=type(error).__name__)
             raise
@@ -584,7 +583,9 @@ class MobileHost:
             )
             if span is not None:
                 tracer.finish(span, status="error", error=str(error))
-        except (Unreachable, TransportTimeout) as error:
+        except NetworkError as error:
+            # Unreachable peers, exhausted retransmits, and this host
+            # crashing mid-handler (its transport refuses to send).
             self.world.trace.emit(
                 self.env.now,
                 self.id,

@@ -3,7 +3,9 @@
 The middleware's context-awareness and the Lime-style tuple-space
 engagement both need to know when peers appear and disappear.  The
 monitor polls the neighbour set at a fixed beacon interval (modelling
-periodic hello beacons) and notifies listeners of the difference.
+periodic hello beacons) and notifies listeners of the difference.  A
+beacon that finds the topology epoch unchanged skips the diff; any
+epoch change rescans through the network's cached ``neighbors`` query.
 """
 
 from __future__ import annotations
@@ -71,23 +73,6 @@ class ConnectivityMonitor:
                     float(len(self.current))
                 )
             return
-        if self._scanned_epoch is not None:
-            # The epoch moved, but maybe nowhere near us: if no change
-            # since our last scan touched a cell within one ring of our
-            # cell, no link of ours can have changed (cell size covers
-            # every radio range, and movers dirty both old and new
-            # cells), so the neighbour set is provably identical.
-            ring = self.network._dirty_ring(self._scanned_epoch)
-            if ring is not None and (
-                self.network.grid.cell_of(self.node.position) not in ring
-            ):
-                self._scanned_epoch = epoch
-                if self.metrics is not None:
-                    self.metrics.counter("monitor.scans_elided").increment()
-                    self.metrics.gauge("monitor.neighbors").set(
-                        float(len(self.current))
-                    )
-                return
         self._scanned_epoch = epoch
         fresh = {
             neighbor.id

@@ -20,7 +20,7 @@ queries touch only nearby nodes instead of the whole registry.  The
 cached fast paths are bit-identical to the naive sweeps kept in
 :mod:`repro.net.reference` (property-tested under random mobility).
 
-Three mechanisms make the fabric scale past ~10k nodes (see
+Two mechanisms make the fabric scale past ~10k nodes (see
 docs/PERFORMANCE.md, "City-scale routing"):
 
 * **Implicit backbone clique.**  Every pair of backbone-attached nodes
@@ -28,15 +28,12 @@ docs/PERFORMANCE.md, "City-scale routing"):
   returns an :class:`AdjacencyView` that stores the attached set as one
   frozenset and answers clique membership on the fly, so a snapshot is
   O(nodes + ad-hoc edges) and BFS absorbs the whole clique in one step.
-* **Dirty log.**  Each epoch bump records *which* node (and which grid
-  cells) changed.  Consumers — the per-pair/per-node caches below, the
-  routing tables, the connectivity monitor — ask
-  :meth:`dirty_since`/:meth:`dirty_cells_since` and repair only what a
-  dirty node can have touched instead of recomputing the world.
-* **Move elision.**  A ``move_to`` that provably changes no link
-  predicate (same grid cell, identical in-range sets at every radio
-  range the node carries) updates the grid and *does not* bump the
-  epoch at all: mobility jitter inside a cell is free.
+* **Dirty-cell journal.**  Each epoch bump records *which* grid cells
+  changed.  The per-pair/per-node caches below survive a bump when no
+  dirty cell lies within one ring of their endpoints, and the
+  hierarchical router (:meth:`dirty_cells_since`) drops only the cached
+  paths that cross a dirty cell.  Whole-graph products still clear on
+  every bump.
 """
 
 from __future__ import annotations
@@ -167,10 +164,6 @@ class AdjacencyView(Mapping):
     def backbone(self) -> FrozenSet[str]:
         """The backbone-attached up nodes (pairwise connected clique)."""
         return self._backbone
-
-    def adhoc_neighbors(self, node_id: str) -> Tuple[str, ...]:
-        """Sorted explicit ad-hoc neighbours of ``node_id`` (no clique)."""
-        return self._adhoc.get(node_id, ())
 
     def __getitem__(self, node_id: str) -> FrozenSet[str]:
         bucket = self._adhoc[node_id]
@@ -332,8 +325,7 @@ class Network:
             Tuple[str, Optional[str]], Tuple[int, Tuple[NetworkNode, ...]]
         ] = {}
         self._coverage_cache: Dict[Tuple[str, str], Tuple[int, bool]] = {}
-        #: Whole-graph snapshots still clear on any epoch change (their
-        #: consumers with repair logic live in repro.net.routing).
+        #: Whole-graph snapshots clear on any epoch change.
         self._adjacency_cache: Dict[bool, AdjacencyView] = {}
         self._reachable_cache: Dict[Tuple[str, bool], FrozenSet[str]] = {}
         self._path_cache: Dict[Tuple[str, str, bool], object] = {}
@@ -343,11 +335,10 @@ class Network:
             "invalidations": 0,
             "revalidations": 0,
             "dirty_nodes": 0,
-            "moves_elided": 0,
         }
-        #: Append-only (epoch, node_id-or-None, cells) journal of what
-        #: each bump touched; ``None`` node means a global change.
-        self._dirty_log: List[Tuple[int, Optional[str], Tuple[Cell, ...]]] = []
+        #: Append-only (epoch, cells) journal of what each bump touched;
+        #: ``None`` cells mean a global change.
+        self._dirty_log: List[Tuple[int, Optional[Tuple[Cell, ...]]]] = []
         #: Epochs at or below this fell off the journal.
         self._dirty_floor = 0
         #: Memoised dirty-ring answers per from-epoch (cleared on bump).
@@ -411,40 +402,21 @@ class Network:
 
         ``node_id=None`` records a *global* change (grid rebuild, link
         filter swap): every dirty query until consumers resync answers
-        "everything".  Otherwise the single dirty node and the grid
-        cells it can have affected are appended to the log.
+        "everything".  Otherwise the grid cells the dirty node can have
+        affected are appended to the log.
         """
         self._epoch += 1
         self._dirty_ring_cache.clear()
         log = self._dirty_log
-        log.append((self._epoch, node_id, cells))
-        if node_id is not None:
+        if node_id is None:
+            log.append((self._epoch, None))
+        else:
+            log.append((self._epoch, cells))
             self.cache_stats["dirty_nodes"] += 1
         if len(log) > self.DIRTY_LOG_CAP:
             drop = len(log) // 2
             self._dirty_floor = log[drop - 1][0]
             del log[:drop]
-
-    def dirty_since(self, epoch: int) -> Tuple[int, Optional[FrozenSet[str]]]:
-        """Nodes whose connectivity can have changed after ``epoch``.
-
-        Returns ``(current_epoch, dirty_ids)``; ``dirty_ids`` is
-        ``None`` when the caller must assume everything changed (a
-        global mutation happened, or ``epoch`` predates the journal).
-        An up-to-date caller gets an empty frozenset.
-        """
-        if epoch >= self._epoch:
-            return (self._epoch, frozenset())
-        if epoch < self._dirty_floor:
-            return (self._epoch, None)
-        dirty: List[str] = []
-        for entry_epoch, node_id, _cells in reversed(self._dirty_log):
-            if entry_epoch <= epoch:
-                break
-            if node_id is None:
-                return (self._epoch, None)
-            dirty.append(node_id)
-        return (self._epoch, frozenset(dirty))
 
     def dirty_cells_since(
         self, epoch: int
@@ -460,10 +432,10 @@ class Network:
         if epoch < self._dirty_floor:
             return (self._epoch, None)
         cells: List[Cell] = []
-        for entry_epoch, node_id, entry_cells in reversed(self._dirty_log):
+        for entry_epoch, entry_cells in reversed(self._dirty_log):
             if entry_epoch <= epoch:
                 break
-            if node_id is None:
+            if entry_cells is None:
                 return (self._epoch, None)
             cells.extend(entry_cells)
         return (self._epoch, frozenset(cells))
@@ -548,50 +520,13 @@ class Network:
         if self.nodes.get(node.id) is not node:
             return
         grid = self._grid
-        old = grid.position_of(node.id)
-        new = node.position
-        old_cell = grid.cell_of(old)
-        new_cell = grid.cell_of(new)
-        if old_cell == new_cell and self._in_range_sets_unchanged(
-            node, old, new
-        ):
-            # The move provably changed no link predicate: every pair
-            # distance stays on the same side of every relevant range
-            # threshold.  Track the position, skip the epoch entirely.
-            grid.move(node.id, new)
-            self.cache_stats["moves_elided"] += 1
-            return
-        grid.move(node.id, new)
+        old_cell = grid.cell_of(grid.position_of(node.id))
+        new_cell = grid.cell_of(node.position)
+        grid.move(node.id, node.position)
         if old_cell == new_cell:
             self._bump(node.id, (new_cell,))
         else:
             self._bump(node.id, (old_cell, new_cell))
-
-    def _in_range_sets_unchanged(
-        self, node: NetworkNode, old: Position, new: Position
-    ) -> bool:
-        """True when no in-range set at any of ``node``'s radio ranges
-        differs between ``old`` and ``new``.
-
-        Distance only enters link computation through ``distance ≤
-        range_m`` tests at the ranges of technologies this node carries
-        (shared-technology ad-hoc links and access-point coverage both
-        use the node's own technology's range), so unchanged in-range
-        id sets at each such range mean unchanged connectivity.
-        """
-        grid = self._grid
-        ranges = {
-            interface.technology.range_m
-            for interface in node.interfaces.values()
-            if interface.technology.range_m > 0.0
-        }
-        exclude = {node.id}
-        for radius in ranges:
-            before = set(grid.near(old, radius)) - exclude
-            after = set(grid.near(new, radius)) - exclude
-            if before != after:
-                return False
-        return True
 
     def _topology_changed(self, node: NetworkNode) -> None:
         if self.nodes.get(node.id) is node:

@@ -7,32 +7,22 @@ up when the destination becomes unreachable.
 
 Path planning goes through an epoch-memoised :class:`RoutingTable`:
 one BFS from a source yields the shortest-path tree to *every*
-destination.  Trees are not discarded wholesale when the topology
-epoch moves — the table asks the network *which* nodes changed
-(:meth:`Network.dirty_since`) and drops only the trees whose component
-a dirty node touches, so unrelated traffic keeps its memoised routes
-across localised mobility.
+destination, and the trees are flushed whenever the topology epoch
+moves.
 
-For city-scale worlds :class:`HierarchicalRouter` plans over a coarse
-graph of :class:`~repro.net.geometry.SpatialGrid` cells first and only
-runs node-level BFS inside the resulting corridor.  Its paths may be
-longer than flat-BFS paths, but never by more than the documented
-stretch bound, and its *reachability* answers are bit-identical to the
-naive reference sweeps (see docs/PERFORMANCE.md, "City-scale
-routing").
+For city-scale worlds :class:`HierarchicalRouter` first walks
+neighbour to neighbour through the straight corridor of
+:class:`~repro.net.geometry.SpatialGrid` cells between the endpoints,
+proves unreachability on a coarse graph of occupied cells, and only
+otherwise pays one flat BFS.  Its paths may be longer than flat-BFS
+paths, but never by more than the documented stretch bound, and its
+*reachability* answers are bit-identical to the naive reference sweeps
+(see docs/PERFORMANCE.md, "City-scale routing").
 """
 
 from __future__ import annotations
 
-from typing import (
-    Dict,
-    FrozenSet,
-    Generator,
-    List,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Dict, FrozenSet, Generator, List, Optional, Set, Tuple
 
 from ..errors import Unreachable
 from ..sim import Environment, MetricsRegistry, Process
@@ -49,18 +39,12 @@ _RING = (
 
 
 class RoutingTable:
-    """Dirty-repaired shortest-path trees over one network.
+    """Epoch-memoised shortest-path trees over one network.
 
     ``path(source, target)`` is bit-identical to
     :meth:`Network.shortest_path` (same BFS with sorted tie-breaking);
     the difference is that one tree answers every target for its
-    source, and trees survive topology changes that provably cannot
-    affect them.  A tree from ``source`` covers ``source``'s entire
-    connected component, so it must be rebuilt exactly when an edge
-    inside that component changed — i.e. when some dirty node either
-    *was* a member (it lost edges there, or crashed) or currently
-    neighbours a member (it gained edges into the component).  Trees
-    failing both tests are provably unchanged and are kept.
+    source.  Any topology epoch change flushes every tree.
     """
 
     def __init__(
@@ -68,84 +52,33 @@ class RoutingTable:
         network: Network,
         adhoc_only: bool = True,
         metrics: Optional[MetricsRegistry] = None,
-        repair: bool = True,
     ) -> None:
         self.network = network
         self.adhoc_only = adhoc_only
         self.metrics = metrics
-        #: With repair off, any epoch bump flushes every tree (the
-        #: pre-dirty-log behaviour; kept as the benchmark baseline).
-        self.repair = repair
         self._epoch = -1
         #: source id -> {discovered node -> its BFS predecessor}.
         self._trees: Dict[str, Dict[str, str]] = {}
-        #: source id -> every node its tree covers (its component).
-        self._members: Dict[str, FrozenSet[str]] = {}
-        self.stats = {"hits": 0, "misses": 0, "repairs": 0, "flushes": 0}
+        self.stats = {"hits": 0, "misses": 0, "flushes": 0}
 
-    def _count(
-        self, key: str, amount: int = 1, node: Optional[str] = None
-    ) -> None:
-        self.stats[key] += amount
+    def _count(self, key: str, node: str) -> None:
+        self.stats[key] += 1
         if self.metrics is not None:
-            # The labeled child forwards to the flat family total, so
-            # only one of the two is incremented per event.
-            if node is None:
-                self.metrics.counter(f"routing.tree_{key}").increment(amount)
-            else:
-                self.metrics.counter(
-                    f"routing.tree_{key}", labels={"node": node}
-                ).increment(amount)
-
-    def _flush(self) -> None:
-        if self._trees:
-            self.stats["flushes"] += 1
-            if self.metrics is not None:
-                self.metrics.counter("routing.flushes").increment()
-        self._trees.clear()
-        self._members.clear()
+            # The labeled child forwards to the flat family total.
+            self.metrics.counter(
+                f"routing.tree_{key}", labels={"node": node}
+            ).increment()
 
     def _sync(self) -> None:
         epoch = self.network.topology_epoch
         if epoch == self._epoch:
             return
-        if not self.repair or not self._trees:
-            self._flush()
-            self._epoch = epoch
-            return
-        _, dirty = self.network.dirty_since(self._epoch)
         self._epoch = epoch
-        if dirty is None:
-            # Global change (partition filter, grid rebuild, or the
-            # journal aged out): nothing can be proven unaffected.
-            self._flush()
-            return
-        if dirty:
-            self._repair(dirty)
-
-    def _repair(self, dirty: FrozenSet[str]) -> None:
-        view = self.network.adjacency(adhoc_only=self.adhoc_only)
-        # A tree is affected iff its members intersect the dirty nodes
-        # or their *current* neighbourhoods (see class docstring).
-        touched: Set[str] = set(dirty)
-        backbone_touched = False
-        for node_id in dirty:
-            touched.update(view.adhoc_neighbors(node_id))
-            if node_id in view.backbone:
-                backbone_touched = True
-        dropped = 0
-        for source in list(self._trees):
-            members = self._members[source]
-            if not touched.isdisjoint(members) or (
-                backbone_touched and not view.backbone.isdisjoint(members)
-            ):
-                del self._trees[source]
-                del self._members[source]
-                dropped += 1
-        if dropped:
-            self.stats["repairs"] += dropped
+        if self._trees:
+            self._trees.clear()
+            self.stats["flushes"] += 1
             if self.metrics is not None:
-                self.metrics.counter("routing.repairs").increment(dropped)
+                self.metrics.counter("routing.flushes").increment()
 
     def _tree(self, source_id: str) -> Dict[str, str]:
         self._sync()
@@ -157,7 +90,6 @@ class RoutingTable:
         view = self.network.adjacency(adhoc_only=self.adhoc_only)
         tree = bfs_tree(view, source_id)
         self._trees[source_id] = tree
-        self._members[source_id] = frozenset(tree).union((source_id,))
         return tree
 
     def path(self, source_id: str, target_id: str) -> Optional[List[str]]:
@@ -183,25 +115,25 @@ class HierarchicalRouter:
     maintains — a radio link never spans more than one cell per axis,
     because the cell size is at least the longest radio range — so:
 
-    1. **Corridor first.**  Dilate the straight cell-to-cell walk from
-       the source's cell to the target's by one ring and BFS only over
-       nodes inside it.  In dense worlds this finds a near-shortest
-       path after touching O(distance × nodes-per-cell) nodes.
-    2. **Coarse certificate.**  If the corridor misses, BFS over
+    1. **Gateway walk.**  Dilate the straight cell-to-cell walk from
+       the source's cell to the target's by one ring and walk
+       neighbour to neighbour inside it, best-first towards the
+       target.  In dense worlds this finds a short path after touching
+       O(path length × degree) nodes.
+    2. **Coarse certificate.**  If the walk misses, BFS over
        *occupied cells* (cells holding at least one up node, 8-connected).
        Any node-level path induces a cell-level path, so cell-level
-       unreachability is an **exact** negative answer.  Otherwise the
-       cell path, dilated, gives a second corridor to try.
-    3. **Flat fallback.**  If both corridors miss (sparse or
-       maze-like worlds), delegate to the flat :class:`RoutingTable`.
+       unreachability is an **exact** negative answer.
+    3. **Flat fallback.**  Otherwise (sparse or maze-like worlds),
+       delegate to the flat :class:`RoutingTable`.
 
-    *Reachability is bit-identical to flat BFS* (positives come from
-    real node-level BFS, negatives only from the exact certificate or
-    the flat fallback).  *Hop counts are not*: a corridor path is kept
-    only while ``hops ≤ stretch × max(cell_distance, 1) + 2``; since a
-    flat path needs at least ``cell_distance`` hops, accepted paths
-    are within ``stretch × flat_hops + 2`` of optimal, and fallback
-    paths are optimal outright.  Worlds smaller than
+    *Reachability is bit-identical to flat BFS* (positives are real
+    node-level walks, negatives only come from the exact certificate or
+    the flat fallback).  *Hop counts are not*: the walk's hop limit is
+    ``stretch × max(cell_distance, 1) + 2``; since a flat path needs at
+    least ``cell_distance`` hops, walked paths are within ``stretch ×
+    flat_hops + 2`` of optimal, and fallback paths are optimal
+    outright.  Worlds smaller than
     ``flat_threshold`` nodes — and any query over the backbone
     (``adhoc_only=False``), where the implicit clique makes hierarchy
     pointless — skip straight to the flat table.
@@ -243,23 +175,17 @@ class HierarchicalRouter:
             "misses": 0,
             "flat": 0,
             "greedy": 0,
-            "corridor": 0,
-            "cell_corridor": 0,
             "cell_unreachable": 0,
             "flat_fallback": 0,
         }
 
-    def _count(self, key: str, node: Optional[str] = None) -> None:
+    def _count(self, key: str, node: str) -> None:
         self.stats[key] += 1
         if self.metrics is not None:
-            # The labeled child forwards to the flat family total, so
-            # only one of the two is incremented per event.
-            if node is None:
-                self.metrics.counter(f"routing.hier.{key}").increment()
-            else:
-                self.metrics.counter(
-                    f"routing.hier.{key}", labels={"node": node}
-                ).increment()
+            # The labeled child forwards to the flat family total.
+            self.metrics.counter(
+                f"routing.hier.{key}", labels={"node": node}
+            ).increment()
 
     # -- coarse layer maintenance --------------------------------------------
 
@@ -329,13 +255,9 @@ class HierarchicalRouter:
             cx += (gx > cx) - (gx < cx)
             cy += (gy > cy) - (gy < cy)
             walk.append((cx, cy))
-        return self._dilate(walk)
-
-    @staticmethod
-    def _dilate(cells) -> FrozenSet[Cell]:
         return frozenset(
-            (cx + dx, cy + dy)
-            for cx, cy in cells
+            (wx + dx, wy + dy)
+            for wx, wy in walk
             for dx in (-1, 0, 1)
             for dy in (-1, 0, 1)
         )
@@ -353,11 +275,10 @@ class HierarchicalRouter:
         cells to go, then metres, then id — fully deterministic) and
         backtracking out of dead ends.  Visited nodes stay burned, so
         the walk is best-first DFS: O(path length x degree) on open
-        ground, degrading gracefully around obstacles instead of paying
-        the corridor BFS's O(corridor area).  Returns None when the
+        ground, O(corridor area) at worst.  Returns None when the
         corridor is exhausted or every route exceeds ``hop_limit``
         (which enforces the stretch bound by construction); the caller
-        then falls through to the exhaustive rungs.
+        then falls through to the certificate and the flat fallback.
         """
         network = self.network
         grid = network.grid
@@ -417,68 +338,26 @@ class HierarchicalRouter:
             stack.append(candidates)
         return None
 
-    def _restricted_bfs(
-        self, source_id: str, target_id: str, corridor: FrozenSet[Cell]
-    ) -> Optional[List[str]]:
-        """Node-level BFS visiting only nodes inside ``corridor``."""
-        network = self.network
-        grid = network.grid
-        nodes = network.nodes
-        previous: Dict[str, str] = {}
-        seen = {source_id}
-        frontier = [source_id]
-        while frontier:
-            next_frontier: List[str] = []
-            for current in frontier:
-                neighbors = sorted(
-                    peer.id for peer in network.neighbors(nodes[current])
-                )
-                for neighbor in neighbors:
-                    if neighbor in seen:
-                        continue
-                    if grid.cell_of(grid.position_of(neighbor)) not in corridor:
-                        continue
-                    seen.add(neighbor)
-                    previous[neighbor] = current
-                    if neighbor == target_id:
-                        return walk_tree(previous, source_id, target_id)
-                    next_frontier.append(neighbor)
-            frontier = next_frontier
-        return None
-
-    def _cell_path(self, start: Cell, goal: Cell) -> Optional[List[Cell]]:
-        """BFS over occupied cells (8-connected); None = no cell path,
-        which is an exact proof of node-level unreachability."""
+    def _cells_connected(self, start: Cell, goal: Cell) -> bool:
+        """BFS over occupied cells (8-connected); False is an exact
+        proof of node-level unreachability."""
         occupied = self._occupied_cells()
         if start not in occupied or goal not in occupied:
-            return None
-        if start == goal:
-            return [start]
-        previous: Dict[Cell, Cell] = {}
+            return False
         seen = {start}
         frontier = [start]
         while frontier:
+            if goal in seen:
+                return True
             next_frontier: List[Cell] = []
-            for cell in frontier:
-                cx, cy = cell
+            for cx, cy in frontier:
                 for dx, dy in _RING:
                     step = (cx + dx, cy + dy)
-                    if step in seen or step not in occupied:
-                        continue
-                    seen.add(step)
-                    previous[step] = cell
-                    if step == goal:
-                        walk = [goal]
-                        while walk[-1] != start:
-                            walk.append(previous[walk[-1]])
-                        walk.reverse()
-                        return walk
-                    next_frontier.append(step)
+                    if step not in seen and step in occupied:
+                        seen.add(step)
+                        next_frontier.append(step)
             frontier = next_frontier
-        return None
-
-    def _within_stretch(self, path: List[str], cell_distance: int) -> bool:
-        return len(path) - 1 <= self.stretch * max(cell_distance, 1) + 2
+        return goal in seen
 
     def path(self, source_id: str, target_id: str) -> Optional[List[str]]:
         """A path within the stretch bound, or None iff flat BFS would
@@ -507,11 +386,10 @@ class HierarchicalRouter:
         cell_distance = max(
             abs(s_cell[0] - t_cell[0]), abs(s_cell[1] - t_cell[1])
         )
-        corridor = self._straight_corridor(s_cell, t_cell)
         path = self._greedy_corridor(
             source_id,
             target_id,
-            corridor,
+            self._straight_corridor(s_cell, t_cell),
             t_cell,
             self.stretch * max(cell_distance, 1) + 2,
         )
@@ -519,24 +397,10 @@ class HierarchicalRouter:
             # The hop limit IS the stretch bound, so no re-check needed.
             self._count("greedy", node=source_id)
             return self._remember(source_id, target_id, path)
-        path = self._restricted_bfs(source_id, target_id, corridor)
-        if path is not None and self._within_stretch(path, cell_distance):
-            self._count("corridor", node=source_id)
-            return self._remember(source_id, target_id, path)
-        cell_path = self._cell_path(s_cell, t_cell)
-        if cell_path is None:
+        if not self._cells_connected(s_cell, t_cell):
             # Exact: every node path induces an occupied-cell path.
             self._count("cell_unreachable", node=source_id)
             return self._remember(source_id, target_id, None)
-        if len(cell_path) > 1:
-            detour = self._restricted_bfs(
-                source_id, target_id, self._dilate(cell_path)
-            )
-            if detour is not None and self._within_stretch(
-                detour, cell_distance
-            ):
-                self._count("cell_corridor", node=source_id)
-                return self._remember(source_id, target_id, detour)
         # Sparse/maze-like world: pay one flat BFS, get the exact answer
         # (and the optimal path, so the stretch bound holds trivially).
         self._count("flat_fallback", node=source_id)

@@ -100,18 +100,13 @@ DEFAULT_DIRECTIONS: Tuple[Tuple[str, Optional[str]], ...] = (
     ("runner.job_ok*", "higher"),
     ("runner.*", None),
     # Routing-fabric counters (repro.net.routing): tree reuse should
-    # grow; repairs/flushes/planner-ladder tallies are workload shape
-    # (a repair is the system *working*, not failing).  Elided work —
-    # moves and scans proven no-ops — is pure savings.
+    # grow; flushes and planner-ladder tallies are workload shape.
     ("routing.tree_hits", "higher"),
     ("routing.tree_misses", "lower"),
-    ("routing.repairs", None),
     ("routing.flushes", None),
     ("routing.hier.hits", "higher"),
     ("routing.hier.misses", "lower"),
     ("routing.hier.*", None),
-    ("*moves_elided*", "higher"),
-    ("*scans_elided*", "higher"),
     ("*revalidations*", None),
     # Higher is better: useful work and cache effectiveness.
     ("*speedup*", "higher"),

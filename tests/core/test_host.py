@@ -164,6 +164,31 @@ class TestDispatch:
 
         assert run(world, send()) == "survived"
 
+    def test_server_crash_mid_handler_contained(self, world, phone_and_server):
+        # The server crashes halfway through a 2 s handler; its reply
+        # send fails because the sender is down.  That failure stays
+        # inside the handler and the caller times out.
+        phone, server = phone_and_server
+        server.register_service(
+            "slow", lambda args, host: ("done", 16), work_units=4_000_000
+        )
+
+        def crasher():
+            yield world.env.timeout(1.0)
+            server.node.crash()
+
+        def client():
+            try:
+                yield from phone.component("cs").call(
+                    "server", "slow", timeout=10.0
+                )
+            except RequestTimeout:
+                return "timed out"
+            return "replied"
+
+        world.env.process(crasher())
+        assert run(world, client()) == "timed out"
+
 
 class TestServices:
     def test_register_and_duplicate(self, world):

@@ -1,10 +1,11 @@
 """Unit tests for the city-scale routing fabric.
 
 Covers the :class:`HierarchicalRouter` planning ladder (flat delegate,
-straight corridor, coarse-cell certificate/corridor, flat fallback),
-its dirty-cell path cache, the dirty-repaired :class:`RoutingTable`,
-the connectivity monitor's dirty-cell scan skip, and same-seed
-determinism with the hierarchical planner driving a live Router.
+gateway walk, coarse-cell certificate, flat fallback), its dirty-cell
+path cache, the epoch-flushed :class:`RoutingTable`, epoch bumps on
+every real move, the connectivity monitor's same-epoch scan skip, and
+same-seed determinism with the hierarchical planner driving a live
+Router.
 """
 
 import pytest
@@ -60,7 +61,7 @@ class TestHierarchicalRouterPlanning:
         assert path == [f"n{i}" for i in range(6)]
         # The cheap gateway walk resolves a straight chain by itself.
         assert router.stats["greedy"] == 1
-        assert router.stats["corridor"] == 0
+        assert router.stats["flat_fallback"] == 0
         # Same answer again, now from the path cache.
         assert router.path("n0", "n5") == path
         assert router.stats["hits"] == 1
@@ -69,8 +70,8 @@ class TestHierarchicalRouterPlanning:
         env, network = make_network()
         # A decoy pocket: from s the decoy looks best (closest to t in
         # metres) but only connects back to s.  The guided walk burns
-        # the decoy, backtracks, and takes the arc overhead — no
-        # corridor BFS needed.
+        # the decoy, backtracks, and takes the arc overhead — no flat
+        # BFS needed.
         layout = {
             "s": (0, 0),
             "decoy": (95, 0),
@@ -86,7 +87,33 @@ class TestHierarchicalRouterPlanning:
         path = router.path("s", "t")
         assert path == ["s", "a1", "a2", "a3", "a4", "t"]
         assert router.stats["greedy"] == 1
-        assert router.stats["corridor"] == 0
+        assert router.stats["flat_fallback"] == 0
+
+    def test_walk_dead_end_falls_back_to_optimal_flat_path(self):
+        env, network = make_network()
+        # The only s→t path leaves the straight corridor (cell rows
+        # -1..1) through row 2, so the gateway walk dead-ends at a.  The
+        # detour is short enough for the stretch bound, but the planner
+        # has no corridor rung left: the flat fallback answers, with
+        # the optimal path.
+        layout = {
+            "s": (50, 50),
+            "a": (50, 140),
+            "b": (50, 230),
+            "c": (140, 230),
+            "d": (230, 230),
+            "e": (250, 140),
+            "t": (250, 50),
+        }
+        for node_id, (x, y) in layout.items():
+            network.add_node(adhoc_node(env, node_id, x, y))
+        router = HierarchicalRouter(network, flat_threshold=0)
+        flat = network.shortest_path("s", "t", adhoc_only=True)
+        assert flat == ["s", "a", "b", "c", "d", "e", "t"]
+        assert router.path("s", "t") == flat
+        assert router.stats["greedy"] == 0
+        assert router.stats["cell_unreachable"] == 0
+        assert router.stats["flat_fallback"] == 1
 
     def test_cell_unreachable_is_exact_negative(self):
         env, network = make_network()
@@ -104,7 +131,7 @@ class TestHierarchicalRouterPlanning:
     def test_detour_world_falls_back_to_flat(self):
         env, network = make_network()
         # Source and target sit in adjacent cells but out of range; the
-        # only path climbs two cell rows above both corridors, so the
+        # only path climbs two cell rows above the straight corridor, so the
         # planner must fall back to flat BFS — and then return the
         # optimal path (stretch 1 by construction).
         points = {
@@ -176,30 +203,43 @@ class TestHierarchicalPathCache:
 
 
 class TestRoutingTableRepair:
-    def test_far_component_change_keeps_tree(self):
+    """The table no longer repairs trees: any epoch bump flushes it."""
+
+    def test_any_bump_flushes(self):
         env, network = make_network()
         add_chain(env, network, 3)
-        far = [
-            network.add_node(adhoc_node(env, f"far{i}", 5000 + 90 * i, 0))
-            for i in range(2)
-        ]
+        far = network.add_node(adhoc_node(env, "far", 5000, 0))
         table = RoutingTable(network)
         assert table.path("n0", "n2") == ["n0", "n1", "n2"]
-        far[1].move_to(Position(5500, 0))  # epoch bumps, other component
-        assert table.path("n0", "n2") == ["n0", "n1", "n2"]
-        assert table.stats == {"hits": 1, "misses": 1, "repairs": 0, "flushes": 0}
+        bumps = [
+            lambda: far.move_to(Position(5500, 0)),  # other component
+            lambda: far.crash(),
+            lambda: far.restart(),
+            lambda: far.interface(WIFI_ADHOC.name).disable(),
+            lambda: network.add_node(adhoc_node(env, "late", 9000, 0)),
+        ]
+        for count, bump in enumerate(bumps, start=1):
+            epoch = network.topology_epoch
+            bump()
+            assert network.topology_epoch > epoch
+            assert table.path("n0", "n2") == ["n0", "n1", "n2"]
+            assert table.stats == {
+                "hits": 0, "misses": count + 1, "flushes": count
+            }
+        # An unchanged epoch keeps the tree.
+        assert table.path("n0", "n1") == ["n0", "n1"]
+        assert table.stats["hits"] == 1
 
-    def test_member_change_repairs_tree(self):
+    def test_member_change_rebuilds_tree(self):
         env, network = make_network()
         nodes = add_chain(env, network, 4)
         table = RoutingTable(network)
         assert table.path("n0", "n3") == ["n0", "n1", "n2", "n3"]
         nodes[1].crash()
         assert table.path("n0", "n3") is None
-        assert table.stats["repairs"] == 1
-        assert table.stats["misses"] == 2
+        assert table.stats == {"hits": 0, "misses": 2, "flushes": 1}
 
-    def test_node_joining_component_repairs_tree(self):
+    def test_node_joining_component_rebuilds_tree(self):
         env, network = make_network()
         add_chain(env, network, 2, spacing=150.0)  # n0 .. n1 unreachable
         joiner = network.add_node(adhoc_node(env, "j", 0, 2000))
@@ -207,7 +247,7 @@ class TestRoutingTableRepair:
         assert table.path("n0", "n1") is None
         joiner.move_to(Position(75, 0))  # bridges the gap
         assert table.path("n0", "n1") == ["n0", "j", "n1"]
-        assert table.stats["repairs"] >= 1
+        assert table.stats["flushes"] == 1
 
     def test_global_change_flushes(self):
         env, network = make_network()
@@ -216,17 +256,6 @@ class TestRoutingTableRepair:
         table.path("n0", "n2")
         network.set_link_filter(lambda a, b: True)
         table.path("n0", "n2")
-        assert table.stats["flushes"] == 1
-
-    def test_repair_off_flushes_on_any_bump(self):
-        env, network = make_network()
-        add_chain(env, network, 3)
-        far = network.add_node(adhoc_node(env, "far", 5000, 0))
-        table = RoutingTable(network, repair=False)
-        table.path("n0", "n2")
-        far.move_to(Position(5500, 0))
-        table.path("n0", "n2")
-        assert table.stats["misses"] == 2
         assert table.stats["flushes"] == 1
 
     def test_metrics_published(self):
@@ -241,7 +270,7 @@ class TestRoutingTableRepair:
         snapshot = metrics.snapshot()
         assert snapshot["routing.tree_misses"] == 2.0
         assert snapshot["routing.tree_hits"] == 1.0
-        assert snapshot["routing.repairs"] == 1.0
+        assert snapshot["routing.flushes"] == 1.0
 
 
 class TestAdjacencyDownNodes:
@@ -282,17 +311,20 @@ class TestAdjacencyDownNodes:
 
 
 class TestMoveElision:
-    def test_in_cell_jitter_elides_epoch(self):
+    """No move is elided: every real move bumps the epoch."""
+
+    def test_in_cell_move_bumps_epoch(self):
         env, network = make_network()
         a = network.add_node(adhoc_node(env, "a", 10, 10))
         network.add_node(adhoc_node(env, "b", 60, 10))
         neighbors = network.neighbors(a)
         epoch = network.topology_epoch
+        dirty = network.cache_stats["dirty_nodes"]
         a.move_to(Position(20, 10))  # same cell, b still in range
-        assert network.topology_epoch == epoch
-        assert network.cache_stats["moves_elided"] == 1
-        assert network.neighbors(a) is neighbors  # caches untouched
-        # The grid still tracked the move.
+        assert network.topology_epoch == epoch + 1
+        assert network.cache_stats["dirty_nodes"] == dirty + 1
+        assert network.dirty_cells_since(epoch) == (epoch + 1, {(0, 0)})
+        assert network.neighbors(a) == neighbors
         assert network.grid.position_of("a") == Position(20, 10)
 
     def test_range_crossing_move_still_bumps(self):
@@ -315,17 +347,23 @@ class TestMoveElision:
 
 
 class TestMonitorDirtySkip:
-    def test_far_change_skips_rescan(self):
+    """Only an unchanged epoch skips a scan; any bump rescans."""
+
+    def test_far_change_rescans(self):
         env, network = make_network()
         a = network.add_node(adhoc_node(env, "a", 0, 0))
         network.add_node(adhoc_node(env, "b", 50, 0))
         far = network.add_node(adhoc_node(env, "far", 5000, 0))
-        metrics = MetricsRegistry()
-        monitor = ConnectivityMonitor(env, network, a, metrics=metrics)
+        monitor = ConnectivityMonitor(env, network, a)
         assert monitor.scan_now() == {"b"}
+        queries = dict(network.cache_stats)
+        assert monitor.scan_now() == {"b"}
+        assert network.cache_stats == queries  # same epoch: no query
+        revalidations = network.cache_stats["revalidations"]
         far.move_to(Position(5200, 0))  # bumps the epoch, far away
         assert monitor.scan_now() == {"b"}
-        assert metrics.snapshot()["monitor.scans_elided"] == 1.0
+        # The rescan is served by the revalidated neighbour entry.
+        assert network.cache_stats["revalidations"] == revalidations + 1
 
     def test_near_change_still_rescans(self):
         env, network = make_network()
