@@ -103,14 +103,17 @@ def run_rev(count, observe=False):
     # Expose each sensor's lime space to REV guests.
     for sensor in sensors:
         space = sensor.component("lime").space
-        original = sensor.execution_context
+        original = sensor.guest_session
 
-        def patched(principal, services=None, _space=space, _original=original):
+        def patched(
+            principal, services=None, provider=None, _space=space,
+            _original=original,
+        ):
             services = dict(services or {})
             services["lime_space"] = _space
-            return _original(principal, services)
+            return _original(principal, services, provider)
 
-        sensor.execution_context = patched
+        sensor.guest_session = patched
     consumer.codebase.install(aggregation_unit())
     base = consumer.node.costs.total_bytes
 

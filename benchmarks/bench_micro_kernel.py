@@ -100,7 +100,7 @@ def test_cs_roundtrip_rate(benchmark):
 
         process = world.env.process(go())
         world.run(until=process)
-        return world.metrics.counter("cs.served").value
+        return world.metrics.counter("paradigm.cs.served").value
 
     assert benchmark(run_calls) == 200
 
@@ -295,4 +295,4 @@ def test_micro_report(benchmark):
     write_report(
         "micro_kernel", world, profiler, params={"workload": "cs-roundtrips"}
     )
-    assert world.metrics.counter("cs.served").value == 50
+    assert world.metrics.counter("paradigm.cs.served").value == 50

@@ -65,7 +65,6 @@ from .handover import HandoverManager
 from .host import MobileHost
 from .invocation import (
     DEFAULT_RETRY,
-    NO_RETRY,
     InvocationOutcome,
     InvocationPipeline,
     InvocationTask,
@@ -115,7 +114,6 @@ __all__ = [
     "LookupClient",
     "LookupServer",
     "MobileHost",
-    "NO_RETRY",
     "Outbox",
     "OutboxEntry",
     "PARADIGMS",

@@ -138,7 +138,6 @@ class CodeOnDemand(Component):
             yield from self.pipeline.run(
                 "cod.fetch",
                 attempt,
-                aliases={"seconds": "cod.fetch_seconds"},
                 roots=",".join(roots),
                 provider=provider_id,
             )
@@ -276,7 +275,7 @@ class CodeOnDemand(Component):
             return
         sign_seconds = sign_capsule(host.keypair, capsule)
         yield from host.execute(sign_seconds * WORK_UNITS_PER_SECOND)
-        self.pipeline.record_served(alias="cod.served")
+        self.pipeline.record_served()
         yield host.reply_to(
             message,
             KIND_REPLY,

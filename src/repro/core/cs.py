@@ -85,7 +85,6 @@ class ClientServer(Component):
             yield from self.pipeline.run(
                 "cs.call",
                 attempt,
-                aliases={"calls": "cs.calls", "seconds": "cs.call_seconds"},
                 service=service,
                 server=server_id,
             )
@@ -141,7 +140,7 @@ class ClientServer(Component):
         except Exception as error:  # noqa: BLE001 - app handlers are foreign code
             yield self.pipeline.reply_error(message, KIND_ERROR, error)
             return
-        self.pipeline.record_served(alias="cs.served")
+        self.pipeline.record_served()
         yield host.reply_to(
             message, KIND_REPLY, payload=result, size_bytes=size_bytes
         )

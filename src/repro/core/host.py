@@ -24,7 +24,6 @@ from ..lmu import Capsule, Codebase, CodeRepository
 from ..net import Message, NetworkNode
 from ..security import (
     ExecuteResult,
-    ExecutionContext,
     InProcessProvider,
     KeyPair,
     QuotaGrant,
@@ -363,27 +362,13 @@ class MobileHost:
         Yields the CPU time scaled by this node's speed and charges the
         battery; returns the elapsed seconds.
         """
-        if work_units < 0:
-            raise ValueError("negative work")
+        if not work_units >= 0:  # also rejects NaN
+            raise ValueError(f"work must be >= 0, got {work_units!r}")
         seconds = work_units / (WORK_UNITS_PER_SECOND * self.node.cpu_speed)
         yield self.env.timeout(seconds)
         if self.battery is not None:
             self.battery.consume_cpu(seconds)
         return seconds
-
-    def execution_context(
-        self, principal: str, services: Optional[Dict[str, object]] = None
-    ) -> ExecutionContext:
-        """A sandbox context carrying ``principal``'s quota grant."""
-        grant = self.policy.grant_for(principal)
-        return ExecutionContext(
-            host_id=self.id,
-            principal=principal,
-            work_budget=grant.work_units,
-            storage_budget_bytes=grant.storage_bytes,
-            services=services,
-            service_call_budget=grant.service_calls,
-        )
 
     def provider_for(self, grant: QuotaGrant) -> SandboxProvider:
         """The installed provider a grant names (default: in-process)."""

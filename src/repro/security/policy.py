@@ -50,6 +50,13 @@ class QuotaGrant:
     provider: str = "inprocess"
 
 
+#: The grant a principal receives when no ``quota_grants`` key matches
+#: it: 1e9 work units is ~17 minutes of reference CPU (see
+#: :mod:`repro.security.sandbox`).  A policy that wants another default
+#: maps ``"*"`` to its own grant.
+DEFAULT_GRANT = QuotaGrant()
+
+
 @dataclass(frozen=True)
 class SecurityPolicy:
     """One host's stance towards logical mobility.
@@ -63,19 +70,11 @@ class SecurityPolicy:
     require_signatures: bool = True
     allowed_operations: FrozenSet[str] = field(default_factory=lambda: ALL_OPERATIONS)
     allowed_principals: Optional[FrozenSet[str]] = None
-    #: Work-unit budget handed to one guest execution (REV body, agent
-    #: step); 1e9 units is ~17 minutes of reference CPU.  See
-    #: :mod:`repro.security.sandbox`.  These two scalars form the
-    #: *default* :class:`QuotaGrant` when ``quota_grants`` has no entry
-    #: for a principal.
-    guest_work_budget: float = 1_000_000_000.0
-    #: Bytes of scratch storage a guest execution may hold.
-    guest_storage_bytes: int = 1_000_000
-    #: Per-principal quota grants.  Keys are principal names or
-    #: ``fnmatch`` globs (``"hostile:*"``, ``"task:crunch*"``); lookup
-    #: prefers an exact match, then the first glob that matches in
-    #: insertion order, then the default grant built from the two
-    #: scalars above.
+    #: Per-principal quota grants for guest executions (REV body, agent
+    #: step).  Keys are principal names or ``fnmatch`` globs
+    #: (``"hostile:*"``, ``"task:crunch*"``, ``"*"``); lookup prefers an
+    #: exact match, then the first glob that matches in insertion order,
+    #: then :data:`DEFAULT_GRANT`.
     quota_grants: Mapping[str, QuotaGrant] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -113,10 +112,7 @@ class SecurityPolicy:
         for pattern, candidate in self.quota_grants.items():
             if fnmatchcase(principal, pattern):
                 return candidate
-        return QuotaGrant(
-            work_units=self.guest_work_budget,
-            storage_bytes=self.guest_storage_bytes,
-        )
+        return DEFAULT_GRANT
 
 
 #: Accept everything from anyone, unsigned — closed-lab testing only.

@@ -70,8 +70,10 @@ class ExecutionContext:
 
     def charge(self, work_units: float) -> None:
         """Account ``work_units`` of computation; raises on exhaustion."""
-        if work_units < 0:
-            raise ValueError("cannot charge negative work")
+        # ``not >= 0`` also rejects NaN, which would otherwise poison
+        # ``work_used`` and silence every later budget check.
+        if not work_units >= 0:
+            raise ValueError(f"work must be >= 0, got {work_units!r}")
         if self.strict and self.work_used + work_units > self.work_budget:
             # Deterministic preemption: clamp usage to exactly the
             # quota so the host never pays more CPU than the grant.
@@ -149,39 +151,3 @@ class ExecutionContext:
             ) from None
         self.service_calls += 1
         return handle
-
-
-class Sandbox:
-    """Legacy facade: runs guest callables under a context.
-
-    Thin adapter over :class:`~repro.security.provider.InProcessProvider`
-    for call sites that manage their own :class:`ExecutionContext`.
-    All accounting lives in the provider and the metrics registry
-    (per-node ``security.*`` children) — the old ``executions`` /
-    ``violations`` instance counters are gone.
-    """
-
-    def __init__(self, host_id: str, metrics: Optional[Any] = None) -> None:
-        from .provider import InProcessProvider
-
-        self.host_id = host_id
-        self.metrics = metrics
-        self._provider = InProcessProvider(host_id, metrics=metrics)
-
-    @property
-    def provider(self) -> Any:
-        return self._provider
-
-    def run(self, guest: Any, context: ExecutionContext, *args: object) -> Any:
-        """Execute ``guest(context, *args)`` under protection.
-
-        Exceptions never propagate: budget violations and guest bugs
-        both come back as a failed
-        :class:`~repro.security.provider.ExecuteResult` carrying the
-        typed wire-error payload.
-        """
-        session = self._provider.session_for(context)
-        try:
-            return self._provider.execute(session, guest, *args)
-        finally:
-            self._provider.close_session(session)

@@ -73,8 +73,9 @@ class Environment:
 
     def schedule(self, event: Event, delay: float = 0.0, priority: bool = False) -> None:
         """Place a triggered event on the queue ``delay`` seconds from now."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        # ``not >= 0`` also rejects NaN, which would poison the clock.
+        if not delay >= 0:
+            raise ValueError(f"delay must be >= 0, got {delay!r}")
         self._seq += 1
         heapq.heappush(
             self._queue, (self._now + delay, 0 if priority else 1, self._seq, event)

@@ -124,8 +124,7 @@ class Timeout(Event):
     __slots__ = ("_delay",)
 
     def __init__(self, env: "Environment", delay: float, value: object = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        # ``env.schedule`` rejects any delay that is not >= 0.
         super().__init__(env)
         self._delay = delay
         self._ok = True

@@ -31,24 +31,12 @@ class TraceRecord:
 class TraceLog:
     """Bounded in-memory log of :class:`TraceRecord` entries.
 
-    ``count_when_disabled`` (default True) keeps per-kind counters
-    running even while the log is disabled, so cheap always-on event
-    accounting survives with record storage off.  Pass False when the
-    disabled log must be a true no-op — e.g. when profiling, so that
-    counting work does not skew the numbers, or when a benchmark wants
-    the zero-overhead baseline.  This is an explicit contract, not an
-    accident of ``emit``'s ordering: :meth:`count` documents whether
-    its numbers include the disabled period.
+    Per-kind counters run even while the log is disabled, so cheap
+    always-on event accounting survives with record storage off.
     """
 
-    def __init__(
-        self,
-        max_records: int = 100_000,
-        enabled: bool = True,
-        count_when_disabled: bool = True,
-    ) -> None:
+    def __init__(self, max_records: int = 100_000, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.count_when_disabled = count_when_disabled
         self._records: Deque[TraceRecord] = deque(maxlen=max_records)
         self._kind_counts: Dict[str, int] = {}
         #: Optional :class:`~repro.obs.health.FlightRecorder` sink fed
@@ -57,16 +45,13 @@ class TraceLog:
         self.flight = None
 
     def emit(self, time: float, source: str, kind: str, **fields: object) -> None:
-        """Record one happening (cheap no-op when disabled)."""
+        """Record one happening; a disabled log only counts it."""
         flight = self.flight
         if flight is not None:
             flight.record(time, source, kind, fields)
-        if not self.enabled:
-            if self.count_when_disabled:
-                self._kind_counts[kind] = self._kind_counts.get(kind, 0) + 1
-            return
         self._kind_counts[kind] = self._kind_counts.get(kind, 0) + 1
-        self._records.append(TraceRecord(time, source, kind, fields))
+        if self.enabled:
+            self._records.append(TraceRecord(time, source, kind, fields))
 
     def __len__(self) -> int:
         return len(self._records)
@@ -75,12 +60,8 @@ class TraceLog:
         return iter(self._records)
 
     def count(self, kind: str) -> int:
-        """How many records of ``kind`` were emitted.
-
-        Includes emissions during disabled periods only when the log
-        was constructed with ``count_when_disabled=True`` (the
-        default).
-        """
+        """How many records of ``kind`` were emitted, including those
+        emitted while the log was disabled."""
         return self._kind_counts.get(kind, 0)
 
     def select(

@@ -11,7 +11,7 @@ from repro.core import (
 )
 from repro.errors import MigrationError
 from repro.net import LAN, Position, WIFI_ADHOC
-from repro.security import SecurityPolicy
+from repro.security import QuotaGrant, SecurityPolicy
 from tests.core.conftest import run
 
 
@@ -85,7 +85,9 @@ class TestLaunchAndCompletion:
 
     def test_budget_violation_kills_agent(self, adhoc_pair):
         a, _ = adhoc_pair
-        a.policy = SecurityPolicy(guest_work_budget=100.0)
+        a.policy = SecurityPolicy(
+            quota_grants={"*": QuotaGrant(work_units=100.0)}
+        )
         runtime = a.component("agents")
         agent_id = runtime.launch(Greedy())
         final = run(a.world, _await(runtime, agent_id))

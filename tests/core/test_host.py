@@ -216,6 +216,12 @@ class TestExecute:
         with pytest.raises(ValueError):
             list(host.execute(-1))
 
+    def test_nan_work_rejected(self, world):
+        host = make_host(world, "a")
+        with pytest.raises(ValueError):
+            list(host.execute(float("nan")))
+        assert world.now == 0.0
+
 
 class TestCapsuleGate:
     def _capsule(self, sender="vendor"):

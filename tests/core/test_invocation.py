@@ -29,9 +29,10 @@ from repro.errors import (
     ServiceNotFound,
     Unreachable,
 )
+from repro.core.invocation import request_with_retry
 from repro.lmu import estimate_size
 from repro.errors import to_wire
-from repro.net import Position, WIFI_ADHOC
+from repro.net import Message, Position, WIFI_ADHOC
 from tests.core.conftest import run
 
 
@@ -60,10 +61,21 @@ class TestRetryPolicy:
         policy = RetryPolicy(base_delay_s=1.0, multiplier=10.0, max_delay_s=30.0)
         assert policy.delay(5) == 30.0
 
-    def test_no_retry_means_one_attempt(self):
-        from repro.core import NO_RETRY
+    def test_no_retry_means_one_attempt(self, world):
+        device = standard_host(world, "device", Position(0, 0), [WIFI_ADHOC])
+        standard_host(world, "server", Position(5_000, 0), [WIFI_ADHOC])
+        built = []
 
-        assert NO_RETRY.attempts == 1
+        def build():
+            built.append(1)
+            return Message(source="device", destination="server", kind="ping")
+
+        def scenario():
+            yield from request_with_retry(device, build, timeout=5.0, retry=None)
+
+        with pytest.raises(Unreachable):
+            run(world, scenario())
+        assert built == [1]
 
 
 class TestTransientRetry:

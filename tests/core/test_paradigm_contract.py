@@ -27,6 +27,16 @@ from repro.errors import RemoteExecutionError
 from repro.net import Position, WIFI_ADHOC
 from tests.core.conftest import loss_free, run
 
+#: The per-paradigm metrics that are not duplicates of a uniform
+#: ``paradigm.<kind>.*`` figure.
+NON_ALIAS_PARADIGM_METRICS = {
+    "rev.bytes_shipped",
+    "cod.hits",
+    "cod.misses",
+    "cod.fetches",
+    "cod.bytes_fetched",
+}
+
 
 def make_world():
     world = loss_free(World(seed=11))
@@ -119,6 +129,22 @@ class TestContract:
             else:  # clean run: no errors, no retries
                 assert value == 0, name
         assert metrics.histogram(f"paradigm.{kind}.seconds").count >= 1
+
+    def test_no_per_paradigm_aliases_of_uniform_metrics(self, kind):
+        """Calls, serves and latency live only under ``paradigm.<kind>.*``;
+        a ``cs.``/``rev.``/``cod.`` name must measure something else."""
+        world, device, server = make_world()
+        task = square_task()
+        provision_task(server, task)
+        selector = ParadigmSelector(available=[kind])
+        run(world, selector.select_and_invoke(device, task, "server"))
+
+        emitted = {
+            name
+            for name in world.metrics.names()
+            if name.startswith(("cs.", "rev.", "cod."))
+        }
+        assert emitted <= NON_ALIAS_PARADIGM_METRICS
 
     def test_result_round_trips_a_second_call(self, kind):
         """Invoking twice works (COD hits its cache the second time)."""

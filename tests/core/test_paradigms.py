@@ -12,7 +12,7 @@ from repro.errors import (
 )
 from repro.lmu import CodeRepository, DataUnit, code_unit
 from repro.net import GPRS, LAN, Position
-from repro.security import SecurityPolicy, OP_SERVE_COD
+from repro.security import QuotaGrant, SecurityPolicy, OP_SERVE_COD
 from tests.core.conftest import run
 
 
@@ -85,8 +85,8 @@ class TestClientServer:
             yield from a.component("cs").call("b", "s")
 
         run(a.world, go())
-        assert a.world.metrics.counter("cs.calls").value == 1
-        assert a.world.metrics.counter("cs.served").value == 1
+        assert a.world.metrics.counter("paradigm.cs.calls").value == 1
+        assert a.world.metrics.counter("paradigm.cs.served").value == 1
 
 
 class TestRemoteEvaluation:
@@ -150,9 +150,9 @@ class TestRemoteEvaluation:
 
     def test_work_budget_enforced_remotely(self, phone_and_server):
         phone, server = phone_and_server
-        object.__setattr__  # noqa: B018 - documentation of frozen dataclass
         server.policy = SecurityPolicy(
-            require_signatures=True, guest_work_budget=10.0
+            require_signatures=True,
+            quota_grants={"*": QuotaGrant(work_units=10.0)},
         )
 
         def factory():

@@ -91,7 +91,7 @@ class TestFlightRecorder:
             FlightRecorder(max_sources=0)
 
     def test_trace_log_feeds_flight_even_when_disabled(self):
-        log = TraceLog(enabled=False, count_when_disabled=False)
+        log = TraceLog(enabled=False)
         flight = FlightRecorder(capacity=4)
         log.flight = flight
         log.emit(1.0, "node-1", "net.send", bytes=64)
@@ -101,7 +101,7 @@ class TestFlightRecorder:
         assert event["fields"] == {"bytes": 64}
 
     def test_disabled_emit_without_flight_allocates_nothing(self):
-        log = TraceLog(enabled=False, count_when_disabled=False)
+        log = TraceLog(enabled=False)
         for _ in range(100):  # warm: bytecode caches, etc.
             log.emit(0.0, "a", "k", x=1)
         tracemalloc.start()

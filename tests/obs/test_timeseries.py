@@ -279,7 +279,7 @@ class TestWorldIntegration:
     def test_world_run_emits_series(self):
         world, recorder = self.small_world(cadence=0.005)
         assert recorder.samples_taken > 1
-        calls = recorder.points("cs.calls")
+        calls = recorder.points("paradigm.cs.calls")
         assert calls[-1][1] == 3.0
         assert "host.request_rtt.p50" in recorder.series_names()
 
@@ -295,9 +295,10 @@ class TestWorldIntegration:
         world, recorder = self.small_world(cadence=1000.0)
         report = RunReport.capture("t", world)
         # Terminal sweep: last point stamped at end-of-run time.
-        assert recorder.points("cs.calls")[-1] == (world.now, 3.0)
+        assert recorder.points("paradigm.cs.calls")[-1] == (world.now, 3.0)
         assert report.series["cadence"] == 1000.0
-        assert report.series["series"]["cs.calls"]["values"][-1] == 3.0
+        series = report.series["series"]["paradigm.cs.calls"]
+        assert series["values"][-1] == 3.0
         restored = RunReport.from_json(report.to_json())
         assert restored.series == report.series
 

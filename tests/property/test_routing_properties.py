@@ -4,9 +4,9 @@ Three invariants, each asserted over hundreds of generated topologies
 and mutation interleavings (the strategies mirror
 test_topology_cache_properties so the same world shapes are covered):
 
-(a) a *long-lived* :class:`RoutingTable` — whose trees survive epoch
-    bumps via dirty-set repair — answers bit-identically to a fresh
-    flat BFS over the naive reference adjacency, after every mutation;
+(a) a *long-lived* :class:`RoutingTable` — whose trees any topology
+    epoch bump flushes — answers bit-identically to a fresh flat BFS
+    over the naive reference adjacency, after every mutation;
 (b) :class:`HierarchicalRouter` reachability equals the naive
     reference reachability (positives are real, validated paths;
     negatives only come from the exact coarse-cell certificate or the
@@ -114,10 +114,10 @@ def _apply(env, network, nodes, op):
             interface.enable()
 
 
-class TestRoutingTableRepairBitIdentity:
+class TestRoutingTableBitIdentity:
     @given(programs)
     @settings(max_examples=200, deadline=None)
-    def test_repaired_trees_match_fresh_flat_bfs(self, program):
+    def test_flushed_trees_match_bfs(self, program):
         """(a): the long-lived table equals the naive reference always."""
         specs, operations = program
         env, network, nodes = _build(specs)

@@ -12,7 +12,6 @@ from repro.security import (
     OP_ACCEPT_REV,
     OP_SERVE_COD,
     QuotaGrant,
-    Sandbox,
     SecurityPolicy,
     StrictProvider,
 )
@@ -70,6 +69,12 @@ class TestExecutionContext:
         with pytest.raises(ValueError):
             context.charge(-1)
 
+    def test_nan_charge_rejected(self):
+        context = ExecutionContext("host", "guest", work_budget=100)
+        with pytest.raises(ValueError):
+            context.charge(float("nan"))
+        assert context.work_used == 0.0
+
     def test_storage_within_budget(self):
         context = ExecutionContext("host", "guest", storage_budget_bytes=10_000)
         context.store("key", "value")
@@ -94,40 +99,44 @@ class TestExecutionContext:
             context.service("missing")
 
 
-class TestSandbox:
-    def test_successful_run(self):
-        sandbox = Sandbox("host")
-        context = ExecutionContext("host", "guest")
+def run_once(provider, guest, *args, grant=QuotaGrant()):
+    """One guest run in a fresh session on ``provider``."""
+    session = provider.open_session("guest", grant)
+    try:
+        return provider.execute(session, guest, *args)
+    finally:
+        provider.close_session(session)
 
+
+class TestSandbox:
+    """Guest containment through the in-process provider."""
+
+    def test_successful_run(self):
         def guest(ctx, x):
             ctx.charge(10)
             return x * 2
 
-        result = sandbox.run(guest, context, 21)
+        result = run_once(InProcessProvider("host"), guest, 21)
         assert result.ok and result.value == 42
         assert result.work_used == 10
 
     def test_guest_exception_contained(self):
-        sandbox = Sandbox("host")
-        context = ExecutionContext("host", "guest")
-
         def guest(ctx):
             raise ValueError("guest bug")
 
-        result = sandbox.run(guest, context)
+        result = run_once(InProcessProvider("host"), guest)
         assert not result.ok
         assert result.error_type == "ValueError"
         assert "guest bug" in result.error
 
     def test_budget_violation_reported(self):
         metrics = MetricsRegistry()
-        sandbox = Sandbox("host", metrics=metrics)
-        context = ExecutionContext("host", "guest", work_budget=5)
+        provider = InProcessProvider("host", metrics=metrics)
 
         def greedy(ctx):
             ctx.charge(10)
 
-        result = sandbox.run(greedy, context)
+        result = run_once(provider, greedy, grant=QuotaGrant(work_units=5))
         assert not result.ok
         assert result.error_type == "SandboxViolation"
         violations = metrics.counter(
@@ -138,20 +147,17 @@ class TestSandbox:
         assert metrics.counter("security.sandbox_violations").value == 1
 
     def test_cpu_seconds_mapping(self):
-        sandbox = Sandbox("host")
-        context = ExecutionContext("host", "guest")
-
         def guest(ctx):
             ctx.charge(1_000_000)
 
-        result = sandbox.run(guest, context)
+        result = run_once(InProcessProvider("host"), guest)
         assert result.cpu_seconds_reference == pytest.approx(1.0)
 
     def test_execution_counter(self):
         metrics = MetricsRegistry()
-        sandbox = Sandbox("host", metrics=metrics)
+        provider = InProcessProvider("host", metrics=metrics)
         for _ in range(3):
-            sandbox.run(lambda ctx: None, ExecutionContext("host", "guest"))
+            run_once(provider, lambda ctx: None)
         runs = metrics.counter(
             "security.sandbox_runs", labels={"node": "host"}
         )
@@ -160,14 +166,22 @@ class TestSandbox:
 
 class TestQuotaGrants:
     def test_default_grant_mirrors_legacy_scalars(self):
+        # An unmatched principal gets QuotaGrant(), whose budgets are
+        # the defaults of the per-policy scalars it replaced.
+        grant = SecurityPolicy().grant_for("anyone")
+        assert grant == QuotaGrant()
+        assert grant.work_units == 1_000_000_000.0
+        assert grant.storage_bytes == 1_000_000
+        assert grant.service_calls is None
+        assert grant.provider == "inprocess"
+
+    def test_star_grant_replaces_the_default(self):
         policy = SecurityPolicy(
-            guest_work_budget=123.0, guest_storage_bytes=456
+            quota_grants={"*": QuotaGrant(work_units=123.0, storage_bytes=456)}
         )
         grant = policy.grant_for("anyone")
         assert grant.work_units == 123.0
         assert grant.storage_bytes == 456
-        assert grant.service_calls is None
-        assert grant.provider == "inprocess"
 
     def test_exact_match_beats_glob(self):
         policy = SecurityPolicy(
@@ -264,3 +278,15 @@ class TestProviders:
         result = provider.execute(session, bomb)
         assert not result.ok
         assert "escape attempt" in result.error
+
+    @pytest.mark.parametrize("flavor", [InProcessProvider, StrictProvider])
+    def test_nan_charge_is_contained(self, flavor):
+        provider = flavor("h")
+        session = provider.open_session("guest", QuotaGrant(work_units=100.0))
+        result = provider.execute(session, lambda ctx: ctx.charge(float("nan")))
+        assert not result.ok
+        assert result.error_type == "ValueError"
+        # The NaN never landed, so the budget still binds.
+        result = provider.execute(session, lambda ctx: ctx.charge(1e12))
+        assert not result.ok
+        assert result.error_type == "SandboxViolation"

@@ -30,6 +30,15 @@ def test_negative_timeout_rejected():
         env.timeout(-1.0)
 
 
+def test_nan_timeout_rejected():
+    env = Environment()
+    with pytest.raises(ValueError):
+        env.timeout(float("nan"))
+    env.timeout(5.0)
+    env.run()
+    assert env.now == 5.0
+
+
 def test_run_until_time_stops_exactly():
     env = Environment()
     env.timeout(10.0)

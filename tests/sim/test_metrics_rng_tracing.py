@@ -266,20 +266,11 @@ class TestTraceLog:
         log.emit(0.0, "s", "k")
         assert len(log) == 0
         assert log.count("k") == 1
-
-    def test_disabled_counting_is_optional(self):
-        # count_when_disabled=False buys a true zero-cost disabled mode:
-        # no records AND no kind counting.
-        log = TraceLog(enabled=False, count_when_disabled=False)
-        log.emit(0.0, "s", "k")
-        assert len(log) == 0
-        assert log.count("k") == 0
-
-    def test_count_when_disabled_irrelevant_while_enabled(self):
-        log = TraceLog(enabled=True, count_when_disabled=False)
-        log.emit(0.0, "s", "k")
+        # Re-enabling resumes record storage; the count spans both periods.
+        log.enabled = True
+        log.emit(1.0, "s", "k")
         assert len(log) == 1
-        assert log.count("k") == 1
+        assert log.count("k") == 2
 
     def test_render_contains_fields(self):
         log = TraceLog()
