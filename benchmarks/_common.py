@@ -20,8 +20,9 @@ Two longitudinal mechanisms live here (see docs/OBSERVABILITY.md,
   report against the checked-in floor document under
   ``benchmarks/baselines/`` with ``repro.obs.diff`` (direction-aware,
   relative thresholds), replacing per-script hand-rolled floor
-  asserts.  CI runs the same comparison via ``python -m repro
-  compare --fail-on regress``.
+  asserts.  Each gate writes its verdict to
+  ``benchmarks/results/verdicts/<name>.json``, the same document
+  ``python -m repro compare --out`` writes, and CI uploads it.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from repro.obs import (
 )
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+VERDICTS_DIR = os.path.join(RESULTS_DIR, "verdicts")
 BASELINES_DIR = os.path.join(os.path.dirname(__file__), "baselines")
 TRAJECTORY_PATH = os.path.join(RESULTS_DIR, "trajectory.jsonl")
 
@@ -70,14 +72,13 @@ def instrument(
 ) -> SimProfiler:
     """Switch on full observability for ``world``; returns the profiler.
 
-    Enables the trace log and span tracer (normally off in benchmark
-    worlds) and attaches a :class:`SimProfiler` to the kernel so the
+    Enables the span tracer (normally off in benchmark worlds) and
+    attaches a :class:`SimProfiler` to the kernel so the
     run report carries a profile section.  With ``series_cadence`` set,
     additionally attaches a :class:`~repro.obs.TimeSeriesRecorder` at
     that sim-time cadence (ring-capped at ``series_capacity`` points
     per series), so the report carries per-epoch ``series`` too.
     """
-    world.trace.enabled = True
     world.tracer.enabled = True
     if series_cadence is not None:
         world.sample_series(cadence=series_cadence, capacity=series_capacity)
@@ -171,8 +172,9 @@ def gate_against_baseline(
     callers can print or inspect it.  The baselines hold *floor*
     values (e.g. ``speedup: 5.0``), so with the default threshold 0.0
     this is exactly "never worse than the floor" — one mechanism for
-    every bench, and the same one CI drives via ``python -m repro
-    compare --fail-on regress``.
+    every bench.  The verdict lands at
+    ``benchmarks/results/verdicts/<name>.json`` before any failure is
+    raised, so a failing gate still leaves it for upload.
     """
     from repro.obs.diff import diff_report_files
 
@@ -186,6 +188,9 @@ def gate_against_baseline(
         report_path = os.path.join(RESULTS_DIR, f"{name}.json")
     diff = diff_report_files(
         base, report_path, threshold=threshold, overrides=overrides
+    )
+    atomic_write_text(
+        os.path.join(VERDICTS_DIR, f"{name}.json"), diff.to_json() + "\n"
     )
     if diff.regressions:
         raise AssertionError(

@@ -52,10 +52,10 @@ def _params():
 def test_chaos_recovery_gate():
     params = _params()
     first = run_chaos(
-        seed=SEED, spans_enabled=True, slos=standard_slos(), **params
+        seed=SEED, trace_enabled=True, slos=standard_slos(), **params
     )
     second = run_chaos(
-        seed=SEED, spans_enabled=True, slos=standard_slos(), **params
+        seed=SEED, trace_enabled=True, slos=standard_slos(), **params
     )
 
     # Determinism first: a nondeterministic chaos run is ungateable.

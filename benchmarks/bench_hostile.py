@@ -43,8 +43,8 @@ def _params():
 
 def test_hostile_containment_gate():
     params = _params()
-    first = run_hostile(seed=SEED, spans_enabled=True, **params)
-    second = run_hostile(seed=SEED, spans_enabled=True, **params)
+    first = run_hostile(seed=SEED, trace_enabled=True, **params)
+    second = run_hostile(seed=SEED, trace_enabled=True, **params)
 
     # Determinism first: a nondeterministic hostile run is ungateable.
     assert first.summary == second.summary, (

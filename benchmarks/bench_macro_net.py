@@ -1,7 +1,7 @@
 """Macrobenchmark — city-scale routing on 1k..10k-node worlds.
 
-The scaling guard for the city-scale fabric (implicit backbone clique,
-dirty-set invalidation, hierarchical cell routing — see
+The scaling guard for the city-scale fabric (dirty-set invalidation,
+hierarchical cell routing — see
 docs/PERFORMANCE.md, "City-scale routing").  Each sweep round replays
 the traffic shape a paradigm-heavy simulation produces: a handful of
 nodes move, a batch of multi-hop paths is planned between distinct

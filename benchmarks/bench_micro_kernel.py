@@ -11,6 +11,7 @@ scale claim of the reproduction).
 from __future__ import annotations
 
 from bisect import insort
+from statistics import median
 from time import perf_counter
 
 from repro.core import Agent, World, mutual_trust, standard_host
@@ -178,14 +179,20 @@ def test_histogram_observe_scaling(benchmark):
     benchmark(lazy)
 
 
+#: Alternating timing rounds per side in the tracing-overhead gate.
+REPEATS = 5
+
+
 def test_disabled_tracing_overhead(benchmark):
     """Disabled spans must cost <5% of kernel event processing.
 
     Times 100k start/finish pairs on a disabled tracer against 10k
     kernel timeout events (the event-throughput workload above, which
-    runs with tracing off).  A lenient 2x margin on the 5% target keeps
-    the guard flake-resistant on loaded machines; the 0.10 ceiling is
-    the ``micro_kernel_tracing`` baseline document.
+    runs with tracing off).  The two sides alternate for ``REPEATS``
+    rounds and the gate reads the median per-round ratio, so one
+    descheduled sample cannot fail it.  A lenient 2x margin on the 5%
+    target keeps the guard flake-resistant on loaded machines; the 0.10
+    ceiling is the ``micro_kernel_tracing`` baseline document.
     """
     tracer = SpanTracer(now=lambda: 0.0, enabled=False)
 
@@ -204,18 +211,24 @@ def test_disabled_tracing_overhead(benchmark):
         env.process(ticker(env))
         env.run()
 
-    started = perf_counter()
-    disabled_spans()
-    span_seconds = perf_counter() - started
-    started = perf_counter()
-    kernel_events()
-    kernel_seconds = perf_counter() - started
+    def timed(run, operations):
+        started = perf_counter()
+        run()
+        return (perf_counter() - started) / operations
+
     # Per-operation: one disabled span pair vs one kernel event.
-    per_span = span_seconds / 100_000
-    per_event = kernel_seconds / 10_000
-    ratio = per_span / per_event
+    span_samples, event_samples = [], []
+    for _ in range(REPEATS):
+        span_samples.append(timed(disabled_spans, 100_000))
+        event_samples.append(timed(kernel_events, 10_000))
+    ratio = median(
+        span / event for span, event in zip(span_samples, event_samples)
+    )
+    per_span = median(span_samples)
+    per_event = median(event_samples)
     print(f"\ndisabled span pair {per_span * 1e9:.0f}ns vs kernel event "
-          f"{per_event * 1e9:.0f}ns ({ratio * 100:.1f}%)")
+          f"{per_event * 1e9:.0f}ns (median ratio {ratio * 100:.1f}% "
+          f"over {REPEATS} rounds)")
     path = write_report_data(
         "micro_kernel_tracing",
         metrics={

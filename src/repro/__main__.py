@@ -252,7 +252,7 @@ def _load_trace_analysis(name: str):
     if not analysis.spans:
         print(
             f"error: report {report.name!r} carries no spans — rerun the "
-            "benchmark with tracing enabled (trace_enabled/spans_enabled)",
+            "benchmark with tracing enabled (trace_enabled=True)",
             file=sys.stderr,
         )
         return None, None, 1

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional
 
-from typing import Optional as _Optional
-
 from ..net import (
     Network,
     NetworkNode,
@@ -26,25 +24,16 @@ from ..sim import Environment, MetricsRegistry, RandomStreams, TraceLog
 class World:
     """One simulated deployment: kernel + network + shared observability."""
 
-    def __init__(
-        self,
-        seed: int = 0,
-        trace_enabled: bool = False,
-        spans_enabled: _Optional[bool] = None,
-    ) -> None:
+    def __init__(self, seed: int = 0, trace_enabled: bool = False) -> None:
         self.seed = seed
         self.env = Environment()
         self.streams = RandomStreams(seed)
         self.network = Network(self.env)
-        self.trace = TraceLog(enabled=trace_enabled)
+        self.trace = TraceLog()
         self.metrics = MetricsRegistry()
-        #: Causal spans follow the trace switch unless set explicitly.
+        #: Causal spans, stored only when ``trace_enabled``.
         self.tracer = SpanTracer(
-            now=lambda: self.env.now,
-            trace=self.trace,
-            enabled=(
-                trace_enabled if spans_enabled is None else spans_enabled
-            ),
+            now=lambda: self.env.now, trace=self.trace, enabled=trace_enabled
         )
         self.transport = Transport(
             self.env,
@@ -56,7 +45,7 @@ class World:
         )
         #: Optional cadence sampler (see :meth:`sample_series`); when
         #: set, ``RunReport.capture`` emits its points as ``series``.
-        self.timeseries: _Optional[TimeSeriesRecorder] = None
+        self.timeseries: Optional[TimeSeriesRecorder] = None
         #: Optional in-run SLO monitor (see :meth:`enable_health`);
         #: when set, ``RunReport.capture`` emits its breach events and
         #: flight-recorder dumps as ``health``/``flight``.

@@ -304,24 +304,19 @@ def run_chaos(
     spacing_s: float = 8.0,
     plan: Optional[FaultPlan] = None,
     trace_enabled: bool = False,
-    spans_enabled: Optional[bool] = None,
     slos=None,
     sample_cadence: Optional[float] = None,
 ) -> ChaosOutcome:
     """Drive the echo workload under ``plan`` (default
     :func:`standard_plan`); returns a :class:`ChaosOutcome`.
 
-    ``spans_enabled`` follows ``trace_enabled`` unless set explicitly
-    (pass ``True`` to capture causal spans — and the ``trace.*``
-    analytics derived from them — without the event trace log).
-    ``slos`` arms the in-run health engine (e.g.
-    :func:`standard_slos`); ``sample_cadence`` attaches the sim-time
-    sampler on its own — what the armed-vs-unarmed bit-identity test
-    compares against.
+    ``trace_enabled`` captures causal spans (and the ``trace.*``
+    analytics derived from them).  ``slos`` arms the in-run health
+    engine (e.g. :func:`standard_slos`); ``sample_cadence`` attaches
+    the sim-time sampler on its own — what the armed-vs-unarmed
+    bit-identity test compares against.
     """
-    world = World(
-        seed=seed, trace_enabled=trace_enabled, spans_enabled=spans_enabled
-    )
+    world = World(seed=seed, trace_enabled=trace_enabled)
     if sample_cadence is not None:
         world.sample_series(cadence=sample_cadence)
     if slos is not None:
@@ -429,7 +424,7 @@ def chaos_job(
     outcome = run_chaos(
         seed=seed,
         plan=resolve_plan_spec(plan),
-        spans_enabled=spans,
+        trace_enabled=spans,
         slos=standard_slos() if slos else None,
         **params,  # type: ignore[arg-type]
     )
@@ -494,7 +489,6 @@ def run_hostile(
     spacing_s: float = 8.0,
     hostile: Optional[FaultPlan] = None,
     trace_enabled: bool = False,
-    spans_enabled: Optional[bool] = None,
     slos=None,
     sample_cadence: Optional[float] = None,
 ) -> ChaosOutcome:
@@ -510,9 +504,7 @@ def run_hostile(
     ``FaultPlan()`` for the unarmed control run — it is bit-identical
     to :func:`run_chaos` with an empty plan and the same fleet shape.
     """
-    world = World(
-        seed=seed, trace_enabled=trace_enabled, spans_enabled=spans_enabled
-    )
+    world = World(seed=seed, trace_enabled=trace_enabled)
     if sample_cadence is not None:
         world.sample_series(cadence=sample_cadence)
     if slos is not None:

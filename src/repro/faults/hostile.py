@@ -107,7 +107,7 @@ def hostile_job(
     outcome = run_hostile(
         seed=seed,
         hostile=resolve_plan_spec(plan),
-        spans_enabled=spans,
+        trace_enabled=spans,
         slos=standard_slos() if slos else None,
         **params,  # type: ignore[arg-type]
     )

@@ -13,7 +13,6 @@ from .message import HEADER_BYTES, Message
 from .mobility import PathMobility, RandomWaypoint, grid_positions
 from .monitor import ConnectivityMonitor
 from .network import (
-    AdjacencyView,
     Link,
     Network,
     PhysicalNetwork,
@@ -44,7 +43,6 @@ from .transport import ACK_BYTES, Transport
 
 __all__ = [
     "ACK_BYTES",
-    "AdjacencyView",
     "Area",
     "BACKBONE_LATENCY_S",
     "BLUETOOTH",

@@ -20,35 +20,19 @@ queries touch only nearby nodes instead of the whole registry.  The
 cached fast paths are bit-identical to the naive sweeps kept in
 :mod:`repro.net.reference` (property-tested under random mobility).
 
-Two mechanisms make the fabric scale past ~10k nodes (see
-docs/PERFORMANCE.md, "City-scale routing"):
-
-* **Implicit backbone clique.**  Every pair of backbone-attached nodes
-  connects, which is O(n²) edges if written down.  :meth:`adjacency`
-  returns an :class:`AdjacencyView` that stores the attached set as one
-  frozenset and answers clique membership on the fly, so a snapshot is
-  O(nodes + ad-hoc edges) and BFS absorbs the whole clique in one step.
-* **Dirty-cell journal.**  Each epoch bump records *which* grid cells
-  changed.  The per-pair/per-node caches below survive a bump when no
-  dirty cell lies within one ring of their endpoints, and the
-  hierarchical router (:meth:`dirty_cells_since`) drops only the cached
-  paths that cross a dirty cell.  Whole-graph products still clear on
-  every bump.
+A **dirty-cell journal** lets the fabric scale past ~10k nodes (see
+docs/PERFORMANCE.md, "City-scale routing"): each epoch bump records
+*which* grid cells changed.  The per-pair/per-node caches below survive
+a bump when no dirty cell lies within one ring of their endpoints, and
+the hierarchical router (:meth:`dirty_cells_since`) drops only the
+cached paths that cross a dirty cell.  Whole-graph products still clear
+on every bump.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Tuple,
-)
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..errors import NetworkError
 from ..sim import Environment
@@ -133,142 +117,41 @@ def prefer_fast(link: Link) -> tuple:
 _MISSING = object()
 
 
-class AdjacencyView(Mapping):
-    """Adjacency snapshot with the backbone clique kept *implicit*.
-
-    Ad-hoc edges are explicit (per up-node sorted neighbour tuples);
-    the backbone-attached set is a single frozenset, and every pair of
-    its members is connected by definition.  Materialising a node's
-    full neighbour set (``view[node_id]``) therefore costs O(degree +
-    clique) *per call* — fine for tests and small graphs — while
-    holding the snapshot costs O(nodes + ad-hoc edges) no matter how
-    large the clique is.  BFS consumers should use
-    :func:`bfs_reachable`/:func:`bfs_tree`, which absorb the clique in
-    one step instead of walking its quadratic edge set.
-
-    Only *up* nodes appear as keys: crashed nodes have no links, so
-    they contribute neither buckets nor clique membership.
-    """
-
-    __slots__ = ("_adhoc", "_backbone")
-
-    def __init__(
-        self,
-        adhoc: Dict[str, Tuple[str, ...]],
-        backbone: FrozenSet[str],
-    ) -> None:
-        self._adhoc = adhoc
-        self._backbone = backbone
-
-    @property
-    def backbone(self) -> FrozenSet[str]:
-        """The backbone-attached up nodes (pairwise connected clique)."""
-        return self._backbone
-
-    def __getitem__(self, node_id: str) -> FrozenSet[str]:
-        bucket = self._adhoc[node_id]
-        if node_id in self._backbone:
-            return frozenset(bucket).union(self._backbone) - {node_id}
-        return frozenset(bucket)
-
-    def get(self, node_id: str, default=frozenset()):
-        if node_id not in self._adhoc:
-            return default
-        return self[node_id]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._adhoc)
-
-    def __len__(self) -> int:
-        return len(self._adhoc)
-
-    def __contains__(self, node_id: object) -> bool:
-        return node_id in self._adhoc
-
-    def edge_count(self) -> int:
-        """Count of *materialised* (directed) edges — excludes the clique."""
-        return sum(len(bucket) for bucket in self._adhoc.values())
-
-
-def _merge_sorted(a: Tuple[str, ...], b: List[str]) -> Iterator[str]:
-    """Merge two sorted id sequences into sorted order (dups preserved)."""
-    i = j = 0
-    len_a, len_b = len(a), len(b)
-    while i < len_a and j < len_b:
-        if a[i] <= b[j]:
-            yield a[i]
-            i += 1
-        else:
-            yield b[j]
-            j += 1
-    while i < len_a:
-        yield a[i]
-        i += 1
-    while j < len_b:
-        yield b[j]
-        j += 1
-
-
-def bfs_reachable(view: AdjacencyView, start_id: str) -> FrozenSet[str]:
-    """Transitive closure over ``view`` with one-shot clique absorption."""
-    adhoc = view._adhoc
-    backbone = view._backbone
+def bfs_reachable(
+    graph: Dict[str, Tuple[str, ...]], start_id: str
+) -> FrozenSet[str]:
+    """Transitive closure of ``start_id`` over an adjacency snapshot."""
     seen = {start_id}
     frontier = [start_id]
-    clique_absorbed = not backbone
     while frontier:
         current = frontier.pop()
-        for neighbor in adhoc.get(current, ()):
+        for neighbor in graph.get(current, ()):
             if neighbor not in seen:
                 seen.add(neighbor)
                 frontier.append(neighbor)
-        if not clique_absorbed and current in backbone:
-            # Reaching any clique member reaches them all; absorbing the
-            # whole set once avoids walking the O(n²) implicit edges.
-            clique_absorbed = True
-            for neighbor in backbone:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    frontier.append(neighbor)
     return frozenset(seen)
 
 
 def bfs_tree(
-    view: AdjacencyView,
+    graph: Dict[str, Tuple[str, ...]],
     source_id: str,
     target_id: Optional[str] = None,
 ) -> Dict[str, str]:
-    """BFS predecessor tree over ``view``, clique-aware.
+    """BFS predecessor tree over an adjacency snapshot.
 
-    Bit-identical to a BFS that expands ``sorted(materialised
-    neighbours)`` per node (the reference semantics): each expansion
-    iterates the *sorted union* of the node's ad-hoc bucket and — for
-    clique members — the not-yet-discovered clique remainder, so
-    predecessor assignment and frontier order match the naive sweep
-    exactly while the clique's edges are walked at most once per BFS.
+    Each node expands its sorted neighbour tuple, so predecessor
+    assignment and frontier order match the reference sweep exactly.
     With ``target_id`` given, returns as soon as the target is
     discovered (the tree is then partial but the source→target walk is
     complete and identical to the full tree's).
     """
-    adhoc = view._adhoc
-    backbone = view._backbone
     previous: Dict[str, str] = {}
     seen = {source_id}
-    # Clique members nobody has discovered yet, sorted for merging.
-    pending = sorted(backbone - seen) if backbone else []
     frontier = [source_id]
     while frontier:
         next_frontier: List[str] = []
         for current in frontier:
-            bucket = adhoc.get(current, ())
-            if pending and current in backbone:
-                neighbors = _merge_sorted(bucket, pending)
-                # Every pending member is a neighbour of ``current`` and
-                # gets discovered in the loop below (or already was).
-                pending = []
-            else:
-                neighbors = iter(bucket)
-            for neighbor in neighbors:
+            for neighbor in graph.get(current, ()):
                 if neighbor in seen:
                     continue
                 seen.add(neighbor)
@@ -326,7 +209,7 @@ class Network:
         ] = {}
         self._coverage_cache: Dict[Tuple[str, str], Tuple[int, bool]] = {}
         #: Whole-graph snapshots clear on any epoch change.
-        self._adjacency_cache: Dict[bool, AdjacencyView] = {}
+        self._adjacency_cache: Dict[bool, Dict[str, Tuple[str, ...]]] = {}
         self._reachable_cache: Dict[Tuple[str, bool], FrozenSet[str]] = {}
         self._path_cache: Dict[Tuple[str, str, bool], object] = {}
         self.cache_stats = {
@@ -737,17 +620,17 @@ class Network:
             self._neighbors_cache[key] = (self._epoch, result)
         return result
 
-    def adjacency(self, adhoc_only: bool = False) -> AdjacencyView:
-        """Snapshot of the connectivity graph as an :class:`AdjacencyView`.
+    def adjacency(
+        self, adhoc_only: bool = False
+    ) -> Dict[str, Tuple[str, ...]]:
+        """Snapshot of the connectivity graph: each up node's sorted
+        neighbour ids.
 
-        Ad-hoc edges are explicit; the backbone-attached set is kept as
-        an implicit clique (one frozenset), so the snapshot costs
-        O(up nodes + ad-hoc edges) regardless of how many nodes can
-        reach the backbone.  Only *up* nodes appear as keys.  With the
-        partition filter installed the clique is no longer complete, so
-        the surviving backbone pairs are materialised explicitly (the
-        chaos-scale worlds are small).  The returned view is cached and
-        immutable — treat it as read-only.
+        Ad-hoc edges come from :meth:`neighbors`.  Unless
+        ``adhoc_only``, every pair of backbone-attached nodes that the
+        link filter admits is written out too, so B attached nodes cost
+        O(B²) edges.  Only *up* nodes appear as keys.  The returned
+        snapshot is cached — treat it as read-only.
         """
         self._validate_caches()
         cached = self._adjacency_cache.get(adhoc_only)
@@ -759,7 +642,6 @@ class Network:
         up_nodes = [node for node in self.nodes.values() if node.up]
         for node in up_nodes:
             sets[node.id] = {other.id for other in self.neighbors(node)}
-        backbone: FrozenSet[str] = frozenset()
         if not adhoc_only:
             attached = [
                 node.id
@@ -767,24 +649,20 @@ class Network:
                 if self._has_backbone_access(node)
             ]
             link_filter = self._link_filter
-            if link_filter is None:
-                backbone = frozenset(attached)
-            else:
-                for index, a_id in enumerate(attached):
-                    a_bucket = sets[a_id]
-                    for b_id in attached[index + 1 :]:
-                        if link_filter(a_id, b_id) and link_filter(b_id, a_id):
-                            a_bucket.add(b_id)
-                            sets[b_id].add(a_id)
-        view = AdjacencyView(
-            {
-                node_id: tuple(sorted(neighbor_ids))
-                for node_id, neighbor_ids in sets.items()
-            },
-            backbone,
-        )
-        self._adjacency_cache[adhoc_only] = view
-        return view
+            for index, a_id in enumerate(attached):
+                a_bucket = sets[a_id]
+                for b_id in attached[index + 1 :]:
+                    if link_filter is None or (
+                        link_filter(a_id, b_id) and link_filter(b_id, a_id)
+                    ):
+                        a_bucket.add(b_id)
+                        sets[b_id].add(a_id)
+        graph = {
+            node_id: tuple(sorted(neighbor_ids))
+            for node_id, neighbor_ids in sets.items()
+        }
+        self._adjacency_cache[adhoc_only] = graph
+        return graph
 
     def _has_backbone_access(self, node: NetworkNode) -> bool:
         for iface in node.usable_interfaces():
@@ -803,8 +681,7 @@ class Network:
             self.cache_stats["hits"] += 1
             return cached
         self.cache_stats["misses"] += 1
-        view = self.adjacency(adhoc_only=adhoc_only)
-        result = bfs_reachable(view, start_id)
+        result = bfs_reachable(self.adjacency(adhoc_only), start_id)
         self._reachable_cache[key] = result
         return result
 
@@ -821,8 +698,7 @@ class Network:
             self.cache_stats["hits"] += 1
             return list(cached) if cached is not None else None  # type: ignore[arg-type]
         self.cache_stats["misses"] += 1
-        view = self.adjacency(adhoc_only=adhoc_only)
-        tree = bfs_tree(view, source_id, target_id)
+        tree = bfs_tree(self.adjacency(adhoc_only), source_id, target_id)
         path = walk_tree(tree, source_id, target_id)
         self._path_cache[key] = tuple(path) if path is not None else None
         return path

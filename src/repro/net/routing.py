@@ -87,8 +87,8 @@ class RoutingTable:
             self._count("hits", node=source_id)
             return tree
         self._count("misses", node=source_id)
-        view = self.network.adjacency(adhoc_only=self.adhoc_only)
-        tree = bfs_tree(view, source_id)
+        graph = self.network.adjacency(adhoc_only=self.adhoc_only)
+        tree = bfs_tree(graph, source_id)
         self._trees[source_id] = tree
         return tree
 
@@ -135,8 +135,8 @@ class HierarchicalRouter:
     flat_hops + 2`` of optimal, and fallback paths are optimal
     outright.  Worlds smaller than
     ``flat_threshold`` nodes — and any query over the backbone
-    (``adhoc_only=False``), where the implicit clique makes hierarchy
-    pointless — skip straight to the flat table.
+    (``adhoc_only=False``), where every attached pair is one hop apart
+    and hierarchy is pointless — skip straight to the flat table.
 
     Planned paths are cached per (source, target) and invalidated with
     the network's dirty-cell journal: a cached path stays valid until

@@ -39,7 +39,7 @@ class Transport:
     ) -> None:
         self.env = env
         self.network = network
-        self.trace = trace if trace is not None else TraceLog(enabled=False)
+        self.trace = trace if trace is not None else TraceLog()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = (
             tracer

@@ -7,7 +7,7 @@ first-class subsystem:
   (:class:`Span`, :class:`SpanTracer`), propagated inside messages;
 * :mod:`repro.obs.profiler`  — :class:`SimProfiler`, wall-clock and
   event-count attribution for the simulation kernel;
-* :mod:`repro.obs.exporters` — JSONL trace/span dumps and
+* :mod:`repro.obs.exporters` — JSONL span dumps and
   Prometheus-style metric text;
 * :mod:`repro.obs.report`    — :class:`RunReport`, the versioned JSON
   document every benchmark writes to ``benchmarks/results/``;
@@ -35,8 +35,6 @@ from .exporters import (
     sanitize_metric_name,
     spans_from_jsonl,
     spans_to_jsonl,
-    trace_from_jsonl,
-    trace_to_jsonl,
     write_text,
 )
 from .diff import (
@@ -122,8 +120,6 @@ __all__ = [
     "sanitize_metric_name",
     "spans_from_jsonl",
     "spans_to_jsonl",
-    "trace_from_jsonl",
-    "trace_to_jsonl",
     "wall_time",
     "worst_level",
     "write_text",

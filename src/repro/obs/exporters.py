@@ -1,10 +1,9 @@
-"""Exporters: traces, spans, and metrics in machine-readable formats.
+"""Exporters: spans and metrics in machine-readable formats.
 
 Three formats cover the usual consumers:
 
-* **JSONL** — one JSON object per line, for traces and spans; the
-  format jq/pandas ingest directly and the round-trip parsers here
-  read back;
+* **JSONL** — one JSON object per span per line; the format jq/pandas
+  ingest directly and the round-trip parser here reads back;
 * **Prometheus text** — the registry as ``# TYPE``-annotated sample
   lines (metric names sanitised ``a.b-c`` → ``a_b_c``), so a scrape of
   a long-running simulation drops into existing dashboards;
@@ -23,12 +22,11 @@ from ..sim.metrics import (
     escape_label_value,
     unescape_label_value,
 )
-from ..sim.tracing import TraceLog, TraceRecord
 from .spans import Span
 
 
 def _jsonable(value: object) -> object:
-    """Best-effort conversion of trace field values to JSON types."""
+    """Best-effort conversion of span attribute values to JSON types."""
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     if isinstance(value, (list, tuple)):
@@ -36,46 +34,6 @@ def _jsonable(value: object) -> object:
     if isinstance(value, dict):
         return {str(key): _jsonable(item) for key, item in value.items()}
     return repr(value)
-
-
-# -- traces -------------------------------------------------------------------
-
-
-def trace_to_jsonl(trace: TraceLog) -> str:
-    """Every retained trace record as one JSON object per line."""
-    lines = []
-    for record in trace:
-        lines.append(
-            json.dumps(
-                {
-                    "time": record.time,
-                    "source": record.source,
-                    "kind": record.kind,
-                    "fields": _jsonable(record.fields),
-                },
-                sort_keys=True,
-            )
-        )
-    return "\n".join(lines)
-
-
-def trace_from_jsonl(text: str) -> List[TraceRecord]:
-    """Parse :func:`trace_to_jsonl` output back into records."""
-    records = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        data = json.loads(line)
-        records.append(
-            TraceRecord(
-                time=float(data["time"]),
-                source=str(data["source"]),
-                kind=str(data["kind"]),
-                fields=dict(data.get("fields") or {}),
-            )
-        )
-    return records
 
 
 # -- spans --------------------------------------------------------------------

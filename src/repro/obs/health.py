@@ -127,9 +127,9 @@ class FlightRecorder:
     """Bounded per-source ring buffers of recent trace events.
 
     Plugged into :class:`~repro.sim.tracing.TraceLog` (``trace.flight``)
-    the recorder sees every emitted event *before* the log's enabled
-    check, so last-N context is available even on runs that keep
-    tracing off.  Each source keeps its own ``deque(maxlen=capacity)``;
+    the recorder sees every emitted event, so last-N context is
+    available even on runs that keep span tracing off.  Each source
+    keeps its own ``deque(maxlen=capacity)``;
     at most ``max_sources`` distinct sources are tracked (later ones
     are dropped — bounded memory beats complete coverage here).
     """

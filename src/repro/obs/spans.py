@@ -8,9 +8,9 @@ context crosses the network inside :class:`~repro.net.message.Message`
 objects (the ``trace_context`` field), so causality survives host
 boundaries exactly like real distributed tracing headers do.
 
-The tracer is layered on :class:`~repro.sim.tracing.TraceLog`: every
-finished span is mirrored into the trace log (kind ``span``), so the
-existing filtering and rendering tools see spans too.  Disabled tracers
+Spans are the stored trace.  Every finished span is also emitted into
+the :class:`~repro.sim.tracing.TraceLog` (kind ``span``), so it is
+counted and reaches an armed flight recorder.  Disabled tracers
 hand out a shared no-op span and do no bookkeeping, keeping the
 instrumented hot paths cheap.
 """
@@ -155,7 +155,8 @@ class SpanTracer:
 
     ``now`` is a zero-argument callable returning the current simulated
     time (pass ``lambda: env.now``).  Finished spans live in a bounded
-    ring (like :class:`TraceLog`), oldest evicted first.
+    ring, oldest evicted first; each is also emitted into ``trace`` as a
+    ``span`` happening.
     """
 
     def __init__(

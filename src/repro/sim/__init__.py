@@ -3,7 +3,7 @@
 A from-scratch generator-process kernel in the style popularised by
 SimPy, plus the supporting cast a systems simulation needs: blocking
 stores, counting resources, named deterministic random streams, a
-metrics registry, and a structured trace log.
+metrics registry, and a per-kind trace counter.
 
 Quick taste::
 
@@ -26,7 +26,7 @@ from .metrics import Counter, Gauge, Histogram, MetricsRegistry, TimeSeries
 from .process import Process
 from .rng import RandomStreams, derive_seed
 from .stores import Resource, Store
-from .tracing import TraceLog, TraceRecord
+from .tracing import TraceLog
 
 __all__ = [
     "AllOf",
@@ -45,6 +45,5 @@ __all__ = [
     "TimeSeries",
     "Timeout",
     "TraceLog",
-    "TraceRecord",
     "derive_seed",
 ]

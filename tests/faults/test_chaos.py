@@ -5,9 +5,13 @@ converges back to service after every recoverable fault, and the whole
 chaotic trajectory is a pure function of the seed.
 """
 
+import pytest
+
+from repro.core import World
 from repro.faults import (
     FaultPlan,
     run_chaos,
+    run_hostile,
     verify_agent_reroute,
     verify_discovery_recovery,
     verify_local_degradation,
@@ -138,3 +142,32 @@ class TestWholeRunDeterminism:
         assert metrics["chaos.completion_rate"] >= 0.95
         assert "faults.crash" in metrics
         assert report["params"]["faults"] > 0
+
+
+class TestTraceSwitch:
+    """``trace_enabled`` adds spans and touches nothing else.
+
+    The switch only stores spans; each finished span is still emitted
+    into the trace log, so the one kind-count difference is ``span``,
+    and it agrees with both the report's spans and the tracer's total.
+    """
+
+    @pytest.mark.parametrize("scenario", [run_chaos, run_hostile])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_switch_adds_only_span_counts(self, monkeypatch, scenario, seed):
+        worlds = []
+
+        class RecordingWorld(World):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                worlds.append(self)
+
+        monkeypatch.setattr("repro.faults.chaos.World", RecordingWorld)
+        off = scenario(seed=seed).report
+        on = scenario(seed=seed, trace_enabled=True).report
+        assert "span" not in off["kind_counts"]
+        assert off["spans"] == []
+        spans = on["kind_counts"].pop("span")
+        assert on["kind_counts"] == off["kind_counts"]
+        assert spans == len(on["spans"]) == worlds[-1].tracer.finished_total
+        assert spans > 0

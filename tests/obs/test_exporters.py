@@ -7,34 +7,9 @@ from repro.obs import (
     sanitize_metric_name,
     spans_from_jsonl,
     spans_to_jsonl,
-    trace_from_jsonl,
-    trace_to_jsonl,
     write_text,
 )
-from repro.sim import MetricsRegistry, TraceLog
-
-
-class TestTraceJsonl:
-    def test_round_trip(self):
-        log = TraceLog()
-        log.emit(1.0, "a", "net.send", bytes=64, to="b")
-        log.emit(2.0, "b", "net.recv", ok=True)
-        text = trace_to_jsonl(log)
-        records = trace_from_jsonl(text)
-        assert len(records) == 2
-        assert records[0].time == 1.0
-        assert records[0].kind == "net.send"
-        assert records[0].fields == {"bytes": 64, "to": "b"}
-        assert records[1].fields == {"ok": True}
-
-    def test_non_json_fields_coerced(self):
-        log = TraceLog()
-        log.emit(0.0, "a", "k", obj=object())
-        (record,) = trace_from_jsonl(trace_to_jsonl(log))
-        assert isinstance(record.fields["obj"], str)
-
-    def test_empty_log(self):
-        assert trace_from_jsonl(trace_to_jsonl(TraceLog())) == []
+from repro.sim import MetricsRegistry
 
 
 class TestSpanJsonl:

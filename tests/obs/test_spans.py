@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.obs import NOOP_SPAN, STATUS_ERROR, STATUS_OK, SpanTracer, build_trees
+from repro.obs import (
+    NOOP_SPAN,
+    STATUS_ERROR,
+    STATUS_OK,
+    FlightRecorder,
+    SpanTracer,
+    build_trees,
+)
 from repro.sim.tracing import TraceLog
 
 
@@ -113,15 +120,19 @@ class TestDisabledTracer:
 class TestTraceLogMirror:
     def test_finished_span_mirrored(self):
         log = TraceLog()
+        log.flight = FlightRecorder(capacity=4)
         clock = {"now": 0.0}
         tracer = SpanTracer(now=lambda: clock["now"], trace=log)
         span = tracer.start("op", "host-a")
         clock["now"] = 1.5
         tracer.finish(span)
-        (record,) = log.select(kind="span")
-        assert record.fields["name"] == "op"
-        assert record.fields["span"] == span.span_id
-        assert record.fields["duration"] == 1.5
+        assert log.count("span") == 1
+        (event,) = log.flight.snapshot("host-a")
+        assert event["time"] == 1.5
+        assert event["kind"] == "span"
+        assert event["fields"]["name"] == "op"
+        assert event["fields"]["span"] == span.span_id
+        assert event["fields"]["duration"] == 1.5
 
 
 class TestTrees:
