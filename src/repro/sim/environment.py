@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from time import perf_counter
 from typing import List, Optional, Tuple
 
@@ -29,14 +29,16 @@ class Environment:
         self._now = float(initial_time)
         self._queue: List[_QueueItem] = []
         self._seq = 0
-        #: Set while a process's generator is being advanced.
-        self._resuming_process: Optional[Process] = None
-        #: Attachment point for :class:`repro.obs.SimProfiler`; when
-        #: None (the default) the kernel pays one check per step.
+        #: Set by :meth:`repro.obs.SimProfiler.attach`.  :meth:`step`
+        #: reads it before each event's callbacks, so a profiler attached
+        #: by a callback times events from the next one on; detached
+        #: (None, the default) it costs one check per event.
         self._profiler: Optional[object] = None
-        #: Attachment point for :class:`repro.obs.TimeSeriesRecorder`
-        #: (same contract: one ``is not None`` check per step when
-        #: detached; ``on_step(now)`` after each event otherwise).
+        #: Set by :meth:`repro.obs.TimeSeriesRecorder.attach`.
+        #: :meth:`step` reads it after each event's callbacks and calls
+        #: ``on_step(now)``, so a recorder attached by a callback first
+        #: sees the end of that same event; detached (None, the
+        #: default) it costs one check per event.
         self._sampler: Optional[object] = None
 
     def __repr__(self) -> str:
@@ -77,7 +79,7 @@ class Environment:
         if not delay >= 0:
             raise ValueError(f"delay must be >= 0, got {delay!r}")
         self._seq += 1
-        heapq.heappush(
+        heappush(
             self._queue, (self._now + delay, 0 if priority else 1, self._seq, event)
         )
 
@@ -88,15 +90,18 @@ class Environment:
     def step(self) -> None:
         """Process the single next event."""
         try:
-            when, _, _, event = heapq.heappop(self._queue)
+            when, _, _, event = heappop(self._queue)
         except IndexError:
             raise EmptySchedule("no more events scheduled") from None
         if when < self._now:
             raise SimulationError("event scheduled in the past")
         self._now = when
-        callbacks = event._mark_processed()
-        if callbacks is None:  # pragma: no cover - defensive
+        # Processing finalises the event: its callbacks run exactly once,
+        # and a copy that reaches the queue again finds None and is skipped.
+        callbacks = event.callbacks
+        if callbacks is None:
             return
+        event.callbacks = None
         profiler = self._profiler
         if profiler is None:
             for callback in callbacks:
@@ -144,12 +149,20 @@ class Environment:
                     raise ValueError(
                         f"until={stop_at} lies in the past (now={self._now})"
                     )
+        # step() is the one function that pops an event and fires its
+        # callbacks; the loops below only read the queue head.
+        queue = self._queue
+        step = self.step
         try:
-            while True:
-                if stop_at is not None and self.peek() >= stop_at:
-                    self._now = stop_at
-                    return None
-                self.step()
+            if stop_at is None:
+                while True:
+                    step()
+            # ``not >=`` so that a NaN ``until`` runs the queue dry, the
+            # way a ``peek() >= until`` test does.
+            while queue and not queue[0][0] >= stop_at:
+                step()
+            self._now = stop_at
+            return None
         except EmptySchedule:
             if isinstance(until, Event):
                 raise SimulationError(

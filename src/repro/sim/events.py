@@ -81,7 +81,7 @@ class Event:
 
     def succeed(self, value: object = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not PENDING:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
@@ -95,7 +95,7 @@ class Event:
         if nobody is waiting, the kernel re-raises it at processing time so
         failures never pass silently.
         """
-        if self.triggered:
+        if self._value is not PENDING:
             raise SimulationError(f"{self!r} has already been triggered")
         if not isinstance(exception, BaseException):
             raise TypeError(f"{exception!r} is not an exception")
@@ -110,13 +110,6 @@ class Event:
             raise SimulationError(f"{self!r} has already been processed")
         self.callbacks.append(callback)
 
-    # -- hooks used by the kernel -----------------------------------------
-
-    def _mark_processed(self) -> Optional[List[Callable[["Event"], None]]]:
-        """Finalise the event; return the callbacks to run."""
-        callbacks, self.callbacks = self.callbacks, None
-        return callbacks
-
 
 class Timeout(Event):
     """An event that fires ``delay`` simulated seconds after creation."""
@@ -124,12 +117,15 @@ class Timeout(Event):
     __slots__ = ("_delay",)
 
     def __init__(self, env: "Environment", delay: float, value: object = None) -> None:
-        # ``env.schedule`` rejects any delay that is not >= 0.
-        super().__init__(env)
-        self._delay = delay
-        self._ok = True
+        # Event.__init__ inlined: timeouts are the most frequent event.
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env.schedule(self, delay=delay)
+        self._ok = True
+        self._defused = False
+        self._delay = delay
+        # ``env.schedule`` rejects any delay that is not >= 0.
+        env.schedule(self, delay)
 
     @property
     def delay(self) -> float:

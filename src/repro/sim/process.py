@@ -52,7 +52,7 @@ class Process(Event):
         init = Event(env)
         init._ok = True
         init._value = None
-        init.add_callback(self._resume)
+        init.callbacks.append(self._resume)
         env.schedule(init, priority=True)
 
     def __repr__(self) -> str:
@@ -73,79 +73,82 @@ class Process(Event):
 
         The process is rescheduled immediately; whatever event it was
         waiting for stays pending and may still fire later (its firing
-        will simply no longer resume this process).
+        will simply no longer resume this process).  A process that has
+        not started yet first runs to its first ``yield``, then receives
+        the interrupt at the same simulated time.
         """
         if not self.is_alive:
             raise SimulationError(f"{self!r} has already terminated")
-        if self._target is None and not self.env._resuming_process is self:
-            # The process has been created but its initialisation event has
-            # not run yet; interrupting before the first resume is allowed
-            # and will be delivered as the first thing the generator sees.
-            pass
         _InterruptEvent(self.env, self, cause)
 
     # -- kernel plumbing ---------------------------------------------------
 
     def _resume(self, event: Event) -> None:
-        """Advance the generator with ``event``'s outcome."""
-        if self.triggered:
+        """Advance the generator with ``event``'s outcome.
+
+        The kernel's busiest callback: it reads the events' slots
+        directly rather than through the ``triggered``/``ok``/``value``
+        properties.
+        """
+        if self._value is not PENDING:
             # Process already finished (e.g. interrupted to death while a
             # timeout was pending); swallow stale wakeups.
-            if not event.ok:
+            if not event._ok:
                 event._defused = True
             return
         # An interrupt may arrive while a real target is pending; detach so
         # the stale target's firing does not resume us twice.
-        if self._target is not None and self._target is not event:
+        target = self._target
+        if target is not None and target is not event:
             if isinstance(event, _InterruptEvent):
-                self._detach_from(self._target)
+                self._detach_from(target)
             else:
                 # Stale wakeup from an event we abandoned after an interrupt.
-                if not event.ok:
+                if not event._ok:
                     event._defused = True
                 return
         self._target = None
-        self.env._resuming_process = self
+        env = self.env
+        generator = self._generator
         try:
             while True:
-                if event.ok:
-                    next_target = self._generator.send(event.value)
+                if event._ok:
+                    next_target = generator.send(event._value)
                 else:
                     event._defused = True
-                    next_target = self._generator.throw(event.value)  # type: ignore[arg-type]
+                    next_target = generator.throw(event._value)  # type: ignore[arg-type]
                 if not isinstance(next_target, Event):
                     exc = SimulationError(
                         f"process {self.name!r} yielded {next_target!r}, "
                         "which is not an Event"
                     )
-                    self._generator.throw(exc)
+                    generator.throw(exc)
                     raise exc
-                if next_target.env is not self.env:
+                if next_target.env is not env:
                     exc = SimulationError(
                         f"process {self.name!r} yielded an event from a "
                         "different environment"
                     )
-                    self._generator.throw(exc)
+                    generator.throw(exc)
                     raise exc
-                if next_target.callbacks is not None:
+                callbacks = next_target.callbacks
+                if callbacks is not None:
                     # Pending: wait for it.
-                    next_target.add_callback(self._resume)
+                    callbacks.append(self._resume)
                     self._target = next_target
-                    break
+                    return
                 # Already processed: consume its outcome immediately.
                 event = next_target
         except StopIteration as stop:
             self._ok = True
             self._value = stop.value
-            self.env.schedule(self, priority=True)
+            env.schedule(self, priority=True)
         except BaseException as error:
             if isinstance(error, (KeyboardInterrupt, SystemExit)):
                 raise
             self._ok = False
             self._value = error
-            self.env.schedule(self, priority=True)
-        finally:
-            self.env._resuming_process = None
+            env.schedule(self, priority=True)
 
     def _detach_from(self, target: Event) -> None:
         if target.callbacks is not None:

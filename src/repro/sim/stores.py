@@ -13,13 +13,15 @@ from typing import Callable, Deque, Generic, List, Optional, TypeVar
 
 from ..errors import SimulationError
 from .environment import Environment
-from .events import Event
+from .events import PENDING, Event
 
 T = TypeVar("T")
 
 
 class StorePut(Event):
     """Request to add ``item`` to a store; fires when accepted."""
+
+    __slots__ = ("item",)
 
     def __init__(self, store: "Store", item: object) -> None:
         super().__init__(store.env)
@@ -36,9 +38,12 @@ class StoreGet(Event):
     in FIFO order; non-matching items stay for other getters).
     """
 
+    __slots__ = ("predicate", "_cancelled")
+
     def __init__(self, store: "Store", predicate: Optional[Callable[[object], bool]] = None) -> None:
         super().__init__(store.env)
         self.predicate = predicate
+        self._cancelled = False
         store._get_waiters.append(self)
         store._service()
 
@@ -95,16 +100,14 @@ class Store(Generic[T]):
                 put.succeed()
                 progress = True
             # Serve gets in FIFO order.
-            served: List[StoreGet] = []
             for get in list(self._get_waiters):
-                if getattr(get, "_cancelled", False) or get.triggered:
+                if get._cancelled or get._value is not PENDING:
                     self._get_waiters.remove(get)
                     continue
                 item = self._find_match(get)
                 if item is not _NO_MATCH:
                     self._get_waiters.remove(get)
                     get.succeed(item)
-                    served.append(get)
                     progress = True
             if not self.items and not self._put_waiters:
                 break
@@ -126,6 +129,8 @@ _NO_MATCH = object()
 
 class ResourceRequest(Event):
     """Pending claim on a :class:`Resource` slot."""
+
+    __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource") -> None:
         super().__init__(resource.env)

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import Interrupt, SimulationError
-from repro.sim import Environment
+from repro.obs import SimProfiler, TimeSeriesRecorder
+from repro.sim import Environment, MetricsRegistry
 from repro.sim.events import Condition
 
 
@@ -163,6 +164,34 @@ class TestInterruptRaces:
         env.run()
         assert seen == [None]
 
+    def test_interrupt_before_first_resume_lands_at_first_yield(self):
+        env = Environment()
+        log = []
+
+        def victim(env):
+            log.append(("started", env.now))
+            try:
+                yield env.timeout(10.0)
+            except Interrupt as interrupt:
+                log.append(("interrupted", env.now, interrupt.cause))
+            yield env.timeout(1.0)
+            log.append(("done", env.now))
+
+        def spawner(env):
+            yield env.timeout(2.0)
+            # Interrupted before its initialisation event has run: the
+            # generator still reaches its first yield, then the interrupt
+            # arrives at the same simulated time.
+            env.process(victim(env)).interrupt("early")
+
+        env.process(spawner(env))
+        env.run()
+        assert log == [
+            ("started", 2.0),
+            ("interrupted", 2.0, "early"),
+            ("done", 3.0),
+        ]
+
 
 class TestEventMisuse:
     def test_fail_then_succeed_rejected(self):
@@ -190,6 +219,29 @@ class TestEventMisuse:
         env = Environment()
         with pytest.raises(ValueError):
             env.schedule(env.event(), delay=-1.0)
+
+    def test_yielding_event_of_another_environment_rejected(self):
+        env, other = Environment(), Environment()
+
+        def worker(env):
+            yield other.timeout(1.0)
+
+        process = env.process(worker(env))
+        with pytest.raises(SimulationError, match="different environment"):
+            env.run(until=process)
+
+    def test_event_scheduled_twice_runs_callbacks_once(self):
+        env = Environment()
+        calls = []
+        event = env.event()
+        event.add_callback(lambda fired: calls.append(env.now))
+        event.succeed("value")
+        env.schedule(event, delay=1.0)
+        env.run()
+        assert calls == [0.0]
+        assert event.processed and event.value == "value"
+        # The second copy still advances the clock, and nothing else.
+        assert env.now == 1.0
 
 
 class TestRunSemantics:
@@ -230,3 +282,44 @@ class TestRunSemantics:
         process = env.process(root(env))
         assert env.run(until=process) == 40
         assert env.now == 2.0
+
+
+class TestHooksAttachedMidRun:
+    """``step`` re-reads the profiler and sampler slots on every event,
+    so a hook a callback attaches during ``run(until=...)`` is honoured
+    without restarting the run."""
+
+    @staticmethod
+    def _ticker(env, ticks=None):
+        for _ in range(10):
+            yield env.timeout(1.0)
+            if ticks is not None:
+                ticks.increment()
+
+    def test_profiler_times_events_after_the_attaching_one(self):
+        env = Environment()
+        profiler = SimProfiler()
+        env.process(self._ticker(env))
+        env.timeout(4.5).add_callback(lambda event: profiler.attach(env))
+        env.run(until=20.0)
+        # Timeouts at t=5..10 plus the ticker's completion; not the
+        # timeout whose callback attached the profiler.
+        assert profiler.events_processed == 7
+        kinds = {row["kind"]: row["count"] for row in profiler.hottest_events()}
+        assert kinds == {"Timeout": 6, "Process": 1}
+
+    def test_recorder_samples_from_the_attaching_event_on(self):
+        env = Environment()
+        metrics = MetricsRegistry()
+        ticks = metrics.counter("ticks")
+        recorder = TimeSeriesRecorder(metrics, cadence=1.0)
+        env.process(self._ticker(env, ticks))
+        env.timeout(4.5).add_callback(lambda event: recorder.attach(env))
+        env.run(until=20.0)
+        # The sampler is read after each event's callbacks, so the first
+        # sweep closes the attaching event itself; the cadence then
+        # samples every later tick.
+        assert recorder.points("ticks") == [
+            (4.5, 4.0), (5.0, 5.0), (6.0, 6.0), (7.0, 7.0),
+            (8.0, 8.0), (9.0, 9.0), (10.0, 10.0),
+        ]
