@@ -35,7 +35,6 @@ from typing import Generator, List, Optional, Tuple
 from repro.core import World
 from repro.obs import (
     RunReport,
-    SimProfiler,
     append_jsonl,
     atomic_write_text,
     read_jsonl_if_exists,
@@ -69,20 +68,18 @@ def instrument(
     world: World,
     series_cadence: Optional[float] = None,
     series_capacity: int = 256,
-) -> SimProfiler:
-    """Switch on full observability for ``world``; returns the profiler.
+) -> None:
+    """Switch on full observability for ``world``.
 
-    Enables the span tracer (normally off in benchmark worlds) and
-    attaches a :class:`SimProfiler` to the kernel so the
-    run report carries a profile section.  With ``series_cadence`` set,
-    additionally attaches a :class:`~repro.obs.TimeSeriesRecorder` at
-    that sim-time cadence (ring-capped at ``series_capacity`` points
-    per series), so the report carries per-epoch ``series`` too.
+    Enables the span tracer (normally off in benchmark worlds), so the
+    run report carries span trees.  With ``series_cadence`` set, also
+    attaches a :class:`~repro.obs.TimeSeriesRecorder` at that sim-time
+    cadence (ring-capped at ``series_capacity`` points per series), so
+    the report carries per-epoch ``series`` too.
     """
     world.tracer.enabled = True
     if series_cadence is not None:
         world.sample_series(cadence=series_cadence, capacity=series_capacity)
-    return world.profile()
 
 
 def git_sha() -> str:
@@ -203,7 +200,6 @@ def gate_against_baseline(
 def write_report(
     name: str,
     world: World,
-    profiler: Optional[SimProfiler] = None,
     params: Optional[dict] = None,
 ) -> str:
     """Capture a RunReport for ``world`` and write it as JSON.
@@ -214,9 +210,7 @@ def write_report(
     ``python -m repro report <name>``, or diff two runs with
     ``python -m repro compare``.
     """
-    if profiler is not None and profiler.attached:
-        profiler.detach()
-    report = RunReport.capture(name, world, profiler=profiler, params=params)
+    report = RunReport.capture(name, world, params=params)
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, f"{name}.json")
     report.write(path)

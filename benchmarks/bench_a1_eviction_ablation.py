@@ -29,7 +29,8 @@ POLICIES = [
 
 def run_policy(name, policy, observe=False):
     world = World(seed=111)
-    profiler = instrument(world) if observe else None
+    if observe:
+        instrument(world)
     world.transport._rng.random = lambda: 0.999
     pda = standard_host(
         world, "pda", Position(0, 0), [GPRS], cpu_speed=0.2, quota_bytes=QUOTA
@@ -52,7 +53,7 @@ def run_policy(name, policy, observe=False):
 
     run_process(world, go())
     if observe:
-        return world, profiler
+        return world
     misses = sum(1 for record in player.history if record.outcome == "miss")
     return [
         name,
@@ -87,9 +88,9 @@ def test_a1_eviction_ablation(benchmark):
         note="identical playlist and quota; only the eviction policy differs",
     )
     write_result("a1_eviction_ablation", table)
-    world, profiler = run_policy("lfu", lfu_policy, observe=True)
+    world = run_policy("lfu", lfu_policy, observe=True)
     write_report(
-        "a1_eviction_ablation", world, profiler,
+        "a1_eviction_ablation", world,
         params={"quota": QUOTA, "requests": REQUESTS, "policy": "lfu"},
     )
 

@@ -28,7 +28,8 @@ COPY_COUNTS = [1, 2, 4, 8]
 
 def run_trial(copies, seed, observe=False):
     world = World(seed=seed)
-    profiler = instrument(world) if observe else None
+    if observe:
+        instrument(world)
     hosts = adhoc_fleet(world, NODES, SITE, placement="random")
     source, destination = hosts[0], hosts[-1]
     source.node.move_to(Position(10.0, 10.0))
@@ -49,7 +50,7 @@ def run_trial(copies, seed, observe=False):
         send_via_spray(source, destination.id, "sos", copies=copies, ttl=TTL)
     world.run(until=TTL + 5.0)
     if observe:
-        return world, profiler
+        return world
     delivered = bool(log.received)
     latency = log.received[0][2] if delivered else TTL
     radio_bytes = sum(host.node.costs.total_bytes_sent for host in hosts)
@@ -92,9 +93,9 @@ def test_a2_spray_ablation(benchmark):
         note="L=1 is the E3 custody messenger; L>1 is binary spray-and-wait",
     )
     write_result("a2_spray_ablation", table)
-    world, profiler = run_trial(4, seed=1200, observe=True)
+    world = run_trial(4, seed=1200, observe=True)
     write_report(
-        "a2_spray_ablation", world, profiler,
+        "a2_spray_ablation", world,
         params={"nodes": NODES, "copies": 4, "ttl": TTL},
     )
 

@@ -31,7 +31,8 @@ CONFIGURATIONS = [
 
 def run_cell(lookups, beacon_interval, observe=False):
     world = World(seed=131)
-    profiler = instrument(world) if observe else None
+    if observe:
+        instrument(world)
     world.transport._rng.random = lambda: 0.999
     client = standard_host(world, "client", Position(0, 0), [WIFI_ADHOC])
     provider = standard_host(
@@ -60,7 +61,7 @@ def run_cell(lookups, beacon_interval, observe=False):
 
     run_process(world, go())
     if observe:
-        return world, profiler
+        return world
     total_bytes = (
         client.node.costs.total_bytes_sent
         + provider.node.costs.total_bytes_sent
@@ -92,9 +93,9 @@ def test_a3_discovery_ablation(benchmark):
         note="one provider in range; cache answers lookups between beacons",
     )
     write_result("a3_discovery_ablation", table)
-    world, profiler = run_cell(3, beacon_interval=None, observe=True)
+    world = run_cell(3, beacon_interval=None, observe=True)
     write_report(
-        "a3_discovery_ablation", world, profiler,
+        "a3_discovery_ablation", world,
         params={"lookups": 3, "beacon_interval": None},
     )
 

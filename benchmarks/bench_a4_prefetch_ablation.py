@@ -58,7 +58,8 @@ def commute_playlist(world):
 
 def run_strategy(prefetch, observe=False):
     world, device, store = build()
-    profiler = instrument(world) if observe else None
+    if observe:
+        instrument(world)
     player = MediaPlayer(device, "store")
     playlist = commute_playlist(world)
     if prefetch:
@@ -86,7 +87,7 @@ def run_strategy(prefetch, observe=False):
 
     run_process(world, go())
     if observe:
-        return world, profiler
+        return world
     costs = device.node.costs
     gprs_bytes = costs.bytes_sent.get("gprs", 0) + costs.bytes_received.get(
         "gprs", 0
@@ -125,9 +126,9 @@ def test_a4_prefetch_ablation(benchmark):
         note=f"{HOME_WINDOW:.0f}s free-link window before leaving home",
     )
     write_result("a4_prefetch_ablation", table)
-    world, profiler = run_strategy(prefetch=True, observe=True)
+    world = run_strategy(prefetch=True, observe=True)
     write_report(
-        "a4_prefetch_ablation", world, profiler,
+        "a4_prefetch_ablation", world,
         params={"strategy": "prefetch", "plays": PLAYS},
     )
 

@@ -67,7 +67,8 @@ def build(seed):
 
 def run_strategy(strategy, seed=1010, observe=False):
     world, phone, server = build(seed)
-    profiler = instrument(world) if observe else None
+    if observe:
+        instrument(world)
 
     def prober():
         for _ in range(PROBES):
@@ -104,7 +105,7 @@ def run_strategy(strategy, seed=1010, observe=False):
     report = world.run(until=update_process)
     world.run(until=PROBES * PROBE_INTERVAL + 5.0)
     if observe:
-        return world, profiler
+        return world
     return report
 
 
@@ -133,10 +134,8 @@ def test_e10_update(benchmark):
         note=f"discovery probes every {PROBE_INTERVAL}s during the update",
     )
     write_result("e10_update", table)
-    world, profiler = run_strategy("hot-swap", observe=True)
-    write_report(
-        "e10_update", world, profiler, params={"strategy": "hot-swap"}
-    )
+    world = run_strategy("hot-swap", observe=True)
+    write_report("e10_update", world, params={"strategy": "hot-swap"})
 
     # Hot swap ships one component; reinstall ships the stack.
     assert hot.bytes_transferred < reinstall.bytes_transferred

@@ -19,6 +19,8 @@ from repro.analysis import crossover, render_table
 from repro.core import Agent, World, mutual_trust, standard_host
 from repro.lmu import CodeRepository, code_unit
 from repro.net import GPRS, LAN, Position
+from repro.net.message import fresh_message_ids
+from repro.obs import RunReport
 
 from _common import (
     instrument,
@@ -139,17 +141,22 @@ def run_ma(rounds):
 
 
 def run_instrumented(rounds=5):
-    """One REV run with full observability on, for the run report."""
-    world, device, server = build_world()
-    profiler = instrument(world)
-    device.codebase.install(task_unit(rounds))
+    """One REV run with full observability on, for the run report.
 
-    def go():
-        yield from device.component("rev").evaluate("server", ["task"])
+    Message ids restart inside the run, so the report is a function of
+    the seed alone and two runs serialise byte for byte alike.
+    """
+    with fresh_message_ids():
+        world, device, server = build_world()
+        instrument(world)
+        device.codebase.install(task_unit(rounds))
 
-    run_process(world, go())
-    world.run(until=world.now + 60.0)  # drain server-side handler spans
-    return world, profiler
+        def go():
+            yield from device.component("rev").evaluate("server", ["task"])
+
+        run_process(world, go())
+        world.run(until=world.now + 60.0)  # drain server-side handler spans
+    return world
 
 
 def run_experiment(interactions=INTERACTIONS):
@@ -201,18 +208,20 @@ def test_e1_paradigm_traffic(benchmark):
     )
     write_result("e1_paradigm_traffic", table)
 
-    world, profiler = run_instrumented()
-    write_report(
-        "e1_paradigm_traffic",
-        world,
-        profiler,
-        params={
-            "interactions": interactions,
-            "request_bytes": REQUEST_BYTES,
-            "reply_bytes": REPLY_BYTES,
-            "code_bytes": CODE_BYTES,
-        },
-    )
+    params = {
+        "interactions": interactions,
+        "request_bytes": REQUEST_BYTES,
+        "reply_bytes": REPLY_BYTES,
+        "code_bytes": CODE_BYTES,
+    }
+    world = run_instrumented()
+    write_report("e1_paradigm_traffic", world, params=params)
+    # The report replays: a second same-seed run captures the same bytes.
+    reports = [
+        RunReport.capture("e1_paradigm_traffic", run, params=params).to_json()
+        for run in (world, run_instrumented())
+    ]
+    assert reports[0] == reports[1], "E1's instrumented report does not replay"
 
     # Shape: CS wins on bytes at n=1 ...
     first = rows[0]

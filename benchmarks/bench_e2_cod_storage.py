@@ -90,7 +90,8 @@ def run_preinstall(quota):
 
 def run_cod(quota, eviction, observe=False):
     world, pda, store = build(quota, eviction=eviction)
-    profiler = instrument(world) if observe else None
+    if observe:
+        instrument(world)
     player = MediaPlayer(pda, "store")
     stream = playlist(world)
     successes = 0
@@ -106,7 +107,7 @@ def run_cod(quota, eviction, observe=False):
 
     run_process(world, go())
     if observe:
-        return world, profiler
+        return world
     return (
         successes / REQUESTS,
         player.mean_time_to_play(),
@@ -153,9 +154,9 @@ def test_e2_cod_storage(benchmark):
         note="catalogue 1.5MB across 10 codecs + shared DSP library",
     )
     write_result("e2_cod_storage", table)
-    world, profiler = run_cod(QUOTAS[0], eviction=lru_policy, observe=True)
+    world = run_cod(QUOTAS[0], eviction=lru_policy, observe=True)
     write_report(
-        "e2_cod_storage", world, profiler,
+        "e2_cod_storage", world,
         params={"quota": QUOTAS[0], "eviction": "lru", "requests": REQUESTS},
     )
 

@@ -46,12 +46,13 @@ def build_trial(count, seed):
 
 def run_ma_trial(count, seed, observe=False):
     world, source, destination = build_trial(count, seed)
-    profiler = instrument(world) if observe else None
+    if observe:
+        instrument(world)
     log = DeliveryLog(destination)
     send_via_agent(source, destination.id, "sos", ttl=TTL)
     world.run(until=TTL + 5.0)
     if observe:
-        return world, profiler
+        return world
     if log.received:
         return True, log.received[0][2]
     return False, TTL
@@ -121,9 +122,9 @@ def test_e3_disaster(benchmark):
         note=f"{TRIALS} trials per cell; corner-to-corner SOS; 100m radios",
     )
     write_result("e3_disaster", table)
-    world, profiler = run_ma_trial(DENSITIES[0], seed=300, observe=True)
+    world = run_ma_trial(DENSITIES[0], seed=300, observe=True)
     write_report(
-        "e3_disaster", world, profiler,
+        "e3_disaster", world,
         params={"nodes": DENSITIES[0], "ttl": TTL, "paradigm": "ma"},
     )
 

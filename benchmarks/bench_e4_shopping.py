@@ -41,7 +41,8 @@ def build(tech, vendor_count, seed):
 
 def run_session(tech, vendor_count, strategy, seed=404, observe=False):
     world, handset, vendor_ids = build(tech, vendor_count, seed)
-    profiler = instrument(world) if observe else None
+    if observe:
+        instrument(world)
 
     def go():
         setup = handset.node.interface(tech.name).attach()
@@ -59,7 +60,7 @@ def run_session(tech, vendor_count, strategy, seed=404, observe=False):
 
     run_process(world, go())
     if observe:
-        return world, profiler
+        return world
     costs = handset.node.costs
     connected = sum(costs.connected_seconds.values())
     return costs.wireless_bytes(), connected, costs.money
@@ -107,9 +108,9 @@ def test_e4_shopping(benchmark):
         note="5 catalogue pages per shop browsed; agent hops ride the fixed network",
     )
     write_result("e4_shopping", table)
-    world, profiler = run_session(GPRS, 2, "agent", observe=True)
+    world = run_session(GPRS, 2, "agent", observe=True)
     write_report(
-        "e4_shopping", world, profiler,
+        "e4_shopping", world,
         params={"link": "gprs", "shops": 2, "strategy": "agent"},
     )
 

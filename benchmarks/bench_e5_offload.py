@@ -49,7 +49,8 @@ def build(link_name):
 
 def measure(link_name, work, where, observe=False):
     world, device, server = build(link_name)
-    profiler = instrument(world) if observe else None
+    if observe:
+        instrument(world)
 
     def go():
         if where == "local":
@@ -60,7 +61,7 @@ def measure(link_name, work, where, observe=False):
 
     report = run_process(world, go())
     if observe:
-        return world, profiler
+        return world
     return report.elapsed_s
 
 
@@ -96,9 +97,9 @@ def test_e5_offload(benchmark):
         for name, value in crossovers.items()
     )
     write_result("e5_offload", table + "\n" + summary)
-    world, profiler = measure("wifi", WORK_SIZES[3], "offload", observe=True)
+    world = measure("wifi", WORK_SIZES[3], "offload", observe=True)
     write_report(
-        "e5_offload", world, profiler,
+        "e5_offload", world,
         params={"link": "wifi", "work": WORK_SIZES[3], "where": "offload"},
     )
 

@@ -58,7 +58,8 @@ def build(seed):
 
 def run_cell(availability, seed=606, observe=False):
     world, lus, provider, client = build(seed)
-    profiler = instrument(world) if observe else None
+    if observe:
+        instrument(world)
     rng = world.streams.stream("e6.availability")
     outcomes = {"central_ok": 0, "decentral_ok": 0}
     latencies = {"central": [], "decentral": []}
@@ -91,7 +92,7 @@ def run_cell(availability, seed=606, observe=False):
 
     run_process(world, go())
     if observe:
-        return world, profiler
+        return world
     return (
         outcomes["central_ok"] / QUERIES,
         outcomes["decentral_ok"] / QUERIES,
@@ -131,9 +132,9 @@ def test_e6_discovery(benchmark):
         note=f"{QUERIES} queries per cell; provider always in ad-hoc range",
     )
     write_result("e6_discovery", table)
-    world, profiler = run_cell(0.5, observe=True)
+    world = run_cell(0.5, observe=True)
     write_report(
-        "e6_discovery", world, profiler,
+        "e6_discovery", world,
         params={"availability": 0.5, "queries": QUERIES},
     )
 

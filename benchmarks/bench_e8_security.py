@@ -57,7 +57,8 @@ def make_capsule(size):
 
 def cod_latency(size, signed, observe=False):
     world = World(seed=808)
-    profiler = instrument(world) if observe else None
+    if observe:
+        instrument(world)
     world.transport._rng.random = lambda: 0.999
     policy_kwargs = {} if signed else {"policy": OPEN_POLICY}
     phone = standard_host(
@@ -81,7 +82,7 @@ def cod_latency(size, signed, observe=False):
 
     run_process(world, go())
     if observe:
-        return world, profiler
+        return world
     return world.now
 
 
@@ -169,9 +170,9 @@ def test_e8_security(benchmark):
         note="reference-speed signer; 0.2x-speed verifier inflates measured overhead",
     )
     write_result("e8_security", table)
-    world, profiler = cod_latency(SIZES[1], signed=True, observe=True)
+    world = cod_latency(SIZES[1], signed=True, observe=True)
     write_report(
-        "e8_security", world, profiler,
+        "e8_security", world,
         params={"capsule_bytes": SIZES[1], "signed": True},
     )
     gate_against_baseline("e8_security")

@@ -98,7 +98,8 @@ def aggregation_unit():
 
 def run_rev(count, observe=False):
     world, consumer, sensors = build()
-    profiler = instrument(world) if observe else None
+    if observe:
+        instrument(world)
     fill_readings(world, sensors, count)
     # Expose each sensor's lime space to REV guests.
     for sensor in sensors:
@@ -129,7 +130,7 @@ def run_rev(count, observe=False):
     means = run_process(world, go())
     assert len(means) == SENSORS
     if observe:
-        return world, profiler
+        return world
     return consumer.node.costs.total_bytes - base, world.now
 
 
@@ -155,9 +156,9 @@ def test_e9_lime(benchmark):
         note="~100B tuples; REV ships an 8kB aggregation unit per host",
     )
     write_result("e9_lime", table)
-    world, profiler = run_rev(READING_COUNTS[0], observe=True)
+    world = run_rev(READING_COUNTS[0], observe=True)
     write_report(
-        "e9_lime", world, profiler,
+        "e9_lime", world,
         params={"readings": READING_COUNTS[0], "sensors": SENSORS},
     )
 

@@ -338,7 +338,7 @@ def test_micro_report(benchmark):
 
     def run_instrumented():
         world, a, b = _message_world()
-        profiler = instrument(world, series_cadence=1.0)
+        instrument(world, series_cadence=1.0)
         b.register_service("echo", lambda args, host: (args, 32))
 
         def go():
@@ -348,12 +348,8 @@ def test_micro_report(benchmark):
         process = world.env.process(go())
         world.run(until=process)
         world.run(until=world.now + 60.0)
-        return world, profiler
+        return world
 
-    world, profiler = benchmark.pedantic(
-        run_instrumented, rounds=1, iterations=1
-    )
-    write_report(
-        "micro_kernel", world, profiler, params={"workload": "cs-roundtrips"}
-    )
+    world = benchmark.pedantic(run_instrumented, rounds=1, iterations=1)
+    write_report("micro_kernel", world, params={"workload": "cs-roundtrips"})
     assert world.metrics.counter("paradigm.cs.served").value == 50

@@ -17,7 +17,7 @@ from ..net import (
     Transport,
     LinkTechnology,
 )
-from ..obs import SimProfiler, SpanTracer, TimeSeriesRecorder
+from ..obs import SpanTracer, TimeSeriesRecorder
 from ..sim import Environment, MetricsRegistry, RandomStreams, TraceLog
 
 
@@ -55,10 +55,6 @@ class World:
         #: substrate and the paradigm selector reads a peer's quota
         #: grants (the simulator's global-knowledge idiom).
         self.hosts: Dict[str, object] = {}
-
-    def profile(self) -> SimProfiler:
-        """Attach (and return) a fresh kernel profiler for this world."""
-        return SimProfiler().attach(self.env)
 
     def sample_series(
         self,

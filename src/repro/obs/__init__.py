@@ -1,14 +1,10 @@
-"""Cross-cutting observability: spans, profiling, exporters, reports.
+"""Cross-cutting observability: spans, reports, series, traces, health.
 
 The middleware's claims are *measured* claims, so measurement is a
 first-class subsystem:
 
 * :mod:`repro.obs.spans`     — causal span trees across hosts
   (:class:`Span`, :class:`SpanTracer`), propagated inside messages;
-* :mod:`repro.obs.profiler`  — :class:`SimProfiler`, wall-clock and
-  event-count attribution for the simulation kernel;
-* :mod:`repro.obs.exporters` — JSONL span dumps and
-  Prometheus-style metric text;
 * :mod:`repro.obs.report`    — :class:`RunReport`, the versioned JSON
   document every benchmark writes to ``benchmarks/results/``;
 * :mod:`repro.obs.timeseries`— :class:`TimeSeriesRecorder`, sim-time
@@ -25,18 +21,10 @@ first-class subsystem:
   :class:`FlightRecorder` (``python -m repro health``).
 
 See ``docs/OBSERVABILITY.md`` for the span model and the
-``subsystem.metric`` naming scheme.
+``subsystem.metric`` naming scheme.  Wall-clock cost per layer is
+measured outside the package, by ``benchmarks/e2e/run.py --trace 1``.
 """
 
-from .exporters import (
-    metrics_to_prometheus,
-    parse_prometheus,
-    samples_to_exposition,
-    sanitize_metric_name,
-    spans_from_jsonl,
-    spans_to_jsonl,
-    write_text,
-)
 from .diff import (
     DEFAULT_DIRECTIONS,
     MetricDelta,
@@ -60,7 +48,6 @@ from .health import (
     worst_level,
 )
 from .wallclock import wall_time
-from .profiler import SimProfiler
 from .report import ReportSchemaError, RunReport, SCHEMA_KEYS, SCHEMA_VERSION
 from .timeseries import TimeSeriesRecorder
 from .trace import (
@@ -98,7 +85,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "STATUS_ERROR",
     "STATUS_OK",
-    "SimProfiler",
     "Span",
     "SpanTracer",
     "SpanTree",
@@ -112,15 +98,8 @@ __all__ = [
     "diff_reports",
     "direction_of",
     "locked_append_line",
-    "metrics_to_prometheus",
-    "parse_prometheus",
     "read_jsonl",
     "read_jsonl_if_exists",
-    "samples_to_exposition",
-    "sanitize_metric_name",
-    "spans_from_jsonl",
-    "spans_to_jsonl",
     "wall_time",
     "worst_level",
-    "write_text",
 ]

@@ -2,10 +2,10 @@
 
 A :class:`RunReport` bundles what a benchmark knows at the end of a
 run — environment fingerprint, experiment parameters, the full metrics
-snapshot, trace kind counts, the simulation profile, and the captured
-span trees — under a versioned schema, so the perf trajectory of the
-repository is diffable across commits and renderable without rerunning
-anything (``python -m repro report <experiment>``).
+snapshot, trace kind counts and the captured span trees — under a
+versioned schema, so the perf trajectory of the repository is diffable
+across commits and renderable without rerunning anything
+(``python -m repro report <experiment>``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .wallclock import wall_time
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.world import World
-    from .profiler import SimProfiler
 
 #: Bump on any backwards-incompatible change to the report layout.
 #: v3 added the fleet-health sections: ``nodes`` (per-node rollup of
@@ -31,7 +30,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: (flight-recorder dumps captured at breach time).  v2 added the
 #: ``series`` section (sim-time samples from
 #: :class:`~repro.obs.timeseries.TimeSeriesRecorder`).  Older reports
-#: load fine — the sections they predate are simply ``None``.
+#: load fine — the sections they predate are simply ``None``, and the
+#: wall-clock ``profile`` section that reports once carried is ignored.
 SCHEMA_VERSION = 3
 
 #: Top-level keys every report carries, in schema order.
@@ -43,7 +43,6 @@ SCHEMA_KEYS = (
     "params",
     "metrics",
     "kind_counts",
-    "profile",
     "spans",
     "series",
     "nodes",
@@ -66,7 +65,6 @@ class RunReport:
         params: Optional[Dict[str, object]] = None,
         metrics: Optional[Dict[str, float]] = None,
         kind_counts: Optional[Dict[str, int]] = None,
-        profile: Optional[Dict[str, object]] = None,
         spans: Optional[List[Dict[str, object]]] = None,
         series: Optional[Dict[str, object]] = None,
         nodes: Optional[Dict[str, Dict[str, float]]] = None,
@@ -85,7 +83,6 @@ class RunReport:
         self.params = params or {}
         self.metrics = metrics or {}
         self.kind_counts = kind_counts or {}
-        self.profile = profile
         self.spans = spans or []
         self.series = series
         self.nodes = nodes
@@ -99,7 +96,6 @@ class RunReport:
         cls,
         name: str,
         world: "World",
-        profiler: Optional["SimProfiler"] = None,
         params: Optional[Dict[str, object]] = None,
         created_at: Optional[float] = None,
     ) -> "RunReport":
@@ -160,7 +156,6 @@ class RunReport:
             params=params,
             metrics=metrics,
             kind_counts=kind_counts,
-            profile=profiler.as_dict() if profiler is not None else None,
             spans=spans,
             series=recorder.as_dict() if recorder is not None else None,
             nodes=nodes,
@@ -180,7 +175,6 @@ class RunReport:
             "params": self.params,
             "metrics": self.metrics,
             "kind_counts": self.kind_counts,
-            "profile": self.profile,
             "spans": self.spans,
             "series": self.series,
             "nodes": self.nodes,
@@ -199,7 +193,6 @@ class RunReport:
             params=dict(data.get("params") or {}),  # type: ignore[arg-type]
             metrics=dict(data.get("metrics") or {}),  # type: ignore[arg-type]
             kind_counts=dict(data.get("kind_counts") or {}),  # type: ignore[arg-type]
-            profile=data.get("profile"),  # type: ignore[arg-type]
             spans=list(data.get("spans") or []),  # type: ignore[arg-type]
             series=data.get("series"),  # type: ignore[arg-type]
             nodes=data.get("nodes"),  # type: ignore[arg-type]
@@ -243,7 +236,23 @@ class RunReport:
         metrics = data.get("metrics")
         if metrics is not None and not isinstance(metrics, dict):
             raise ReportSchemaError("'metrics' must be an object")
-        for key in ("nodes", "health", "flight"):
+        spans = data.get("spans")
+        if spans is not None:
+            if not isinstance(spans, list):
+                raise ReportSchemaError("'spans' must be a list or null")
+            for index, span in enumerate(spans):
+                if not isinstance(span, dict):
+                    raise ReportSchemaError(
+                        f"'spans[{index}]' must be an object"
+                    )
+                # The keys Span.from_dict indexes rather than defaults.
+                required = ("trace_id", "span_id", "name", "source", "start")
+                missing = [key for key in required if key not in span]
+                if missing:
+                    raise ReportSchemaError(
+                        f"'spans[{index}]' lacks {', '.join(missing)}"
+                    )
+        for key in ("series", "nodes", "health", "flight"):
             section = data.get(key)
             if section is not None and not isinstance(section, dict):
                 raise ReportSchemaError(f"'{key}' must be an object or null")
@@ -315,32 +324,6 @@ class RunReport:
                     [[kind, count] for kind, count in count_rows],
                 )
             )
-        if self.profile:
-            label_rows = [
-                [row["label"], row["count"], row["seconds"]]
-                for row in self.profile.get("by_label", [])[:top]  # type: ignore[union-attr]
-            ]
-            parts.append(
-                render_table(
-                    "profile — time in subsystem "
-                    f"({self.profile.get('events_processed', 0)} events, "  # type: ignore[union-attr]
-                    f"{float(self.profile.get('wall_seconds', 0.0)):.3f}s)",  # type: ignore[arg-type, union-attr]
-                    ["label", "callbacks", "seconds"],
-                    label_rows,
-                )
-            )
-            event_rows = [
-                [row["kind"], row["count"], row["seconds"]]
-                for row in self.profile.get("hottest_events", [])  # type: ignore[union-attr]
-            ]
-            if event_rows:
-                parts.append(
-                    render_table(
-                        "profile — hottest event kinds",
-                        ["event", "count", "seconds"],
-                        event_rows,
-                    )
-                )
         if self.series and self.series.get("series"):
             table = self.series["series"]
             series_rows = []

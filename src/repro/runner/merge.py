@@ -147,7 +147,6 @@ def merge_matrix_report(
         "params": matrix.to_dict(),
         "metrics": metrics,
         "kind_counts": kind_counts,
-        "profile": None,
         "spans": [],
         "series": None,
         "nodes": rollup_by_label(metrics, label="job") or None,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from time import perf_counter
 from typing import List, Optional, Tuple
 
 from ..errors import EmptySchedule, SimulationError, StopSimulation
@@ -29,11 +28,6 @@ class Environment:
         self._now = float(initial_time)
         self._queue: List[_QueueItem] = []
         self._seq = 0
-        #: Set by :meth:`repro.obs.SimProfiler.attach`.  :meth:`step`
-        #: reads it before each event's callbacks, so a profiler attached
-        #: by a callback times events from the next one on; detached
-        #: (None, the default) it costs one check per event.
-        self._profiler: Optional[object] = None
         #: Set by :meth:`repro.obs.TimeSeriesRecorder.attach`.
         #: :meth:`step` reads it after each event's callbacks and calls
         #: ``on_step(now)``, so a recorder attached by a callback first
@@ -102,19 +96,8 @@ class Environment:
         if callbacks is None:
             return
         event.callbacks = None
-        profiler = self._profiler
-        if profiler is None:
-            for callback in callbacks:
-                callback(event)
-        else:
-            total = 0.0
-            for callback in callbacks:
-                started = perf_counter()
-                callback(event)
-                elapsed = perf_counter() - started
-                profiler.record_callback(event, callback, elapsed)  # type: ignore[attr-defined]
-                total += elapsed
-            profiler.record_event(event, total)  # type: ignore[attr-defined]
+        for callback in callbacks:
+            callback(event)
         sampler = self._sampler
         if sampler is not None:
             # After the callbacks so a sample at time t reflects every

@@ -49,7 +49,6 @@ def nondet_job(seed, plan=None, **params):
         "params": {},
         "metrics": {"nondet.calls": float(next(_NONDET_CALLS))},
         "kind_counts": {},
-        "profile": None,
         "spans": [],
         "series": None,
     }

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import Interrupt, SimulationError
-from repro.obs import SimProfiler, TimeSeriesRecorder
+from repro.obs import TimeSeriesRecorder
 from repro.sim import Environment, MetricsRegistry
 from repro.sim.events import Condition
 
@@ -285,28 +285,15 @@ class TestRunSemantics:
 
 
 class TestHooksAttachedMidRun:
-    """``step`` re-reads the profiler and sampler slots on every event,
-    so a hook a callback attaches during ``run(until=...)`` is honoured
-    without restarting the run."""
+    """``step`` re-reads the sampler slot on every event, so a recorder
+    a callback attaches during ``run(until=...)`` is honoured without
+    restarting the run."""
 
     @staticmethod
-    def _ticker(env, ticks=None):
+    def _ticker(env, ticks):
         for _ in range(10):
             yield env.timeout(1.0)
-            if ticks is not None:
-                ticks.increment()
-
-    def test_profiler_times_events_after_the_attaching_one(self):
-        env = Environment()
-        profiler = SimProfiler()
-        env.process(self._ticker(env))
-        env.timeout(4.5).add_callback(lambda event: profiler.attach(env))
-        env.run(until=20.0)
-        # Timeouts at t=5..10 plus the ticker's completion; not the
-        # timeout whose callback attached the profiler.
-        assert profiler.events_processed == 7
-        kinds = {row["kind"]: row["count"] for row in profiler.hottest_events()}
-        assert kinds == {"Timeout": 6, "Process": 1}
+            ticks.increment()
 
     def test_recorder_samples_from_the_attaching_event_on(self):
         env = Environment()

@@ -80,6 +80,20 @@ class TestReportCliErrors:
         assert main(["report", str(not_report)]) == 1
         assert "expected a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section", ['"spans": {"a": 1}', '"series": [1, 2]']
+    )
+    def test_malformed_section_exits_nonzero(self, tmp_path, capsys, section):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            '{"schema": 3, "name": "x", "metrics": {}, ' + section + "}"
+        )
+        assert main(["report", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_valid_report_still_renders(self, tmp_path, capsys):
         from repro.obs import RunReport
 
