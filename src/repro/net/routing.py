@@ -1,9 +1,13 @@
 """Multi-hop relaying over the ad-hoc connectivity graph.
 
 Direct links only reach one hop; the router forwards a message along a
-BFS-shortest path, paying every hop's transmission time and loss.  It
-re-plans before each hop, so paths survive moderate mobility; it gives
-up when the destination becomes unreachable.
+planned path, paying every hop's transmission time and loss.  It
+source-routes (Dynamic Source Routing, Johnson & Maltz 1996): the route
+is planned once at the source and carried with the message; before each
+hop one link lookup checks that the route's next node is still in
+range, and only a broken link makes it plan again, from the node the
+message has reached.  It gives up when the destination becomes
+unreachable.
 
 Path planning goes through an epoch-memoised :class:`RoutingTable`:
 one BFS from a source yields the shortest-path tree to *every*
@@ -97,13 +101,6 @@ class RoutingTable:
         if source_id == target_id:
             return [source_id]
         return walk_tree(self._tree(source_id), source_id, target_id)
-
-    def next_hop(self, source_id: str, target_id: str) -> Optional[str]:
-        """The first relay on the path, or None when unreachable."""
-        path = self.path(source_id, target_id)
-        if path is None or len(path) < 2:
-            return None
-        return path[1]
 
 
 class HierarchicalRouter:
@@ -420,16 +417,15 @@ class HierarchicalRouter:
         self._paths[(source_id, target_id)] = (tuple(path), cells)
         return path
 
-    def next_hop(self, source_id: str, target_id: str) -> Optional[str]:
-        """The first relay on the planned path, or None when unreachable."""
-        path = self.path(source_id, target_id)
-        if path is None or len(path) < 2:
-            return None
-        return path[1]
-
 
 class Router:
-    """Hop-by-hop forwarding built on :class:`Transport`."""
+    """Source-routed multi-hop forwarding built on :class:`Transport`.
+
+    Each message costs one ``table.path()`` plan at its source; the
+    route is walked hop by hop and planned again, from the node the
+    message has reached, only when the link to the route's next node is
+    gone.
+    """
 
     def __init__(
         self,
@@ -455,29 +451,52 @@ class Router:
         )
 
     def send_multihop(self, message: Message) -> Process:
-        """Relay ``message`` towards its destination; resolves to the hop
-        count on success, and fails with :class:`Unreachable` when no
-        path exists (checked before every hop)."""
+        """Relay ``message`` towards its destination along a route
+        planned at the source; resolves to the hop count on success.
+
+        Fails with :class:`Unreachable` when a link on the route breaks
+        and no path remains from the node the message has reached, or
+        after ``max_hops`` hops.
+        """
         return self.env.process(
             self._relay(message), name=f"route#{message.id}"
         )
+
+    def _link_up(self, sender_id: str, receiver_id: str) -> bool:
+        """Whether ``sender_id`` can still reach ``receiver_id`` in one
+        hop (one cached pair lookup; backbone links do not count when
+        ``adhoc_only``)."""
+        nodes = self.network.nodes
+        links = self.network.links_between(
+            nodes[sender_id], nodes[receiver_id]
+        )
+        if self.adhoc_only:
+            return any(not link.via_backbone for link in links)
+        return bool(links)
 
     def _relay(self, message: Message) -> Generator:
         current = message.source
         hops = 0
         if message.created_at == 0.0:
             message.created_at = self.env.now
+        # The carried route and the index of ``current`` on it.  A fresh
+        # plan was made over links that exist now, so its first link is
+        # not checked again.
+        route: Optional[List[str]] = None
+        step = 0
         while current != message.destination:
             if hops >= self.max_hops:
                 raise Unreachable(
                     f"gave up after {hops} hops towards {message.destination}"
                 )
-            path = self.table.path(current, message.destination)
-            if path is None or len(path) < 2:
-                raise Unreachable(
-                    f"no path from {current} to {message.destination}"
-                )
-            next_hop = path[1]
+            if route is None or not self._link_up(current, route[step + 1]):
+                route = self.table.path(current, message.destination)
+                if route is None or len(route) < 2:
+                    raise Unreachable(
+                        f"no path from {current} to {message.destination}"
+                    )
+                step = 0
+            next_hop = route[step + 1]
             leg = Message(
                 source=current,
                 destination=next_hop,
@@ -488,6 +507,7 @@ class Router:
             )
             yield self.transport.send_reliable(leg)
             hops += 1
+            step += 1
             current = next_hop
             # The leg sits in the hop's inbox; reclaim it so dispatch loops
             # never see relay plumbing.

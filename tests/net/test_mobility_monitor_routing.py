@@ -13,6 +13,7 @@ from repro.net import (
     Position,
     RandomWaypoint,
     Router,
+    RoutingTable,
     Transport,
     WIFI_ADHOC,
     grid_positions,
@@ -207,3 +208,105 @@ class TestRouter:
 
         process = env.process(run(env))
         assert env.run(until=process) == 1
+
+    def test_max_hops_enforced(self):
+        env, network, chain_router, nodes = self.build_chain()
+        router = Router(env, network, chain_router.transport, max_hops=2)
+
+        def run(env):
+            yield router.send_multihop(Message("n0", "n3", "hello"))
+
+        env.process(run(env))
+        with pytest.raises(Unreachable, match="gave up after 2 hops"):
+            env.run()
+        assert nodes[3].inbox.try_get() is None
+
+
+class CountingPlanner:
+    """Records every ``path()`` call made through it."""
+
+    def __init__(self, planner):
+        self.planner = planner
+        self.calls = []
+
+    def path(self, source_id, target_id):
+        self.calls.append((source_id, target_id))
+        return self.planner.path(source_id, target_id)
+
+
+class TestSourceRouting:
+    """``Router`` plans once at the source and re-plans only when the
+    link to the carried route's next node is gone."""
+
+    def build(self, spares=True):
+        """s - a - b - d in a line, plus (with ``spares``) a detour
+        a - c - d around b."""
+        env = Environment()
+        network = Network(env)
+        transport = Transport(env, network, RandomStreams(5))
+        transport._rng.random = lambda: 0.99  # deterministic: no loss
+        layout = {"s": (0, 0), "a": (80, 0), "b": (160, 0), "d": (240, 0)}
+        if spares:
+            layout["c"] = (160, 50)
+        nodes = {
+            node_id: network.add_node(adhoc_node(env, node_id, x, y))
+            for node_id, (x, y) in layout.items()
+        }
+        planner = CountingPlanner(RoutingTable(network))
+        router = Router(env, network, transport, table=planner)
+        return env, router, planner, nodes
+
+    def send(self, env, router, message, disrupt=None):
+        """Send ``message``; ``disrupt`` runs while the first leg is in
+        the air."""
+
+        def run(env):
+            return (yield router.send_multihop(message))
+
+        def disrupter(env):
+            yield env.timeout(0.001)
+            disrupt()
+
+        process = env.process(run(env))
+        if disrupt is not None:
+            env.process(disrupter(env))
+        return env.run(until=process)
+
+    def test_static_chain_costs_one_plan(self):
+        env, router, planner, nodes = self.build()
+        assert self.send(env, router, Message("s", "d", "hello")) == 3
+        assert planner.calls == [("s", "d")]
+        assert nodes["d"].inbox.try_get().kind == "hello"
+
+    @pytest.mark.parametrize(
+        "break_link",
+        [
+            lambda node: node.move_to(Position(1000, 1000)),
+            lambda node: node.crash(),
+        ],
+        ids=["moved-away", "crashed"],
+    )
+    def test_broken_link_costs_one_replan_from_current_node(self, break_link):
+        env, router, planner, nodes = self.build()
+        assert planner.planner.path("s", "d") == ["s", "a", "b", "d"]
+        message = Message("s", "d", "hello")
+        hops = self.send(
+            env, router, message, disrupt=lambda: break_link(nodes["b"])
+        )
+        assert hops == 3
+        assert planner.calls == [("s", "d"), ("a", "d")]
+        assert nodes["d"].inbox.try_get() is message
+        for relay in ("a", "b", "c"):
+            assert nodes[relay].inbox.try_get() is None
+
+    def test_break_without_detour_raises_no_path_from_current_node(self):
+        env, router, planner, nodes = self.build(spares=False)
+        with pytest.raises(Unreachable, match="no path from a to d"):
+            self.send(
+                env,
+                router,
+                Message("s", "d", "hello"),
+                disrupt=lambda: nodes["b"].move_to(Position(1000, 1000)),
+            )
+        assert planner.calls == [("s", "d"), ("a", "d")]
+        assert nodes["a"].inbox.try_get() is None

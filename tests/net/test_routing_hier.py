@@ -10,7 +10,7 @@ Router.
 
 import pytest
 
-from repro.errors import Unreachable
+from repro.errors import TransportTimeout, Unreachable
 from repro.net import (
     ConnectivityMonitor,
     HierarchicalRouter,
@@ -423,3 +423,65 @@ class TestHierarchicalDeterminism:
 
     def test_same_seed_same_deliveries(self):
         assert self._run_world(11) == self._run_world(11)
+
+
+class TestSourceRoutedMobileWorld:
+    """A random-waypoint world started from random positions leaves
+    voids that the corridor walk routes around.  Plans made afresh at
+    successive hops could then disagree, and a message circled until
+    ``max_hops``; a route planned once at the source cannot circle."""
+
+    @pytest.mark.parametrize("seed", [1, 8])
+    def test_no_send_gives_up_at_max_hops(self, seed):
+        from repro.net import Area, RandomWaypoint
+
+        env = Environment()
+        network = Network(env)
+        streams = RandomStreams(seed)
+        transport = Transport(env, network, streams)
+        area = Area(800, 800)
+        place = streams.stream("test.place")
+        nodes = [
+            network.add_node(
+                NetworkNode(
+                    env,
+                    f"n{i}",
+                    area.random_position(place),
+                    technologies=[WIFI_ADHOC],
+                )
+            )
+            for i in range(300)
+        ]
+        RandomWaypoint(env, nodes, area, streams)
+        router = Router(
+            env,
+            network,
+            transport,
+            table=HierarchicalRouter(network, flat_threshold=0),
+        )
+        outcomes = {"sent": 0, "delivered": 0}
+        gave_up = []
+
+        def flow(index):
+            rng = streams.stream(f"test.flow.{index}")
+            while True:
+                yield env.timeout(2.0)
+                a, b = rng.sample(range(len(nodes)), 2)
+                outcomes["sent"] += 1
+                try:
+                    yield router.send_multihop(
+                        Message(f"n{a}", f"n{b}", "ping", size_bytes=256)
+                    )
+                    outcomes["delivered"] += 1
+                except Unreachable as error:
+                    if str(error).startswith("gave up"):
+                        gave_up.append(str(error))
+                except TransportTimeout:
+                    pass
+
+        for index in range(40):
+            env.process(flow(index))
+        env.run(until=40.0)
+        assert gave_up == []
+        # Most sends are delivered, so the check above is not vacuous.
+        assert outcomes["delivered"] >= 0.95 * outcomes["sent"] > 0

@@ -12,7 +12,9 @@ test_topology_cache_properties so the same world shapes are covered):
     negatives only come from the exact coarse-cell certificate or the
     flat fallback), again across mutations with its path cache live;
 (c) every hierarchical path respects the documented stretch bound
-    ``hops ≤ stretch × flat_hops + 2``.
+    ``hops ≤ stretch × flat_hops + 2``, and so does every message a
+    source-routing :class:`Router` delivers over it: on a static world
+    the delivered hop count is the source plan's length minus one.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -21,15 +23,18 @@ from repro.net import (
     BLUETOOTH,
     GPRS,
     HierarchicalRouter,
+    Message,
     Network,
     NetworkNode,
     Position,
+    Router,
     RoutingTable,
+    Transport,
     WIFI_ADHOC,
     WIFI_INFRA,
 )
 from repro.net import reference as ref
-from repro.sim import Environment
+from repro.sim import Environment, RandomStreams
 
 TECH_SETS = [
     [WIFI_ADHOC],
@@ -194,3 +199,34 @@ class TestHierarchicalRouterProperties:
                     continue
                 assert hier is not None
                 assert len(hier) - 1 <= stretch * (len(flat) - 1) + 2
+
+    @given(st.lists(node_spec, min_size=2, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_delivered_hops_follow_the_source_plan(self, specs):
+        """(c) end to end: one plan per message, delivered as planned."""
+        env, network, nodes = _build(specs)
+        planner = HierarchicalRouter(network, flat_threshold=0)
+        plans = []
+
+        class Recording:
+            def path(self, source_id, target_id):
+                path = planner.path(source_id, target_id)
+                plans.append(path)
+                return path
+
+        transport = Transport(env, network, RandomStreams(0))
+        transport._rng.random = lambda: 0.99  # deterministic: no loss
+        router = Router(env, network, transport, table=Recording())
+        for a in nodes:
+            for b in nodes:
+                flat = ref.naive_shortest_path(
+                    network, a.id, b.id, adhoc_only=True
+                )
+                if a.id == b.id or flat is None:
+                    continue
+                del plans[:]
+                process = router.send_multihop(Message(a.id, b.id, "probe"))
+                hops = env.run(until=process)
+                assert len(plans) == 1
+                assert hops == len(plans[0]) - 1
+                assert hops <= planner.stretch * (len(flat) - 1) + 2
