@@ -20,13 +20,16 @@ queries touch only nearby nodes instead of the whole registry.  The
 cached fast paths are bit-identical to the naive sweeps kept in
 :mod:`repro.net.reference` (property-tested under random mobility).
 
-A **dirty-cell journal** lets the fabric scale past ~10k nodes (see
-docs/PERFORMANCE.md, "City-scale routing"): each epoch bump records
-*which* grid cells changed.  The per-pair/per-node caches below survive
-a bump when no dirty cell lies within one ring of their endpoints, and
-the hierarchical router (:meth:`dirty_cells_since`) drops only the
-cached paths that cross a dirty cell.  Whole-graph products still clear
-on every bump.
+Per-cell **dirty stamps** let the fabric scale past ~10k nodes (see
+docs/PERFORMANCE.md, "City-scale routing"): each epoch bump stamps the
+3×3 ring of grid cells around every cell it changed with the new
+epoch.  A per-pair/per-node cache entry survives later bumps while no
+stamp on its endpoints' cells is newer than the entry, an O(1) check
+per endpoint.  A bounded journal of the same bumps lets the
+hierarchical router (:meth:`dirty_cells_since`) drop only the cached
+paths that cross a dirty cell.  Whole-graph products still clear on
+every bump, and a global bump (grid rebuild, link-filter swap) drops
+every tagged entry.
 """
 
 from __future__ import annotations
@@ -199,8 +202,9 @@ class Network:
         self._epoch = 0
         self._cache_epoch = -1
         #: Per-pair/per-node caches are *tagged* with the epoch they
-        #: were computed at and revalidated lazily against the dirty
-        #: log, so entries untouched by a localised change survive it.
+        #: were computed at and revalidated lazily against the cell
+        #: stamps, so entries untouched by a localised change survive
+        #: it; a global bump empties them.
         self._links_cache: Dict[
             Tuple[str, str], Tuple[int, Tuple[Link, ...]]
         ] = {}
@@ -224,8 +228,12 @@ class Network:
         self._dirty_log: List[Tuple[int, Optional[Tuple[Cell, ...]]]] = []
         #: Epochs at or below this fell off the journal.
         self._dirty_floor = 0
-        #: Memoised dirty-ring answers per from-epoch (cleared on bump).
-        self._dirty_ring_cache: Dict[int, Optional[FrozenSet[Cell]]] = {}
+        #: Cell -> newest epoch whose bump dirtied a cell within one
+        #: ring of it; a tagged entry is stale once a stamp on one of
+        #: its endpoints' cells is newer than the entry.
+        self._ring_stamp: Dict[Cell, int] = {}
+        #: Epoch of the newest global bump; nothing older survives it.
+        self._global_epoch = 0
         #: Optional admission predicate over (sender id, receiver id):
         #: when set, pairs it rejects have no links at all — the
         #: injection point :mod:`repro.faults` uses to model network
@@ -281,20 +289,33 @@ class Network:
     def _bump(
         self, node_id: Optional[str] = None, cells: Tuple[Cell, ...] = ()
     ) -> None:
-        """Advance the epoch, journalling what changed.
+        """Advance the epoch, stamping and journalling what changed.
 
         ``node_id=None`` records a *global* change (grid rebuild, link
-        filter swap): every dirty query until consumers resync answers
-        "everything".  Otherwise the grid cells the dirty node can have
-        affected are appended to the log.
+        filter swap): every tagged cache entry dies, and every dirty
+        query until consumers resync answers "everything".  Otherwise
+        the ring around each grid cell the dirty node can have affected
+        is stamped, and the cells are appended to the log.
         """
         self._epoch += 1
-        self._dirty_ring_cache.clear()
+        epoch = self._epoch
         log = self._dirty_log
         if node_id is None:
-            log.append((self._epoch, None))
+            self._global_epoch = epoch
+            # No entry tagged before this epoch can be served again.
+            self._ring_stamp.clear()
+            self._links_cache.clear()
+            self._neighbors_cache.clear()
+            self._coverage_cache.clear()
+            log.append((epoch, None))
         else:
-            log.append((self._epoch, cells))
+            stamp = self._ring_stamp
+            for cx, cy in cells:
+                for x in (cx - 1, cx, cx + 1):
+                    stamp[(x, cy - 1)] = epoch
+                    stamp[(x, cy)] = epoch
+                    stamp[(x, cy + 1)] = epoch
+            log.append((epoch, cells))
             self.cache_stats["dirty_nodes"] += 1
         if len(log) > self.DIRTY_LOG_CAP:
             drop = len(log) // 2
@@ -323,44 +344,21 @@ class Network:
             cells.extend(entry_cells)
         return (self._epoch, frozenset(cells))
 
-    def _dirty_ring(self, epoch: int) -> Optional[FrozenSet[Cell]]:
-        """Dirty cells since ``epoch`` dilated by one ring, memoised.
-
-        A cached per-node/per-pair answer computed at ``epoch`` is
-        still valid iff none of its endpoints' cells is in this set
-        (``None`` = global change, nothing survives).
-        """
-        cached = self._dirty_ring_cache.get(epoch, _MISSING)
-        if cached is not _MISSING:
-            return cached  # type: ignore[return-value]
-        _, cells = self.dirty_cells_since(epoch)
-        ring: Optional[FrozenSet[Cell]]
-        if cells is None:
-            ring = None
-        else:
-            ring = frozenset(
-                (cx + dx, cy + dy)
-                for cx, cy in cells
-                for dx in (-1, 0, 1)
-                for dy in (-1, 0, 1)
-            )
-        self._dirty_ring_cache[epoch] = ring
-        return ring
-
     def _entry_fresh(self, entry_epoch: int, *positions: Position) -> bool:
         """True when a tagged cache entry provably still holds.
 
         The entry is about nodes at ``positions``; it survives a newer
-        epoch iff no dirty cell lies within one ring of any of them —
-        no mutation since could have touched a link predicate whose
-        endpoints sit there.
+        epoch iff no global bump came after it, the journal still
+        covers it, and no bump since dirtied a cell within one ring of
+        any position — no mutation since could have touched a link
+        predicate whose endpoints sit there.
         """
-        ring = self._dirty_ring(entry_epoch)
-        if ring is None:
+        if entry_epoch < self._global_epoch or entry_epoch < self._dirty_floor:
             return False
+        stamp = self._ring_stamp
         cell_of = self._grid.cell_of
         for position in positions:
-            if cell_of(position) in ring:
+            if stamp.get(cell_of(position), -1) > entry_epoch:
                 return False
         return True
 

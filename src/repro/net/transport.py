@@ -126,11 +126,6 @@ class Transport:
 
     # -- internals -------------------------------------------------------------
 
-    def _pick_link(
-        self, source: NetworkNode, destination: NetworkNode, policy: LinkPolicy
-    ) -> Optional[Link]:
-        return self.network.best_link(source, destination, policy=policy)
-
     def _send(
         self, message: Message, policy: LinkPolicy
     ) -> Generator:
@@ -140,7 +135,7 @@ class Transport:
             raise NetworkError(f"sender {source.id} is down")
         if message.created_at == 0.0:
             message.created_at = self.env.now
-        link = self._pick_link(source, destination, policy)
+        link = self.network.best_link(source, destination, policy)
         if link is None:
             self._node_counter("net.unreachable", source.id).increment()
             self.trace.emit(
@@ -165,23 +160,27 @@ class Transport:
         attempt: int = 1,
     ) -> Generator:
         """Run one transfer attempt over ``link``; returns delivery bool."""
-        span = self.tracer.start(
-            "net.transmit",
-            source.id,
-            parent=message.trace_context,
-            msg=message.kind,
-            msg_id=message.id,
-            attempt=attempt,
-            to=destination.id,
-            bytes=message.wire_size,
-            via=link.name,
-        )
         # Hop timestamps for the trace analyzer: the span runs
         # enqueue -> on-air -> sent -> delivery decision, and ``t_air``/
         # ``t_sent`` split it into channel-queue, airtime, and transit.
-        # Guarded so the disabled-tracing path stamps (and allocates)
-        # nothing — NOOP_SPAN's attribute dict is a throwaway.
-        stamped = span is not NOOP_SPAN
+        # Guarded so the disabled-tracing path builds, stamps (and
+        # allocates) nothing.
+        tracer = self.tracer
+        stamped = tracer.enabled
+        if stamped:
+            span = tracer.start(
+                "net.transmit",
+                source.id,
+                parent=message.trace_context,
+                msg=message.kind,
+                msg_id=message.id,
+                attempt=attempt,
+                to=destination.id,
+                bytes=message.wire_size,
+                via=link.name,
+            )
+        else:
+            span = NOOP_SPAN
         interface = source.interface(link.sender_technology.name)
         with interface.channel.request() as claim:
             yield claim
@@ -200,9 +199,7 @@ class Transport:
         )
         # Propagation; connectivity may have broken while transmitting.
         yield self.env.timeout(link.latency_s)
-        still_connected = (
-            self._pick_link(source, destination, prefer_free_then_fast) is not None
-        )
+        still_connected = bool(self.network.links_between(source, destination))
         lost = self._rng.random() < link.loss
         reason = "loss" if lost else "disconnected"
         faults = self.faults
@@ -219,7 +216,8 @@ class Transport:
                 msg=message.kind,
                 reason=reason,
             )
-            self.tracer.finish(span, status="lost", reason=reason)
+            if stamped:
+                tracer.finish(span, status="lost", reason=reason)
             return False
         destination.costs.account_transfer(
             link.receiver_technology, message.wire_size, sent=False
@@ -241,7 +239,8 @@ class Transport:
             via=link.name,
             bytes=message.wire_size,
         )
-        self.tracer.finish(span)
+        if stamped:
+            tracer.finish(span)
         if faults is None:
             if stamped:
                 message.delivered_at = self.env.now
@@ -264,7 +263,7 @@ class Transport:
         if message.created_at == 0.0:
             message.created_at = self.env.now
         for attempt in range(1, max_attempts + 1):
-            link = self._pick_link(source, destination, policy)
+            link = self.network.best_link(source, destination, policy)
             if link is None:
                 if attempt == 1:
                     self._node_counter(

@@ -14,6 +14,7 @@ from repro.net import (
     Transport,
     WIFI_ADHOC,
 )
+from repro.obs import SpanTracer
 from repro.sim import Environment, RandomStreams
 
 
@@ -265,3 +266,52 @@ class TestBroadcast:
         assert env.run(until=process) == []
         # The transmission itself still cost airtime bytes.
         assert a.costs.total_bytes_sent > 0
+
+
+class TestLegWorkCount:
+    """Exact work per reliable leg: one link lookup to pick the link,
+    one to confirm it survived the transfer, and no span unless
+    tracing is on."""
+
+    def _count_one_leg(self, monkeypatch, tracing):
+        env = Environment()
+        network = Network(env)
+        tracer = SpanTracer(now=lambda: env.now, enabled=tracing)
+        transport = Transport(env, network, RandomStreams(7), tracer=tracer)
+        transport._rng.random = lambda: 0.99  # never lose
+        add_pair(env, network)
+        calls = {"links_between": 0, "start": 0}
+        links_between = Network.links_between
+        start = SpanTracer.start
+
+        def counting_links_between(self, a, b):
+            calls["links_between"] += 1
+            return links_between(self, a, b)
+
+        def counting_start(self, *args, **kwargs):
+            calls["start"] += 1
+            return start(self, *args, **kwargs)
+
+        monkeypatch.setattr(Network, "links_between", counting_links_between)
+        monkeypatch.setattr(SpanTracer, "start", counting_start)
+        message = Message("a", "b", "data", size_bytes=100)
+
+        def run(env):
+            attempts = yield transport.send_reliable(message)
+            return attempts
+
+        assert env.run(until=env.process(run(env))) == 1
+        return calls, tracer
+
+    def test_untraced_leg_looks_up_links_twice_and_opens_no_span(
+        self, monkeypatch
+    ):
+        calls, _ = self._count_one_leg(monkeypatch, tracing=False)
+        assert calls == {"links_between": 2, "start": 0}
+
+    def test_traced_leg_opens_one_transmit_span(self, monkeypatch):
+        calls, tracer = self._count_one_leg(monkeypatch, tracing=True)
+        assert calls == {"links_between": 2, "start": 1}
+        (span,) = tracer.finished_spans()
+        assert span.name == "net.transmit"
+        assert span.attributes["via"] == WIFI_ADHOC.name

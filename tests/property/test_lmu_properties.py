@@ -1,6 +1,9 @@
 """Property-based tests (hypothesis) for the LMU layer invariants."""
 
+import enum
 import string
+from collections import OrderedDict
+from typing import Mapping, Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import QuotaExceeded
 from repro.lmu import (
     Codebase,
+    DataUnit,
     Requirement,
     Version,
+    assemble_capsule,
     code_unit,
     dependency_closure,
     estimate_size,
@@ -17,6 +22,7 @@ from repro.lmu import (
     lfu_policy,
     lru_policy,
 )
+from repro.net import Message
 
 versions = st.builds(
     Version,
@@ -208,3 +214,131 @@ class TestSerializerProperties:
     @given(st.text(max_size=200))
     def test_string_size_monotone_in_length(self, text):
         assert estimate_size(text + "a") > estimate_size(text)
+
+
+def oracle_payload_size(value, depth=0):
+    """Reference wire-size walk with no exact-type shortcut: every
+    value probes ``size_bytes`` and the ABCs in this fixed order."""
+    if depth > 32:
+        return 256
+    if value is None:
+        return 1
+    declared = getattr(value, "size_bytes", None)
+    if isinstance(declared, int) and not isinstance(value, (bool, int)):
+        return declared + 8
+    if isinstance(value, bool):
+        return 1
+    if isinstance(value, (int, float)):
+        return 8
+    if isinstance(value, bytes):
+        return len(value)
+    if isinstance(value, str):
+        return len(value.encode("utf-8"))
+    if isinstance(value, Mapping):
+        return sum(
+            oracle_payload_size(key, depth + 1)
+            + oracle_payload_size(item, depth + 1)
+            for key, item in value.items()
+        ) + 8
+    if isinstance(value, (Sequence, set, frozenset)):
+        return (
+            sum(oracle_payload_size(item, depth + 1) for item in value) + 8
+        )
+    return 256
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Tag(str):
+    """A ``str`` subclass: not an exact built-in, so the slow path."""
+
+
+class SizedTag(str):
+    """A ``str`` subclass declaring its own wire size."""
+
+    size_bytes = 40
+
+
+def _capsule(state):
+    unit = code_unit("agent", "1.0.0", lambda: (lambda ctx: None), 64)
+    return assemble_capsule(
+        "host", "migrate", [unit], [DataUnit("state", state, estimate_size(state))]
+    )
+
+
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False),
+    st.text(max_size=12),
+    st.binary(max_size=12),
+    st.sampled_from(list(Level)),
+    st.text(max_size=8).map(Tag),
+    st.text(max_size=8).map(SizedTag),
+    st.builds(Message, st.just("a"), st.just("b"), st.just("echo"),
+              size_bytes=st.integers(0, 500)),
+    st.builds(object),
+)
+
+hashable = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 5), st.text(max_size=6)
+)
+
+wire_values = st.recursive(
+    scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(hashable, children, max_size=4),
+        st.dictionaries(hashable, children, max_size=4).map(OrderedDict),
+        st.frozensets(hashable, max_size=4),
+        st.sets(hashable, max_size=4),
+        children.map(_capsule),
+    ),
+    max_leaves=24,
+)
+
+
+def _nest(value, depth):
+    for index in range(depth):
+        value = [value] if index % 2 else {"k": value}
+    return value
+
+
+class TestWireSizeMatchesOracle:
+    @given(wire_values)
+    @settings(max_examples=300, deadline=None)
+    def test_estimate_size_equals_pre_dispatch_walk(self, value):
+        assert estimate_size(value) == 8 + oracle_payload_size(value)
+
+    @given(wire_values, st.integers(28, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_depth_cap_unchanged(self, value, depth):
+        nested = _nest(value, depth)
+        assert estimate_size(nested) == 8 + oracle_payload_size(nested)
+
+    def test_bool_and_int_mix(self):
+        value = [True, 1, False, 0, {True: 1, 2: False}, (1.0, True)]
+        assert estimate_size(value) == 8 + oracle_payload_size(value)
+        assert estimate_size(True) == 9
+        assert estimate_size(Level.HIGH) == estimate_size(2) == 16
+
+
+class TestByteBuffersChargedByLength:
+    @given(st.binary(max_size=2000))
+    def test_bytearray_costs_what_bytes_costs(self, data):
+        assert estimate_size(bytearray(data)) == estimate_size(data)
+
+    @given(st.binary(max_size=2000))
+    def test_memoryview_costs_its_byte_length(self, data):
+        assert estimate_size(memoryview(data)) == estimate_size(data)
+        words = memoryview(bytes(4 * len(data))).cast("i")
+        assert estimate_size(words) == 8 + words.nbytes
+
+    def test_kilobyte_buffer_is_not_charged_per_element(self):
+        assert estimate_size(bytearray(1000)) == 1008
+        assert estimate_size([memoryview(bytes(1000))]) == 1016

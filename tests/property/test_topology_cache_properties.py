@@ -8,6 +8,8 @@ mutations so the caches are populated, invalidated, and repopulated —
 the exact pattern a live simulation produces.
 """
 
+from dataclasses import replace
+
 from hypothesis import given, settings, strategies as st
 
 from repro.net import (
@@ -210,3 +212,151 @@ class TestTopologyCacheCoherence:
         _check_live_queries(network, nodes)
         _apply(env, network, nodes, op)
         _check_live_queries(network, nodes)
+
+
+#: Mutations that bump the epoch globally, on top of :data:`operation`.
+global_operation = st.one_of(
+    st.tuples(st.just("filter")),
+    st.tuples(st.just("unfilter")),
+    st.tuples(st.just("rebuild"), st.integers(0, 9)),
+)
+
+stamp_programs = st.tuples(
+    st.lists(node_spec, min_size=2, max_size=4),
+    st.lists(st.one_of(operation, global_operation), min_size=1, max_size=10),
+    # A tiny journal cap makes the log overflow within a few bumps.
+    st.sampled_from([2, 5, Network.DIRTY_LOG_CAP]),
+)
+
+
+def _apply_any(env, network, nodes, op):
+    kind = op[0]
+    if kind == "filter":
+        # A new predicate is a global bump whatever it admits; admitting
+        # every pair keeps the filter-blind reference a valid oracle.
+        network.set_link_filter(lambda a, b: True)
+    elif kind == "unfilter":
+        network.set_link_filter(None)
+    elif kind == "rebuild":
+        # A radio longer than the grid cell forces a grid rebuild.
+        longer = network.grid.cell_size + 50.0
+        technology = replace(
+            WIFI_ADHOC, name=f"long-{longer:.0f}", range_m=longer
+        )
+        nodes[op[1] % len(nodes)].add_interface(technology)
+    else:
+        _apply(env, network, nodes, op)
+
+
+def _journal_fresh(network, entry_epoch, positions):
+    """Freshness the journal way: dilate the cells dirtied since
+    ``entry_epoch`` by one ring and look for the entry's endpoints."""
+    _, cells = network.dirty_cells_since(entry_epoch)
+    if cells is None:
+        return False
+    ring = {
+        (cx + dx, cy + dy)
+        for cx, cy in cells
+        for dx in (-1, 0, 1)
+        for dy in (-1, 0, 1)
+    }
+    cell_of = network.grid.cell_of
+    return all(cell_of(position) not in ring for position in positions)
+
+
+def _check_freshness(network, nodes):
+    registry = network.nodes
+    entries = [
+        (epoch, (registry[a].position, registry[b].position))
+        for (a, b), (epoch, _) in network._links_cache.items()
+    ]
+    for cache in (network._neighbors_cache, network._coverage_cache):
+        entries.extend(
+            (epoch, (registry[node_id].position,))
+            for (node_id, _), (epoch, _) in cache.items()
+        )
+    for epoch, positions in entries:
+        assert network._entry_fresh(epoch, *positions) == _journal_fresh(
+            network, epoch, positions
+        )
+    # Every epoch an entry could carry, not only the live ones.
+    for epoch in range(network.topology_epoch + 1):
+        for node in nodes:
+            assert network._entry_fresh(epoch, node.position) == (
+                _journal_fresh(network, epoch, (node.position,))
+            )
+
+
+def _query_all_pairs(network, nodes):
+    for a in nodes:
+        for b in nodes:
+            if a.id != b.id:
+                assert list(network.links_between(a, b)) == (
+                    ref.naive_links_between(network, a, b)
+                )
+
+
+class TestCellStampFreshness:
+    @given(stamp_programs)
+    @settings(max_examples=300, deadline=None)
+    def test_stamps_agree_with_the_journal_oracle(self, program):
+        specs, operations, log_cap = program
+        env = Environment()
+        network = Network(env)
+        network.DIRTY_LOG_CAP = log_cap
+        nodes = [
+            _make_node(env, network, index, spec)
+            for index, spec in enumerate(specs)
+        ]
+        _check_live_queries(network, nodes)
+        _query_all_pairs(network, nodes)
+        for op in operations:
+            _apply_any(env, network, nodes, op)
+            # Before any query refreshes the tags.
+            _check_freshness(network, nodes)
+            _check_live_queries(network, nodes)
+            _query_all_pairs(network, nodes)
+            _check_freshness(network, nodes)
+        _check_full(network, nodes)
+
+    @given(
+        st.lists(node_spec, min_size=2, max_size=5),
+        st.sampled_from([("filter",), ("unfilter",), ("rebuild", 0)]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_global_bump_drops_every_tagged_entry(self, specs, op):
+        env = Environment()
+        network = Network(env)
+        nodes = [
+            _make_node(env, network, index, spec)
+            for index, spec in enumerate(specs)
+        ]
+        _check_live_queries(network, nodes)
+        _query_all_pairs(network, nodes)
+        assert network._links_cache and network._neighbors_cache
+        _apply_any(env, network, nodes, op)
+        assert network._links_cache == {}
+        assert network._neighbors_cache == {}
+        assert network._coverage_cache == {}
+        _check_live_queries(network, nodes)
+        _check_full(network, nodes)
+
+    def test_filter_swap_recomputes_severed_pairs(self):
+        env = Environment()
+        network = Network(env)
+        nodes = [
+            _make_node(env, network, index, (10.0 * index, 0.0, 0, False, False))
+            for index in range(3)
+        ]
+        _query_all_pairs(network, nodes)
+        network.set_link_filter(lambda a, b: {a, b} != {"n0", "n1"})
+        assert network._links_cache == {}
+        for a in nodes:
+            for b in nodes:
+                if a.id == b.id:
+                    continue
+                expected = ref.naive_links_between(network, a, b)
+                if {a.id, b.id} == {"n0", "n1"}:
+                    expected = []
+                assert list(network.links_between(a, b)) == expected
+        assert [node.id for node in network.neighbors(nodes[0])] == ["n2"]
