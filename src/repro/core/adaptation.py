@@ -5,6 +5,9 @@ used when needed after assessment of the environment and application."
 This module is that assessment, made programmatic: closed-form cost
 estimates for each paradigm over a :class:`TaskProfile` and the current
 link/context, combined into a weighted composite the selector ranks.
+:func:`resolve_profile` turns a task into that profile, and
+:class:`InvocationOutcome` is what a selection hands back; both are
+re-exported from :mod:`repro.core.invocation`.
 
 The estimates follow the Fuggetta/Picco/Vigna traffic decomposition
 (who initiates, what moves) — the same modelling the PrimaMob-UML
@@ -13,11 +16,23 @@ methodology the paper cites performs at design time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..errors import ComponentError
 from ..net import HEADER_BYTES, Link
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .invocation import InvocationTask
 
 #: Sentinel distinguishing "no link argument" from an explicit None.
 _UNSET = object()
@@ -66,6 +81,75 @@ class TaskProfile:
     #: selector steers compute towards hosts that grant enough CPU.
     local_work_quota: Optional[float] = None
     remote_work_quota: Optional[float] = None
+
+
+def resolve_profile(
+    task: Union["InvocationTask", TaskProfile],
+    local_speed: Optional[float] = None,
+    remote_speed: Optional[float] = None,
+    hosts: Optional[int] = None,
+    local_work_quota: Optional[float] = None,
+    remote_work_quota: Optional[float] = None,
+    observed_work: Optional[float] = None,
+) -> TaskProfile:
+    """A :class:`TaskProfile` for the cost estimators.
+
+    Accepts a ready profile (speeds/quotas patched in if given) or an
+    :class:`~repro.core.invocation.InvocationTask`, whose per-host
+    ``interactions`` are multiplied out over ``hosts`` targets — the
+    CS-centric convention the estimators use (``estimate_ma``
+    additionally scales by ``hosts_to_visit``, making its compute term
+    conservative for multi-target tasks; transfer terms dominate
+    paradigm choice in every scenario the paper discusses).
+
+    A ready profile is copied only when a given value differs (``!=``)
+    from the field it would replace; otherwise the profile itself comes
+    back, so re-resolving a resolved profile returns the same object.
+
+    ``observed_work`` (metered :class:`~repro.security.Metrics` from a
+    prior run of the same guest) ratchets the task's declared
+    ``work_units`` *upward* — the selector prices CPU the substrate
+    actually measured when a guest under-declares, but a past small
+    invocation never masks a declared-large one.  The two quotas come
+    from the executing side's :class:`~repro.security.QuotaGrant` and
+    feed the estimators' quota-pressure penalty.
+    """
+    if isinstance(task, TaskProfile):
+        updates: Dict[str, float] = {}
+        if local_speed is not None and local_speed != task.local_speed:
+            updates["local_speed"] = local_speed
+        if remote_speed is not None and remote_speed != task.remote_speed:
+            updates["remote_speed"] = remote_speed
+        if (
+            local_work_quota is not None
+            and local_work_quota != task.local_work_quota
+        ):
+            updates["local_work_quota"] = local_work_quota
+        if (
+            remote_work_quota is not None
+            and remote_work_quota != task.remote_work_quota
+        ):
+            updates["remote_work_quota"] = remote_work_quota
+        if observed_work is not None and observed_work > task.work_units:
+            updates["work_units"] = observed_work
+        return replace(task, **updates) if updates else task
+    count = int(hosts) if hosts else 1
+    count = max(1, count)
+    return TaskProfile(
+        interactions=max(1, task.interactions) * count,
+        request_bytes=task.request_bytes,
+        reply_bytes=task.reply_bytes,
+        code_bytes=task.code_bytes,
+        result_bytes=task.result_bytes,
+        work_units=max(task.work_units, observed_work or 0.0),
+        local_speed=0.2 if local_speed is None else local_speed,
+        remote_speed=1.0 if remote_speed is None else remote_speed,
+        expected_reuses=task.expected_reuses,
+        hosts_to_visit=count,
+        state_bytes=task.state_bytes,
+        local_work_quota=local_work_quota,
+        remote_work_quota=remote_work_quota,
+    )
 
 
 @dataclass(frozen=True)
@@ -289,11 +373,39 @@ def estimator_for(
         raise ValueError(f"unknown paradigm {paradigm!r}") from None
 
 
+def normalize_targets(
+    target: Union[str, Sequence[str], None],
+) -> Tuple[List[str], bool]:
+    """``(target ids, scalar?)`` — a string target means a scalar result."""
+    if target is None:
+        return [], True
+    if isinstance(target, str):
+        return [target], True
+    return list(target), False
+
+
+@dataclass
+class InvocationOutcome:
+    """What ``select_and_invoke`` hands back: the result plus the
+    assessment that chose the paradigm."""
+
+    paradigm: str
+    target: Union[str, Sequence[str], None]
+    result: object
+    elapsed_s: float
+    estimate: Optional[CostEstimate] = None
+    ranking: List[CostEstimate] = field(default_factory=list)
+
+
 class ParadigmSelector:
     """Ranks the plugged-in paradigms for a task under current context."""
 
-    def __init__(self, available: Optional[List[str]] = None) -> None:
-        self.available = list(available or PARADIGMS)
+    def __init__(self, available: Optional[Sequence[str]] = None) -> None:
+        """``available=None`` ranks the four :data:`PARADIGMS`; an empty
+        sequence, like an unknown kind, raises ``ValueError``."""
+        self.available = list(PARADIGMS if available is None else available)
+        if not self.available:
+            raise ValueError("no paradigm available to rank")
         for paradigm in self.available:
             if paradigm not in _ESTIMATORS:
                 raise ValueError(f"unknown paradigm {paradigm!r}")
@@ -347,15 +459,8 @@ class ParadigmSelector:
         invokes the cheapest.  With no usable link, link-requiring
         paradigms are excluded (a local/COD-cached fallback still
         runs).  Ties keep :attr:`available` order — list the preferred
-        fallback first.  Returns an
-        :class:`~repro.core.invocation.InvocationOutcome`.
+        fallback first.  Returns an :class:`InvocationOutcome`.
         """
-        from .invocation import (
-            InvocationOutcome,
-            normalize_targets,
-            resolve_profile,
-        )
-
         targets, scalar = normalize_targets(target)
         network = host.world.network
         if link is _UNSET:

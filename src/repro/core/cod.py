@@ -23,6 +23,7 @@ from ..errors import UnitNotFound
 from ..lmu import (
     Capsule,
     Requirement,
+    Version,
     build_capsule,
     estimate_size,
     install_capsule,
@@ -258,7 +259,7 @@ class CodeOnDemand(Component):
         payload = message.payload or {}
         roots = payload.get("roots", [])
         inventory = {
-            name: _parse_version(text)
+            name: Version.parse(text)
             for name, text in (payload.get("inventory") or {}).items()
         }
         try:
@@ -282,9 +283,3 @@ class CodeOnDemand(Component):
             payload={"capsule": capsule},
             size_bytes=capsule.size_bytes,
         )
-
-
-def _parse_version(text: str):
-    from ..lmu import Version
-
-    return Version.parse(text)

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Generator, Optional
 from ..errors import ComponentError
 from ..lmu import Version
 from ..net import Message
+from .adaptation import estimator_for, resolve_profile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .host import MobileHost
@@ -112,9 +113,6 @@ class Component:
             raise ComponentError(
                 f"component {self.kind} declares no paradigm to cost"
             )
-        from .adaptation import estimator_for
-        from .invocation import resolve_profile
-
         host = self.require_host()
         task_name = getattr(task, "name", None)
         local_work_quota = None

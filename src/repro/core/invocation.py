@@ -40,12 +40,11 @@ paradigms a host actually has installed and runs the winner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
     Generator,
-    List,
     Optional,
     Protocol,
     Sequence,
@@ -63,10 +62,13 @@ from ..errors import (
 )
 from ..lmu import CodeRepository, CodeUnit, code_unit, estimate_size
 from ..net import Link, Message
-from .adaptation import (
+from .adaptation import (  # noqa: F401 - re-exported from here
     PARADIGM_LOCAL,
     CostEstimate,
+    InvocationOutcome,
     TaskProfile,
+    normalize_targets,
+    resolve_profile,
 )
 from .components import Component
 
@@ -170,9 +172,9 @@ class InvocationPipeline:
     def __init__(self, component: Component, paradigm: str) -> None:
         self.component = component
         self.paradigm = paradigm
-        #: Cached per-node labeled children of the uniform counters,
-        #: keyed by metric name (one host per pipeline, so the node
-        #: label never varies after attach).
+        #: Cached per-node labeled children of the uniform metrics,
+        #: keyed by short name (``"calls"``, ``"seconds"``…): one host
+        #: per pipeline, so the node label never varies after attach.
         self._label_cache: Dict[str, object] = {}
 
     # -- plumbing ---------------------------------------------------------------
@@ -184,16 +186,17 @@ class InvocationPipeline:
     def metric_name(self, name: str) -> str:
         return f"paradigm.{self.paradigm}.{name}"
 
-    def _counter(self, full_name: str):
-        counter = self._label_cache.get(full_name)
-        if counter is None:
-            host = self.host
-            counter = self._label_cache[full_name] = (
-                host.world.metrics.counter(
-                    full_name, labels={"node": host.id}
-                )
-            )
-        return counter
+    def _labeled(self, name: str, kind: str):
+        """Create and cache the per-node child of ``metric_name(name)``.
+
+        Only on first use: the run digest covers the metric snapshot,
+        so a zero-valued child registered early would change it.
+        """
+        host = self.host
+        child = self._label_cache[name] = getattr(host.world.metrics, kind)(
+            self.metric_name(name), labels={"node": host.id}
+        )
+        return child
 
     def bump(self, name: str, amount: float = 1) -> None:
         """Increment a uniform counter.
@@ -203,18 +206,15 @@ class InvocationPipeline:
         untouched while health monitors can tell which host is burning
         retries.
         """
-        self._counter(self.metric_name(name)).increment(amount)
+        counter = self._label_cache.get(name)
+        if counter is None:
+            counter = self._labeled(name, "counter")
+        counter.increment(amount)
 
     def observe_seconds(self, seconds: float) -> None:
-        name = self.metric_name("seconds")
-        histogram = self._label_cache.get(name)
+        histogram = self._label_cache.get("seconds")
         if histogram is None:
-            host = self.host
-            histogram = self._label_cache[name] = (
-                host.world.metrics.histogram(
-                    name, labels={"node": host.id}
-                )
-            )
+            histogram = self._labeled("seconds", "histogram")
         histogram.observe(seconds)
 
     # -- server side ------------------------------------------------------------
@@ -376,76 +376,6 @@ class InvocationTask:
         )
 
 
-def resolve_profile(
-    task: Union[InvocationTask, TaskProfile],
-    local_speed: Optional[float] = None,
-    remote_speed: Optional[float] = None,
-    hosts: Optional[int] = None,
-    local_work_quota: Optional[float] = None,
-    remote_work_quota: Optional[float] = None,
-    observed_work: Optional[float] = None,
-) -> TaskProfile:
-    """A :class:`TaskProfile` for the cost estimators.
-
-    Accepts a ready profile (speeds/quotas patched in if given) or an
-    :class:`InvocationTask`, whose per-host ``interactions`` are
-    multiplied out over ``hosts`` targets — the CS-centric convention
-    the estimators use (``estimate_ma`` additionally scales by
-    ``hosts_to_visit``, making its compute term conservative for
-    multi-target tasks; transfer terms dominate paradigm choice in
-    every scenario the paper discusses).
-
-    ``observed_work`` (metered :class:`~repro.security.Metrics` from a
-    prior run of the same guest) ratchets the task's declared
-    ``work_units`` *upward* — the selector prices CPU the substrate
-    actually measured when a guest under-declares, but a past small
-    invocation never masks a declared-large one.  The two quotas come
-    from the executing side's :class:`~repro.security.QuotaGrant` and
-    feed the estimators' quota-pressure penalty.
-    """
-    if isinstance(task, TaskProfile):
-        updates: Dict[str, float] = {}
-        if local_speed is not None:
-            updates["local_speed"] = local_speed
-        if remote_speed is not None:
-            updates["remote_speed"] = remote_speed
-        if local_work_quota is not None:
-            updates["local_work_quota"] = local_work_quota
-        if remote_work_quota is not None:
-            updates["remote_work_quota"] = remote_work_quota
-        if observed_work is not None and observed_work > task.work_units:
-            updates["work_units"] = observed_work
-        return replace(task, **updates) if updates else task
-    count = int(hosts) if hosts else 1
-    count = max(1, count)
-    return TaskProfile(
-        interactions=max(1, task.interactions) * count,
-        request_bytes=task.request_bytes,
-        reply_bytes=task.reply_bytes,
-        code_bytes=task.code_bytes,
-        result_bytes=task.result_bytes,
-        work_units=max(task.work_units, observed_work or 0.0),
-        local_speed=0.2 if local_speed is None else local_speed,
-        remote_speed=1.0 if remote_speed is None else remote_speed,
-        expected_reuses=task.expected_reuses,
-        hosts_to_visit=count,
-        state_bytes=task.state_bytes,
-        local_work_quota=local_work_quota,
-        remote_work_quota=remote_work_quota,
-    )
-
-
-def normalize_targets(
-    target: Union[str, Sequence[str], None],
-) -> Tuple[List[str], bool]:
-    """``(target ids, scalar?)`` — a string target means a scalar result."""
-    if target is None:
-        return [], True
-    if isinstance(target, str):
-        return [target], True
-    return list(target), False
-
-
 def run_task_locally(
     host, task: InvocationTask, unit: Optional[CodeUnit] = None
 ) -> Generator:
@@ -540,19 +470,6 @@ def implements_paradigm(component: object) -> bool:
         isinstance(component, Paradigm)
         and getattr(component, "paradigm", None) is not None
     )
-
-
-@dataclass
-class InvocationOutcome:
-    """What ``select_and_invoke`` hands back: the result plus the
-    assessment that chose the paradigm."""
-
-    paradigm: str
-    target: Union[str, Sequence[str], None]
-    result: object
-    elapsed_s: float
-    estimate: Optional[CostEstimate] = None
-    ranking: List[CostEstimate] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, List, Optional, Tuple
 
 from ..errors import CodebaseError
@@ -33,11 +34,9 @@ class Version:
 
     @classmethod
     def parse(cls, text: str) -> "Version":
-        match = _VERSION_RE.match(text.strip())
-        if not match:
-            raise CodebaseError(f"malformed version {text!r}")
-        major, minor, patch = match.groups()
-        return cls(int(major), int(minor), int(patch or 0))
+        """Parse ``"major.minor[.patch]"``; equal texts share one
+        parsed instance (see :func:`_parse_version`)."""
+        return _parse_version(cls, text)
 
     def compatible_with(self, requested: "Version") -> bool:
         """True when this version satisfies a request for ``requested``:
@@ -46,6 +45,18 @@ class Version:
 
     def __str__(self) -> str:
         return f"{self.major}.{self.minor}.{self.patch}"
+
+
+# Bounded: COD requests carry version texts from peers.
+@lru_cache(maxsize=1024)
+def _parse_version(cls: type, text: str) -> Version:
+    """:meth:`Version.parse`, memoised per text.  A malformed text
+    raises on every call: ``lru_cache`` never stores an exception."""
+    match = _VERSION_RE.match(text.strip())
+    if not match:
+        raise CodebaseError(f"malformed version {text!r}")
+    major, minor, patch = match.groups()
+    return cls(int(major), int(minor), int(patch or 0))
 
 
 @dataclass(frozen=True)

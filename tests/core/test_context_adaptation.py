@@ -9,6 +9,7 @@ from repro.core import (
     CostWeights,
     KEY_BATTERY,
     KEY_NEIGHBORS,
+    PARADIGMS,
     ParadigmSelector,
     TaskProfile,
     World,
@@ -219,6 +220,15 @@ class TestSelector:
     def test_unknown_paradigm_rejected(self):
         with pytest.raises(ValueError):
             ParadigmSelector(available=["warp-drive"])
+
+    @pytest.mark.parametrize("empty", [[], ()])
+    def test_empty_available_rejected(self, empty):
+        # An explicit empty list is not "the default four".
+        with pytest.raises(ValueError):
+            ParadigmSelector(available=empty)
+
+    def test_none_available_means_the_four_paradigms(self):
+        assert ParadigmSelector(available=None).available == list(PARADIGMS)
 
     def test_weights_change_winner(self):
         selector = ParadigmSelector(available=["cs", "cod"])
