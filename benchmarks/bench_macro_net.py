@@ -172,10 +172,11 @@ def test_city_scale_round_beats_legacy_1k(benchmark):
     # Reachability spot-check at the final (post-mobility) topology:
     # the planner and the flat BFS must agree pair by pair.
     rng = random.Random(99)
+    flat_table = RoutingTable(top_network, adhoc_only=True)
     for _ in range(10):
         a = f"n{rng.randrange(top_size)}"
         b = f"n{rng.randrange(top_size)}"
-        flat = top_network.shortest_path(a, b, adhoc_only=True)
+        flat = flat_table.path(a, b)
         hier = top_planner.path(a, b)
         assert (hier is None) == (flat is None)
         if hier is not None and a != b:

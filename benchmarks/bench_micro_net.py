@@ -6,7 +6,9 @@ runs the query pattern a live simulation produces — every node scans
 its neighbourhood each beacon, routing snapshots adjacency and plans
 paths, and only a fraction of the fleet moves between bursts.  The same
 movement/query script is replayed against the naive O(N²) reference
-sweeps (``repro.net.reference``) and against the cached fast paths.
+sweeps (``tests/net/reference.py``) and against the cached fast paths;
+the cached side plans its paths through :class:`RoutingTable`, the
+one flat planner.
 
 The speedup floor (5x full, 3x quick) lives in
 ``benchmarks/baselines/micro_net[_quick].json`` and is enforced by the
@@ -29,8 +31,8 @@ from repro.net import (
     WIFI_ADHOC,
     grid_positions,
 )
-from repro.net import reference as ref
 from repro.sim import Environment
+from tests.net import reference as ref
 
 from _common import gate_against_baseline, quick, write_report_data
 
@@ -95,6 +97,7 @@ def _run_naive(script, pairs, sweeps: int) -> float:
 
 def _run_cached(script, pairs, sweeps: int):
     network = _build_network()
+    table = RoutingTable(network, adhoc_only=True)
     nodes = list(network.nodes.values())
     started = perf_counter()
     for moves in script:
@@ -105,7 +108,7 @@ def _run_cached(script, pairs, sweeps: int):
             for node in nodes:
                 network.neighbors(node)
             for source_id, target_id in pairs:
-                network.shortest_path(source_id, target_id, adhoc_only=True)
+                table.path(source_id, target_id)
     return perf_counter() - started, network
 
 

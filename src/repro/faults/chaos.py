@@ -22,7 +22,6 @@ middleware must uphold (each raises ``AssertionError`` on violation):
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Generator, List, Optional, Tuple
 
@@ -49,25 +48,6 @@ CHAOS_RETRY = RetryPolicy(attempts=4, base_delay_s=1.0)
 #: Application-level retry budget per request, on top of CHAOS_RETRY.
 APP_ATTEMPTS = 4
 APP_BACKOFF_S = 5.0
-
-
-def _deterministic_ids(fn: Callable) -> Callable:
-    """Run ``fn`` inside a :func:`fresh_message_ids` scope.
-
-    Message ids (recorded in captured spans as ``msg_id``) come from a
-    process-wide counter, so without the scope a scenario's report
-    bytes depended on whatever ran earlier in the same process — the
-    nondeterminism ``repro matrix --strict`` replay checking flushed
-    out.  With it, a same-seed run is bit-identical whether it is the
-    first job in a fresh worker or the fortieth.
-    """
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        with fresh_message_ids():
-            return fn(*args, **kwargs)
-
-    return wrapper
 
 
 def chaos_task(name: str = "chaos.echo") -> InvocationTask:
@@ -295,7 +275,114 @@ def _client_driver(
         requests_done.increment()
 
 
-@_deterministic_ids
+def _run_fleet(
+    hostile: bool,
+    seed: int,
+    clients: int,
+    servers: int,
+    requests_per_client: int,
+    spacing_s: float,
+    plan: Optional[FaultPlan],
+    trace_enabled: bool,
+    slos,
+    sample_cadence: Optional[float],
+) -> ChaosOutcome:
+    """The fleet run behind :func:`run_chaos` and :func:`run_hostile`;
+    ``hostile`` picks the hostile default plan, server policy, verdict
+    counters and report name.
+
+    Message ids (``msg_id`` in captured spans) come from a process-wide
+    counter, so the run sits in a :func:`fresh_message_ids` scope: a
+    same-seed run is then bit-identical whether it is the first job in
+    a fresh worker or the fortieth (what ``repro matrix --strict``
+    replay checks).
+    """
+    for name, value, least in (
+        ("servers", servers, 1),
+        ("clients", clients, 0),
+        ("requests_per_client", requests_per_client, 0),
+    ):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value!r}")
+    if plan is None:
+        plan = hostile_plan(servers) if hostile else standard_plan(clients, servers)
+    with fresh_message_ids():
+        world = World(seed=seed, trace_enabled=trace_enabled)
+        if sample_cadence is not None:
+            world.sample_series(cadence=sample_cadence)
+        if slos is not None:
+            world.enable_health(
+                slos,
+                cadence=5.0 if sample_cadence is None else sample_cadence,
+            )
+        task = chaos_task()
+        client_hosts, server_hosts = build_fleet(
+            world,
+            clients=clients,
+            servers=servers,
+            task=task,
+            server_policy=hostile_policy() if hostile else None,
+        )
+        plan.inject(world)
+        metrics = world.metrics
+        # Pre-create outcome counters so they report even when zero.
+        for name in ("chaos.completed", "chaos.failed", "chaos.app_retries"):
+            metrics.counter(name)
+        if hostile and len(plan):
+            # Pre-create the verdict counters so a clean run still
+            # reports hostile.escapes == 0 (absence would be
+            # unfalsifiable).
+            for name in ("hostile.guests", "hostile.terminated", "hostile.escapes"):
+                metrics.counter(name)
+        drivers = [
+            world.env.process(
+                _client_driver(
+                    world,
+                    client,
+                    server_hosts,
+                    task,
+                    requests_per_client,
+                    spacing_s,
+                    offset,
+                ),
+                name=f"chaos:{client.id}",
+            )
+            for offset, client in enumerate(client_hosts)
+        ]
+        world.run(until=world.env.all_of(drivers))
+        requests = clients * requests_per_client
+        outcome = ChaosOutcome(
+            seed=seed,
+            requests=requests,
+            completed=int(metrics.counter("chaos.completed").value),
+            failed=int(metrics.counter("chaos.failed").value),
+            app_retries=int(metrics.counter("chaos.app_retries").value),
+            duration_s=world.now,
+        )
+        metrics.gauge("chaos.completion_rate").set(outcome.completion_rate)
+        outcome.summary = world.summary()
+        from ..obs import RunReport
+
+        outcome.report = RunReport.capture(
+            "hostile" if hostile else "chaos",
+            world,
+            params={
+                "seed": seed,
+                "clients": clients,
+                "servers": servers,
+                "requests": requests,
+                "faults": len(plan),
+                **({"hostile_guests": len(plan)} if hostile else {}),
+                "completion_rate": outcome.completion_rate,
+            },
+            # capture() stamps sim-time by default, so the whole
+            # document is a pure function of the seed and determinism
+            # tests compare reports wholesale instead of stripping the
+            # wall-clock field.
+        ).to_dict()
+        return outcome
+
+
 def run_chaos(
     seed: int = 7,
     clients: int = 4,
@@ -314,72 +401,13 @@ def run_chaos(
     analytics derived from them).  ``slos`` arms the in-run health
     engine (e.g. :func:`standard_slos`); ``sample_cadence`` attaches
     the sim-time sampler on its own — what the armed-vs-unarmed
-    bit-identity test compares against.
+    bit-identity test compares against.  A fleet needs at least one
+    server; ``ValueError`` names the first bad size.
     """
-    world = World(seed=seed, trace_enabled=trace_enabled)
-    if sample_cadence is not None:
-        world.sample_series(cadence=sample_cadence)
-    if slos is not None:
-        world.enable_health(
-            slos,
-            cadence=5.0 if sample_cadence is None else sample_cadence,
-        )
-    task = chaos_task()
-    client_hosts, server_hosts = build_fleet(
-        world, clients=clients, servers=servers, task=task
+    return _run_fleet(
+        False, seed, clients, servers, requests_per_client, spacing_s,
+        plan, trace_enabled, slos, sample_cadence,
     )
-    plan = plan if plan is not None else standard_plan(clients, servers)
-    plan.inject(world)
-    metrics = world.metrics
-    # Pre-create outcome counters so they report even when zero.
-    for name in ("chaos.completed", "chaos.failed", "chaos.app_retries"):
-        metrics.counter(name)
-    drivers = [
-        world.env.process(
-            _client_driver(
-                world,
-                client,
-                server_hosts,
-                task,
-                requests_per_client,
-                spacing_s,
-                offset,
-            ),
-            name=f"chaos:{client.id}",
-        )
-        for offset, client in enumerate(client_hosts)
-    ]
-    world.run(until=world.env.all_of(drivers))
-    requests = clients * requests_per_client
-    completed = int(metrics.counter("chaos.completed").value)
-    outcome = ChaosOutcome(
-        seed=seed,
-        requests=requests,
-        completed=completed,
-        failed=int(metrics.counter("chaos.failed").value),
-        app_retries=int(metrics.counter("chaos.app_retries").value),
-        duration_s=world.now,
-    )
-    metrics.gauge("chaos.completion_rate").set(outcome.completion_rate)
-    outcome.summary = world.summary()
-    from ..obs import RunReport
-
-    outcome.report = RunReport.capture(
-        "chaos",
-        world,
-        params={
-            "seed": seed,
-            "clients": clients,
-            "servers": servers,
-            "requests": requests,
-            "faults": len(plan),
-            "completion_rate": outcome.completion_rate,
-        },
-        # capture() stamps sim-time by default, so the whole document
-        # is a pure function of the seed and determinism tests compare
-        # reports wholesale instead of stripping the wall-clock field.
-    ).to_dict()
-    return outcome
 
 
 def resolve_plan_spec(plan: object) -> Optional[FaultPlan]:
@@ -421,12 +449,25 @@ def chaos_job(
     arguments, which is what lets ``repro matrix --strict`` replay any
     job in-process and demand byte identity with the worker pool.
     """
-    outcome = run_chaos(
+    return _fleet_job(run_chaos, "plan", seed, plan, slos, spans, params)
+
+
+def _fleet_job(
+    run: Callable[..., ChaosOutcome],
+    plan_keyword: str,
+    seed: int,
+    plan: object,
+    slos: bool,
+    spans: bool,
+    params: Dict[str, object],
+) -> Dict[str, object]:
+    """The body :func:`chaos_job` and ``hostile_job`` share."""
+    outcome = run(
         seed=seed,
-        plan=resolve_plan_spec(plan),
         trace_enabled=spans,
         slos=standard_slos() if slos else None,
-        **params,  # type: ignore[arg-type]
+        **{plan_keyword: resolve_plan_spec(plan)},
+        **params,
     )
     return outcome.report
 
@@ -480,7 +521,6 @@ def hostile_plan(
     return plan
 
 
-@_deterministic_ids
 def run_hostile(
     seed: int = 7,
     clients: int = 3,
@@ -504,76 +544,10 @@ def run_hostile(
     ``FaultPlan()`` for the unarmed control run — it is bit-identical
     to :func:`run_chaos` with an empty plan and the same fleet shape.
     """
-    world = World(seed=seed, trace_enabled=trace_enabled)
-    if sample_cadence is not None:
-        world.sample_series(cadence=sample_cadence)
-    if slos is not None:
-        world.enable_health(
-            slos,
-            cadence=5.0 if sample_cadence is None else sample_cadence,
-        )
-    task = chaos_task()
-    client_hosts, server_hosts = build_fleet(
-        world,
-        clients=clients,
-        servers=servers,
-        task=task,
-        server_policy=hostile_policy(),
+    return _run_fleet(
+        True, seed, clients, servers, requests_per_client, spacing_s,
+        hostile, trace_enabled, slos, sample_cadence,
     )
-    hostile = hostile if hostile is not None else hostile_plan(servers)
-    hostile.inject(world)
-    metrics = world.metrics
-    for name in ("chaos.completed", "chaos.failed", "chaos.app_retries"):
-        metrics.counter(name)
-    if len(hostile):
-        # Pre-create the verdict counters so a clean run still reports
-        # hostile.escapes == 0 (absence would be unfalsifiable).
-        for name in ("hostile.guests", "hostile.terminated", "hostile.escapes"):
-            metrics.counter(name)
-    drivers = [
-        world.env.process(
-            _client_driver(
-                world,
-                client,
-                server_hosts,
-                task,
-                requests_per_client,
-                spacing_s,
-                offset,
-            ),
-            name=f"chaos:{client.id}",
-        )
-        for offset, client in enumerate(client_hosts)
-    ]
-    world.run(until=world.env.all_of(drivers))
-    requests = clients * requests_per_client
-    completed = int(metrics.counter("chaos.completed").value)
-    outcome = ChaosOutcome(
-        seed=seed,
-        requests=requests,
-        completed=completed,
-        failed=int(metrics.counter("chaos.failed").value),
-        app_retries=int(metrics.counter("chaos.app_retries").value),
-        duration_s=world.now,
-    )
-    metrics.gauge("chaos.completion_rate").set(outcome.completion_rate)
-    outcome.summary = world.summary()
-    from ..obs import RunReport
-
-    outcome.report = RunReport.capture(
-        "hostile",
-        world,
-        params={
-            "seed": seed,
-            "clients": clients,
-            "servers": servers,
-            "requests": requests,
-            "faults": len(hostile),
-            "hostile_guests": len(hostile),
-            "completion_rate": outcome.completion_rate,
-        },
-    ).to_dict()
-    return outcome
 
 
 def verify_hostile_containment(

@@ -102,13 +102,6 @@ def hostile_job(
     ``params`` go to :func:`~repro.faults.chaos.run_hostile`.  Returns
     the full report dict, a pure function of the arguments.
     """
-    from .chaos import resolve_plan_spec, run_hostile, standard_slos
+    from .chaos import _fleet_job, run_hostile
 
-    outcome = run_hostile(
-        seed=seed,
-        hostile=resolve_plan_spec(plan),
-        trace_enabled=spans,
-        slos=standard_slos() if slos else None,
-        **params,  # type: ignore[arg-type]
-    )
-    return outcome.report
+    return _fleet_job(run_hostile, "hostile", seed, plan, slos, spans, params)

@@ -13,12 +13,13 @@ so mobility and churn are reflected immediately:
 Topology queries are *incremental* rather than recomputed: every
 mutation that can change connectivity (node add, move, crash/restart,
 interface enable/disable/attach/detach) bumps a **topology epoch**, and
-``links_between``/``neighbors``/``adjacency``/``reachable_set``/
-``shortest_path`` results are cached until the epoch moves.  Candidate
+``links_between``/``neighbors``/``adjacency`` results are cached until
+the epoch moves; paths are planned by
+:class:`~repro.net.routing.RoutingTable` over ``adjacency``.  Candidate
 enumeration uses a :class:`~repro.net.geometry.SpatialGrid` so range
-queries touch only nearby nodes instead of the whole registry.  The
-cached fast paths are bit-identical to the naive sweeps kept in
-:mod:`repro.net.reference` (property-tested under random mobility).
+queries touch only nearby nodes.  The cached fast paths are
+bit-identical to the naive sweeps in ``tests/net/reference.py``
+(property-tested under random mobility).
 
 Per-cell **dirty stamps** let the fabric scale past ~10k nodes (see
 docs/PERFORMANCE.md, "City-scale routing"): each epoch bump stamps the
@@ -116,37 +117,13 @@ def prefer_fast(link: Link) -> tuple:
     return (-link.bandwidth_bps, link.latency_s)
 
 
-#: Sentinel distinguishing "not cached" from a cached ``None`` path.
-_MISSING = object()
-
-
-def bfs_reachable(
-    graph: Dict[str, Tuple[str, ...]], start_id: str
-) -> FrozenSet[str]:
-    """Transitive closure of ``start_id`` over an adjacency snapshot."""
-    seen = {start_id}
-    frontier = [start_id]
-    while frontier:
-        current = frontier.pop()
-        for neighbor in graph.get(current, ()):
-            if neighbor not in seen:
-                seen.add(neighbor)
-                frontier.append(neighbor)
-    return frozenset(seen)
-
-
 def bfs_tree(
-    graph: Dict[str, Tuple[str, ...]],
-    source_id: str,
-    target_id: Optional[str] = None,
+    graph: Dict[str, Tuple[str, ...]], source_id: str
 ) -> Dict[str, str]:
     """BFS predecessor tree over an adjacency snapshot.
 
     Each node expands its sorted neighbour tuple, so predecessor
     assignment and frontier order match the reference sweep exactly.
-    With ``target_id`` given, returns as soon as the target is
-    discovered (the tree is then partial but the source→target walk is
-    complete and identical to the full tree's).
     """
     previous: Dict[str, str] = {}
     seen = {source_id}
@@ -159,8 +136,6 @@ def bfs_tree(
                     continue
                 seen.add(neighbor)
                 previous[neighbor] = current
-                if neighbor == target_id:
-                    return previous
                 next_frontier.append(neighbor)
         frontier = next_frontier
     return previous
@@ -214,8 +189,6 @@ class Network:
         self._coverage_cache: Dict[Tuple[str, str], Tuple[int, bool]] = {}
         #: Whole-graph snapshots clear on any epoch change.
         self._adjacency_cache: Dict[bool, Dict[str, Tuple[str, ...]]] = {}
-        self._reachable_cache: Dict[Tuple[str, bool], FrozenSet[str]] = {}
-        self._path_cache: Dict[Tuple[str, str, bool], object] = {}
         self.cache_stats = {
             "hits": 0,
             "misses": 0,
@@ -430,8 +403,6 @@ class Network:
             # Whole-graph products clear; tagged per-node/per-pair
             # entries are revalidated individually at read time.
             self._adjacency_cache.clear()
-            self._reachable_cache.clear()
-            self._path_cache.clear()
             self._cache_epoch = self._epoch
             self.cache_stats["invalidations"] += 1
 
@@ -667,39 +638,6 @@ class Network:
             if iface.technology.infrastructure and self._infra_covered(node, iface):
                 return True
         return False
-
-    def reachable_set(
-        self, start_id: str, adhoc_only: bool = False
-    ) -> FrozenSet[str]:
-        """Transitive closure of connectivity from ``start_id`` (BFS)."""
-        self._validate_caches()
-        key = (start_id, adhoc_only)
-        cached = self._reachable_cache.get(key)
-        if cached is not None:
-            self.cache_stats["hits"] += 1
-            return cached
-        self.cache_stats["misses"] += 1
-        result = bfs_reachable(self.adjacency(adhoc_only), start_id)
-        self._reachable_cache[key] = result
-        return result
-
-    def shortest_path(
-        self, source_id: str, target_id: str, adhoc_only: bool = False
-    ) -> Optional[List[str]]:
-        """Hop-minimal node path from source to target, or None."""
-        if source_id == target_id:
-            return [source_id]
-        self._validate_caches()
-        key = (source_id, target_id, adhoc_only)
-        cached = self._path_cache.get(key, _MISSING)
-        if cached is not _MISSING:
-            self.cache_stats["hits"] += 1
-            return list(cached) if cached is not None else None  # type: ignore[arg-type]
-        self.cache_stats["misses"] += 1
-        tree = bfs_tree(self.adjacency(adhoc_only), source_id, target_id)
-        path = walk_tree(tree, source_id, target_id)
-        self._path_cache[key] = tuple(path) if path is not None else None
-        return path
 
 
 #: The ISSUE/design name for the simulated physical fabric.

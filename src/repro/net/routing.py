@@ -45,10 +45,9 @@ _RING = (
 class RoutingTable:
     """Epoch-memoised shortest-path trees over one network.
 
-    ``path(source, target)`` is bit-identical to
-    :meth:`Network.shortest_path` (same BFS with sorted tie-breaking);
-    the difference is that one tree answers every target for its
-    source.  Any topology epoch change flushes every tree.
+    The one flat planner: ``path(source, target)`` is the hop-minimal
+    path with sorted tie-breaking, and one tree answers every target
+    for its source.  Any topology epoch change flushes every tree.
     """
 
     def __init__(

@@ -24,6 +24,13 @@ from .technologies import LinkTechnology
 ACK_BYTES = 32
 
 
+def _check_size(message: Message, link: Link) -> None:
+    if message.wire_size > link.sender_technology.max_payload:
+        raise MessageTooLarge(
+            f"{message.wire_size}B exceeds {link.sender_technology.name} limit"
+        )
+
+
 class Transport:
     """Moves :class:`Message` objects between nodes of one network."""
 
@@ -126,9 +133,10 @@ class Transport:
 
     # -- internals -------------------------------------------------------------
 
-    def _send(
-        self, message: Message, policy: LinkPolicy
-    ) -> Generator:
+    def _first_link(self, message: Message, policy: LinkPolicy):
+        """The prelude both sends share: ``(source, destination, link)``
+        for the first attempt, or the error (an unreachable peer is
+        counted and traced)."""
         source = self.network.node(message.source)
         destination = self.network.node(message.destination)
         if not source.up:
@@ -142,10 +150,13 @@ class Transport:
                 self.env.now, source.id, "net.unreachable", to=destination.id
             )
             raise Unreachable(f"{source.id} cannot reach {destination.id}")
-        if message.wire_size > link.sender_technology.max_payload:
-            raise MessageTooLarge(
-                f"{message.wire_size}B exceeds {link.sender_technology.name} limit"
-            )
+        _check_size(message, link)
+        return source, destination, link
+
+    def _send(
+        self, message: Message, policy: LinkPolicy
+    ) -> Generator:
+        source, destination, link = self._first_link(message, policy)
         delivered = yield from self._transmit(
             message, source, destination, link, attempt=1
         )
@@ -256,31 +267,16 @@ class Transport:
     def _send_reliable(
         self, message: Message, max_attempts: int, policy: LinkPolicy
     ) -> Generator:
-        source = self.network.node(message.source)
-        destination = self.network.node(message.destination)
-        if not source.up:
-            raise NetworkError(f"sender {source.id} is down")
-        if message.created_at == 0.0:
-            message.created_at = self.env.now
+        source, destination, link = self._first_link(message, policy)
         for attempt in range(1, max_attempts + 1):
-            link = self.network.best_link(source, destination, policy)
-            if link is None:
-                if attempt == 1:
-                    self._node_counter(
-                        "net.unreachable", source.id
-                    ).increment()
-                    raise Unreachable(
-                        f"{source.id} cannot reach {destination.id}"
+            if attempt > 1:
+                link = self.network.best_link(source, destination, policy)
+                if link is None:
+                    raise TransportTimeout(
+                        f"lost connectivity to {destination.id} after "
+                        f"{attempt - 1} attempts"
                     )
-                raise TransportTimeout(
-                    f"lost connectivity to {destination.id} after "
-                    f"{attempt - 1} attempts"
-                )
-            if message.wire_size > link.sender_technology.max_payload:
-                raise MessageTooLarge(
-                    f"{message.wire_size}B exceeds "
-                    f"{link.sender_technology.name} limit"
-                )
+                _check_size(message, link)
             delivered = yield from self._transmit(
                 message, source, destination, link, attempt=attempt
             )

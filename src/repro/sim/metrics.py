@@ -164,15 +164,15 @@ class Counter:
 class Gauge:
     """The most recently written value.
 
-    Every written value is also kept (append-only, sorted lazily into a
-    copy on the first quantile query, exactly like :class:`Histogram`),
-    so the distribution of a gauge over a run — notably its median,
-    ``p50`` — is available next to the min/max extremes.  Labeled
-    children forward each write to the flat parent (last write wins
-    there, as if the call sites were unlabeled).  ``max_samples`` caps
-    retention via the same ordinal-stride decimation as
-    :class:`Histogram`; min/max/last stay exact, quantiles become
-    approximate over the retained subsample.
+    Every written value is also observed into an unlabeled
+    :class:`Histogram` the gauge owns, so the distribution of a gauge
+    over a run — notably its median, ``p50`` — is available next to the
+    min/max extremes, with the histogram's retention: append-only
+    writes, a lazily sorted copy, and under ``max_samples`` the same
+    ordinal-stride decimation (quantiles then answer over the retained
+    subsample).  ``value``/``min``/``max`` stay exact.  Labeled children
+    forward each write to the flat parent (last write wins there, as if
+    the call sites were unlabeled).
     """
 
     def __init__(
@@ -185,14 +185,9 @@ class Gauge:
         self.value: float = 0.0
         self._parent = parent
         self.labels: Optional[Dict[str, str]] = None
-        self.max_samples = max_samples
         self._max = -math.inf
         self._min = math.inf
-        self._written: List[float] = []
-        self._sorted: List[float] = []
-        self._dirty = False
-        self._observed = 0
-        self._stride = 1
+        self._samples = Histogram(name, max_samples=max_samples)
 
     def set(self, value: float) -> None:
         parent = self._parent
@@ -203,23 +198,7 @@ class Gauge:
             self._max = value
         if value < self._min:
             self._min = value
-        ordinal = self._observed
-        self._observed = ordinal + 1
-        cap = self.max_samples
-        if cap is None:
-            self._written.append(value)
-            self._dirty = True
-            return
-        if ordinal % self._stride:
-            return
-        self._written.append(value)
-        self._dirty = True
-        if len(self._written) > cap:
-            # Ordinal-stride decimation: keep every other retained
-            # sample, so retained ordinals stay exact multiples of the
-            # (doubled) stride — deterministic, input-order only.
-            self._written = self._written[::2]
-            self._stride *= 2
+        self._samples.observe(value)
 
     def add(self, delta: float) -> None:
         self.set(self.value + delta)
@@ -242,24 +221,21 @@ class Gauge:
     @property
     def observed(self) -> int:
         """Total values ever written (decimation does not shrink it)."""
-        return self._observed
+        return self._samples.observed
 
     @property
     def retained(self) -> int:
         """Values currently held for quantile queries."""
-        return len(self._written)
+        return self._samples.retained
 
     def quantile(self, q: float) -> float:
         """Quantile ``q`` over the retained written values (0.0 if none)."""
-        if self._dirty:
-            self._sorted = sorted(self._written)
-            self._dirty = False
-        return interpolated_quantile(self._sorted, q)
+        return self._samples.quantile(q)
 
     @property
     def p50(self) -> float:
         """Median of every value ever written (0.0 for a never-set gauge)."""
-        return self.quantile(0.5)
+        return self._samples.p50
 
     def __repr__(self) -> str:
         return f"<Gauge {self.name}={self.value:g}>"

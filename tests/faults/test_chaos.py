@@ -10,6 +10,8 @@ import pytest
 from repro.core import World
 from repro.faults import (
     FaultPlan,
+    chaos_job,
+    hostile_job,
     run_chaos,
     run_hostile,
     verify_agent_reroute,
@@ -142,6 +144,66 @@ class TestWholeRunDeterminism:
         assert metrics["chaos.completion_rate"] >= 0.95
         assert "faults.crash" in metrics
         assert report["params"]["faults"] > 0
+
+
+class TestFleetShapeValidation:
+    """Bad fleet sizes fail up front with an error naming the size.
+
+    Matrix params come from spec files and the CLI; without the check a
+    serverless fleet fails deep inside the run with an unrelated error
+    (a modulo by zero in the client driver, an index error building the
+    default plan).  The check runs before any world is built.
+    """
+
+    BAD_SHAPES = [
+        ({"servers": 0}, "servers"),
+        ({"servers": -2}, "servers"),
+        ({"clients": -1}, "clients"),
+        ({"requests_per_client": -1}, "requests_per_client"),
+    ]
+
+    @pytest.mark.parametrize("scenario", [run_chaos, run_hostile])
+    @pytest.mark.parametrize("shape,name", BAD_SHAPES)
+    @pytest.mark.parametrize("empty_plan", [False, True])
+    def test_bad_shape_raises_before_world(
+        self, monkeypatch, scenario, shape, name, empty_plan
+    ):
+        def no_world(*args, **kwargs):
+            raise AssertionError("a world was built for a bad fleet")
+
+        monkeypatch.setattr("repro.faults.chaos.World", no_world)
+        kwargs = dict(shape)
+        if empty_plan:
+            plan_keyword = "plan" if scenario is run_chaos else "hostile"
+            kwargs[plan_keyword] = FaultPlan()
+        with pytest.raises(ValueError, match=name):
+            scenario(seed=1, **kwargs)
+
+    @pytest.mark.parametrize("job", [chaos_job, hostile_job])
+    def test_job_targets_validate_too(self, job):
+        with pytest.raises(ValueError, match="servers"):
+            job(0, plan="none", servers=0)
+
+    def test_empty_fleet_still_runs(self):
+        outcome = run_chaos(seed=1, clients=0, plan=FaultPlan())
+        assert outcome.requests == 0
+        assert outcome.completion_rate == 1.0
+
+
+class TestUnreachableHappenings:
+    """Every counted unreachable send is also a trace happening.
+
+    The chaos workload sends reliably; the flight recorder and
+    ``kind_counts`` see those sends only if the reliable path emits
+    the ``net.unreachable`` happening next to the metric.
+    """
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_kind_count_matches_metric(self, seed):
+        report = run_chaos(seed=seed).report
+        counted = report["metrics"]["net.unreachable"]
+        assert counted > 0
+        assert report["kind_counts"]["net.unreachable"] == counted
 
 
 class TestTraceSwitch:

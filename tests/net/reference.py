@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from .network import Link, Network, _backbone_link, _direct_link
-from .node import Interface, NetworkNode
-from .technologies import LinkTechnology
+from repro.net.network import Link, Network, _backbone_link, _direct_link
+from repro.net.node import Interface, NetworkNode
+from repro.net.technologies import LinkTechnology
 
 
 def naive_infra_covered(

@@ -12,9 +12,11 @@ from repro.net import (
     NetworkNode,
     Position,
     WIFI_ADHOC,
+    RoutingTable,
     prefer_fast,
 )
 from repro.sim import Environment
+from tests.net import reference as ref
 
 
 def make_network():
@@ -203,25 +205,32 @@ class TestGraphQueries:
         network.add_node(mobile(env, "b", 90, 0))
         network.add_node(mobile(env, "c", 180, 0))
         network.add_node(mobile(env, "d", 500, 0))
-        assert network.reachable_set("a") == {"a", "b", "c"}
+        table = RoutingTable(network, adhoc_only=False)
+        reachable = {
+            node_id for node_id in network.nodes
+            if table.path("a", node_id) is not None
+        }
+        assert reachable == {"a", "b", "c"}
+        assert reachable == ref.naive_reachable_set(network, "a")
 
     def test_shortest_path_multi_hop(self):
         env, network = make_network()
         network.add_node(mobile(env, "a", 0, 0))
         network.add_node(mobile(env, "b", 90, 0))
         network.add_node(mobile(env, "c", 180, 0))
-        assert network.shortest_path("a", "c") == ["a", "b", "c"]
+        table = RoutingTable(network, adhoc_only=False)
+        assert table.path("a", "c") == ["a", "b", "c"]
 
     def test_shortest_path_none_when_partitioned(self):
         env, network = make_network()
         network.add_node(mobile(env, "a", 0, 0))
         network.add_node(mobile(env, "b", 1000, 0))
-        assert network.shortest_path("a", "b") is None
+        assert RoutingTable(network, adhoc_only=False).path("a", "b") is None
 
     def test_shortest_path_to_self(self):
         env, network = make_network()
         network.add_node(mobile(env, "a", 0, 0))
-        assert network.shortest_path("a", "a") == ["a"]
+        assert RoutingTable(network, adhoc_only=False).path("a", "a") == ["a"]
 
 
 class TestAirtimeBilling:

@@ -24,6 +24,7 @@ from repro.net import (
     WIFI_ADHOC,
 )
 from repro.sim import Environment, MetricsRegistry, RandomStreams
+from tests.net import reference as ref
 
 
 def adhoc_node(env, node_id, x=0.0, y=0.0):
@@ -33,6 +34,13 @@ def adhoc_node(env, node_id, x=0.0, y=0.0):
 def make_network():
     env = Environment()
     return env, Network(env)
+
+
+def flat_path(network, source_id, target_id, adhoc_only=True):
+    """The flat planner's answer from a fresh :class:`RoutingTable`."""
+    return RoutingTable(network, adhoc_only=adhoc_only).path(
+        source_id, target_id
+    )
 
 
 def add_chain(env, network, count, spacing=90.0, prefix="n"):
@@ -47,9 +55,7 @@ class TestHierarchicalRouterPlanning:
         env, network = make_network()
         add_chain(env, network, 4)
         router = HierarchicalRouter(network)  # default flat_threshold 256
-        assert router.path("n0", "n3") == network.shortest_path(
-            "n0", "n3", adhoc_only=True
-        )
+        assert router.path("n0", "n3") == flat_path(network, "n0", "n3")
         assert router.stats["flat"] == 1
         assert router.stats["misses"] == 0
 
@@ -108,7 +114,7 @@ class TestHierarchicalRouterPlanning:
         for node_id, (x, y) in layout.items():
             network.add_node(adhoc_node(env, node_id, x, y))
         router = HierarchicalRouter(network, flat_threshold=0)
-        flat = network.shortest_path("s", "t", adhoc_only=True)
+        flat = flat_path(network, "s", "t")
         assert flat == ["s", "a", "b", "c", "d", "e", "t"]
         assert router.path("s", "t") == flat
         assert router.stats["greedy"] == 0
@@ -126,7 +132,7 @@ class TestHierarchicalRouterPlanning:
         router = HierarchicalRouter(network, flat_threshold=0)
         assert router.path("n0", "far2") is None
         assert router.stats["cell_unreachable"] == 1
-        assert network.shortest_path("n0", "far2", adhoc_only=True) is None
+        assert flat_path(network, "n0", "far2") is None
 
     def test_detour_world_falls_back_to_flat(self):
         env, network = make_network()
@@ -148,7 +154,7 @@ class TestHierarchicalRouterPlanning:
         for node_id, (x, y) in points.items():
             network.add_node(adhoc_node(env, node_id, x, y))
         router = HierarchicalRouter(network, flat_threshold=0)
-        flat = network.shortest_path("s", "t", adhoc_only=True)
+        flat = flat_path(network, "s", "t")
         assert flat is not None and len(flat) == 9
         assert router.path("s", "t") == flat
         assert router.stats["flat_fallback"] == 1
@@ -188,7 +194,7 @@ class TestHierarchicalPathCache:
         assert router.path("n0", "n4") == [f"n{i}" for i in range(5)]
         nodes[2].crash()
         assert router.path("n0", "n4") is None
-        assert network.shortest_path("n0", "n4", adhoc_only=True) is None
+        assert flat_path(network, "n0", "n4") is None
         nodes[2].restart()
         assert router.path("n0", "n4") == [f"n{i}" for i in range(5)]
 
@@ -282,8 +288,6 @@ class TestAdjacencyDownNodes:
         graph = network.adjacency()
         assert set(graph) == {"n0", "n2"}
         assert graph["n0"] == ()
-        from repro.net import reference as ref
-
         naive = ref.naive_adjacency(network)
         assert set(naive) == {"n0", "n2"}
         assert {k: set(v) for k, v in graph.items()} == naive
@@ -309,7 +313,10 @@ class TestAdjacencyDownNodes:
             assert graph[server] == tuple(
                 other for other in servers if other != server
             )
-        assert network.shortest_path("srv0", "srv5") == ["srv0", "srv5"]
+        assert flat_path(network, "srv0", "srv5", adhoc_only=False) == [
+            "srv0",
+            "srv5",
+        ]
 
 
 class TestMoveElision:

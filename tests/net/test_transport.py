@@ -221,6 +221,24 @@ class TestReliableSend:
         with pytest.raises(Unreachable):
             env.run()
 
+    @pytest.mark.parametrize("reliable", [False, True])
+    def test_unreachable_counted_and_traced_alike(self, reliable):
+        # Both send flavours share one prelude: the metric and the
+        # trace happening are emitted together.
+        env, network, transport = build()
+        add_pair(env, network, distance=1000.0)
+        message = Message("a", "b", "x")
+        send = transport.send_reliable if reliable else transport.send
+
+        def run(env):
+            yield send(message)
+
+        env.process(run(env))
+        with pytest.raises(Unreachable):
+            env.run()
+        assert transport.metrics.counter("net.unreachable").value == 1.0
+        assert transport.trace.count("net.unreachable") == 1
+
     def test_invalid_attempts(self):
         env, network, transport = build()
         add_pair(env, network)

@@ -11,10 +11,12 @@ from repro.net import (
     Network,
     NetworkNode,
     Position,
+    RoutingTable,
     Transport,
     WIFI_ADHOC,
 )
 from repro.sim import Environment, RandomStreams
+from tests.net import reference as ref
 
 TECH_SETS = [
     [WIFI_ADHOC],
@@ -97,10 +99,14 @@ class TestConnectivityProperties:
     def test_reachable_sets_partition_adhoc_graph(self, specs):
         env, network = build_network(specs)
         ids = list(network.nodes)
+        table = RoutingTable(network, adhoc_only=True)
         components = {}
         for node_id in ids:
             components[node_id] = frozenset(
-                network.reachable_set(node_id, adhoc_only=True)
+                other for other in ids if table.path(node_id, other) is not None
+            )
+            assert components[node_id] == ref.naive_reachable_set(
+                network, node_id, adhoc_only=True
             )
         # Membership is an equivalence: same component <=> same set.
         for a_id in ids:
@@ -113,12 +119,13 @@ class TestConnectivityProperties:
     def test_shortest_path_endpoints_and_adjacency(self, specs):
         env, network = build_network(specs)
         graph = network.adjacency()
+        table = RoutingTable(network, adhoc_only=False)
         ids = list(network.nodes)
         for a_id in ids:
             for b_id in ids:
                 if a_id == b_id:
                     continue
-                path = network.shortest_path(a_id, b_id)
+                path = table.path(a_id, b_id)
                 if path is None:
                     continue
                 assert path[0] == a_id and path[-1] == b_id

@@ -33,8 +33,8 @@ from repro.net import (
     WIFI_ADHOC,
     WIFI_INFRA,
 )
-from repro.net import reference as ref
 from repro.sim import Environment, RandomStreams
+from tests.net import reference as ref
 
 TECH_SETS = [
     [WIFI_ADHOC],

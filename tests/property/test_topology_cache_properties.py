@@ -2,7 +2,7 @@
 
 The cached fast paths (spatial grid + topology-epoch caches) must be
 *bit-identical* to the naive O(N²) sweeps kept in
-:mod:`repro.net.reference`, no matter how mobility, churn, and
+``tests/net/reference.py``, no matter how mobility, churn, and
 interface toggles interleave with queries.  Queries run between
 mutations so the caches are populated, invalidated, and repopulated —
 the exact pattern a live simulation produces.
@@ -22,8 +22,8 @@ from repro.net import (
     WIFI_ADHOC,
     WIFI_INFRA,
 )
-from repro.net import reference as ref
 from repro.sim import Environment
+from tests.net import reference as ref
 
 TECH_SETS = [
     [WIFI_ADHOC],
@@ -128,8 +128,16 @@ def _check_live_queries(network, nodes):
 
 
 def _check_full(network, nodes):
-    """The expensive end-of-program checks: every pairwise query."""
-    table = RoutingTable(network, adhoc_only=True)
+    """The expensive end-of-program checks: every pairwise query.
+
+    Paths and reachability come from the flat planner,
+    :class:`RoutingTable`; each path is asked twice, so the second
+    answer is served from the source's cached tree.
+    """
+    tables = {
+        adhoc_only: RoutingTable(network, adhoc_only=adhoc_only)
+        for adhoc_only in (True, False)
+    }
     for a in nodes:
         for b in nodes:
             if a.id == b.id:
@@ -137,30 +145,25 @@ def _check_full(network, nodes):
             assert list(network.links_between(a, b)) == ref.naive_links_between(
                 network, a, b
             )
-            for adhoc_only in (True, False):
+            for adhoc_only, table in tables.items():
+                # The tree-derived paths match the naive BFS bit for
+                # bit (same sorted tie-breaking).
                 expected_path = ref.naive_shortest_path(
                     network, a.id, b.id, adhoc_only=adhoc_only
                 )
-                assert (
-                    network.shortest_path(a.id, b.id, adhoc_only=adhoc_only)
-                    == expected_path
-                )
-                # Second call serves from the path cache.
-                assert (
-                    network.shortest_path(a.id, b.id, adhoc_only=adhoc_only)
-                    == expected_path
-                )
-            # The routing table's tree-derived paths match the naive BFS
-            # bit for bit (same sorted tie-breaking).
-            assert table.path(a.id, b.id) == ref.naive_shortest_path(
-                network, a.id, b.id, adhoc_only=True
-            )
+                assert table.path(a.id, b.id) == expected_path
+                assert table.path(a.id, b.id) == expected_path
     for node in nodes:
-        for adhoc_only in (True, False):
+        for adhoc_only, table in tables.items():
             expected = ref.naive_reachable_set(
                 network, node.id, adhoc_only=adhoc_only
             )
-            assert network.reachable_set(node.id, adhoc_only=adhoc_only) == expected
+            reachable = {
+                other_id
+                for other_id in network.nodes
+                if table.path(node.id, other_id) is not None
+            }
+            assert reachable == expected
 
 
 class TestTopologyCacheCoherence:

@@ -82,6 +82,20 @@ class TestExecuteJob:
         assert status == "error"
         assert "bogus_kwarg" in payload
 
+    @pytest.mark.parametrize("scenario", ["chaos", "hostile"])
+    @pytest.mark.parametrize("plan", ["default", "none"])
+    def test_serverless_fleet_reported_as_value_error(self, scenario, plan):
+        _key, status, payload = execute_job(
+            {
+                "scenario": scenario,
+                "seed": 0,
+                "plan": plan,
+                "params": {"servers": 0},
+            }
+        )
+        assert status == "error"
+        assert payload.startswith("ValueError: servers must be >= 1")
+
     def test_non_dict_return_is_error(self):
         _key, status, payload = execute_job(
             {
