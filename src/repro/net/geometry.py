@@ -91,9 +91,6 @@ class SpatialGrid:
         size = self.cell_size
         return (int(math.floor(position.x / size)), int(math.floor(position.y / size)))
 
-    # Kept as the internal spelling used before the cell API went public.
-    _cell_of = cell_of
-
     def position_of(self, item_id: str) -> Position:
         """Current indexed position of ``item_id`` (KeyError if absent)."""
         return self._positions[item_id]
@@ -110,15 +107,15 @@ class SpatialGrid:
             self.move(item_id, position)
             return
         self._positions[item_id] = position
-        self._cells.setdefault(self._cell_of(position), {})[item_id] = position
+        self._cells.setdefault(self.cell_of(position), {})[item_id] = position
 
     def move(self, item_id: str, position: Position) -> None:
         old = self._positions.get(item_id)
         if old is None:
             self.insert(item_id, position)
             return
-        old_cell = self._cell_of(old)
-        new_cell = self._cell_of(position)
+        old_cell = self.cell_of(old)
+        new_cell = self.cell_of(position)
         self._positions[item_id] = position
         if old_cell == new_cell:
             self._cells[old_cell][item_id] = position
@@ -133,7 +130,7 @@ class SpatialGrid:
         position = self._positions.pop(item_id, None)
         if position is None:
             return
-        cell = self._cell_of(position)
+        cell = self.cell_of(position)
         bucket = self._cells[cell]
         del bucket[item_id]
         if not bucket:
@@ -148,7 +145,7 @@ class SpatialGrid:
         self.cell_size = cell_size
         self._cells = {}
         for item_id, position in items:
-            self._cells.setdefault(self._cell_of(position), {})[item_id] = position
+            self._cells.setdefault(self.cell_of(position), {})[item_id] = position
 
     def near(self, position: Position, radius: float) -> List[str]:
         """Ids of all items within ``radius`` metres of ``position``.

@@ -554,8 +554,12 @@ class Network:
                     self.cache_stats["revalidations"] += 1
                     return cached
             self.cache_stats["misses"] += 1
-        # Any ad-hoc neighbour must sit within the longest usable ad-hoc
-        # range of this node, so a single grid ring bounds the sweep.
+        # The direct-link predicate of :meth:`_compute_links`, on ids
+        # and positions: ``other`` is a neighbour iff it is up, the
+        # filter admits (node, other), and one of this node's usable
+        # ad-hoc radios reaches it and finds a usable same-name
+        # interface there.  No Link is built; only sent legs need one.
+        radios: List[Tuple[str, float]] = []
         radius = -1.0
         for iface in node.usable_interfaces():
             tech = iface.technology
@@ -563,27 +567,37 @@ class Network:
                 continue
             if technology is not None and tech.name != technology.name:
                 continue
+            radios.append((tech.name, tech.range_m))
             if tech.range_m > radius:
                 radius = tech.range_m
         found: List[NetworkNode] = []
-        if radius >= 0.0:
-            candidates = self._grid.near(node.position, radius)
+        if radios:
+            # Any ad-hoc neighbour sits within the longest usable
+            # range, so a single grid ring bounds the sweep.
+            position = node.position
+            node_id = node.id
+            nodes = self.nodes
+            link_filter = self._link_filter
+            candidates = self._grid.near(position, radius)
             candidates.sort(key=self._order.__getitem__)
             for other_id in candidates:
-                if other_id == node.id:
+                if other_id == node_id:
                     continue
-                other = self.nodes[other_id]
+                other = nodes[other_id]
                 if not other.up:
                     continue
-                for link in self.links_between(node, other):
-                    if link.via_backbone:
-                        continue
-                    if technology is not None and (
-                        link.sender_technology.name != technology.name
-                    ):
-                        continue
-                    found.append(other)
-                    break
+                if link_filter is not None and not link_filter(
+                    node_id, other_id
+                ):
+                    continue
+                distance = position.distance_to(other.position)
+                interfaces = other.interfaces
+                for name, range_m in radios:
+                    if distance <= range_m:
+                        peer = interfaces.get(name)
+                        if peer is not None and peer.usable:
+                            found.append(other)
+                            break
         result = tuple(found)
         if cacheable:
             self._neighbors_cache[key] = (self._epoch, result)
@@ -595,11 +609,14 @@ class Network:
         """Snapshot of the connectivity graph: each up node's sorted
         neighbour ids.
 
-        Ad-hoc edges come from :meth:`neighbors`.  Unless
-        ``adhoc_only``, every pair of backbone-attached nodes that the
-        link filter admits is written out too, so B attached nodes cost
-        O(B²) edges.  Only *up* nodes appear as keys.  The returned
-        snapshot is cached — treat it as read-only.
+        Ad-hoc edges come from :meth:`neighbors`, so they follow the
+        link filter per direction: ``b`` is listed under ``a`` iff the
+        filter admits ``(a, b)``.  Unless ``adhoc_only``, every pair of
+        backbone-attached nodes that the filter admits *both ways* is
+        written out too, so B attached nodes cost O(B²) edges.  Under
+        an asymmetric filter the snapshot is therefore not symmetric.
+        Only *up* nodes appear as keys.  The returned snapshot is
+        cached — treat it as read-only.
         """
         self._validate_caches()
         cached = self._adjacency_cache.get(adhoc_only)

@@ -314,30 +314,26 @@ class Transport:
         span = self.tracer.start(
             "net.broadcast", source.id, msg=kind, bytes=size_bytes
         )
-        neighbors = self.network.neighbors(source, technology=technology)
-        # The radio transmits once whether or not anyone listens.
-        techs: List[LinkTechnology] = []
+        # Only a usable ad-hoc radio can transmit.
+        adhoc = [
+            iface.technology
+            for iface in source.usable_interfaces()
+            if iface.technology.is_adhoc
+        ]
         if technology is not None:
-            techs = [technology]
+            techs = [tech for tech in adhoc if tech.name == technology.name]
         else:
+            # Every radio that reaches someone, in name order; with
+            # nobody in range the transmission still happens, on the
+            # first usable ad-hoc radio.
             techs = sorted(
-                {
-                    link.sender_technology
-                    for neighbor in neighbors
-                    for link in self.network.links_between(source, neighbor)
-                    if not link.via_backbone
-                },
+                (
+                    tech
+                    for tech in adhoc
+                    if self.network.neighbors(source, technology=tech)
+                ),
                 key=lambda tech: tech.name,
-            )
-        if not techs:
-            # Nothing in range; still model the transmission on the first
-            # usable ad-hoc radio, if any.
-            adhoc = [
-                iface.technology
-                for iface in source.usable_interfaces()
-                if iface.technology.is_adhoc
-            ]
-            techs = adhoc[:1]
+            ) or adhoc[:1]
         received: List[str] = []
         wire = size_bytes + 64
         for tech in techs:

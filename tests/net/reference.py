@@ -8,7 +8,7 @@ after arbitrary mobility/churn interleavings and
 ``benchmarks/bench_micro_net.py`` uses as the speedup baseline.
 
 Everything here reads only public node state (positions, interfaces,
-``up`` flags), never the network's caches.
+``up`` flags) and the network's link filter, never its caches.
 """
 
 from __future__ import annotations
@@ -41,8 +41,15 @@ def naive_infra_covered(
 def naive_links_between(
     network: Network, a: NetworkNode, b: NetworkNode
 ) -> List[Link]:
-    """Pairwise link computation without caches or the spatial index."""
+    """Pairwise link computation without caches or the spatial index.
+
+    Honours ``network.link_filter`` over ``(a.id, b.id)``, the one
+    piece of network state the links depend on besides node state.
+    """
     if not (a.up and b.up):
+        return []
+    link_filter = network.link_filter
+    if link_filter is not None and not link_filter(a.id, b.id):
         return []
     links: List[Link] = []
     a_ifaces = a.usable_interfaces()
@@ -100,7 +107,10 @@ def naive_adjacency(
     """O(N²) pairwise adjacency snapshot.
 
     Only *up* nodes appear as keys: a crashed node has no links, so it
-    contributes nothing to connectivity and BFS must not see it.
+    contributes nothing to connectivity and BFS must not see it.  Each
+    pair is linked both ways by its lower-registered end's links, so
+    this matches :meth:`Network.adjacency` only under a symmetric (or
+    no) link filter.
     """
     ids = [node_id for node_id, node in network.nodes.items() if node.up]
     graph: Dict[str, Set[str]] = {node_id: set() for node_id in ids}

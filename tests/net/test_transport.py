@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import MessageTooLarge, TransportTimeout, Unreachable
 from repro.net import (
+    BLUETOOTH,
     GPRS,
     HEADER_BYTES,
     LAN,
@@ -284,6 +285,64 @@ class TestBroadcast:
         assert env.run(until=process) == []
         # The transmission itself still cost airtime bytes.
         assert a.costs.total_bytes_sent > 0
+
+    def _pair_with_gprs(self):
+        env, network, transport = build()
+        transport._rng.random = lambda: 0.99  # no loss
+        a = network.add_node(
+            NetworkNode(
+                env, "a", Position(0, 0), technologies=[WIFI_ADHOC, GPRS]
+            )
+        )
+        network.add_node(
+            NetworkNode(env, "b", Position(10, 0), technologies=[WIFI_ADHOC])
+        )
+        return env, transport, a
+
+    def _broadcast(self, env, transport, source, technology):
+        def run(env):
+            heard = yield transport.broadcast(
+                source, "hello", size_bytes=1000, technology=technology
+            )
+            return heard
+
+        return env.run(until=env.process(run(env)))
+
+    def test_explicit_technology_transmits_on_that_radio(self):
+        env, transport, a = self._pair_with_gprs()
+        assert self._broadcast(env, transport, a, WIFI_ADHOC) == ["b"]
+        assert a.costs.bytes_sent == {WIFI_ADHOC.name: 1000 + 64}
+
+    def test_explicit_technology_on_a_disabled_radio_bills_nothing(self):
+        env, transport, a = self._pair_with_gprs()
+        a.interface(WIFI_ADHOC.name).disable()
+        assert self._broadcast(env, transport, a, WIFI_ADHOC) == []
+        assert a.costs.total_bytes_sent == 0
+        assert a.costs.money == 0.0
+
+    def test_explicit_infrastructure_technology_bills_nothing(self):
+        env, transport, a = self._pair_with_gprs()
+        assert self._broadcast(env, transport, a, GPRS) == []
+        assert a.costs.total_bytes_sent == 0
+        assert a.costs.money == 0.0
+
+    def test_radios_reaching_someone_transmit_in_name_order(self):
+        env, network, transport = build()
+        transport._rng.random = lambda: 0.99  # no loss
+        a = network.add_node(
+            NetworkNode(
+                env, "a", Position(0, 0), technologies=[WIFI_ADHOC, BLUETOOTH]
+            )
+        )
+        network.add_node(
+            NetworkNode(env, "wifi", Position(50, 0), technologies=[WIFI_ADHOC])
+        )
+        network.add_node(
+            NetworkNode(env, "bt", Position(5, 0), technologies=[BLUETOOTH])
+        )
+        # "802.11b-adhoc" sorts before "bluetooth".
+        assert self._broadcast(env, transport, a, None) == ["wifi", "bt"]
+        assert set(a.costs.bytes_sent) == {WIFI_ADHOC.name, BLUETOOTH.name}
 
 
 class TestLegWorkCount:

@@ -14,12 +14,18 @@ test_topology_cache_properties so the same world shapes are covered):
 (c) every hierarchical path respects the documented stretch bound
     ``hops ≤ stretch × flat_hops + 2``, and so does every message a
     source-routing :class:`Router` delivers over it: on a static world
-    the delivered hop count is the source plan's length minus one.
+    the delivered hop count is the source plan's length minus one;
+(d) on random-waypoint meshes above ``flat_threshold``, the corridor
+    walk's paths and ladder stats are the same whether ``neighbors``
+    answers by the link-free distance test or by the naive link sweep.
 """
+
+import random
 
 from hypothesis import given, settings, strategies as st
 
 from repro.net import (
+    Area,
     BLUETOOTH,
     GPRS,
     HierarchicalRouter,
@@ -27,6 +33,7 @@ from repro.net import (
     Network,
     NetworkNode,
     Position,
+    RandomWaypoint,
     Router,
     RoutingTable,
     Transport,
@@ -230,3 +237,67 @@ class TestHierarchicalRouterProperties:
                 assert len(plans) == 1
                 assert hops == len(plans[0]) - 1
                 assert hops <= planner.stretch * (len(flat) - 1) + 2
+
+
+class NaiveNeighborsNetwork(Network):
+    """A network answering every ``neighbors`` query (and so every
+    adjacency snapshot) through the naive full sweep."""
+
+    def neighbors(self, node, technology=None):
+        return tuple(ref.naive_neighbors(self, node, technology))
+
+
+def _waypoint_mesh(network_class, seed, count, side):
+    """``count`` Wi-Fi nodes at seeded positions in a ``side`` metre
+    square, walking under the random-waypoint model."""
+    env = Environment()
+    network = network_class(env)
+    streams = RandomStreams(seed)
+    placement = streams.stream("placement")
+    area = Area(side, side)
+    nodes = [
+        network.add_node(
+            NetworkNode(
+                env,
+                f"n{index}",
+                area.random_position(placement),
+                technologies=[WIFI_ADHOC],
+            )
+        )
+        for index in range(count)
+    ]
+    RandomWaypoint(env, nodes, area, streams, speed_range=(1.0, 8.0))
+    return env, network
+
+
+class TestLinkFreeNeighbours:
+    @given(
+        seed=st.integers(0, 2**16),
+        count=st.integers(260, 320),
+        side=st.floats(500.0, 1100.0),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_corridor_plans_match_a_naive_neighbour_oracle(
+        self, seed, count, side
+    ):
+        """(d): above ``flat_threshold`` the corridor walk plans the
+        same paths, with the same ladder stats, whether ``neighbors``
+        is the link-free distance test or the naive link sweep."""
+        worlds = [
+            _waypoint_mesh(network_class, seed, count, side)
+            for network_class in (Network, NaiveNeighborsNetwork)
+        ]
+        planners = [HierarchicalRouter(network) for _, network in worlds]
+        assert count > planners[0].flat_threshold
+        pick = random.Random(seed)
+        pairs = [
+            (f"n{a}", f"n{b}")
+            for a, b in (pick.sample(range(count), 2) for _ in range(6))
+        ]
+        for tick in range(1, 4):
+            paths = []
+            for (env, _network), planner in zip(worlds, planners):
+                env.run(until=float(tick))
+                paths.append([planner.path(a, b) for a, b in pairs])
+            assert paths[0] == paths[1]
+            assert planners[0].stats == planners[1].stats
