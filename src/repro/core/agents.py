@@ -40,6 +40,7 @@ from .invocation import (
     InvocationTask,
     RetryPolicy,
     request_with_retry,
+    retry_with_backoff,
 )
 
 KIND_TRANSFER = "agent.transfer"
@@ -106,11 +107,22 @@ class Agent:
 
 
 class AgentContext:
-    """What an agent sees of the host it currently occupies."""
+    """What an agent sees of the host it currently occupies.
 
-    def __init__(self, runtime: "AgentRuntime", agent: Agent) -> None:
+    ``trip`` is the span (or wire span context) this stay belongs to:
+    the ``ma.invoke`` span when :meth:`AgentRuntime.invoke` launched
+    the agent, or the trace context of the transfer that brought it
+    here.  The stay's ``agent.migrate`` and ``invoke.backoff`` spans
+    parent under it, so one agent trip stays one trace tree.  It is
+    never shipped in the agent's state.
+    """
+
+    def __init__(
+        self, runtime: "AgentRuntime", agent: Agent, trip: object
+    ) -> None:
         self._runtime = runtime
         self._agent = agent
+        self._trip = trip
         host = runtime.require_host()
         # The agent's whole stay at this host is one provider session:
         # every ``execute``/``invoke_local`` charge lands on the
@@ -190,10 +202,27 @@ class AgentContext:
         runtime's uniform ``paradigm.ma.served`` counter."""
         self._runtime.pipeline.record_served()
 
-    def note_retry(self) -> None:
-        """Count one agent-level retry (a re-attempted hop) against the
-        runtime's uniform ``paradigm.ma.retries`` counter."""
-        self._runtime.pipeline.bump("retries")
+    def migrate_with_retry(
+        self, target_id: str, policy: RetryPolicy
+    ) -> Generator:
+        """:meth:`migrate` to ``target_id``, retrying failed transfers.
+
+        Runs through the pipeline's backoff helper
+        (:func:`~repro.core.invocation.retry_with_backoff`): each
+        :class:`MigrationError` but the last is followed by one
+        ``paradigm.ma.retries`` count and one ``invoke.backoff`` span
+        lasting the policy's delay.  On success control does not
+        return; when every attempt fails the last error is raised.
+        """
+        runtime = self._runtime
+        yield from retry_with_backoff(
+            runtime.require_host(),
+            lambda _number: self.migrate(target_id),
+            policy,
+            (MigrationError,),
+            parent=self._trip,
+            on_retry=lambda: runtime.pipeline.bump("retries"),
+        )
 
     def deliver(self, payload: object) -> None:
         """Hand a payload to the current host's application layer."""
@@ -212,7 +241,9 @@ class AgentContext:
         does NOT return.  On failure :class:`MigrationError` is raised
         and the agent keeps running here (it may pick another target).
         """
-        yield from self._runtime._migrate(self._agent, target_id)
+        yield from self._runtime._migrate(
+            self._agent, target_id, parent=self._trip
+        )
         raise _MigrationComplete(target_id)
 
     def clone_to(self, target_id: str) -> Generator:
@@ -267,6 +298,11 @@ class AgentRuntime(Component):
 
     def launch(self, agent: Agent, **initial_state: object):
         """Start ``agent`` on this host; returns its assigned id."""
+        return self._launch(agent, initial_state)
+
+    def _launch(
+        self, agent: Agent, initial_state: Dict[str, object], trip: object = None
+    ) -> str:
         host = self.require_host()
         agent.state.update(initial_state)
         self._launch_counter += 1
@@ -275,7 +311,7 @@ class AgentRuntime(Component):
         )
         agent.state.setdefault("home", host.id)
         agent.state.setdefault("hops", 0)
-        self._run(agent)
+        self._run(agent, trip)
         return agent.agent_id
 
     def on_delivery(self, listener: DeliveryListener) -> None:
@@ -303,16 +339,16 @@ class AgentRuntime(Component):
 
     # -- lifecycle ----------------------------------------------------------------------
 
-    def _run(self, agent: Agent) -> None:
+    def _run(self, agent: Agent, trip: object) -> None:
         self.hosted[agent.agent_id] = agent
         self.env.process(
-            self._lifecycle(agent),
+            self._lifecycle(agent, trip),
             name=f"agent:{agent.agent_id}@{self.require_host().id}",
         )
 
-    def _lifecycle(self, agent: Agent) -> Generator:
+    def _lifecycle(self, agent: Agent, trip: object) -> Generator:
         host = self.require_host()
-        context = AgentContext(self, agent)
+        context = AgentContext(self, agent, trip)
         try:
             yield from self._guarded_arrival(agent, context)
         except _MigrationComplete as move:
@@ -415,11 +451,7 @@ class AgentRuntime(Component):
 
         try:
             reply = yield from request_with_retry(
-                host,
-                build,
-                timeout=self.migration_timeout,
-                parent=parent,
-                on_retry=lambda: self.pipeline.bump("retries"),
+                host, build, timeout=self.migration_timeout, parent=parent
             )
         except (Unreachable, TransportTimeout, RequestTimeout) as error:
             raise MigrationError(
@@ -433,11 +465,17 @@ class AgentRuntime(Component):
                 f"({outcome.get('reason', 'no reason given')})"
             )
 
-    def _migrate(self, agent: Agent, target_id: str) -> Generator:
+    def _migrate(
+        self, agent: Agent, target_id: str, parent: object = None
+    ) -> Generator:
         host = self.require_host()
         tracer = host.world.tracer
         span = tracer.start(
-            "agent.migrate", host.id, agent=agent.agent_id, to=target_id
+            "agent.migrate",
+            host.id,
+            parent=parent,
+            agent=agent.agent_id,
+            to=target_id,
         )
         started = self.env.now
         state = dict(agent.state)
@@ -494,7 +532,7 @@ class AgentRuntime(Component):
             agent=agent.agent_id, origin=message.source,
         )
         host.world.metrics.counter("agents.arrivals").increment()
-        self._run(agent)
+        self._run(agent, message.trace_context)
 
     # -- Paradigm protocol -------------------------------------------------------
 
@@ -518,12 +556,14 @@ class AgentRuntime(Component):
         targets = [target] if scalar else list(target or [])
 
         def attempt(span: object) -> Generator:
-            agent = TaskAgent()
-            agent_id = self.launch(
-                agent,
-                service=task.name,
-                payload=task.payload,
-                targets=list(targets),
+            agent_id = self._launch(
+                TaskAgent(),
+                {
+                    "service": task.name,
+                    "payload": task.payload,
+                    "targets": list(targets),
+                },
+                trip=span,
             )
             yield self.env.any_of(
                 [self.completion(agent_id), self.env.timeout(task.timeout)]
@@ -558,13 +598,15 @@ class ItineraryAgent(Agent):
     """An agent that visits a list of hosts, then returns home.
 
     Subclasses override :meth:`visit`; its return value is appended to
-    ``state["results"]``.  Unreachable hosts are skipped; the homeward
-    migration is retried with backoff.
+    ``state["results"]``.  Unreachable hosts are skipped.  The homeward
+    migration is retried under :attr:`home_retry` through
+    :meth:`AgentContext.migrate_with_retry`; when every attempt fails
+    the agent raises :class:`MigrationError` at once and ends
+    ``stranded`` where it is.
     """
 
-    #: Seconds between homeward migration retries.
-    home_retry_delay: float = 5.0
-    home_retry_limit: int = 5
+    #: Homeward migration: five tries, 5 s apart.
+    home_retry = RetryPolicy(attempts=5, base_delay_s=5.0, multiplier=1.0)
 
     def visit(self, context: AgentContext) -> Generator:
         """Work to do at each itinerary host; generator returning a result."""
@@ -594,14 +636,12 @@ class ItineraryAgent(Agent):
                 state["index"] = index + 1
         if context.host_id == home:
             return  # completed at home; results are in state
-        for _attempt in range(self.home_retry_limit):
-            try:
-                yield from context.migrate(home)
-            except MigrationError:
-                yield from context.sleep(self.home_retry_delay)
-        raise MigrationError(
-            f"agent {self.agent_id} could not return home to {home}"
-        )
+        try:
+            yield from context.migrate_with_retry(home, self.home_retry)
+        except MigrationError as error:
+            raise MigrationError(
+                f"agent {self.agent_id} could not return home to {home}"
+            ) from error
 
 
 class TaskAgent(Agent):
@@ -610,32 +650,27 @@ class TaskAgent(Agent):
     Visits each target host, calls the service named by
     ``state["service"]`` with ``state["payload"]``, accumulates the
     results, and carries them home.  Failed hops are retried in place
-    with backoff (``context.note_retry``); a hop that stays impossible
-    — or a failing service call — is recorded as a wire-marshalled
-    error in ``state["error"]`` for :meth:`AgentRuntime.invoke` to
-    re-raise at the launch host.
+    under :attr:`hop_retry` through
+    :meth:`AgentContext.migrate_with_retry`, which counts each retry in
+    ``paradigm.ma.retries`` and traces each wait as an
+    ``invoke.backoff`` span.  A hop that stays impossible — or a
+    failing service call — is recorded as a wire-marshalled error in
+    ``state["error"]`` for :meth:`AgentRuntime.invoke` to re-raise at
+    the launch host.
     """
 
     code_size = 8_000
-    #: Seconds before re-attempting a failed hop (doubles per retry).
-    hop_retry_delay: float = 2.0
-    hop_retry_limit: int = 3
+    #: Failed hops: three tries, waiting 2 s and then 4 s.
+    hop_retry = RetryPolicy(attempts=3, base_delay_s=2.0, multiplier=2.0)
 
     def _hop(self, context: AgentContext, target: str) -> Generator:
         """Migrate to ``target``; on success control never returns
         (weak mobility).  Returning at all means every retry failed and
         ``state["error"]`` holds the migration error."""
-        delay = self.hop_retry_delay
-        for attempt in range(max(1, self.hop_retry_limit)):
-            try:
-                yield from context.migrate(target)
-            except MigrationError as error:
-                if attempt + 1 >= max(1, self.hop_retry_limit):
-                    self.state["error"] = to_wire(error)
-                    return
-                context.note_retry()
-                yield from context.sleep(delay)
-                delay *= 2
+        try:
+            yield from context.migrate_with_retry(target, self.hop_retry)
+        except MigrationError as error:
+            self.state["error"] = to_wire(error)
 
     def on_arrival(self, context: AgentContext) -> Generator:
         state = self.state

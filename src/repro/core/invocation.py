@@ -15,6 +15,11 @@ provides:
   exponential backoff under a :class:`RetryPolicy`.  The paper's
   intermittent-connectivity reality was previously an unhandled hard
   failure.
+* **One backoff loop** — :func:`retry_with_backoff` is the only retry
+  loop in the middleware: request retries, whole-operation retries
+  (:meth:`InvocationPipeline.run`) and mobile agents' hop and
+  home-return retries (``AgentContext.migrate_with_retry``) all run
+  through it, so every backoff sleep is counted and traced alike.
 * **Typed error marshalling** — error replies carry
   :func:`repro.errors.to_wire` payloads and are rebuilt into typed
   exceptions with :func:`repro.errors.from_wire` on the caller's side
@@ -108,6 +113,52 @@ class RetryPolicy:
 DEFAULT_RETRY = RetryPolicy()
 
 
+def retry_with_backoff(
+    host,
+    attempt: Callable[[int], Generator],
+    policy: Optional[RetryPolicy],
+    transient: Tuple[type, ...],
+    *,
+    parent: object = None,
+    on_retry: Optional[Callable[[], None]] = None,
+) -> Generator:
+    """Run ``attempt`` under ``policy``, backing off on ``transient`` errors.
+
+    The middleware's one retry loop (generator).  ``attempt(number)``
+    is called with the 1-based attempt number and must return a
+    generator.  Only the ``transient`` exception types are retried;
+    anything else, and the last attempt's failure, propagates.
+    ``policy=None`` means a single attempt.  Before each backoff sleep
+    ``on_retry`` is called once, and the sleep is wrapped in an
+    ``invoke.backoff`` span under ``parent`` carrying the failed
+    ``attempt`` and its ``delay_s``, so retry stalls are attributable
+    in the trace analysis (see :mod:`repro.obs.trace`) instead of
+    vanishing into dead time.
+    """
+    attempts = 1 if policy is None else max(1, policy.attempts)
+    tracer = host.world.tracer
+    number = 1
+    while True:
+        try:
+            return (yield from attempt(number))
+        except transient:
+            if number >= attempts:
+                raise
+        if on_retry is not None:
+            on_retry()
+        delay = policy.delay(number - 1)
+        backoff = tracer.start(
+            "invoke.backoff",
+            host.id,
+            parent=parent,
+            attempt=number,
+            delay_s=delay,
+        )
+        yield host.env.timeout(delay)
+        tracer.finish(backoff)
+        number += 1
+
+
 def request_with_retry(
     host,
     build: Callable[[], Message],
@@ -122,40 +173,22 @@ def request_with_retry(
     ``build`` is called once per attempt: reply correlation is keyed on
     the message id, so a retry must ship a *fresh* message, not re-send
     a stale one whose pending event was already discarded.  Only
-    :data:`TRANSIENT_LINK_ERRORS` are retried; ``RequestTimeout`` and
-    typed remote errors propagate immediately.  ``retry=None`` means a
-    single attempt.
-
-    Each attempt's ``host.request`` span carries its 1-based attempt
-    index, and every backoff sleep is wrapped in an ``invoke.backoff``
-    span, so retry stalls are attributable in the trace analysis (see
-    :mod:`repro.obs.trace`) instead of vanishing into dead time.
+    :data:`TRANSIENT_LINK_ERRORS` are retried, through
+    :func:`retry_with_backoff`; ``RequestTimeout`` and typed remote
+    errors propagate immediately.  ``retry=None`` means a single
+    attempt.  Each attempt's ``host.request`` span carries its 1-based
+    attempt index.
     """
-    attempts = 1 if retry is None else max(1, retry.attempts)
-    tracer = host.world.tracer
-    for attempt in range(attempts):
-        message = build()
-        try:
-            reply = yield from host.request(
-                message, timeout=timeout, parent=parent, attempt=attempt + 1
-            )
-        except TRANSIENT_LINK_ERRORS:
-            if attempt + 1 >= attempts:
-                raise
-            if on_retry is not None:
-                on_retry()
-            delay = retry.delay(attempt)
-            backoff = tracer.start(
-                "invoke.backoff",
-                host.id,
-                parent=parent,
-                attempt=attempt + 1,
-                delay_s=delay,
-            )
-            yield host.env.timeout(delay)
-            tracer.finish(backoff)
-            continue
-        return reply
+    return retry_with_backoff(
+        host,
+        lambda number: host.request(
+            build(), timeout=timeout, parent=parent, attempt=number
+        ),
+        retry,
+        TRANSIENT_LINK_ERRORS,
+        parent=parent,
+        on_retry=on_retry,
+    )
 
 
 class InvocationPipeline:
@@ -291,31 +324,18 @@ class InvocationPipeline:
         host = self.host
         tracer = host.world.tracer
         env = host.env
-        attempts = max(1, retry.attempts) if transient and retry else 1
         self.bump("calls")
         span = tracer.start(op, host.id, **span_fields)
         started = env.now
-        result: object = None
         try:
-            for number in range(attempts):
-                try:
-                    result = yield from attempt(span)
-                except transient:
-                    if number + 1 >= attempts:
-                        raise
-                    self.bump("retries")
-                    delay = retry.delay(number)
-                    backoff = tracer.start(
-                        "invoke.backoff",
-                        host.id,
-                        parent=span,
-                        attempt=number + 1,
-                        delay_s=delay,
-                    )
-                    yield env.timeout(delay)
-                    tracer.finish(backoff)
-                    continue
-                break
+            result = yield from retry_with_backoff(
+                host,
+                lambda _number: attempt(span),
+                retry,
+                transient,
+                parent=span,
+                on_retry=lambda: self.bump("retries"),
+            )
         except BaseException as error:
             self.bump("errors")
             tracer.finish(span, status="error", error=type(error).__name__)

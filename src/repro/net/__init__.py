@@ -33,12 +33,6 @@ from .technologies import (
     LinkTechnology,
     technology,
 )
-from .traceio import (
-    ConnectivityRecorder,
-    dump_mobility,
-    load_mobility,
-    replay_mobility,
-)
 from .transport import ACK_BYTES, Transport
 
 __all__ = [
@@ -47,7 +41,6 @@ __all__ = [
     "BACKBONE_LATENCY_S",
     "BLUETOOTH",
     "ConnectivityMonitor",
-    "ConnectivityRecorder",
     "CostMeter",
     "DIALUP",
     "GPRS",
@@ -71,11 +64,8 @@ __all__ = [
     "Transport",
     "WIFI_ADHOC",
     "WIFI_INFRA",
-    "dump_mobility",
     "grid_positions",
-    "load_mobility",
     "prefer_fast",
-    "replay_mobility",
     "prefer_free_then_fast",
     "technology",
 ]

@@ -14,7 +14,9 @@ five buckets:
   receiver-side ``t_deliver`` stamp (fault-injected delays land here,
   not in dead air);
 * **service** — remote handler execution (``host.handle`` spans);
-* **retry**   — pipeline backoff sleeps (``invoke.backoff`` spans) and
+* **retry**   — every backoff sleep (``invoke.backoff`` spans, opened
+  by :func:`repro.core.invocation.retry_with_backoff` for request and
+  operation retries and for agent hop and home-return retries) and
   ARQ retransmission gaps between attempts of the same message;
 * **other**   — whatever remains of the invocation's wall interval
   (request/timeout waits not covered above).
