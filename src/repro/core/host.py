@@ -37,7 +37,7 @@ from ..security import (
     capsule_verification_delay,
     verify_capsule,
 )
-from ..sim import Event, Process
+from ..sim import Event
 from .components import Component, MessageHandler
 from .context import Battery, ContextRegistry
 from .world import World
@@ -229,7 +229,7 @@ class MobileHost:
 
     # -- messaging ----------------------------------------------------------------
 
-    def send(self, message: Message, reliable: bool = True) -> Process:
+    def send(self, message: Message, reliable: bool = True) -> Event:
         """Send a message, charging the battery for the radio bytes."""
         if self.battery is not None:
             self.battery.consume_radio(message.wire_size)
@@ -350,7 +350,7 @@ class MobileHost:
 
     def reply_to(
         self, request: Message, kind: str, payload: object = None, size_bytes: int = 0
-    ) -> Process:
+    ) -> Event:
         """Send a correlated reply to ``request``."""
         return self.send(request.reply(kind, payload=payload, size_bytes=size_bytes))
 

@@ -13,9 +13,10 @@ the system uses (``Interface.disable``, ``NetworkNode.crash``,
 ``Network.set_link_filter``), so every cache layer sees them.  Message
 faults act through the transport's ``faults`` hook: ``drops`` is
 consulted before the delivery decision (forced loss is retransmittable
-— ARQ and pipeline retries can recover), and ``deliver`` owns the
-inbox puts after it (delays and duplicates are spawned processes, so
-sender and acknowledgement timing are untouched).
+— ARQ and pipeline retries can recover), and ``deliver`` runs after
+it, before the inbox put (delays and duplicates are spawned processes
+that put their own copies, so sender and acknowledgement timing are
+untouched).
 
 Each applied fault increments a ``faults.*`` counter and, when spans
 are enabled, wraps the outage window in a ``fault.<kind>`` span.
@@ -268,13 +269,15 @@ class FaultInjector:
                 return True
         return False
 
-    def deliver(self, message: Message, destination: NetworkNode):
-        """Transport hook: owns the inbox put(s) for a delivered message.
+    def deliver(self, message: Message, destination: NetworkNode) -> bool:
+        """Transport hook, run on a delivered message before its inbox put.
 
         May mark the payload corrupted, delay the delivery, or schedule
         duplicate copies.  Delays and duplicates run as spawned
         processes so the sender's timing (and the link-layer ACK) is
-        exactly what it would have been without the fault.
+        exactly what it would have been without the fault.  Returns
+        False when it held the message back for a delay (the delayed
+        copy puts itself), True when the transport should put it now.
         """
         for spec in self._windows["corrupt"]:
             if self._hits(spec, destination.id, message.kind):
@@ -303,10 +306,8 @@ class FaultInjector:
                 self._deliver_later(message, destination, extra),
                 name=f"fault-delay#{message.id}",
             )
-            return
-        if self.world.tracer.enabled:
-            message.delivered_at = self.env.now
-        yield destination.inbox.put(message)
+            return False
+        return True
 
     def _deliver_later(
         self, message: Message, destination: NetworkNode, delay_s: float
@@ -319,7 +320,7 @@ class FaultInjector:
             # up as transit time in the span analysis, not dead air.
             if self.world.tracer.enabled:
                 message.delivered_at = self.env.now
-            yield destination.inbox.put(message)
+            destination.inbox.put_nowait(message)
 
     # -- teardown ------------------------------------------------------------
 

@@ -454,8 +454,9 @@ class Router:
         planned at the source; resolves to the hop count on success.
 
         Fails with :class:`Unreachable` when a link on the route breaks
-        and no path remains from the node the message has reached, or
-        after ``max_hops`` hops.
+        and no path remains from the node the message has reached,
+        after ``max_hops`` hops, or when the destination is down once
+        the last leg is acknowledged.
         """
         return self.env.process(
             self._relay(message), name=f"route#{message.id}"
@@ -520,8 +521,12 @@ class Router:
                 # A dispatcher consumed it first; it is expected to ignore
                 # the reserved "net.relay" kind.
                 removal.cancel()
+        destination_node = self.network.node(message.destination)
+        # The last leg's ack can return after the destination crashed;
+        # a downed node's inbox takes nothing.
+        if not destination_node.up:
+            raise Unreachable(f"destination {message.destination} is down")
         message.hops = hops
         message.via = "multihop"
-        destination_node = self.network.node(message.destination)
         yield destination_node.inbox.put(message)
         return hops

@@ -6,6 +6,13 @@ after the propagation latency unless the link broke mid-transfer or the
 loss draw failed.  ``send_reliable`` adds ARQ-style retransmission with
 a bounded number of attempts.  ``broadcast`` models a single ad-hoc
 radio transmission heard by every in-range neighbour.
+
+A send is no process: it runs as a :class:`_Leg`, a chain of callbacks
+on the events the transfer has to schedule anyway — an urgent start
+event, the radio channel claim, the transmit and latency timeouts and,
+for a reliable send, the acknowledgement.  The returned :class:`Event`
+fires with the outcome at the instant the old sending process finished,
+so callers yield it exactly as before.
 """
 
 from __future__ import annotations
@@ -14,7 +21,16 @@ from typing import Generator, List, Optional
 
 from ..errors import MessageTooLarge, NetworkError, TransportTimeout, Unreachable
 from ..obs import NOOP_SPAN, SpanTracer
-from ..sim import Environment, MetricsRegistry, Process, RandomStreams, TraceLog
+from ..sim import (
+    Environment,
+    Event,
+    MetricsRegistry,
+    Process,
+    RandomStreams,
+    Timeout,
+    TraceLog,
+)
+from ..sim.events import PENDING
 from .message import Message
 from .network import Link, LinkPolicy, Network, prefer_free_then_fast
 from .node import NetworkNode
@@ -29,6 +45,295 @@ def _check_size(message: Message, link: Link) -> None:
         raise MessageTooLarge(
             f"{message.wire_size}B exceeds {link.sender_technology.name} limit"
         )
+
+
+class _Leg:
+    """One send, run as kernel callbacks instead of a generator process.
+
+    The steps, each a callback on the one event it waits for:
+
+    1. ``_start`` (an urgent start event, where a process would start)
+       picks the first link and queues for the sender's radio;
+    2. ``_granted`` (the channel claim) starts the transmit timeout;
+    3. ``_sent`` frees the radio, bills the sender and starts the
+       propagation timeout;
+    4. ``_arrived`` decides delivery or loss and settles ``done`` —
+       or, for a lost attempt with attempts left, starts the ack
+       timeout whose callback ``_retry`` retransmits.
+
+    ``done`` is the event the caller holds.  A plain send settles it
+    when the delivery is decided; a reliable send's ``done`` *is* the
+    final acknowledgement, scheduled one latency after the decision
+    with ``_ack`` (the ack billing) as its first callback.  Any
+    exception a step raises fails ``done``, as it failed the process.
+    """
+
+    __slots__ = (
+        "transport",
+        "done",
+        "policy",
+        "attempts",
+        "message",
+        "source",
+        "destination",
+        "link",
+        "attempt",
+        "span",
+        "claim",
+    )
+
+    def __init__(
+        self,
+        transport: "Transport",
+        message: Message,
+        policy: LinkPolicy,
+        attempts: int,
+    ) -> None:
+        self.transport = transport
+        self.message = message
+        self.policy = policy
+        #: Attempt budget of a reliable send; 0 for an unacknowledged one.
+        self.attempts = attempts
+        self.attempt = 1
+        self.span = NOOP_SPAN
+        self.claim = None
+        env = transport.env
+        self.done = Event(env)
+        # Urgent, like a process's first resumption: the prelude runs at
+        # the send's instant, after the caller has yielded ``done`` and
+        # in the queue slot same-instant work is ordered against.
+        start = Event(env)
+        start._value = None
+        start.callbacks.append(self._start)
+        env.schedule(start, priority=True)
+
+    def _fail(self, error: Exception) -> None:
+        """Fail ``done`` with ``error`` now (urgent, as a process failed),
+        first returning a radio claim the failed step still held."""
+        claim = self.claim
+        if claim is not None:
+            self.claim = None
+            claim.resource.release(claim)
+        done = self.done
+        if done._value is not PENDING:
+            # The outcome is already scheduled; surface the error.
+            raise error
+        done._ok = False
+        done._value = error
+        self.transport.env.schedule(done, priority=True)
+
+    def _start(self, _event: Event) -> None:
+        try:
+            self.source, self.destination, self.link = (
+                self.transport._first_link(self.message, self.policy)
+            )
+            self._transmit()
+        except Exception as error:
+            self._fail(error)
+
+    def _transmit(self) -> None:
+        """Open this attempt's span and queue for the sender's radio."""
+        # Hop timestamps for the trace analyzer: the span runs
+        # enqueue -> on-air -> sent -> delivery decision, and ``t_air``/
+        # ``t_sent`` split it into channel-queue, airtime, and transit.
+        # Guarded so the disabled-tracing path builds, stamps (and
+        # allocates) nothing.
+        tracer = self.transport.tracer
+        link = self.link
+        span = NOOP_SPAN
+        if tracer.enabled:
+            message = self.message
+            span = tracer.start(
+                "net.transmit",
+                self.source.id,
+                parent=message.trace_context,
+                msg=message.kind,
+                msg_id=message.id,
+                attempt=self.attempt,
+                to=self.destination.id,
+                bytes=message.wire_size,
+                via=link.name,
+            )
+        self.span = span
+        interface = self.source.interface(link.sender_technology.name)
+        claim = self.claim = interface.channel.request()
+        claim.callbacks.append(self._granted)
+
+    def _granted(self, _event: Event) -> None:
+        try:
+            env = self.transport.env
+            span = self.span
+            if span is not NOOP_SPAN:
+                span.attributes["t_air"] = env.now
+            transmit_time = self.link.transfer_time(self.message.wire_size)
+            Timeout(env, transmit_time).callbacks.append(self._sent)
+        except Exception as error:
+            self._fail(error)
+
+    def _sent(self, _event: Event) -> None:
+        try:
+            claim = self.claim
+            self.claim = None
+            claim.resource.release(claim)
+            transport = self.transport
+            env = transport.env
+            span = self.span
+            if span is not NOOP_SPAN:
+                span.attributes["t_sent"] = env.now
+            # Bill the sender's access technology for the bytes put on air.
+            source = self.source
+            link = self.link
+            size = self.message.wire_size
+            source.costs.account_transfer(link.sender_technology, size, sent=True)
+            transport._node_counter("net.bytes_sent", source.id).increment(size)
+            Timeout(env, link.latency_s).callbacks.append(self._arrived)
+        except Exception as error:
+            self._fail(error)
+
+    def _arrived(self, _event: Event) -> None:
+        try:
+            transport = self.transport
+            env = transport.env
+            message = self.message
+            source = self.source
+            destination = self.destination
+            link = self.link
+            span = self.span
+            # Connectivity may have broken while transmitting.
+            still_connected = bool(
+                transport.network.links_between(source, destination)
+            )
+            lost = transport._rng.random() < link.loss
+            reason = "loss" if lost else "disconnected"
+            faults = transport.faults
+            if faults is not None and not lost and faults.drops(message):
+                lost = True
+                reason = "fault"
+            if not destination.up or not still_connected or lost:
+                transport._node_counter(
+                    "net.messages_lost", destination.id
+                ).increment()
+                transport.trace.emit(
+                    env.now,
+                    source.id,
+                    "net.lost",
+                    to=destination.id,
+                    msg=message.kind,
+                    reason=reason,
+                )
+                if span is not NOOP_SPAN:
+                    transport.tracer.finish(span, status="lost", reason=reason)
+                if not self.attempts:
+                    self._settle(False, urgent=True)
+                elif self.attempt < self.attempts:
+                    Timeout(env, link.latency_s).callbacks.append(self._retry)
+                else:
+                    self._acknowledge(
+                        TransportTimeout(
+                            f"message #{message.id} to {destination.id} lost "
+                            f"{self.attempts} times"
+                        )
+                    )
+                return
+            destination.costs.account_transfer(
+                link.receiver_technology, message.wire_size, sent=False
+            )
+            message.via = link.name
+            message.hops += 1
+            transport._node_counter(
+                "net.messages_delivered", destination.id
+            ).increment()
+            transport._node_histogram(
+                "net.delivery_latency", destination.id
+            ).observe(env.now - message.created_at)
+            transport.trace.emit(
+                env.now,
+                source.id,
+                "net.delivered",
+                to=destination.id,
+                msg=message.kind,
+                via=link.name,
+                bytes=message.wire_size,
+            )
+            if span is not NOOP_SPAN:
+                transport.tracer.finish(span)
+            # The fault hook may mark the payload corrupted, add
+            # duplicates, or hold the message back for a delay (the
+            # delayed copy then puts and stamps itself, so the stall
+            # surfaces as transit time in the trace analysis).
+            put_now = faults is None or faults.deliver(message, destination)
+            if self.attempts:
+                self._acknowledge(self.attempt)
+            else:
+                # Put now: the sender resumes before the receiver's get,
+                # as it did when the process finished on the put event.
+                self._settle(True, urgent=not put_now)
+            if put_now:
+                if span is not NOOP_SPAN:
+                    message.delivered_at = env.now
+                destination.inbox.put_nowait(message)
+        except Exception as error:
+            self._fail(error)
+
+    def _settle(self, value: object, urgent: bool) -> None:
+        """Fire a plain send's ``done`` with ``value`` now."""
+        done = self.done
+        done._value = value
+        self.transport.env.schedule(done, priority=urgent)
+
+    def _acknowledge(self, outcome: object) -> None:
+        """Schedule a reliable send's ``done`` as the acknowledgement of
+        the last attempt: it fires one latency from now with ``outcome``
+        (the attempts used, or the timeout error), and bills the ack
+        before any waiter resumes."""
+        done = self.done
+        if isinstance(outcome, Exception):
+            done._ok = False
+        done._value = outcome
+        done.callbacks.insert(0, self._ack)
+        self.transport.env.schedule(done, self.link.latency_s)
+
+    def _bill_ack(self) -> None:
+        """The acknowledgement costs airtime and bytes at both ends."""
+        link = self.link
+        destination = self.destination
+        if destination.up:
+            destination.costs.account_transfer(
+                link.receiver_technology, ACK_BYTES, sent=True
+            )
+        self.source.costs.account_transfer(
+            link.sender_technology, ACK_BYTES, sent=False
+        )
+
+    def _ack(self, done: Event) -> None:
+        self._bill_ack()
+        if done._ok:
+            self.transport._node_histogram(
+                "net.attempts_used", self.destination.id
+            ).observe(float(self.attempt))
+
+    def _retry(self, _event: Event) -> None:
+        try:
+            self._bill_ack()
+            transport = self.transport
+            destination = self.destination
+            transport._node_counter(
+                "net.retransmissions", destination.id
+            ).increment()
+            self.attempt += 1
+            link = transport.network.best_link(
+                self.source, destination, self.policy
+            )
+            if link is None:
+                raise TransportTimeout(
+                    f"lost connectivity to {destination.id} after "
+                    f"{self.attempt - 1} attempts"
+                )
+            _check_size(self.message, link)
+            self.link = link
+            self._transmit()
+        except Exception as error:
+            self._fail(error)
 
 
 class Transport:
@@ -86,33 +391,28 @@ class Transport:
 
     # -- public sends ---------------------------------------------------------
 
-    def send(self, message: Message, policy: Optional[LinkPolicy] = None) -> Process:
-        """Start an unacknowledged transfer; the process resolves to True
+    def send(self, message: Message, policy: Optional[LinkPolicy] = None) -> Event:
+        """Start an unacknowledged transfer; the event fires with True
         (delivered) or False (lost in transit), and fails with
         :class:`Unreachable` when no link exists at send time."""
-        return self.env.process(
-            self._send(message, policy or self.policy),
-            name=f"send#{message.id}",
-        )
+        return _Leg(self, message, policy or self.policy, 0).done
 
     def send_reliable(
         self,
         message: Message,
         max_attempts: int = 4,
         policy: Optional[LinkPolicy] = None,
-    ) -> Process:
+    ) -> Event:
         """Transfer with retransmissions.
 
-        Resolves to the number of attempts used; fails with
+        The event fires with the number of attempts used once the last
+        attempt is acknowledged; it fails with
         :class:`TransportTimeout` when every attempt was lost, or
         :class:`Unreachable` when no link existed to begin with.
         """
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        return self.env.process(
-            self._send_reliable(message, max_attempts, policy or self.policy),
-            name=f"send-reliable#{message.id}",
-        )
+        return _Leg(self, message, policy or self.policy, max_attempts).done
 
     def broadcast(
         self,
@@ -152,154 +452,6 @@ class Transport:
             raise Unreachable(f"{source.id} cannot reach {destination.id}")
         _check_size(message, link)
         return source, destination, link
-
-    def _send(
-        self, message: Message, policy: LinkPolicy
-    ) -> Generator:
-        source, destination, link = self._first_link(message, policy)
-        delivered = yield from self._transmit(
-            message, source, destination, link, attempt=1
-        )
-        return delivered
-
-    def _transmit(
-        self,
-        message: Message,
-        source: NetworkNode,
-        destination: NetworkNode,
-        link: Link,
-        attempt: int = 1,
-    ) -> Generator:
-        """Run one transfer attempt over ``link``; returns delivery bool."""
-        # Hop timestamps for the trace analyzer: the span runs
-        # enqueue -> on-air -> sent -> delivery decision, and ``t_air``/
-        # ``t_sent`` split it into channel-queue, airtime, and transit.
-        # Guarded so the disabled-tracing path builds, stamps (and
-        # allocates) nothing.
-        tracer = self.tracer
-        stamped = tracer.enabled
-        if stamped:
-            span = tracer.start(
-                "net.transmit",
-                source.id,
-                parent=message.trace_context,
-                msg=message.kind,
-                msg_id=message.id,
-                attempt=attempt,
-                to=destination.id,
-                bytes=message.wire_size,
-                via=link.name,
-            )
-        else:
-            span = NOOP_SPAN
-        interface = source.interface(link.sender_technology.name)
-        with interface.channel.request() as claim:
-            yield claim
-            if stamped:
-                span.attributes["t_air"] = self.env.now
-            transmit_time = link.transfer_time(message.wire_size)
-            yield self.env.timeout(transmit_time)
-        if stamped:
-            span.attributes["t_sent"] = self.env.now
-        # Bill the sender's access technology for the bytes put on air.
-        source.costs.account_transfer(
-            link.sender_technology, message.wire_size, sent=True
-        )
-        self._node_counter("net.bytes_sent", source.id).increment(
-            message.wire_size
-        )
-        # Propagation; connectivity may have broken while transmitting.
-        yield self.env.timeout(link.latency_s)
-        still_connected = bool(self.network.links_between(source, destination))
-        lost = self._rng.random() < link.loss
-        reason = "loss" if lost else "disconnected"
-        faults = self.faults
-        if faults is not None and not lost and faults.drops(message):
-            lost = True
-            reason = "fault"
-        if not destination.up or not still_connected or lost:
-            self._node_counter("net.messages_lost", destination.id).increment()
-            self.trace.emit(
-                self.env.now,
-                source.id,
-                "net.lost",
-                to=destination.id,
-                msg=message.kind,
-                reason=reason,
-            )
-            if stamped:
-                tracer.finish(span, status="lost", reason=reason)
-            return False
-        destination.costs.account_transfer(
-            link.receiver_technology, message.wire_size, sent=False
-        )
-        message.via = link.name
-        message.hops += 1
-        self._node_counter(
-            "net.messages_delivered", destination.id
-        ).increment()
-        self._node_histogram(
-            "net.delivery_latency", destination.id
-        ).observe(self.env.now - message.created_at)
-        self.trace.emit(
-            self.env.now,
-            source.id,
-            "net.delivered",
-            to=destination.id,
-            msg=message.kind,
-            via=link.name,
-            bytes=message.wire_size,
-        )
-        if stamped:
-            tracer.finish(span)
-        if faults is None:
-            if stamped:
-                message.delivered_at = self.env.now
-            yield destination.inbox.put(message)
-        else:
-            # The hook may delay the copy, add duplicates, or mark the
-            # payload corrupted; it owns the inbox put(s) — and the
-            # ``delivered_at`` stamps, so injected delays surface as
-            # transit stalls in the trace analysis.
-            yield from faults.deliver(message, destination)
-        return True
-
-    def _send_reliable(
-        self, message: Message, max_attempts: int, policy: LinkPolicy
-    ) -> Generator:
-        source, destination, link = self._first_link(message, policy)
-        for attempt in range(1, max_attempts + 1):
-            if attempt > 1:
-                link = self.network.best_link(source, destination, policy)
-                if link is None:
-                    raise TransportTimeout(
-                        f"lost connectivity to {destination.id} after "
-                        f"{attempt - 1} attempts"
-                    )
-                _check_size(message, link)
-            delivered = yield from self._transmit(
-                message, source, destination, link, attempt=attempt
-            )
-            # The acknowledgement costs airtime and bytes at both ends.
-            yield self.env.timeout(link.latency_s)
-            if destination.up:
-                destination.costs.account_transfer(
-                    link.receiver_technology, ACK_BYTES, sent=True
-                )
-            source.costs.account_transfer(link.sender_technology, ACK_BYTES, sent=False)
-            if delivered:
-                self._node_histogram(
-                    "net.attempts_used", destination.id
-                ).observe(float(attempt))
-                return attempt
-            if attempt < max_attempts:
-                self._node_counter(
-                    "net.retransmissions", destination.id
-                ).increment()
-        raise TransportTimeout(
-            f"message #{message.id} to {destination.id} lost "
-            f"{max_attempts} times"
-        )
 
     def _broadcast(
         self,

@@ -76,6 +76,19 @@ class Store(Generic[T]):
         """Offer ``item``; the returned event fires once it is stored."""
         return StorePut(self, item)
 
+    def put_nowait(self, item: T) -> None:
+        """Store ``item`` now, without an event, serving a waiting getter
+        at once; raises :class:`SimulationError` when the store is full.
+
+        A waiting getter fires exactly as it would after :meth:`put`.
+        """
+        if len(self.items) >= self.capacity:
+            raise SimulationError(
+                f"store is full ({len(self.items)} of {self.capacity} items)"
+            )
+        self.items.append(item)
+        self._service()
+
     def get(self, predicate: Optional[Callable[[T], bool]] = None) -> StoreGet:
         """Request an item; the returned event fires with it."""
         return StoreGet(self, predicate)  # type: ignore[arg-type]

@@ -1,0 +1,186 @@
+"""The process-based transport leg, kept as an executable oracle.
+
+:class:`ProcessLegTransport` runs every ``send``/``send_reliable`` as a
+generator :class:`~repro.sim.Process`, the way the transport did before
+legs became chains of kernel callbacks.  Beside it, ``reference.py``
+keeps the naive topology sweeps.  ``test_leg_oracle.py`` drives both
+transports through identical scripted worlds and asserts that every
+observable — timestamps, loss draws, metrics, costs, spans and sampled
+series — comes out the same.
+
+Only the sends are overridden; the prelude (``_first_link``), the
+labeled-metric lookups and ``broadcast`` are shared with the transport
+under test.
+"""
+
+from __future__ import annotations
+
+from typing import Generator, Optional
+
+from repro.errors import TransportTimeout
+from repro.net.message import Message
+from repro.net.network import Link, LinkPolicy
+from repro.net.node import NetworkNode
+from repro.net.transport import ACK_BYTES, Transport, _check_size
+from repro.obs import NOOP_SPAN
+from repro.sim import Process
+
+
+class ProcessLegTransport(Transport):
+    """A :class:`Transport` whose legs are generator processes."""
+
+    def send(
+        self, message: Message, policy: Optional[LinkPolicy] = None
+    ) -> Process:
+        return self.env.process(
+            self._send(message, policy or self.policy),
+            name=f"send#{message.id}",
+        )
+
+    def send_reliable(
+        self,
+        message: Message,
+        max_attempts: int = 4,
+        policy: Optional[LinkPolicy] = None,
+    ) -> Process:
+        if max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
+        return self.env.process(
+            self._send_reliable(message, max_attempts, policy or self.policy),
+            name=f"send-reliable#{message.id}",
+        )
+
+    def _send(self, message: Message, policy: LinkPolicy) -> Generator:
+        source, destination, link = self._first_link(message, policy)
+        delivered = yield from self._transmit(
+            message, source, destination, link, attempt=1
+        )
+        return delivered
+
+    def _transmit(
+        self,
+        message: Message,
+        source: NetworkNode,
+        destination: NetworkNode,
+        link: Link,
+        attempt: int = 1,
+    ) -> Generator:
+        tracer = self.tracer
+        stamped = tracer.enabled
+        if stamped:
+            span = tracer.start(
+                "net.transmit",
+                source.id,
+                parent=message.trace_context,
+                msg=message.kind,
+                msg_id=message.id,
+                attempt=attempt,
+                to=destination.id,
+                bytes=message.wire_size,
+                via=link.name,
+            )
+        else:
+            span = NOOP_SPAN
+        interface = source.interface(link.sender_technology.name)
+        with interface.channel.request() as claim:
+            yield claim
+            if stamped:
+                span.attributes["t_air"] = self.env.now
+            transmit_time = link.transfer_time(message.wire_size)
+            yield self.env.timeout(transmit_time)
+        if stamped:
+            span.attributes["t_sent"] = self.env.now
+        source.costs.account_transfer(
+            link.sender_technology, message.wire_size, sent=True
+        )
+        self._node_counter("net.bytes_sent", source.id).increment(
+            message.wire_size
+        )
+        yield self.env.timeout(link.latency_s)
+        still_connected = bool(self.network.links_between(source, destination))
+        lost = self._rng.random() < link.loss
+        reason = "loss" if lost else "disconnected"
+        faults = self.faults
+        if faults is not None and not lost and faults.drops(message):
+            lost = True
+            reason = "fault"
+        if not destination.up or not still_connected or lost:
+            self._node_counter("net.messages_lost", destination.id).increment()
+            self.trace.emit(
+                self.env.now,
+                source.id,
+                "net.lost",
+                to=destination.id,
+                msg=message.kind,
+                reason=reason,
+            )
+            if stamped:
+                tracer.finish(span, status="lost", reason=reason)
+            return False
+        destination.costs.account_transfer(
+            link.receiver_technology, message.wire_size, sent=False
+        )
+        message.via = link.name
+        message.hops += 1
+        self._node_counter(
+            "net.messages_delivered", destination.id
+        ).increment()
+        self._node_histogram(
+            "net.delivery_latency", destination.id
+        ).observe(self.env.now - message.created_at)
+        self.trace.emit(
+            self.env.now,
+            source.id,
+            "net.delivered",
+            to=destination.id,
+            msg=message.kind,
+            via=link.name,
+            bytes=message.wire_size,
+        )
+        if stamped:
+            tracer.finish(span)
+        # The hook's spawned copies come first; then the sender yields
+        # on its own put, as the process-based leg always did.
+        if faults is None or faults.deliver(message, destination):
+            if stamped:
+                message.delivered_at = self.env.now
+            yield destination.inbox.put(message)
+        return True
+
+    def _send_reliable(
+        self, message: Message, max_attempts: int, policy: LinkPolicy
+    ) -> Generator:
+        source, destination, link = self._first_link(message, policy)
+        for attempt in range(1, max_attempts + 1):
+            if attempt > 1:
+                link = self.network.best_link(source, destination, policy)
+                if link is None:
+                    raise TransportTimeout(
+                        f"lost connectivity to {destination.id} after "
+                        f"{attempt - 1} attempts"
+                    )
+                _check_size(message, link)
+            delivered = yield from self._transmit(
+                message, source, destination, link, attempt=attempt
+            )
+            yield self.env.timeout(link.latency_s)
+            if destination.up:
+                destination.costs.account_transfer(
+                    link.receiver_technology, ACK_BYTES, sent=True
+                )
+            source.costs.account_transfer(
+                link.sender_technology, ACK_BYTES, sent=False
+            )
+            if delivered:
+                self._node_histogram(
+                    "net.attempts_used", destination.id
+                ).observe(float(attempt))
+                return attempt
+            if attempt < max_attempts:
+                self._node_counter(
+                    "net.retransmissions", destination.id
+                ).increment()
+        raise TransportTimeout(
+            f"message #{message.id} to {destination.id} lost "
+            f"{max_attempts} times"
+        )

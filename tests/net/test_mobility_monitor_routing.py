@@ -209,6 +209,29 @@ class TestRouter:
         process = env.process(run(env))
         assert env.run(until=process) == 1
 
+    def test_crashed_destination_gets_nothing(self):
+        # n2 crashes half a latency after its leg lands: the leg's ack
+        # still reaches n1, but the relayed message must not be put
+        # into the downed node's inbox.
+        env, network, router, nodes = self.build_chain(spacing=60.0, count=3)
+
+        def crash_after_leg(env):
+            yield nodes[2].inbox.get()
+            yield env.timeout(WIFI_ADHOC.latency_s / 2)
+            nodes[2].crash()
+
+        def run(env):
+            try:
+                yield router.send_multihop(
+                    Message("n0", "n2", "hello", size_bytes=200)
+                )
+            except Unreachable as error:
+                return str(error)
+
+        env.process(crash_after_leg(env))
+        assert env.run(until=env.process(run(env))) == "destination n2 is down"
+        assert nodes[2].inbox.try_get() is None
+
     def test_max_hops_enforced(self):
         env, network, chain_router, nodes = self.build_chain()
         router = Router(env, network, chain_router.transport, max_hops=2)

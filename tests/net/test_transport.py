@@ -346,9 +346,9 @@ class TestBroadcast:
 
 
 class TestLegWorkCount:
-    """Exact work per reliable leg: one link lookup to pick the link,
-    one to confirm it survived the transfer, and no span unless
-    tracing is on."""
+    """Exact work per leg: one link lookup to pick the link, one to
+    confirm it survived the transfer, no span unless tracing is on, and
+    a pinned number of kernel events."""
 
     def _count_one_leg(self, monkeypatch, tracing):
         env = Environment()
@@ -392,3 +392,94 @@ class TestLegWorkCount:
         (span,) = tracer.finished_spans()
         assert span.name == "net.transmit"
         assert span.attributes["via"] == WIFI_ADHOC.name
+
+    def _kernel_steps(self, reliable):
+        """Kernel events for 100 back-to-back 200 B sends to a receiver
+        blocked on its inbox, counting the sender and receiver
+        processes' own events too."""
+        env, network, transport = build()
+        transport._rng.random = lambda: 0.99  # never lose
+        a, b = add_pair(env, network)
+        send = transport.send_reliable if reliable else transport.send
+
+        def receiver(env):
+            while True:
+                yield b.inbox.get()
+
+        def sender(env):
+            for _ in range(100):
+                yield send(Message("a", "b", "data", size_bytes=200))
+
+        env.process(receiver(env))
+        done = env.process(sender(env))
+        steps = 0
+        step = env.step
+
+        def counting_step():
+            nonlocal steps
+            steps += 1
+            step()
+
+        env.step = counting_step
+        env.run(until=done)
+        return steps
+
+    def test_plain_send_costs_six_events_per_message(self):
+        # Start, channel claim, transmit, latency, the send's own event
+        # and the receiver's get; the process-based leg cost 702.
+        assert self._kernel_steps(reliable=False) == 602
+
+    def test_reliable_send_costs_six_events_per_message(self):
+        # The send's event is the final ack; the process-based leg
+        # (a put event, an ack timeout and a process-done) cost 803.
+        assert self._kernel_steps(reliable=True) == 603
+
+
+class TestLegFailures:
+    """A leg is no process, but it keeps the process's failure
+    contract: whatever a step raises fails that send's event."""
+
+    class RaisingHook:
+        def drops(self, message):
+            raise RuntimeError("hook exploded")
+
+    @pytest.mark.parametrize("reliable", [False, True])
+    def test_hook_error_fails_the_send(self, reliable):
+        env, network, transport = build()
+        transport._rng.random = lambda: 0.99  # never lose: reach the hook
+        add_pair(env, network)
+        transport.faults = self.RaisingHook()
+        message = Message("a", "b", "x", size_bytes=100)
+        send = transport.send_reliable if reliable else transport.send
+
+        def run(env):
+            try:
+                yield send(message)
+            except RuntimeError as error:
+                return str(error), env.now
+
+        caught, when = env.run(until=env.process(run(env)))
+        assert caught == "hook exploded"
+        # The error surfaced at the delivery decision, not before.
+        assert when == pytest.approx(
+            (100 + HEADER_BYTES) * 8 / WIFI_ADHOC.bandwidth_bps
+            + WIFI_ADHOC.latency_s
+        )
+        # Nothing was left held: a later send still goes through.
+        transport.faults = None
+        assert env.run(until=transport.send(Message("a", "b", "y"))) is True
+
+    def test_unawaited_unreachable_send_raises_out_of_run(self):
+        env, network, transport = build()
+        add_pair(env, network, distance=1000.0)
+        transport.send(Message("a", "b", "x"))
+        with pytest.raises(Unreachable):
+            env.run()
+
+    def test_unawaited_timeout_raises_out_of_run(self):
+        env, network, transport = build()
+        transport._rng.random = lambda: 0.0  # always lose
+        add_pair(env, network)
+        transport.send_reliable(Message("a", "b", "x"), max_attempts=2)
+        with pytest.raises(TransportTimeout):
+            env.run()

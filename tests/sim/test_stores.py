@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.sim import Environment, Resource, Store
 
 
@@ -122,6 +123,72 @@ def test_store_try_get_nonblocking():
     env.run()
     assert store.try_get() == 1
     assert store.try_get() is None
+
+
+def test_store_put_nowait_serves_a_waiting_getter_at_once():
+    env = Environment()
+    store = Store(env)
+    getter = store.get()
+    env.run()
+    assert not getter.triggered
+    store.put_nowait("item")
+    # Served inside the call, with no put event of its own.
+    assert getter.triggered and getter.value == "item"
+    assert len(store) == 0
+    env.run()
+    assert getter.processed
+
+
+def test_store_put_nowait_fires_getter_where_put_would():
+    """A put_nowait wakes the getter in the same queue slot a put
+    does: after everything already scheduled for the instant."""
+
+    def order(use_nowait):
+        env = Environment()
+        store = Store(env)
+        log = []
+
+        def consumer(env):
+            item = yield store.get()
+            log.append(("got", item))
+
+        def producer(env):
+            env.timeout(0).callbacks.append(lambda _: log.append(("other",)))
+            if use_nowait:
+                store.put_nowait("x")
+            else:
+                store.put("x")
+            log.append(("produced",))
+            yield env.timeout(1)
+
+        env.process(consumer(env))
+        env.process(producer(env))
+        env.run()
+        return log
+
+    assert order(True) == order(False) == [
+        ("produced",),
+        ("other",),
+        ("got", "x"),
+    ]
+
+
+def test_store_put_nowait_queues_without_a_getter():
+    env = Environment()
+    store = Store(env)
+    store.put_nowait(1)
+    store.put_nowait(2)
+    assert store.try_get() == 1
+    assert store.try_get() == 2
+
+
+def test_store_put_nowait_raises_on_a_full_store():
+    env = Environment()
+    store = Store(env, capacity=1)
+    store.put_nowait("a")
+    with pytest.raises(SimulationError):
+        store.put_nowait("b")
+    assert list(store.items) == ["a"]
 
 
 def test_store_get_cancel_withdraws_request():
