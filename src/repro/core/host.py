@@ -514,8 +514,6 @@ class MobileHost:
                 # Replies correlating with exchanges this host never
                 # issued through ``request`` (e.g. discovery's
                 # broadcast round) fall through to the kind handlers.
-            if message.kind == "net.relay":
-                continue  # router plumbing that lost its reclaim race
             handler = self._handlers.get(message.kind)
             if handler is None:
                 self.unhandled_messages += 1

@@ -29,6 +29,7 @@ from typing import Dict, List, Tuple
 
 from ..errors import SandboxViolation
 from ..net import Message, NetworkNode
+from ..net.message import RELAY_KIND
 from .hostile import HOSTILE_GUESTS
 from .plan import MESSAGE_FAULT_KINDS, FaultPlan, FaultSpec
 
@@ -284,17 +285,22 @@ class FaultInjector:
                 message.corrupted = True
                 self.world.metrics.counter("faults.messages_corrupted").increment()
                 break
+        # A router relay leg is counted like any message, but no late
+        # copy of it is put: relay legs never enter an inbox.
+        late = message.kind != RELAY_KIND
         for spec in self._windows["duplicate"]:
             if self._hits(spec, destination.id, message.kind):
-                copy = replace(message)
                 self.world.metrics.counter("faults.messages_duplicated").increment()
                 self._emit(
                     "fault.duplicate", msg=message.kind, to=destination.id
                 )
-                self.env.process(
-                    self._deliver_later(copy, destination, spec.extra_latency_s),
-                    name=f"fault-dup#{message.id}",
-                )
+                if late:
+                    self.env.process(
+                        self._deliver_later(
+                            replace(message), destination, spec.extra_latency_s
+                        ),
+                        name=f"fault-dup#{message.id}",
+                    )
         extra = 0.0
         for spec in self._windows["delay"]:
             if self._hits(spec, destination.id, message.kind):
@@ -302,10 +308,11 @@ class FaultInjector:
         if extra > 0:
             self.world.metrics.counter("faults.messages_delayed").increment()
             self.world.metrics.histogram("faults.extra_latency").observe(extra)
-            self.env.process(
-                self._deliver_later(message, destination, extra),
-                name=f"fault-delay#{message.id}",
-            )
+            if late:
+                self.env.process(
+                    self._deliver_later(message, destination, extra),
+                    name=f"fault-delay#{message.id}",
+                )
             return False
         return True
 

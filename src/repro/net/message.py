@@ -48,6 +48,10 @@ def fresh_message_ids() -> Iterator[None]:
 #: Fixed per-message envelope overhead (headers, framing), in bytes.
 HEADER_BYTES = 64
 
+#: Kind of the router's per-hop legs.  Relay plumbing, not traffic: a
+#: leg of this kind never enters an inbox (see ``Router.send_multihop``).
+RELAY_KIND = "net.relay"
+
 
 @dataclass
 class Message:

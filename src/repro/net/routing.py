@@ -9,6 +9,16 @@ range, and only a broken link makes it plan again, from the node the
 message has reached.  It gives up when the destination becomes
 unreachable.
 
+A multi-hop send is no process: it runs as a :class:`_Relay`, a chain
+of callbacks on its legs' acknowledgements, and returns a plain
+:class:`~repro.sim.Event`.  Its legs (kind
+:data:`~repro.net.message.RELAY_KIND`) never enter an inbox; only the
+relayed message itself is put into the destination's inbox.  Each hop
+costs the leg's own events plus one hop event, in the queue slot where
+the old relay process reclaimed the leg from the hop's inbox, so runs
+replay event for event as before (docs/PERFORMANCE.md, "Multi-hop
+relays without processes").
+
 Path planning goes through an epoch-memoised :class:`RoutingTable`:
 one BFS from a source yields the shortest-path tree to *every*
 destination, and the trees are flushed whenever the topology epoch
@@ -26,11 +36,12 @@ paths, but never by more than the documented stretch bound, and its
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Generator, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..errors import Unreachable
-from ..sim import Environment, MetricsRegistry, Process
-from .message import Message
+from ..sim import Environment, Event, MetricsRegistry
+from ..sim.events import PENDING
+from .message import RELAY_KIND, Message
 from .network import Cell, Network, bfs_tree, walk_tree
 from .transport import Transport
 
@@ -449,18 +460,17 @@ class Router:
             else RoutingTable(network, adhoc_only=adhoc_only, metrics=metrics)
         )
 
-    def send_multihop(self, message: Message) -> Process:
+    def send_multihop(self, message: Message) -> Event:
         """Relay ``message`` towards its destination along a route
         planned at the source; resolves to the hop count on success.
 
         Fails with :class:`Unreachable` when a link on the route breaks
         and no path remains from the node the message has reached,
         after ``max_hops`` hops, or when the destination is down once
-        the last leg is acknowledged.
+        the last leg is acknowledged; a failed leg fails it with the
+        leg's error.
         """
-        return self.env.process(
-            self._relay(message), name=f"route#{message.id}"
-        )
+        return _Relay(self, message).done
 
     def _link_up(self, sender_id: str, receiver_id: str) -> bool:
         """Whether ``sender_id`` can still reach ``receiver_id`` in one
@@ -474,59 +484,130 @@ class Router:
             return any(not link.via_backbone for link in links)
         return bool(links)
 
-    def _relay(self, message: Message) -> Generator:
-        current = message.source
-        hops = 0
+
+class _Relay:
+    """One multi-hop send, run as kernel callbacks instead of a
+    generator process (as :class:`~repro.net.transport._Leg` runs one
+    leg).
+
+    The steps, each a callback on the one event it waits for:
+
+    1. ``_start`` (an urgent start event, where a process would start)
+       stamps ``created_at``, plans, and starts the first leg with
+       ``send_reliable``, which has its own urgent start event;
+    2. ``_acked`` (the leg's ``done``, its final acknowledgement)
+       advances to the next node and schedules one normal-priority hop
+       event at that instant;
+    3. ``_hop`` (that hop event) checks the next link, re-plans if it
+       broke, and starts the next leg inline; at the destination it
+       schedules ``done`` at normal priority and puts the message into
+       the destination's inbox.
+
+    The hop event takes the queue slot of the inbox ``get`` that used
+    to reclaim each leg: the kernel pops a normal event at time *t*
+    only once no urgent event at *t* is left, and that get's only
+    callback scheduled the next leg's urgent start, so the start ran
+    right after it and runs inside it now.  Likewise ``done`` takes the
+    slot of the destination's ``put`` event, whose only callback
+    finished the process at once.  A failed leg, or any exception a
+    step raises, fails ``done`` urgently, as it failed the process.
+    """
+
+    __slots__ = ("router", "message", "done", "current", "hops", "route", "step")
+
+    def __init__(self, router: Router, message: Message) -> None:
+        self.router = router
+        self.message = message
+        self.current = message.source
+        self.hops = 0
+        #: The carried route and the index of ``current`` on it.  A fresh
+        #: plan was made over links that exist now, so its first link is
+        #: not checked again.
+        self.route: Optional[List[str]] = None
+        self.step = 0
+        env = router.env
+        self.done = Event(env)
+        start = Event(env)
+        start._value = None
+        start.callbacks.append(self._start)
+        env.schedule(start, priority=True)
+
+    def _fail(self, error: Exception) -> None:
+        """Fail ``done`` with ``error`` now (urgent, as a process failed)."""
+        done = self.done
+        if done._value is not PENDING:
+            # The outcome is already scheduled; surface the error.
+            raise error
+        done._ok = False
+        done._value = error
+        self.router.env.schedule(done, priority=True)
+
+    def _start(self, _event: Event) -> None:
+        message = self.message
         if message.created_at == 0.0:
-            message.created_at = self.env.now
-        # The carried route and the index of ``current`` on it.  A fresh
-        # plan was made over links that exist now, so its first link is
-        # not checked again.
-        route: Optional[List[str]] = None
-        step = 0
-        while current != message.destination:
-            if hops >= self.max_hops:
+            message.created_at = self.router.env.now
+        self._advance(self.router.transport.send_reliable)
+
+    def _acked(self, leg: Event) -> None:
+        if not leg._ok:
+            leg._defused = True
+            self._fail(leg._value)  # type: ignore[arg-type]
+            return
+        self.hops += 1
+        self.step += 1
+        self.current = self.route[self.step]  # type: ignore[index]
+        hop = Event(self.router.env)
+        hop._value = None
+        hop.callbacks.append(self._hop)
+        self.router.env.schedule(hop)
+
+    def _hop(self, _event: Event) -> None:
+        self._advance(self.router.transport._send_reliable_inline)
+
+    def _advance(self, send: Callable[[Message], Event]) -> None:
+        """Start the leg from ``current`` with ``send``, or deliver."""
+        try:
+            router = self.router
+            message = self.message
+            current = self.current
+            destination = message.destination
+            if current == destination:
+                self._deliver()
+                return
+            if self.hops >= router.max_hops:
                 raise Unreachable(
-                    f"gave up after {hops} hops towards {message.destination}"
+                    f"gave up after {self.hops} hops towards {destination}"
                 )
-            if route is None or not self._link_up(current, route[step + 1]):
-                route = self.table.path(current, message.destination)
+            route = self.route
+            if route is None or not router._link_up(
+                current, route[self.step + 1]
+            ):
+                route = self.route = router.table.path(current, destination)
                 if route is None or len(route) < 2:
-                    raise Unreachable(
-                        f"no path from {current} to {message.destination}"
-                    )
-                step = 0
-            next_hop = route[step + 1]
+                    raise Unreachable(f"no path from {current} to {destination}")
+                self.step = 0
             leg = Message(
                 source=current,
-                destination=next_hop,
-                kind="net.relay",
+                destination=route[self.step + 1],
+                kind=RELAY_KIND,
                 payload=message,
                 size_bytes=message.size_bytes,
                 created_at=message.created_at,
             )
-            yield self.transport.send_reliable(leg)
-            hops += 1
-            step += 1
-            current = next_hop
-            # The leg sits in the hop's inbox; reclaim it so dispatch loops
-            # never see relay plumbing.
-            hop_node = self.network.node(current)
-            removal = hop_node.inbox.get(
-                predicate=lambda m, leg_id=leg.id: m.id == leg_id
-            )
-            if removal.triggered:
-                yield removal
-            else:
-                # A dispatcher consumed it first; it is expected to ignore
-                # the reserved "net.relay" kind.
-                removal.cancel()
-        destination_node = self.network.node(message.destination)
+            send(leg).callbacks.append(self._acked)  # type: ignore[union-attr]
+        except Exception as error:
+            self._fail(error)
+
+    def _deliver(self) -> None:
+        message = self.message
+        node = self.router.network.node(message.destination)
         # The last leg's ack can return after the destination crashed;
         # a downed node's inbox takes nothing.
-        if not destination_node.up:
+        if not node.up:
             raise Unreachable(f"destination {message.destination} is down")
-        message.hops = hops
+        message.hops = self.hops
         message.via = "multihop"
-        yield destination_node.inbox.put(message)
-        return hops
+        done = self.done
+        done._value = self.hops
+        self.router.env.schedule(done)
+        node.inbox.put_nowait(message)

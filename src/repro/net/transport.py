@@ -13,6 +13,10 @@ event, the radio channel claim, the transmit and latency timeouts and,
 for a reliable send, the acknowledgement.  The returned :class:`Event`
 fires with the outcome at the instant the old sending process finished,
 so callers yield it exactly as before.
+
+A delivered message lands in the receiver's inbox, except a router
+relay leg (kind :data:`~repro.net.message.RELAY_KIND`): the router
+learns of its arrival from the acknowledgement and nobody reads it.
 """
 
 from __future__ import annotations
@@ -31,13 +35,16 @@ from ..sim import (
     TraceLog,
 )
 from ..sim.events import PENDING
-from .message import Message
+from .message import RELAY_KIND, Message
 from .network import Link, LinkPolicy, Network, prefer_free_then_fast
 from .node import NetworkNode
 from .technologies import LinkTechnology
 
 #: Modelled size of a link-layer acknowledgement, billed per reliable attempt.
 ACK_BYTES = 32
+
+#: ``send_reliable``'s default attempt budget.
+RELIABLE_ATTEMPTS = 4
 
 
 def _check_size(message: Message, link: Link) -> None:
@@ -52,7 +59,8 @@ class _Leg:
 
     The steps, each a callback on the one event it waits for:
 
-    1. ``_start`` (an urgent start event, where a process would start)
+    1. ``_start`` (an urgent start event, where a process would start,
+       or inline for a leg the router starts in its own hop event)
        picks the first link and queues for the sender's radio;
     2. ``_granted`` (the channel claim) starts the transmit timeout;
     3. ``_sent`` frees the radio, bills the sender and starts the
@@ -88,6 +96,7 @@ class _Leg:
         message: Message,
         policy: LinkPolicy,
         attempts: int,
+        inline: bool = False,
     ) -> None:
         self.transport = transport
         self.message = message
@@ -99,6 +108,9 @@ class _Leg:
         self.claim = None
         env = transport.env
         self.done = Event(env)
+        if inline:
+            self._start(None)
+            return
         # Urgent, like a process's first resumption: the prelude runs at
         # the send's instant, after the caller has yielded ``done`` and
         # in the queue slot same-instant work is ordered against.
@@ -268,7 +280,7 @@ class _Leg:
                 # Put now: the sender resumes before the receiver's get,
                 # as it did when the process finished on the put event.
                 self._settle(True, urgent=not put_now)
-            if put_now:
+            if put_now and message.kind != RELAY_KIND:
                 if span is not NOOP_SPAN:
                     message.delivered_at = env.now
                 destination.inbox.put_nowait(message)
@@ -400,7 +412,7 @@ class Transport:
     def send_reliable(
         self,
         message: Message,
-        max_attempts: int = 4,
+        max_attempts: int = RELIABLE_ATTEMPTS,
         policy: Optional[LinkPolicy] = None,
     ) -> Event:
         """Transfer with retransmissions.
@@ -413,6 +425,19 @@ class Transport:
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         return _Leg(self, message, policy or self.policy, max_attempts).done
+
+    def _send_reliable_inline(self, message: Message) -> Event:
+        """``send_reliable(message)``, started in the calling event
+        instead of an urgent start event of its own.
+
+        For a caller whose event sits exactly where that start event
+        would have run: the router's relay hops, whose normal-priority
+        hop event takes the slot of the inbox reclaim that used to
+        precede the start (see ``Router.send_multihop``).
+        """
+        return _Leg(
+            self, message, self.policy, RELIABLE_ATTEMPTS, inline=True
+        ).done
 
     def broadcast(
         self,

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core import World
 from repro.errors import Unreachable
+from repro.faults import FaultPlan
 from repro.net import (
     Area,
     ConnectivityMonitor,
@@ -212,19 +214,24 @@ class TestRouter:
     def test_crashed_destination_gets_nothing(self):
         # n2 crashes half a latency after its leg lands: the leg's ack
         # still reaches n1, but the relayed message must not be put
-        # into the downed node's inbox.
+        # into the downed node's inbox.  Relay legs never enter an
+        # inbox, so the landing instant comes from the schedule: each
+        # leg takes its transmit time plus one latency, and the second
+        # starts when the first is acknowledged, a latency after it
+        # lands.
         env, network, router, nodes = self.build_chain(spacing=60.0, count=3)
+        message = Message("n0", "n2", "hello", size_bytes=200)
+        transmit = WIFI_ADHOC.transfer_time(message.wire_size)
+        latency = WIFI_ADHOC.latency_s
+        landed = transmit + latency + latency + transmit + latency
 
         def crash_after_leg(env):
-            yield nodes[2].inbox.get()
-            yield env.timeout(WIFI_ADHOC.latency_s / 2)
+            yield env.timeout(landed + latency / 2)
             nodes[2].crash()
 
         def run(env):
             try:
-                yield router.send_multihop(
-                    Message("n0", "n2", "hello", size_bytes=200)
-                )
+                yield router.send_multihop(message)
             except Unreachable as error:
                 return str(error)
 
@@ -243,6 +250,152 @@ class TestRouter:
         with pytest.raises(Unreachable, match="gave up after 2 hops"):
             env.run()
         assert nodes[3].inbox.try_get() is None
+
+
+def chain_world(faults=None):
+    """n0 - n1 - n2 - n3, 90 m apart on Wi-Fi, with no transit loss and
+    ``faults`` (a :class:`FaultPlan`) armed."""
+    world = World(seed=5)
+    world.transport._rng.random = lambda: 0.99  # deterministic: no loss
+    nodes = [
+        world.add_node(f"n{i}", Position(90.0 * i, 0), [WIFI_ADHOC])
+        for i in range(4)
+    ]
+    if faults is not None:
+        faults.inject(world)
+    return world, nodes, Router(world.env, world.network, world.transport)
+
+
+class TestRelayLegsSkipInboxes:
+    """Relay legs are router plumbing: no inbox ever holds one, even
+    when a fault window delays or duplicates them."""
+
+    @pytest.mark.parametrize("window", ["delay", "duplicate"])
+    def test_fault_window_leaves_only_relayed_messages(self, window):
+        plan = FaultPlan()
+        if window == "delay":
+            plan.delay(
+                at=0.0, duration=60.0, extra_s=0.5, message_kinds=("net.relay",)
+            )
+        else:
+            plan.duplicate(
+                at=0.0, duration=60.0, rate=1.0, message_kinds=("net.relay",)
+            )
+        world, nodes, router = chain_world(plan)
+        sent = []
+
+        def run(env):
+            for index in range(5):
+                message = Message("n0", "n3", "hello", payload=index)
+                assert (yield router.send_multihop(message)) == 3
+                sent.append(message)
+
+        world.env.process(run(world.env))
+        world.run(until=30.0)
+        assert len(sent) == 5
+        # The window hit every leg, and no copy of one was put anywhere.
+        faulted = {"delay": "delayed", "duplicate": "duplicated"}[window]
+        assert world.metrics.snapshot()[f"faults.messages_{faulted}"] == 15
+        for node in nodes[:3]:
+            assert list(node.inbox.items) == []
+        assert list(nodes[3].inbox.items) == sent
+
+
+class TestRelayFailures:
+    """A relay is no process, but it keeps the process's failure
+    contract: whatever a step raises fails the multihop event."""
+
+    class RaisingPlanner:
+        def path(self, source_id, target_id):
+            raise RuntimeError("planner exploded")
+
+    def test_planner_error_reaches_the_waiter(self):
+        world, nodes, _ = chain_world()
+        router = Router(
+            world.env,
+            world.network,
+            world.transport,
+            table=self.RaisingPlanner(),
+        )
+
+        def run(env):
+            try:
+                yield router.send_multihop(Message("n0", "n3", "hello"))
+            except RuntimeError as error:
+                return str(error), env.now
+
+        process = world.env.process(run(world.env))
+        assert world.env.run(until=process) == ("planner exploded", 0.0)
+        assert list(nodes[3].inbox.items) == []
+
+    def test_unawaited_planner_error_raises_out_of_run(self):
+        world, _, _ = chain_world()
+        router = Router(
+            world.env,
+            world.network,
+            world.transport,
+            table=self.RaisingPlanner(),
+        )
+        router.send_multihop(Message("n0", "n3", "hello"))
+        with pytest.raises(RuntimeError, match="planner exploded"):
+            world.env.run()
+
+    def test_unawaited_unreachable_relay_raises_out_of_run(self):
+        world, nodes, router = chain_world()
+        nodes[3].move_to(Position(1_000, 0))
+        router.send_multihop(Message("n0", "n3", "hello"))
+        with pytest.raises(Unreachable, match="no path from n0 to n3"):
+            world.env.run()
+
+
+class TestRelayWorkCount:
+    """Exact kernel work of a multi-hop send: per hop, the leg's own
+    events plus one hop event; per message, one start event and the
+    relay's own event."""
+
+    def test_hundred_three_hop_relays(self):
+        env = Environment()
+        network = Network(env)
+        transport = Transport(env, network, RandomStreams(5))
+        transport._rng.random = lambda: 0.99  # deterministic: no loss
+        nodes = [
+            network.add_node(adhoc_node(env, f"n{i}", 90.0 * i, 0))
+            for i in range(4)
+        ]
+        router = Router(env, network, transport)
+        received = []
+
+        def receiver(env):
+            while True:
+                received.append((yield nodes[3].inbox.get()))
+
+        def sender(env):
+            for _ in range(100):
+                yield router.send_multihop(
+                    Message("n0", "n3", "data", size_bytes=200)
+                )
+
+        env.process(receiver(env))
+        env.process(sender(env))
+        steps = 0
+        step = env.step
+
+        def counting_step():
+            nonlocal steps
+            step()  # raises, uncounted, once the queue is empty
+            steps += 1
+
+        env.step = counting_step
+        env.run()
+        assert [message.kind for message in received] == ["data"] * 100
+        # 19 events per message: the relay's start; the first leg's
+        # start, claim, transmit, latency and ack; the later legs' same
+        # events but the start (they start inside the hop event); one
+        # hop event per leg; the relay's event and the receiver's get.
+        # The process-based relay took 22 (2,203 in all): the same
+        # legs, each with its own start, a reclaiming get per hop, the
+        # destination's put and the process's end.
+        assert steps == 1_903
 
 
 class CountingPlanner:
