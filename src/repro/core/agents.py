@@ -33,6 +33,8 @@ from ..security import (
     WORK_UNITS_PER_SECOND,
     sign_capsule,
 )
+from ..sim import Event
+from ..sim.events import PENDING
 from .adaptation import PARADIGM_MA
 from .components import Component, MessageHandler
 from .invocation import (
@@ -565,9 +567,21 @@ class AgentRuntime(Component):
                 },
                 trip=span,
             )
-            yield self.env.any_of(
-                [self.completion(agent_id), self.env.timeout(task.timeout)]
-            )
+            # As in ``MobileHost.request``: wait on the completion event
+            # alone; the deadline's one callback settles it with None and
+            # unregisters it, so a late completion finds no event.
+            finished = self.completion(agent_id)
+            timer = self.env.timeout(task.timeout)
+
+            def expire(_timer: Event) -> None:
+                if finished._value is PENDING:
+                    self._completion_events.pop(agent_id, None)
+                    finished.succeed(None)
+
+            timer.callbacks.append(expire)
+            yield finished
+            if timer.callbacks is not None:
+                timer.callbacks.clear()
             final = self.completed.get(agent_id)
             if final is None:
                 raise MigrationError(

@@ -4,7 +4,7 @@ The paper argues that "different mobile code paradigms could be
 plugged-in dynamically and used when needed".  Concretely: each
 paradigm (CS, REV, COD, MA), discovery flavour, and manager is a
 :class:`Component` registered with a host.  Components declare the
-message kinds they handle; the host's dispatch loop routes inbound
+message kinds they handle; the host's dispatcher routes inbound
 messages to them.  Because components are described by code units,
 they can themselves be shipped and hot-swapped via COD (see
 :mod:`repro.core.update`).

@@ -2,10 +2,11 @@
 
 A :class:`MobileHost` ties a network node to a codebase, a security
 identity, a sandbox, a context registry, and a set of pluggable
-components.  It runs the dispatch loop that routes inbound messages to
-component handlers, correlates request/reply exchanges, gates inbound
-capsules through policy and signature checks, and meters CPU and
-battery for everything executed locally.
+components.  It dispatches each inbound message to a component handler
+(a kernel callback on the inbox get, not a process), correlates
+request/reply exchanges, gates inbound capsules through policy and
+signature checks, and meters CPU and battery for everything executed
+locally.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from ..security import (
     verify_capsule,
 )
 from ..sim import Event
+from ..sim.events import PENDING
 from .components import Component, MessageHandler
 from .context import Battery, ContextRegistry
 from .world import World
@@ -132,9 +134,13 @@ class MobileHost:
         self._m_rejections = metrics.counter(
             "security.rejections", labels=labels
         )
-        self._dispatcher = self.env.process(
-            self._dispatch_loop(), name=f"dispatch:{node.id}"
-        )
+        # Urgent, like a process's first resumption: the first inbox
+        # get is armed at construction, in the slot a dispatch process
+        # would start in.
+        start = Event(self.env)
+        start._value = None
+        start.callbacks.append(self._arm_inbound)
+        self.env.schedule(start, priority=True)
         world.hosts[node.id] = self
 
     @property
@@ -252,6 +258,13 @@ class MobileHost:
         be delivered, and :class:`~repro.errors.RequestTimeout` when no
         reply arrives within ``timeout``.
 
+        The caller waits on the reply event alone.  The deadline is a
+        timeout whose one callback, ``expire``, settles a still-pending
+        reply event with ``None``; the correlation id stays pending
+        until the caller resumes and closes it.  A reply that wins
+        clears the deadline's callbacks, so the dead deadline still
+        pops (the series sampler runs on it) but pins nothing.
+
         ``parent`` (a span or span context) makes the exchange a child
         of the caller's span; the request's span context travels inside
         the message so the remote side joins the same trace.
@@ -279,13 +292,21 @@ class MobileHost:
             self._close_request(message)
             tracer.finish(span, status="error", error=type(error).__name__)
             raise
-        timeout_event = self.env.timeout(timeout)
-        fired = yield self.env.any_of([reply_event, timeout_event])
+        timer = self.env.timeout(timeout)
+
+        def expire(_timer: Event) -> None:
+            if reply_event._value is PENDING:
+                reply_event.succeed(None)
+
+        timer.callbacks.append(expire)
+        reply = yield reply_event
         self._close_request(message)
-        if reply_event in fired:
+        if reply is not None:
+            if timer.callbacks is not None:
+                timer.callbacks.clear()
             self._m_request_rtt.observe(self.env.now - started)
             tracer.finish(span)
-            return reply_event.value
+            return reply
         self._m_request_timeouts.increment()
         tracer.finish(span, status="error", error="RequestTimeout")
         raise RequestTimeout(
@@ -297,7 +318,7 @@ class MobileHost:
         """Retire a request's correlation id (every ``request`` exit).
 
         The id moves from the pending map to the bounded closed set so
-        the dispatch loop can tell a *stale* reply (late duplicate to a
+        the dispatcher can tell a *stale* reply (late duplicate to a
         request already resolved or abandoned) from a reply correlating
         with someone else's exchange.
         """
@@ -471,70 +492,89 @@ class MobileHost:
 
     # -- dispatch -------------------------------------------------------------------
 
-    def _dispatch_loop(self) -> Generator:
-        while True:
-            message = yield self.node.inbox.get()
-            if not self.node.up:
-                continue
-            if message.corrupted:
-                # Checksum model: damaged payloads are detected and
-                # dropped at the receiver, whatever their kind.
-                self._m_corrupt_discarded.increment()
-                self.world.trace.emit(
-                    self.env.now, self.id, "host.corrupt_discarded",
-                    msg=message.kind,
-                )
-                continue
-            if message.in_reply_to is not None:
-                if message.in_reply_to in self._pending:
-                    event = self._pending.pop(message.in_reply_to)
-                    tracer = self.world.tracer
-                    if tracer.enabled:
-                        # Zero-duration delivery marker: replies resolve
-                        # futures instead of running handlers, so this
-                        # is the receiver-side hop stamp the trace
-                        # analyzer correlates with the reply's
-                        # ``net.transmit`` span (injected delivery
-                        # delays surface as the gap between the two).
-                        marker = tracer.start(
-                            "host.deliver",
-                            self.id,
-                            parent=message.trace_context,
-                            msg=message.kind,
-                            msg_id=message.id,
-                            in_reply_to=message.in_reply_to,
-                            t_deliver=message.delivered_at,
-                        )
-                        tracer.finish(marker)
-                    event.succeed(message)
-                    continue
-                if message.in_reply_to in self._closed_requests:
-                    self._discard_stale_reply(message)
-                    continue
-                # Replies correlating with exchanges this host never
-                # issued through ``request`` (e.g. discovery's
-                # broadcast round) fall through to the kind handlers.
-            handler = self._handlers.get(message.kind)
-            if handler is None:
-                self.unhandled_messages += 1
-                self._m_unhandled.increment()
-                self.world.trace.emit(
-                    self.env.now, self.id, "host.unhandled", msg=message.kind
-                )
-                continue
-            span = self.world.tracer.start(
-                "host.handle",
-                self.id,
-                parent=message.trace_context,
+    def _arm_inbound(self, _event: object = None) -> None:
+        """Wait for the next inbound message: one inbox get, whose
+        callback is :meth:`_on_inbound`."""
+        self.node.inbox.get().callbacks.append(self._on_inbound)
+
+    def _on_inbound(self, get: Event) -> None:
+        """Arm the next inbox get, then dispatch one inbound message.
+
+        Arming first matters when a second message already waits in the
+        inbox: its get is then queued ahead of this message's reply
+        event, so the second message is dispatched before the reply
+        event resumes its caller, the order the race-based oracle in
+        ``tests/core/request_oracle.py`` keeps (the
+        ``same_instant_replies`` scenario of ``test_request_oracle.py``).
+        """
+        self._arm_inbound()
+        message: Message = get._value  # type: ignore[assignment]
+        if not self.node.up:
+            return
+        if message.corrupted:
+            # Checksum model: damaged payloads are detected and
+            # dropped at the receiver, whatever their kind.
+            self._m_corrupt_discarded.increment()
+            self.world.trace.emit(
+                self.env.now, self.id, "host.corrupt_discarded",
                 msg=message.kind,
-                msg_id=message.id,
-                t_deliver=message.delivered_at,
-                origin=message.source,
             )
-            self.env.process(
-                self._guarded(handler, message, span),
-                name=f"{self.id}:{message.kind}#{message.id}",
+            return
+        if message.in_reply_to is not None:
+            event = self._pending.pop(message.in_reply_to, None)
+            if event is not None:
+                tracer = self.world.tracer
+                if tracer.enabled:
+                    # Zero-duration delivery marker: replies resolve
+                    # futures instead of running handlers, so this
+                    # is the receiver-side hop stamp the trace
+                    # analyzer correlates with the reply's
+                    # ``net.transmit`` span (injected delivery
+                    # delays surface as the gap between the two).
+                    marker = tracer.start(
+                        "host.deliver",
+                        self.id,
+                        parent=message.trace_context,
+                        msg=message.kind,
+                        msg_id=message.id,
+                        in_reply_to=message.in_reply_to,
+                        t_deliver=message.delivered_at,
+                    )
+                    tracer.finish(marker)
+                # Already triggered only when the deadline expired at
+                # this same instant and the caller has yet to resume:
+                # it resumes timed out, and this reply counts as
+                # neither stale nor unhandled.
+                if event._value is PENDING:
+                    event.succeed(message)
+                return
+            if message.in_reply_to in self._closed_requests:
+                self._discard_stale_reply(message)
+                return
+            # Replies correlating with exchanges this host never
+            # issued through ``request`` (e.g. discovery's
+            # broadcast round) fall through to the kind handlers.
+        handler = self._handlers.get(message.kind)
+        if handler is None:
+            self.unhandled_messages += 1
+            self._m_unhandled.increment()
+            self.world.trace.emit(
+                self.env.now, self.id, "host.unhandled", msg=message.kind
             )
+            return
+        span = self.world.tracer.start(
+            "host.handle",
+            self.id,
+            parent=message.trace_context,
+            msg=message.kind,
+            msg_id=message.id,
+            t_deliver=message.delivered_at,
+            origin=message.source,
+        )
+        self.env.process(
+            self._guarded(handler, message, span),
+            name=f"{self.id}:{message.kind}#{message.id}",
+        )
 
     def _guarded(
         self, handler: MessageHandler, message: Message, span: object = None

@@ -209,33 +209,45 @@ def dependency_closure(
     order: List[CodeUnit] = []
     placed: Dict[str, Version] = {}
     in_progress: List[str] = []
-
-    def visit(requirement: Requirement) -> None:
-        if requirement.name in placed:
-            if not requirement.any_version and not placed[
-                requirement.name
-            ].compatible_with(requirement.min_version):
-                raise DependencyError(
-                    f"{requirement.name}: closure already pinned "
-                    f"{placed[requirement.name]}, but {requirement} needed"
-                )
-            return
-        if requirement.name in in_progress:
-            cycle = " -> ".join(in_progress + [requirement.name])
-            raise DependencyError(f"dependency cycle: {cycle}")
-        in_progress.append(requirement.name)
-        unit = resolve(requirement)
-        if not requirement.satisfied_by(unit):
-            raise DependencyError(
-                f"resolver returned {unit.qualified_name}, which does not "
-                f"satisfy {requirement}"
-            )
-        for dependency in unit.requires:
-            visit(dependency)
-        in_progress.pop()
-        placed[unit.name] = unit.version
-        order.append(unit)
-
     for root in roots:
-        visit(Requirement.parse(root))
+        _visit(Requirement.parse(root), resolve, order, placed, in_progress)
     return order
+
+
+def _visit(
+    requirement: Requirement,
+    resolve: Callable[[Requirement], CodeUnit],
+    order: List[CodeUnit],
+    placed: Dict[str, Version],
+    in_progress: List[str],
+) -> None:
+    """Place ``requirement``'s unit after its dependencies.
+
+    A module-level function rather than a closure: a nested recursive
+    function reaches itself through its own closure cell, a reference
+    cycle every call would leave for the garbage collector.
+    """
+    if requirement.name in placed:
+        if not requirement.any_version and not placed[
+            requirement.name
+        ].compatible_with(requirement.min_version):
+            raise DependencyError(
+                f"{requirement.name}: closure already pinned "
+                f"{placed[requirement.name]}, but {requirement} needed"
+            )
+        return
+    if requirement.name in in_progress:
+        cycle = " -> ".join(in_progress + [requirement.name])
+        raise DependencyError(f"dependency cycle: {cycle}")
+    in_progress.append(requirement.name)
+    unit = resolve(requirement)
+    if not requirement.satisfied_by(unit):
+        raise DependencyError(
+            f"resolver returned {unit.qualified_name}, which does not "
+            f"satisfy {requirement}"
+        )
+    for dependency in unit.requires:
+        _visit(dependency, resolve, order, placed, in_progress)
+    in_progress.pop()
+    placed[unit.name] = unit.version
+    order.append(unit)

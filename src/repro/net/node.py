@@ -105,7 +105,7 @@ class NetworkNode:
     """A device on the network: fixed server or mobile handset.
 
     Nodes expose an ``inbox`` store of delivered :class:`Message` objects;
-    higher layers (the middleware host) run a dispatch loop over it.
+    higher layers (the middleware host) dispatch from it.
     """
 
     def __init__(

@@ -265,3 +265,64 @@ class TestCapsuleGate:
             return principal
 
         assert run(world, admit()) == "signer"
+
+
+class TestRequestWorkCount:
+    """Exact kernel work for sequential request/reply exchanges.
+
+    One 100 B exchange between two loss-free Wi-Fi hosts costs 16
+    events, the dead deadline included: the request leg's start,
+    channel claim, transmit, propagation and acknowledgement; the
+    server's inbox get and handler start; the reply leg's five; the
+    handler's end; the client's inbox get; the reply event, which
+    resumes the caller; and, a timeout later, the deadline popping
+    with no callback left.  An ``any_of`` race spent one more, the
+    condition firing between the reply event and the caller.
+    """
+
+    def _run(self, world, monkeypatch):
+        from repro.sim import events
+
+        conditions = []
+        condition_init = events.Condition.__init__
+
+        def counting_condition_init(self, *args, **kwargs):
+            conditions.append(self)
+            condition_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(events.Condition, "__init__", counting_condition_init)
+        a = make_host(world, "a")
+        b = make_host(world, "b", x=20)
+        b.add_component(Echo())
+
+        def client():
+            for index in range(100):
+                yield from a.request(
+                    Message("a", "b", "echo.ping", payload=index, size_bytes=100)
+                )
+
+        env = world.env
+        steps = 0
+        step = env.step
+
+        def counting_step():
+            nonlocal steps
+            step()
+            steps += 1
+
+        env.step = counting_step
+        env.process(client())
+        world.run()  # until the queue is empty: dead deadlines count
+        return steps, conditions
+
+    def test_exchange_costs_sixteen_events_with_its_deadline(
+        self, world, monkeypatch
+    ):
+        steps, _ = self._run(world, monkeypatch)
+        # 100 exchanges, both hosts' dispatch start events, and the
+        # client process's start and end.
+        assert steps == 100 * 16 + 4
+
+    def test_request_path_builds_no_condition(self, world, monkeypatch):
+        _, conditions = self._run(world, monkeypatch)
+        assert conditions == []

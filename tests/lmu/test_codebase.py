@@ -1,5 +1,7 @@
 """Unit tests for the local codebase: install, versions, quota, eviction."""
 
+import gc
+
 import pytest
 
 from repro.errors import (
@@ -238,3 +240,22 @@ class TestDependencyClosure:
         resolver = self.build_resolver([unit("a", "1.0.0")])
         with pytest.raises(DependencyError):
             dependency_closure(["a>=1.5"], resolver)
+
+    def test_leaves_no_reference_cycles(self):
+        resolver = self.build_resolver(
+            [
+                unit("app", requires=["lib", "base"]),
+                unit("lib", requires=["base"]),
+                unit("base"),
+            ]
+        )
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(100):
+                dependency_closure(["app"], resolver)
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
