@@ -112,12 +112,35 @@ def _find_report(name: str):
     return None
 
 
+def _load_report(name: str):
+    """Resolve ``name`` with :func:`_find_report` and load it checked.
+
+    Returns the :class:`~repro.obs.RunReport`, or ``None`` after
+    printing a one-line error.
+    """
+    from repro.obs import ReportSchemaError, RunReport
+
+    path = _find_report(name)
+    if path is None:
+        print(
+            f"error: no report named {name!r} — not a file, and not "
+            "found under benchmarks/results/ (run a benchmark first, or "
+            "list reports with: python -m repro report)",
+            file=sys.stderr,
+        )
+        return None
+    try:
+        return RunReport.load_checked(path)
+    except ReportSchemaError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return None
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     import glob
-    import json
     import os
 
-    from repro.obs import RunReport
+    from repro.obs import ReportSchemaError, RunReport
 
     if args.name is None:
         found = []
@@ -134,8 +157,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"{len(found)} run report(s):\n")
         for path in found:
             try:
-                report = RunReport.load(path)
-            except (json.JSONDecodeError, KeyError, ValueError) as error:
+                report = RunReport.load_checked(path)
+            except ReportSchemaError as error:
                 print(f"  {os.path.basename(path)}  [unreadable: {error}]")
                 continue
             spans = len(report.spans)
@@ -146,29 +169,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
             )
         print("\nrender one with: python -m repro report <name>")
         return 0
-    path = _find_report(args.name)
-    if path is None:
-        print(
-            f"error: no report named {args.name!r} — not a file, and not "
-            "found under benchmarks/results/ (run a benchmark first, or "
-            "list reports with: python -m repro report)",
-            file=sys.stderr,
-        )
-        return 1
-    from repro.obs import ReportSchemaError
-
-    try:
-        report = RunReport.load_checked(path)
-    except ReportSchemaError as error:
-        print(f"error: {error}", file=sys.stderr)
+    report = _load_report(args.name)
+    if report is None:
         return 1
     print(report.render(top=args.top))
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from repro.obs import ReportSchemaError
-    from repro.obs.diff import diff_report_files
+    from repro.obs.diff import diff_reports
+    from repro.obs.fileio import atomic_write_text
 
     overrides = {}
     for spec in args.direction or ():
@@ -182,29 +192,19 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             return 2
         overrides[name] = None if direction == "neutral" else direction
 
-    paths = []
+    reports = []
     for name in (args.base, args.new):
-        path = _find_report(name)
-        if path is None:
-            print(
-                f"error: no report named {name!r} — not a file, and not "
-                "found under benchmarks/results/",
-                file=sys.stderr,
-            )
+        report = _load_report(name)
+        if report is None:
             return 1
-        paths.append(path)
-    try:
-        diff = diff_report_files(
-            paths[0], paths[1],
-            threshold=args.threshold,
-            overrides=overrides or None,
-        )
-    except ReportSchemaError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+        reports.append(report.to_dict())
+    diff = diff_reports(
+        reports[0], reports[1],
+        threshold=args.threshold,
+        overrides=overrides or None,
+    )
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(diff.to_json() + "\n")
+        atomic_write_text(args.out, diff.to_json() + "\n")
     if args.json:
         print(diff.to_json())
     else:
@@ -223,40 +223,30 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _load_trace_analysis(name: str):
     """Resolve + load a report and build its trace analysis.
 
-    Returns ``(analysis, report, None)`` or ``(None, None, exit_code)``
-    after printing a one-line error.
+    Returns ``(analysis, report)``, or ``(None, None)`` after printing
+    a one-line error.
     """
-    from repro.obs import ReportSchemaError, RunReport, TraceAnalysis
+    from repro.obs import TraceAnalysis
 
-    path = _find_report(name)
-    if path is None:
-        print(
-            f"error: no report named {name!r} — not a file, and not "
-            "found under benchmarks/results/ (run a benchmark with spans "
-            "enabled first, e.g. pytest benchmarks/bench_chaos.py --quick)",
-            file=sys.stderr,
-        )
-        return None, None, 1
-    try:
-        report = RunReport.load_checked(path)
-    except ReportSchemaError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return None, None, 1
+    report = _load_report(name)
+    if report is None:
+        return None, None
     try:
         analysis = TraceAnalysis.from_report(report)
     except (KeyError, TypeError, ValueError) as error:
         print(
-            f"error: {path} has malformed spans: {error}", file=sys.stderr
+            f"error: report {report.name!r} has malformed spans: {error}",
+            file=sys.stderr,
         )
-        return None, None, 1
+        return None, None
     if not analysis.spans:
         print(
             f"error: report {report.name!r} carries no spans — rerun the "
             "benchmark with tracing enabled (trace_enabled=True)",
             file=sys.stderr,
         )
-        return None, None, 1
-    return analysis, report, None
+        return None, None
+    return analysis, report
 
 
 def _trace_strict_check(analysis, report) -> int:
@@ -270,9 +260,9 @@ def _trace_strict_check(analysis, report) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    analysis, report, code = _load_trace_analysis(args.name)
+    analysis, report = _load_trace_analysis(args.name)
     if analysis is None:
-        return code
+        return 1
     action = args.action
     if action == "summary":
         print(analysis.render_summary())
@@ -283,11 +273,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     elif action == "export":
         import json
 
+        from repro.obs.fileio import atomic_write_text
+
         document = analysis.to_chrome()
         text = json.dumps(document, indent=2, sort_keys=True)
         if args.out:
-            with open(args.out, "w") as handle:
-                handle.write(text + "\n")
+            atomic_write_text(args.out, text + "\n")
             print(
                 f"wrote {len(document['traceEvents'])} trace events to "
                 f"{args.out} (load in Perfetto / chrome://tracing)"
@@ -300,23 +291,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_health(args: argparse.Namespace) -> int:
-    from repro.obs import ReportSchemaError, RunReport
+    from repro.obs.health import render_health
 
-    path = _find_report(args.name)
-    if path is None:
-        print(
-            f"error: no report named {args.name!r} — not a file, and not "
-            "found under benchmarks/results/ (run a benchmark with SLOs "
-            "armed first, e.g. pytest benchmarks/bench_chaos.py --quick)",
-            file=sys.stderr,
-        )
+    report = _load_report(args.name)
+    if report is None:
         return 1
-    try:
-        report = RunReport.load_checked(path)
-    except ReportSchemaError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-
     health = report.health
     if not health:
         print(
@@ -325,69 +304,16 @@ def _cmd_health(args: argparse.Namespace) -> int:
             "slos=...) or no SLO ever left 'ok'."
         )
         return 0
-
-    states = health.get("states", {})
-    events = health.get("events", [])
-    verdicts = health.get("verdicts", {})
-    slos = health.get("slos", [])
-    flight = report.flight or {}
-
-    print(f"fleet health — {report.name}")
-    print(
-        f"  {len(slos)} slo(s), {health.get('evaluations', 0)} sweeps, "
-        f"{len(events)} transition(s)"
-        + (
-            f" ({health.get('dropped_events', 0)} dropped)"
-            if health.get("dropped_events")
-            else ""
-        )
-    )
-
-    if states:
-        print("\n  node states (worst across slos):")
-        width = max(len(node) for node in states)
-        for node in sorted(states):
-            marker = {"ok": " ", "degraded": "~", "critical": "!"}.get(
-                states[node], "?"
-            )
-            print(f"    {marker} {node:<{width}}  {states[node]}")
-
-    if verdicts:
-        print("\n  verdicts (slo -> node -> final level):")
-        for slo_name in sorted(verdicts):
-            nodes = verdicts[slo_name]
-            parts = ", ".join(
-                f"{node}={nodes[node]}" for node in sorted(nodes)
-            )
-            print(f"    {slo_name}: {parts}")
-
-    if events:
-        shown = events[: args.top]
-        print(f"\n  breach timeline (first {len(shown)} of {len(events)}):")
-        for event in shown:
-            print(
-                f"    t={event['time']:<8g} {event['node']:<12} "
-                f"{event['slo']:<16} {event['from']} -> {event['to']} "
-                f"(value={event['value']:g})"
-            )
-
-    if flight:
-        print(f"\n  flight-recorder dumps ({len(flight)} node(s)):")
-        for node in sorted(flight):
-            dump = flight[node]
-            print(
-                f"    {node}: captured t={dump.get('time')} on "
-                f"slo={dump.get('slo')} -> {dump.get('level')}; "
-                f"{len(dump.get('events', []))} event(s), "
-                f"{len(dump.get('faults', []))} fault(s)"
-            )
-
+    print(render_health(report.name, health, report.flight, top=args.top))
     if args.strict:
+        states = health.get("states") or {}
         critical_states = sorted(
             node for node, level in states.items() if level == "critical"
         )
         critical_events = [
-            event for event in events if event.get("to") == "critical"
+            event
+            for event in health.get("events") or []
+            if event.get("to") == "critical"
         ]
         if critical_states or critical_events:
             print(

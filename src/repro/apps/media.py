@@ -134,13 +134,6 @@ class MediaPlayer:
         self.history.append(record)
         return record
 
-    def drop_codec(self, format_name: str) -> bool:
-        """Explicitly delete a codec, conserving storage."""
-        removed = self.host.component("cod").release(
-            [codec_unit_name(format_name)]
-        )
-        return bool(removed)
-
     @property
     def miss_rate(self) -> float:
         if not self.history:

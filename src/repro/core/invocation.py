@@ -484,14 +484,6 @@ class Paradigm(Protocol):
         """Predicted cost of running ``task`` over ``link``."""
 
 
-def implements_paradigm(component: object) -> bool:
-    """True when ``component`` satisfies the :class:`Paradigm` protocol."""
-    return (
-        isinstance(component, Paradigm)
-        and getattr(component, "paradigm", None) is not None
-    )
-
-
 # ---------------------------------------------------------------------------
 # The degenerate fifth paradigm: run it here
 # ---------------------------------------------------------------------------

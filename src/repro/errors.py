@@ -81,22 +81,6 @@ class EmptySchedule(SimulationError):
     """The event queue ran dry before the requested stop condition."""
 
 
-class Interrupt(SimulationError):
-    """Thrown into a process that another process interrupted.
-
-    The interrupting party supplies ``cause``; the interrupted generator
-    receives this exception at its current yield point.
-    """
-
-    def __init__(self, cause: object = None) -> None:
-        super().__init__(cause)
-
-    @property
-    def cause(self) -> object:
-        """The value passed to :meth:`Process.interrupt`."""
-        return self.args[0]
-
-
 # ---------------------------------------------------------------------------
 # Network substrate
 # ---------------------------------------------------------------------------

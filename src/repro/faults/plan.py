@@ -35,7 +35,7 @@ kind) to scope the blast radius.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -379,19 +379,6 @@ class FaultPlan:
         )
 
     # -- scaling and (de)serialisation --------------------------------------
-
-    def shifted(self, offset: float) -> "FaultPlan":
-        """A copy with every fault's schedule moved by ``offset``."""
-        return FaultPlan(
-            replace(spec, at=spec.at + offset) for spec in self.faults
-        )
-
-    def end_time(self) -> float:
-        """Sim time at which the last scheduled fault window closes."""
-        return max(
-            (spec.window(spec.repeat - 1)[1] for spec in self.faults),
-            default=0.0,
-        )
 
     def to_dict(self) -> Dict[str, object]:
         return {"faults": [spec.to_dict() for spec in self.faults]}

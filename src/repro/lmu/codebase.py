@@ -103,17 +103,6 @@ class Codebase:
         """Name -> installed version, for differential COD requests."""
         return {name: unit.version for name, unit in self._units.items()}
 
-    def providers_of(self, capability: str) -> List[CodeUnit]:
-        """Installed units advertising an abstract capability tag."""
-        return sorted(
-            (
-                unit
-                for unit in self._units.values()
-                if capability in unit.provides
-            ),
-            key=lambda unit: unit.name,
-        )
-
     # -- mutation ----------------------------------------------------------------
 
     def install(self, unit: CodeUnit, pinned: bool = False) -> None:

@@ -40,20 +40,6 @@ class CodeRepository:
         for unit in units:
             self.publish(unit)
 
-    def withdraw(self, name: str, version: Optional[Version] = None) -> None:
-        """Remove a version (or every version) of ``name``."""
-        if name not in self._catalog:
-            raise UnitNotFound(f"repository has no unit {name!r}")
-        if version is None:
-            del self._catalog[name]
-            return
-        versions = self._catalog[name]
-        if version not in versions:
-            raise UnitNotFound(f"repository has no {name}@{version}")
-        del versions[version]
-        if not versions:
-            del self._catalog[name]
-
     def __contains__(self, name: str) -> bool:
         return name in self._catalog
 
@@ -62,11 +48,6 @@ class CodeRepository:
 
     def names(self) -> List[str]:
         return sorted(self._catalog)
-
-    def versions_of(self, name: str) -> List[Version]:
-        if name not in self._catalog:
-            raise UnitNotFound(f"repository has no unit {name!r}")
-        return sorted(self._catalog[name])
 
     def latest(self, name: str) -> CodeUnit:
         """The newest published version of ``name``."""
@@ -103,15 +84,6 @@ class CodeRepository:
         if self.metrics is not None:
             self.metrics.counter("repository.resolutions").increment()
         return versions[max(matching)]
-
-    def providers_of(self, capability: str) -> List[CodeUnit]:
-        """Latest versions of units advertising an abstract capability."""
-        providers = []
-        for name in self.names():
-            unit = self.latest(name)
-            if capability in unit.provides:
-                providers.append(unit)
-        return providers
 
     def total_bytes(self) -> int:
         """Catalogue footprint if everything were preinstalled (E2)."""

@@ -31,7 +31,6 @@ from .technologies import (
     WIFI_ADHOC,
     WIFI_INFRA,
     LinkTechnology,
-    technology,
 )
 from .transport import ACK_BYTES, Transport
 
@@ -67,5 +66,4 @@ __all__ = [
     "grid_positions",
     "prefer_fast",
     "prefer_free_then_fast",
-    "technology",
 ]

@@ -95,13 +95,6 @@ class SpatialGrid:
         """Current indexed position of ``item_id`` (KeyError if absent)."""
         return self._positions[item_id]
 
-    def items_in_cell(self, cell: Tuple[int, int]) -> Tuple[str, ...]:
-        """Ids bucketed in ``cell``, in insertion order (empty if none)."""
-        bucket = self._cells.get(cell)
-        if not bucket:
-            return ()
-        return tuple(bucket)
-
     def insert(self, item_id: str, position: Position) -> None:
         if item_id in self._positions:
             self.move(item_id, position)
@@ -125,16 +118,6 @@ class SpatialGrid:
         if not bucket:
             del self._cells[old_cell]
         self._cells.setdefault(new_cell, {})[item_id] = position
-
-    def remove(self, item_id: str) -> None:
-        position = self._positions.pop(item_id, None)
-        if position is None:
-            return
-        cell = self.cell_of(position)
-        bucket = self._cells[cell]
-        del bucket[item_id]
-        if not bucket:
-            del self._cells[cell]
 
     def rebuild(self, cell_size: float) -> None:
         """Re-bucket every item under a new cell size (rare; used when a

@@ -27,16 +27,16 @@ moves.
 For city-scale worlds :class:`HierarchicalRouter` first walks
 neighbour to neighbour through the straight corridor of
 :class:`~repro.net.geometry.SpatialGrid` cells between the endpoints,
-proves unreachability on a coarse graph of occupied cells, and only
-otherwise pays one flat BFS.  Its paths may be longer than flat-BFS
-paths, but never by more than the documented stretch bound, and its
+and only when that walk misses pays one flat BFS, which also gives
+every negative answer.  Its paths may be longer than flat-BFS paths,
+but never by more than the documented stretch bound, and its
 *reachability* answers are bit-identical to the naive reference sweeps
 (see docs/PERFORMANCE.md, "City-scale routing").
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..errors import Unreachable
 from ..sim import Environment, Event, MetricsRegistry
@@ -44,14 +44,6 @@ from ..sim.events import PENDING
 from .message import RELAY_KIND, Message
 from .network import Cell, Network, bfs_tree, walk_tree
 from .transport import Transport
-
-#: Deterministic neighbour-cell visit order for the coarse cell BFS.
-_RING = (
-    (-1, -1), (-1, 0), (-1, 1),
-    (0, -1), (0, 1),
-    (1, -1), (1, 0), (1, 1),
-)
-
 
 class RoutingTable:
     """Epoch-memoised shortest-path trees over one network.
@@ -127,16 +119,12 @@ class HierarchicalRouter:
        neighbour to neighbour inside it, best-first towards the
        target.  In dense worlds this finds a short path after touching
        O(path length × degree) nodes.
-    2. **Coarse certificate.**  If the walk misses, BFS over
-       *occupied cells* (cells holding at least one up node, 8-connected).
-       Any node-level path induces a cell-level path, so cell-level
-       unreachability is an **exact** negative answer.
-    3. **Flat fallback.**  Otherwise (sparse or maze-like worlds),
-       delegate to the flat :class:`RoutingTable`.
+    2. **Flat fallback.**  If the walk misses (sparse or maze-like
+       worlds, or no path at all), delegate to the flat
+       :class:`RoutingTable`.
 
     *Reachability is bit-identical to flat BFS* (positives are real
-    node-level walks, negatives only come from the exact certificate or
-    the flat fallback).  *Hop counts are not*: the walk's hop limit is
+    node-level walks, negatives only come from the flat fallback).  *Hop counts are not*: the walk's hop limit is
     ``stretch × max(cell_distance, 1) + 2``; since a flat path needs at
     least ``cell_distance`` hops, walked paths are within ``stretch ×
     flat_hops + 2`` of optimal, and fallback paths are optimal
@@ -168,8 +156,6 @@ class HierarchicalRouter:
         self.table = RoutingTable(network, adhoc_only=adhoc_only, metrics=metrics)
         self._epoch = -1
         self._cell_size: Optional[float] = None
-        #: Cells currently holding >= 1 up node (None = needs rebuild).
-        self._occupied: Optional[Set[Cell]] = None
         #: (source, target) -> (path tuple or None, cells the path
         #: crosses or None).  ``cells=None`` marks answers that any
         #: topology change can overturn (negatives).
@@ -182,7 +168,6 @@ class HierarchicalRouter:
             "misses": 0,
             "flat": 0,
             "greedy": 0,
-            "cell_unreachable": 0,
             "flat_fallback": 0,
         }
 
@@ -194,7 +179,7 @@ class HierarchicalRouter:
                 f"routing.hier.{key}", labels={"node": node}
             ).increment()
 
-    # -- coarse layer maintenance --------------------------------------------
+    # -- path cache maintenance ----------------------------------------------
 
     def _sync(self) -> None:
         network = self.network
@@ -204,12 +189,10 @@ class HierarchicalRouter:
             return
         if self._cell_size != grid_size or self._epoch < 0:
             # First use, or the grid was rebuilt (every cell id is new).
-            self._occupied = None
             self._paths.clear()
         else:
             _, cells = network.dirty_cells_since(self._epoch)
             if cells is None:
-                self._occupied = None
                 self._paths.clear()
             elif cells:
                 self._apply_dirty(cells)
@@ -217,17 +200,6 @@ class HierarchicalRouter:
         self._cell_size = grid_size
 
     def _apply_dirty(self, cells: FrozenSet[Cell]) -> None:
-        if self._occupied is not None:
-            grid = self.network.grid
-            nodes = self.network.nodes
-            for cell in cells:
-                alive = any(
-                    nodes[item_id].up for item_id in grid.items_in_cell(cell)
-                )
-                if alive:
-                    self._occupied.add(cell)
-                else:
-                    self._occupied.discard(cell)
         stale = [
             key
             for key, (_path, path_cells) in self._paths.items()
@@ -240,16 +212,6 @@ class HierarchicalRouter:
         ]
         for key in stale:
             del self._paths[key]
-
-    def _occupied_cells(self) -> Set[Cell]:
-        if self._occupied is None:
-            grid = self.network.grid
-            occupied: Set[Cell] = set()
-            for node in self.network.nodes.values():
-                if node.up:
-                    occupied.add(grid.cell_of(grid.position_of(node.id)))
-            self._occupied = occupied
-        return self._occupied
 
     # -- planning ------------------------------------------------------------
 
@@ -285,7 +247,7 @@ class HierarchicalRouter:
         ground, O(corridor area) at worst.  Returns None when the
         corridor is exhausted or every route exceeds ``hop_limit``
         (which enforces the stretch bound by construction); the caller
-        then falls through to the certificate and the flat fallback.
+        then falls through to the flat fallback.
         """
         network = self.network
         grid = network.grid
@@ -345,27 +307,6 @@ class HierarchicalRouter:
             stack.append(candidates)
         return None
 
-    def _cells_connected(self, start: Cell, goal: Cell) -> bool:
-        """BFS over occupied cells (8-connected); False is an exact
-        proof of node-level unreachability."""
-        occupied = self._occupied_cells()
-        if start not in occupied or goal not in occupied:
-            return False
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            if goal in seen:
-                return True
-            next_frontier: List[Cell] = []
-            for cx, cy in frontier:
-                for dx, dy in _RING:
-                    step = (cx + dx, cy + dy)
-                    if step not in seen and step in occupied:
-                        seen.add(step)
-                        next_frontier.append(step)
-            frontier = next_frontier
-        return goal in seen
-
     def path(self, source_id: str, target_id: str) -> Optional[List[str]]:
         """A path within the stretch bound, or None iff flat BFS would
         also find none."""
@@ -404,10 +345,6 @@ class HierarchicalRouter:
             # The hop limit IS the stretch bound, so no re-check needed.
             self._count("greedy", node=source_id)
             return self._remember(source_id, target_id, path)
-        if not self._cells_connected(s_cell, t_cell):
-            # Exact: every node path induces an occupied-cell path.
-            self._count("cell_unreachable", node=source_id)
-            return self._remember(source_id, target_id, None)
         # Sparse/maze-like world: pay one flat BFS, get the exact answer
         # (and the optimal path, so the stretch bound holds trivially).
         self._count("flat_fallback", node=source_id)

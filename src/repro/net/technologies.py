@@ -135,13 +135,3 @@ TECHNOLOGIES: Dict[str, LinkTechnology] = {
     tech.name: tech
     for tech in (WIFI_ADHOC, BLUETOOTH, GPRS, DIALUP, WIFI_INFRA, LAN)
 }
-
-
-def technology(name: str) -> LinkTechnology:
-    """Look up a built-in technology profile by name."""
-    try:
-        return TECHNOLOGIES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown technology {name!r}; known: {sorted(TECHNOLOGIES)}"
-        ) from None

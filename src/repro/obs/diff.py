@@ -406,18 +406,6 @@ def diff_report_files(
     Raises :class:`~repro.obs.report.ReportSchemaError` on unreadable
     or schema-mismatched input.
     """
-    base = RunReport.validate(_load_json(base_path))
-    new = RunReport.validate(_load_json(new_path))
+    base = RunReport.load_checked(base_path).to_dict()
+    new = RunReport.load_checked(new_path).to_dict()
     return diff_reports(base, new, threshold=threshold, overrides=overrides)
-
-
-def _load_json(path: str) -> object:
-    from .report import ReportSchemaError
-
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except OSError as error:
-        raise ReportSchemaError(f"cannot read {path}: {error}")
-    except json.JSONDecodeError as error:
-        raise ReportSchemaError(f"{path} is not valid JSON: {error}")

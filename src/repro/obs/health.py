@@ -378,6 +378,73 @@ class HealthEngine:
         }
 
 
+def render_health(
+    name: str,
+    health: Mapping[str, object],
+    flight: Optional[Mapping[str, object]] = None,
+    top: int = 20,
+) -> str:
+    """A report's ``health`` and ``flight`` sections as text.
+
+    SLO and sweep counts, per-node states, ``slo -> node`` verdicts,
+    the first ``top`` breach transitions and one line per
+    flight-recorder dump: what ``repro health`` prints and what
+    :meth:`~repro.obs.report.RunReport.render` embeds.
+    """
+    states = health.get("states") or {}
+    events = health.get("events") or []
+    verdicts = health.get("verdicts") or {}
+    slos = health.get("slos") or []
+    lines = [
+        f"fleet health — {name}",
+        f"  {len(slos)} slo(s), {health.get('evaluations', 0)} sweeps, "
+        f"{len(events)} transition(s)"
+        + (
+            f" ({health.get('dropped_events', 0)} dropped)"
+            if health.get("dropped_events")
+            else ""
+        ),
+    ]
+    if states:
+        lines.append("\n  node states (worst across slos):")
+        width = max(len(node) for node in states)
+        for node in sorted(states):
+            marker = {"ok": " ", "degraded": "~", "critical": "!"}.get(
+                states[node], "?"
+            )
+            lines.append(f"    {marker} {node:<{width}}  {states[node]}")
+    if verdicts:
+        lines.append("\n  verdicts (slo -> node -> final level):")
+        for slo_name in sorted(verdicts):
+            nodes = verdicts[slo_name]
+            parts = ", ".join(
+                f"{node}={nodes[node]}" for node in sorted(nodes)
+            )
+            lines.append(f"    {slo_name}: {parts}")
+    if events:
+        shown = events[:top]
+        lines.append(
+            f"\n  breach timeline (first {len(shown)} of {len(events)}):"
+        )
+        for event in shown:
+            lines.append(
+                f"    t={event['time']:<8g} {event['node']:<12} "
+                f"{event['slo']:<16} {event['from']} -> {event['to']} "
+                f"(value={event['value']:g})"
+            )
+    if flight:
+        lines.append(f"\n  flight-recorder dumps ({len(flight)} node(s)):")
+        for node in sorted(flight):
+            dump = flight[node]
+            lines.append(
+                f"    {node}: captured t={dump.get('time')} on "
+                f"slo={dump.get('slo')} -> {dump.get('level')}; "
+                f"{len(dump.get('events', []))} event(s), "
+                f"{len(dump.get('faults', []))} fault(s)"
+            )
+    return "\n".join(lines)
+
+
 def _scalar(metric) -> float:
     """The monitored scalar of a metric child (0.0 for an absent one)."""
     if metric is None:

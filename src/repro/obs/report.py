@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, TYPE_CHECKING
 
 from ..analysis.tables import render_table
 from .fileio import atomic_write_text
+from .health import render_health
 from .spans import Span, SpanTree, build_trees
 from .wallclock import wall_time
 
@@ -49,6 +50,18 @@ SCHEMA_KEYS = (
     "health",
     "flight",
 )
+
+
+#: The fields of one health transition, as ``render_health`` formats
+#: them.
+_HEALTH_EVENT_FIELDS = {
+    "time": (int, float),
+    "node": str,
+    "slo": str,
+    "from": str,
+    "to": str,
+    "value": (int, float),
+}
 
 
 class ReportSchemaError(ValueError):
@@ -206,11 +219,6 @@ class RunReport:
     def from_json(cls, text: str) -> "RunReport":
         return cls.from_dict(json.loads(text))
 
-    @classmethod
-    def load(cls, path: str) -> "RunReport":
-        with open(path) as handle:
-            return cls.from_json(handle.read())
-
     @staticmethod
     def validate(data: object) -> Dict[str, object]:
         """Check that ``data`` is a readable report document.
@@ -257,8 +265,29 @@ class RunReport:
             if section is not None and not isinstance(section, dict):
                 raise ReportSchemaError(f"'{key}' must be an object or null")
         health = data.get("health")
-        if health is not None and not isinstance(health.get("events"), list):
-            raise ReportSchemaError("'health.events' must be a list")
+        if health is not None:
+            events = health.get("events")
+            if not isinstance(events, list):
+                raise ReportSchemaError("'health.events' must be a list")
+            for index, event in enumerate(events):
+                if not isinstance(event, dict) or not all(
+                    isinstance(event.get(key), kind)
+                    for key, kind in _HEALTH_EVENT_FIELDS.items()
+                ):
+                    raise ReportSchemaError(
+                        f"'health.events[{index}]' must carry "
+                        f"{', '.join(_HEALTH_EVENT_FIELDS)}"
+                    )
+            verdicts = health.get("verdicts") or {}
+            if not (
+                isinstance(health.get("slos") or [], list)
+                and isinstance(verdicts, dict)
+                and all(isinstance(nodes, dict) for nodes in verdicts.values())
+            ):
+                raise ReportSchemaError(
+                    "'health.slos' must be a list and 'health.verdicts' "
+                    "an object of objects"
+                )
         return data
 
     @classmethod
@@ -272,7 +301,11 @@ class RunReport:
             raise ReportSchemaError(f"cannot read {path}: {error}")
         except json.JSONDecodeError as error:
             raise ReportSchemaError(f"{path} is not valid JSON: {error}")
-        return cls.from_dict(cls.validate(data))
+        data = cls.validate(data)
+        try:
+            return cls.from_dict(data)
+        except (TypeError, ValueError) as error:
+            raise ReportSchemaError(f"{path} is not a run report: {error}")
 
     def write(self, path: str) -> str:
         """Write the report atomically (temp file + ``os.replace``), so
@@ -283,10 +316,6 @@ class RunReport:
 
     def span_trees(self) -> List[SpanTree]:
         return build_trees([Span.from_dict(data) for data in self.spans])
-
-    def complete_trees(self) -> List[SpanTree]:
-        """Span trees in which every span finished."""
-        return [tree for tree in self.span_trees() if tree.complete()]
 
     def render(self, top: int = 20) -> str:
         """The report as human-readable text (tables + span trees)."""
@@ -339,53 +368,10 @@ class RunReport:
                     series_rows,
                 )
             )
-        if self.health:
-            states = self.health.get("states") or {}
-            events = self.health.get("events") or []
-            state_rows = [
-                [node, states[node]] for node in sorted(states)
-            ]
+        if self.health or self.flight:
             parts.append(
-                render_table(
-                    f"fleet health ({len(events)} transitions, "
-                    f"{self.health.get('evaluations', 0)} sweeps)",
-                    ["node", "state"],
-                    state_rows,
-                )
-            )
-            event_rows = [
-                [
-                    event.get("time"),
-                    event.get("node"),
-                    event.get("slo"),
-                    f"{event.get('from')}→{event.get('to')}",
-                ]
-                for event in events[:top]
-            ]
-            if event_rows:
-                parts.append(
-                    render_table(
-                        "health transitions (first "
-                        f"{len(event_rows)})",
-                        ["sim time", "node", "slo", "change"],
-                        event_rows,
-                    )
-                )
-        if self.flight:
-            dump_rows = [
-                [
-                    node,
-                    dump.get("slo"),
-                    dump.get("level"),
-                    len(dump.get("events") or []),
-                ]
-                for node, dump in sorted(self.flight.items())
-            ]
-            parts.append(
-                render_table(
-                    "flight-recorder dumps",
-                    ["node", "slo", "level", "events"],
-                    dump_rows,
+                render_health(
+                    self.name, self.health or {}, self.flight, top=top
                 )
             )
         trees = self.span_trees()

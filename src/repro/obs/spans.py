@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from contextlib import contextmanager
 from typing import (
     Callable,
     Deque,
@@ -241,25 +240,6 @@ class SpanTracer:
                 status=span.status,
             )
 
-    @contextmanager
-    def span(
-        self,
-        name: str,
-        source: str,
-        parent: ParentLike = None,
-        **attributes: object,
-    ) -> Iterator[Span]:
-        """Context manager: open on entry, close on exit; exceptions
-        mark the span ``error`` (and propagate)."""
-        opened = self.start(name, source, parent=parent, **attributes)
-        try:
-            yield opened
-        except BaseException as error:
-            self.finish(opened, status=STATUS_ERROR, error=str(error))
-            raise
-        else:
-            self.finish(opened)
-
     def context(self, span: Span) -> Optional[SpanContext]:
         """The wire representation of ``span`` for message propagation
         (``None`` when tracing is off, so messages stay clean)."""
@@ -285,11 +265,6 @@ class SpanTracer:
     def trees(self) -> List["SpanTree"]:
         """Finished spans grouped into trees, roots sorted by start."""
         return build_trees(self.finished_spans())
-
-    def render(self, limit: int = 20) -> str:
-        """The last ``limit`` span trees as indented text."""
-        trees = self.trees()[-limit:]
-        return "\n".join(tree.render() for tree in trees)
 
 
 class SpanTree:

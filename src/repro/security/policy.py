@@ -97,13 +97,6 @@ class SecurityPolicy:
                 f"policy forbids {operation} for principal {principal!r}"
             )
 
-    def allows(self, operation: str, principal: Optional[str] = None) -> bool:
-        try:
-            self.check(operation, principal)
-        except PolicyViolation:
-            return False
-        return True
-
     def grant_for(self, principal: str) -> QuotaGrant:
         """The :class:`QuotaGrant` this policy hands ``principal``."""
         grant = self.quota_grants.get(principal)

@@ -22,7 +22,7 @@ Quick taste::
 
 from .environment import Environment
 from .events import AllOf, AnyOf, Condition, Event, Timeout
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, TimeSeries
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .process import Process
 from .rng import RandomStreams, derive_seed
 from .stores import Resource, Store
@@ -42,7 +42,6 @@ __all__ = [
     "RandomStreams",
     "Resource",
     "Store",
-    "TimeSeries",
     "Timeout",
     "TraceLog",
     "derive_seed",

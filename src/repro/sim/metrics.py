@@ -1,14 +1,16 @@
 """Metric collection for simulations and benchmarks.
 
-A :class:`MetricsRegistry` holds named metrics of four kinds:
+A :class:`MetricsRegistry` holds named metrics of three kinds:
 
 * :class:`Counter`   — monotonically increasing totals (bytes sent, ...);
 * :class:`Gauge`     — last-written instantaneous values (queue depth, ...);
-* :class:`Histogram` — sample distributions with quantiles (latencies, ...);
-* :class:`TimeSeries`— (time, value) points for plotted series.
+* :class:`Histogram` — sample distributions with quantiles (latencies, ...).
 
 All metrics are plain in-memory Python; ``snapshot()`` renders the whole
 registry to a flat dict for table output and assertions in tests.
+Sim-time series of these metrics come from
+:class:`~repro.obs.timeseries.TimeSeriesRecorder`, which samples the
+registry at a fixed cadence; the registry itself keeps no series.
 
 **Labels.**  Every accessor takes an optional ``labels={"node": ...}``
 dimension.  A labeled call returns a *child* metric that forwards every
@@ -374,42 +376,6 @@ class Histogram:
         return f"<Histogram {self.name} n={self.count} mean={self.mean:g}>"
 
 
-class TimeSeries:
-    """Ordered (time, value) observations for a plotted series."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.points: List[Tuple[float, float]] = []
-
-    def record(self, time: float, value: float) -> None:
-        if self.points and time < self.points[-1][0]:
-            raise ValueError(f"time went backwards in series {self.name!r}")
-        self.points.append((time, value))
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def last(self) -> Optional[Tuple[float, float]]:
-        return self.points[-1] if self.points else None
-
-    def values(self) -> List[float]:
-        return [value for _, value in self.points]
-
-    def integral(self) -> float:
-        """Time-weighted integral (step interpolation)."""
-        total = 0.0
-        for (t0, v0), (t1, _) in zip(self.points, self.points[1:]):
-            total += v0 * (t1 - t0)
-        return total
-
-    def time_average(self) -> float:
-        """Time-weighted mean over the observed interval."""
-        if len(self.points) < 2:
-            return self.points[0][1] if self.points else 0.0
-        span = self.points[-1][0] - self.points[0][0]
-        return self.integral() / span if span > 0 else self.points[-1][1]
-
-
 class MetricsRegistry:
     """Namespace of metrics, created lazily on first access.
 
@@ -432,7 +398,6 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._series: Dict[str, TimeSeries] = {}
         #: (family, sorted label items) -> child metric.  Folded series
         #: alias their key to the family's ``__other__`` child, so a
         #: repeat overflow lookup is one dict hit.
@@ -473,9 +438,6 @@ class MetricsRegistry:
         if histogram is None:
             histogram = self._histograms[name] = self._new_histogram(name)
         return histogram
-
-    def series(self, name: str) -> TimeSeries:
-        return self._series.setdefault(name, TimeSeries(name))
 
     def _new_counter(self, name: str, parent: Optional[Counter] = None):
         return Counter(name, parent=parent)
@@ -572,15 +534,9 @@ class MetricsRegistry:
             snapshot[f"{name}.p99"] = histogram.p99
             snapshot[f"{name}.min"] = histogram.min
             snapshot[f"{name}.max"] = histogram.max
-        for name, series in self._series.items():
-            last = series.last()
-            snapshot[f"{name}.last"] = last[1] if last else 0.0
         return snapshot
 
     def names(self) -> List[str]:
         return sorted(
-            list(self._counters)
-            + list(self._gauges)
-            + list(self._histograms)
-            + list(self._series)
+            list(self._counters) + list(self._gauges) + list(self._histograms)
         )

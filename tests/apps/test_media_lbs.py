@@ -79,19 +79,6 @@ class TestMediaPlayer:
         assert phone.codebase.used_bytes <= 400_000
         assert phone.codebase.evictions >= 1
 
-    def test_drop_codec_frees_storage(self):
-        world, phone, vendor = media_world()
-        player = MediaPlayer(phone, "vendor")
-
-        def go():
-            yield from player.play("mp3")
-
-        run(world, go())
-        used = phone.codebase.used_bytes
-        assert player.drop_codec("mp3")
-        assert phone.codebase.used_bytes < used
-        assert not player.drop_codec("mp3")  # already gone
-
     def test_miss_rate_and_mean_time(self):
         world, phone, vendor = media_world()
         player = MediaPlayer(phone, "vendor")

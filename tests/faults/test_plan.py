@@ -113,15 +113,3 @@ class TestFaultPlan:
         plan = FaultPlan().drop(at=1.0, duration=2.0, rate=1.0)
         data = plan.to_dict()["faults"][0]
         assert data == {"kind": "drop", "at": 1.0, "duration": 2.0}
-
-    def test_shifted_moves_every_fault(self):
-        shifted = self.make_plan().shifted(100.0)
-        assert [spec.at for spec in shifted] == [
-            101.0, 103.0, 105.0, 107.0, 108.0, 109.0, 110.0, 111.0,
-        ]
-
-    def test_end_time_covers_repeats(self):
-        plan = FaultPlan().crash(
-            ["a"], at=10.0, down_s=2.0, repeat=3, period=20.0
-        )
-        assert plan.end_time() == 52.0

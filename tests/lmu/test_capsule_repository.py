@@ -11,7 +11,6 @@ from repro.lmu import (
     MANIFEST_BYTES,
     MANIFEST_ENTRY_BYTES,
     Requirement,
-    Version,
     build_capsule,
     code_unit,
     estimate_size,
@@ -56,24 +55,6 @@ class TestRepository:
         repository = make_repository(unit("a", "1.0.0"))
         with pytest.raises(UnitNotFound):
             repository.resolve(Requirement.parse("a>=1.5"))
-
-    def test_withdraw_version_and_all(self):
-        repository = make_repository(unit("a", "1.0.0"), unit("a", "1.1.0"))
-        repository.withdraw("a", Version.parse("1.1.0"))
-        assert str(repository.latest("a").version) == "1.0.0"
-        repository.withdraw("a")
-        assert "a" not in repository
-
-    def test_withdraw_missing_raises(self):
-        with pytest.raises(UnitNotFound):
-            CodeRepository().withdraw("ghost")
-
-    def test_providers_of(self):
-        repository = make_repository(
-            unit("ogg", provides=["codec:ogg"]),
-            unit("mp3", provides=["codec:mp3"]),
-        )
-        assert [u.name for u in repository.providers_of("codec:mp3")] == ["mp3"]
 
     def test_total_bytes(self):
         repository = make_repository(unit("a", size=100), unit("b", size=250))

@@ -173,12 +173,6 @@ class TestQueries:
         missing = codebase.missing_requirements(dependent)
         assert [str(req) for req in missing] == ["other"]
 
-    def test_providers_of_capability(self):
-        codebase = Codebase()
-        codebase.install(unit("ogg", provides=["codec:ogg"]))
-        codebase.install(unit("mp3", provides=["codec:mp3"]))
-        assert [u.name for u in codebase.providers_of("codec:ogg")] == ["ogg"]
-
     def test_touch_updates_stats(self):
         clock = FakeClock()
         codebase = Codebase(now=clock)

@@ -13,7 +13,6 @@ from repro.net import (
     Position,
     TECHNOLOGIES,
     WIFI_ADHOC,
-    technology,
 )
 
 
@@ -70,11 +69,6 @@ class TestTechnologies:
         assert not GPRS.is_adhoc
         assert not LAN.is_adhoc
 
-    def test_lookup_by_name(self):
-        assert technology("gprs") is GPRS
-        with pytest.raises(KeyError):
-            technology("carrier-pigeon")
-
     def test_registry_complete(self):
         assert {"802.11b-adhoc", "bluetooth", "gprs", "gsm-dialup", "lan"} <= set(
             TECHNOLOGIES
@@ -110,15 +104,6 @@ class TestSpatialGrid:
         grid.move("a", Position(950, 950))
         assert grid.near(Position(0, 0), 200.0) == []
         assert grid.near(Position(1000, 1000), 200.0) == ["a"]
-
-    def test_remove(self):
-        grid = self._grid()
-        grid.insert("a", Position(10, 10))
-        assert "a" in grid and len(grid) == 1
-        grid.remove("a")
-        assert "a" not in grid and len(grid) == 0
-        assert grid.near(Position(10, 10), 50.0) == []
-        grid.remove("a")  # idempotent
 
     def test_rebuild_preserves_items(self):
         grid = self._grid(cell=10.0)

@@ -1,7 +1,7 @@
 """Unit tests for the city-scale routing fabric.
 
 Covers the :class:`HierarchicalRouter` planning ladder (flat delegate,
-gateway walk, coarse-cell certificate, flat fallback), its dirty-cell
+gateway walk, flat fallback), its dirty-cell
 path cache, the epoch-flushed :class:`RoutingTable`, epoch bumps on
 every real move, the connectivity monitor's same-epoch scan skip, and
 same-seed determinism with the hierarchical planner driving a live
@@ -118,20 +118,19 @@ class TestHierarchicalRouterPlanning:
         assert flat == ["s", "a", "b", "c", "d", "e", "t"]
         assert router.path("s", "t") == flat
         assert router.stats["greedy"] == 0
-        assert router.stats["cell_unreachable"] == 0
         assert router.stats["flat_fallback"] == 1
 
     def test_cell_unreachable_is_exact_negative(self):
         env, network = make_network()
         add_chain(env, network, 3)
-        # A second island far away: the cells between are empty, so the
-        # coarse layer proves unreachability without any flat BFS.
+        # A second island far away: the gateway walk misses, and the
+        # flat fallback gives the exact negative answer.
         add_chain(env, network, 3, prefix="far")
         for i in range(3):
             network.node(f"far{i}").move_to(Position(2000 + 90 * i, 0))
         router = HierarchicalRouter(network, flat_threshold=0)
         assert router.path("n0", "far2") is None
-        assert router.stats["cell_unreachable"] == 1
+        assert router.stats["flat_fallback"] == 1
         assert flat_path(network, "n0", "far2") is None
 
     def test_detour_world_falls_back_to_flat(self):

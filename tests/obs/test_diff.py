@@ -208,6 +208,23 @@ class TestCompareCli:
         assert verdict["base"] == "fixture_base"
         assert verdict["verdict"] == "regression"
 
+    def test_out_is_written_atomically(self, tmp_path, monkeypatch):
+        out_path = tmp_path / "verdict.json"
+        assert main(["compare", BASE, REGRESSED, "--out", str(out_path)]) == 0
+        written = out_path.read_text()
+        assert json.loads(written)["verdict"] == "regression"
+        assert [p.name for p in tmp_path.iterdir()] == ["verdict.json"]
+        # Killed before the rename: the old verdict stays whole and no
+        # temp file is left behind.
+        def killed(*_args):
+            raise OSError("killed")
+
+        monkeypatch.setattr(os, "replace", killed)
+        with pytest.raises(OSError):
+            main(["compare", BASE, BASE, "--out", str(out_path)])
+        assert out_path.read_text() == written
+        assert [p.name for p in tmp_path.iterdir()] == ["verdict.json"]
+
     def test_direction_override_flag(self):
         code = main(
             [

@@ -86,7 +86,7 @@ class TestCapture:
     def test_span_trees_from_report(self):
         world = small_run()
         report = RunReport.capture("t", world)
-        trees = report.complete_trees()
+        trees = [tree for tree in report.span_trees() if tree.complete()]
         assert len(trees) == 3  # one per CS call
         assert all(tree.span.name == "cs.call" for tree in trees)
 
@@ -103,7 +103,7 @@ class TestRoundTrip:
         original = RunReport.capture("t", world)
         path = str(tmp_path / "report.json")
         original.write(path)
-        restored = RunReport.load(path)
+        restored = RunReport.load_checked(path)
         assert restored.metrics == original.metrics
         assert restored.spans == original.spans
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.net import Area, CostMeter, GPRS, Position, WIFI_ADHOC
 from repro.sim import Environment, Store
-from repro.sim.metrics import Histogram, TimeSeries
+from repro.sim.metrics import Histogram
 from repro.tuplespace import ANY, Template, TupleSpace
 
 
@@ -72,33 +72,6 @@ class TestHistogramProperties:
         for sample in samples:
             histogram.observe(sample)
         assert histogram.min - 1e-6 <= histogram.mean <= histogram.max + 1e-6
-
-
-class TestTimeSeriesProperties:
-    @given(
-        st.lists(
-            st.tuples(st.floats(0, 1e6), st.floats(-1e6, 1e6)),
-            min_size=2,
-            max_size=50,
-        )
-    )
-    def test_time_average_bounded_by_extremes(self, points):
-        ordered = sorted(points, key=lambda pair: pair[0])
-        # Deduplicate times to keep the series strictly sensible.
-        seen = set()
-        unique = []
-        for time, value in ordered:
-            if time not in seen:
-                seen.add(time)
-                unique.append((time, value))
-        if len(unique) < 2:
-            return
-        series = TimeSeries("s")
-        for time, value in unique:
-            series.record(time, value)
-        values = [value for _, value in unique]
-        # Step interpolation: the last value never contributes.
-        assert min(values) - 1e-6 <= series.time_average() <= max(values) + 1e-6
 
 
 class TestGeometryProperties:

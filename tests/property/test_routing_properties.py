@@ -9,8 +9,7 @@ test_topology_cache_properties so the same world shapes are covered):
     over the naive reference adjacency, after every mutation;
 (b) :class:`HierarchicalRouter` reachability equals the naive
     reference reachability (positives are real, validated paths;
-    negatives only come from the exact coarse-cell certificate or the
-    flat fallback), again across mutations with its path cache live;
+    negatives only come from the flat fallback), again across mutations with its path cache live;
 (c) every hierarchical path respects the documented stretch bound
     ``hops ≤ stretch × flat_hops + 2``, and so does every message a
     source-routing :class:`Router` delivers over it: on a static world

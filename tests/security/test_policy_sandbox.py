@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import PolicyViolation, SandboxViolation
 from repro.security import (
-    CLIENT_ONLY_POLICY,
     ExecutionContext,
     InProcessProvider,
     OPEN_POLICY,
@@ -43,10 +42,6 @@ class TestPolicy:
     def test_unknown_operation_in_constructor(self):
         with pytest.raises(ValueError):
             SecurityPolicy(allowed_operations=frozenset({"bogus"}))
-
-    def test_allows_boolean_form(self):
-        assert CLIENT_ONLY_POLICY.allows("install-code")
-        assert not CLIENT_ONLY_POLICY.allows(OP_ACCEPT_AGENT)
 
     def test_open_policy_unsigned(self):
         assert not OPEN_POLICY.require_signatures

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import EmptySchedule, Interrupt, SimulationError
+from repro.errors import EmptySchedule, SimulationError
 from repro.sim import Environment
 
 
@@ -223,84 +223,6 @@ def test_all_of_empty_fires_immediately():
 
     process = env.process(worker(env))
     assert env.run(until=process) == {}
-
-
-def test_interrupt_delivers_cause():
-    env = Environment()
-    log = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as interrupt:
-            log.append((env.now, interrupt.cause))
-
-    def interrupter(env, victim):
-        yield env.timeout(2.0)
-        victim.interrupt(cause="wake up")
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert log == [(2.0, "wake up")]
-
-
-def test_interrupted_process_can_keep_running():
-    env = Environment()
-    log = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100.0)
-        except Interrupt:
-            pass
-        yield env.timeout(1.0)
-        log.append(env.now)
-
-    def interrupter(env, victim):
-        yield env.timeout(2.0)
-        victim.interrupt()
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert log == [3.0]
-
-
-def test_interrupting_dead_process_raises():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1.0)
-
-    process = env.process(quick(env))
-    env.run()
-    with pytest.raises(SimulationError):
-        process.interrupt()
-
-
-def test_stale_timeout_does_not_resume_twice():
-    env = Environment()
-    wakeups = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(5.0)
-            wakeups.append("timeout")
-        except Interrupt:
-            wakeups.append("interrupt")
-        # Wait past the stale timeout's original firing time.
-        yield env.timeout(10.0)
-        wakeups.append("after")
-
-    def interrupter(env, victim):
-        yield env.timeout(1.0)
-        victim.interrupt()
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert wakeups == ["interrupt", "after"]
 
 
 def test_run_until_already_processed_event():

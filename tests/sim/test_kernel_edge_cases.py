@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import Interrupt, SimulationError
+from repro.errors import SimulationError
 from repro.obs import TimeSeriesRecorder
 from repro.sim import Environment, MetricsRegistry
 from repro.sim.events import Condition
@@ -92,105 +92,6 @@ class TestConditionFailures:
 
         process = env.process(worker(env))
         assert env.run(until=process) == ["x"]
-
-
-class TestInterruptRaces:
-    def test_interrupt_while_waiting_on_process(self):
-        env = Environment()
-        outcome = []
-
-        def inner(env):
-            yield env.timeout(100.0)
-            return "inner done"
-
-        def outer(env):
-            child = env.process(inner(env))
-            try:
-                result = yield child
-                outcome.append(result)
-            except Interrupt:
-                outcome.append("interrupted")
-                # The child keeps running independently.
-                result = yield child
-                outcome.append(result)
-
-        def interrupter(env, victim):
-            yield env.timeout(1.0)
-            victim.interrupt()
-
-        victim = env.process(outer(env))
-        env.process(interrupter(env, victim))
-        env.run()
-        assert outcome == ["interrupted", "inner done"]
-
-    def test_double_interrupt_delivers_twice(self):
-        env = Environment()
-        causes = []
-
-        def sleeper(env):
-            for _ in range(2):
-                try:
-                    yield env.timeout(100.0)
-                except Interrupt as interrupt:
-                    causes.append(interrupt.cause)
-
-        def interrupter(env, victim):
-            yield env.timeout(1.0)
-            victim.interrupt("first")
-            yield env.timeout(1.0)
-            victim.interrupt("second")
-
-        victim = env.process(sleeper(env))
-        env.process(interrupter(env, victim))
-        env.run()
-        assert causes == ["first", "second"]
-
-    def test_interrupt_cause_none_by_default(self):
-        env = Environment()
-        seen = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(10.0)
-            except Interrupt as interrupt:
-                seen.append(interrupt.cause)
-
-        def interrupter(env, victim):
-            yield env.timeout(1.0)
-            victim.interrupt()
-
-        victim = env.process(sleeper(env))
-        env.process(interrupter(env, victim))
-        env.run()
-        assert seen == [None]
-
-    def test_interrupt_before_first_resume_lands_at_first_yield(self):
-        env = Environment()
-        log = []
-
-        def victim(env):
-            log.append(("started", env.now))
-            try:
-                yield env.timeout(10.0)
-            except Interrupt as interrupt:
-                log.append(("interrupted", env.now, interrupt.cause))
-            yield env.timeout(1.0)
-            log.append(("done", env.now))
-
-        def spawner(env):
-            yield env.timeout(2.0)
-            # Interrupted before its initialisation event has run: the
-            # generator still reaches its first yield, then the interrupt
-            # arrives at the same simulated time.
-            env.process(victim(env)).interrupt("early")
-
-        env.process(spawner(env))
-        env.run()
-        assert log == [
-            ("started", 2.0),
-            ("interrupted", 2.0, "early"),
-            ("done", 3.0),
-        ]
 
 
 class TestEventMisuse:

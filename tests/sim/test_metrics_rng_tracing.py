@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import MetricsRegistry, RandomStreams, TraceLog, derive_seed
-from repro.sim.metrics import Counter, Gauge, Histogram, TimeSeries
+from repro.sim.metrics import Counter, Gauge, Histogram
 
 
 class TestCounter:
@@ -120,34 +120,6 @@ class TestHistogram:
         assert histogram.samples_since(3) == []
 
 
-class TestTimeSeries:
-    def test_records_in_order(self):
-        series = TimeSeries("battery")
-        series.record(0.0, 100.0)
-        series.record(10.0, 90.0)
-        assert series.values() == [100.0, 90.0]
-        assert series.last() == (10.0, 90.0)
-
-    def test_rejects_time_reversal(self):
-        series = TimeSeries("x")
-        series.record(5.0, 1.0)
-        with pytest.raises(ValueError):
-            series.record(4.0, 1.0)
-
-    def test_time_average_step_interpolation(self):
-        series = TimeSeries("x")
-        series.record(0.0, 10.0)
-        series.record(5.0, 20.0)
-        series.record(10.0, 20.0)
-        # 10 for 5s then 20 for 5s -> average 15
-        assert series.time_average() == 15.0
-
-    def test_time_average_single_point(self):
-        series = TimeSeries("x")
-        series.record(0.0, 3.0)
-        assert series.time_average() == 3.0
-
-
 class TestRegistry:
     def test_lazily_creates_and_caches(self):
         registry = MetricsRegistry()
@@ -159,12 +131,10 @@ class TestRegistry:
         registry.counter("sent").increment(3)
         registry.gauge("depth").set(2)
         registry.histogram("lat").observe(1.0)
-        registry.series("battery").record(0.0, 100.0)
         snapshot = registry.snapshot()
         assert snapshot["sent"] == 3
         assert snapshot["depth"] == 2
         assert snapshot["lat.count"] == 1
-        assert snapshot["battery.last"] == 100.0
 
     def test_snapshot_gauge_extremes_and_p99(self):
         registry = MetricsRegistry()

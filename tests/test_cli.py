@@ -81,7 +81,13 @@ class TestReportCliErrors:
         assert "expected a JSON object" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "section", ['"spans": {"a": 1}', '"series": [1, 2]']
+        "section",
+        [
+            '"spans": {"a": 1}',
+            '"series": [1, 2]',
+            '"health": {"events": [{"time": 1.0, "node": "a"}]}',
+            '"health": {"events": [], "verdicts": {"slo": 5}}',
+        ],
     )
     def test_malformed_section_exits_nonzero(self, tmp_path, capsys, section):
         bad = tmp_path / "bad.json"
@@ -179,6 +185,31 @@ class TestTraceCli:
             document = json.load(handle)
         assert any(event["ph"] == "X" for event in document["traceEvents"])
 
+    def test_export_is_written_atomically(
+        self, traced_report, tmp_path, monkeypatch
+    ):
+        import json
+        import os
+
+        out_path = tmp_path / "trace.json"
+        export = ["trace", "export", traced_report, "--out", str(out_path)]
+        assert main(export) == 0
+        written = out_path.read_text()
+        assert json.loads(written)["traceEvents"]
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.json"]
+        # Killed before the rename: the old export stays whole and no
+        # temp file is left behind.
+        out_path.write_text("old\n")
+
+        def killed(*_args):
+            raise OSError("killed")
+
+        monkeypatch.setattr(os, "replace", killed)
+        with pytest.raises(OSError):
+            main(export)
+        assert out_path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.json"]
+
     def test_unknown_report_exits_nonzero(self, capsys):
         assert main(["trace", "summary", "no-such-report-anywhere"]) == 1
         assert "no report named" in capsys.readouterr().err
@@ -269,3 +300,139 @@ class TestBatteryCrash:
         world.run(until=10.0)
         assert host.battery.empty
         assert host.node.up
+
+
+def _health_section(events, states):
+    return {
+        "slos": [{"name": "reachability"}],
+        "states": states,
+        "verdicts": {"reachability": dict(states)},
+        "events": events,
+        "dropped_events": 0,
+        "evaluations": 7,
+    }
+
+
+def _transition(time, node, to, previous="ok"):
+    return {
+        "time": time, "node": node, "slo": "reachability",
+        "from": previous, "to": to, "value": 3.0,
+    }
+
+
+def _write_health_report(path, health=None, flight=None):
+    from repro.obs import RunReport
+
+    RunReport("fleet", metrics={"a": 1.0}, health=health, flight=flight).write(
+        str(path)
+    )
+    return str(path)
+
+
+class TestHealthCli:
+    def test_healthy_report_exits_zero(self, tmp_path, capsys):
+        path = _write_health_report(
+            tmp_path / "healthy.json",
+            health=_health_section(
+                [
+                    _transition(4.0, "client-0", "degraded"),
+                    _transition(9.0, "client-0", "ok", previous="degraded"),
+                ],
+                {"client-0": "ok"},
+            ),
+        )
+        assert main(["health", path, "--strict"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("fleet health — fleet\n")
+        assert "1 slo(s), 7 sweeps, 2 transition(s)" in out
+        assert "client-0  ok" in out
+
+    def test_degraded_report_prints_states_timeline_and_flight(
+        self, tmp_path, capsys
+    ):
+        path = _write_health_report(
+            tmp_path / "degraded.json",
+            health=_health_section(
+                [_transition(12.5, "client-1", "degraded")],
+                {"client-0": "ok", "client-1": "degraded"},
+            ),
+            flight={
+                "client-1": {
+                    "time": 12.5, "slo": "reachability",
+                    "level": "degraded", "value": 3.0,
+                    "events": [{"time": 12.0}, {"time": 12.5}],
+                    "faults": [{"time": 11.0}],
+                }
+            },
+        )
+        assert main(["health", path, "--strict"]) == 0
+        out = capsys.readouterr().out
+        assert "node states (worst across slos):" in out
+        assert "~ client-1  degraded" in out
+        assert "reachability: client-0=ok, client-1=degraded" in out
+        assert "breach timeline (first 1 of 1):" in out
+        assert "t=12.5" in out and "ok -> degraded (value=3)" in out
+        assert "flight-recorder dumps (1 node(s)):" in out
+        assert (
+            "client-1: captured t=12.5 on slo=reachability -> degraded; "
+            "2 event(s), 1 fault(s)"
+        ) in out
+
+    def test_critical_report_fails_strict(self, tmp_path, capsys):
+        path = _write_health_report(
+            tmp_path / "critical.json",
+            health=_health_section(
+                [_transition(3.0, "server-0", "critical")],
+                {"server-0": "critical"},
+            ),
+        )
+        assert main(["health", path]) == 0
+        assert "! server-0  critical" in capsys.readouterr().out
+        assert main(["health", path, "--strict"]) == 1
+        err = capsys.readouterr().err
+        assert "strict: critical breach — 1 critical transition(s)" in err
+        assert "['server-0']" in err
+
+    def test_report_without_health_prints_message(self, tmp_path, capsys):
+        path = _write_health_report(tmp_path / "quiet.json")
+        assert main(["health", path, "--strict"]) == 0
+        assert "carries no health section" in capsys.readouterr().out
+
+    def test_unknown_name_exits_nonzero(self, capsys):
+        assert main(["health", "no-such-report-anywhere"]) == 1
+        assert "no report named" in capsys.readouterr().err
+
+
+class TestReportListing:
+    @pytest.fixture
+    def results(self, tmp_path, monkeypatch):
+        directory = tmp_path / "benchmarks" / "results"
+        directory.mkdir(parents=True)
+        monkeypatch.chdir(tmp_path)
+        return directory
+
+    def test_lists_readable_reports(self, results, capsys):
+        from repro.obs import RunReport
+
+        RunReport(
+            "alpha", env={"sim_time": 5.0}, metrics={"a": 1.0, "b": 2.0}
+        ).write(str(results / "alpha.json"))
+        assert main(["report"]) == 0
+        out = capsys.readouterr().out
+        assert "1 run report(s):" in out
+        assert "alpha" in out and "sim_time=5.0 metrics=2 spans=0" in out
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            "[1, 2]",
+            '{"schema": 99, "name": "x"}',
+            '{"schema": 3, "name": "x", "env": [1]}',
+        ],
+    )
+    def test_unreadable_file_is_listed_not_raised(self, results, capsys, text):
+        (results / "broken.json").write_text(text)
+        assert main(["report"]) == 0
+        out = capsys.readouterr().out
+        assert "broken.json  [unreadable: " in out
