@@ -2,7 +2,7 @@
 
 Usage, from the repository root::
 
-    python benchmarks/check_reports.py {e1,chaos-trace,chaos-health,matrix-cli,hostile}
+    python benchmarks/check_reports.py {e1,chaos-trace,chaos-health,chaos-series,matrix-cli,hostile}
 
 Each check reads one report written by the step before it, asserts the
 report's shape and prints a one-line summary.  ``chaos-health`` also
@@ -64,6 +64,43 @@ def check_chaos_health() -> None:
           f"{len(flight)} flight dumps")
 
 
+def _on_grid(time: float, cadence: float) -> bool:
+    steps = time / cadence
+    return abs(steps - round(steps)) <= 1e-9 * max(1.0, abs(steps))
+
+
+def check_chaos_series() -> None:
+    """The chaos run's series are swept on the cadence grid: each
+    series' times increase strictly, every point but the final capture
+    sweep (stamped at the run's end) lies on a multiple of the cadence,
+    and so does every health transition the sweeps recorded."""
+    report = load("chaos.json")
+    section = report["series"]
+    assert section and section["series"], "chaos run carries no series"
+    cadence = section["cadence"]
+    end = report["env"]["sim_time"]
+    points = 0
+    for name, series in section["series"].items():
+        times = series["times"]
+        assert all(a < b for a, b in zip(times, times[1:])), (
+            f"{name}: times not strictly increasing"
+        )
+        for index, time in enumerate(times):
+            final = index == len(times) - 1 and time == end
+            assert final or _on_grid(time, cadence), (
+                f"{name}: point at t={time!r} is off the {cadence} s grid"
+            )
+        points += len(times)
+    events = (report["health"] or {}).get("events", [])
+    for event in events:
+        time = event["time"]
+        assert time == end or _on_grid(time, cadence), (
+            f"health event at t={time!r} is off the {cadence} s grid"
+        )
+    print(f"ok: {points} points in {len(section['series'])} series and "
+          f"{len(events)} health transitions on the {cadence:g} s grid")
+
+
 def check_matrix_cli() -> None:
     """The flag-built matrix run merged four jobs with no failure and
     no replay mismatch."""
@@ -99,6 +136,7 @@ CHECKS = {
     "e1": check_e1,
     "chaos-trace": check_chaos_trace,
     "chaos-health": check_chaos_health,
+    "chaos-series": check_chaos_series,
     "matrix-cli": check_matrix_cli,
     "hostile": check_hostile,
 }

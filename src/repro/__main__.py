@@ -83,32 +83,33 @@ def _cmd_assess(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_search_dirs():
+def _results_dir() -> str:
+    """The one benchmarks/results/ directory reports are listed and
+    looked up in: the working directory's when it has one, even an
+    empty one, else the package-relative one."""
     import os
 
+    local = os.path.join("benchmarks", "results")
+    if os.path.isdir(local):
+        return local
     here = os.path.dirname(__file__)
-    return [
-        os.path.join("benchmarks", "results"),
-        os.path.join(
-            here, os.pardir, os.pardir, "benchmarks", "results"
-        ),
-    ]
+    return os.path.join(here, os.pardir, os.pardir, "benchmarks", "results")
 
 
 def _find_report(name: str):
     """Resolve ``name`` to a report path: a file, or ``<name>.json``
-    under benchmarks/results/ (cwd-relative or package-relative)."""
+    under :func:`_results_dir`."""
     import os
 
     if os.path.isfile(name):
         return name
-    for directory in _report_search_dirs():
-        for candidate in (
-            os.path.join(directory, name),
-            os.path.join(directory, f"{name}.json"),
-        ):
-            if os.path.isfile(candidate):
-                return candidate
+    directory = _results_dir()
+    for candidate in (
+        os.path.join(directory, name),
+        os.path.join(directory, f"{name}.json"),
+    ):
+        if os.path.isfile(candidate):
+            return candidate
     return None
 
 
@@ -143,11 +144,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.obs import ReportSchemaError, RunReport
 
     if args.name is None:
-        found = []
-        for directory in _report_search_dirs():
-            found.extend(sorted(glob.glob(os.path.join(directory, "*.json"))))
-            if found:
-                break
+        found = sorted(glob.glob(os.path.join(_results_dir(), "*.json")))
         if not found:
             print(
                 "no run reports found under benchmarks/results/ "

@@ -73,7 +73,6 @@ def _make_codec_unit(format_name: str, size: int):
         size,
         requires=["dsp-lib"],
         description=f"Decoder for the {format_name} audio format",
-        provides=[f"codec:{format_name}"],
     )
 
 

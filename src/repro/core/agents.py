@@ -580,8 +580,8 @@ class AgentRuntime(Component):
 
             timer.callbacks.append(expire)
             yield finished
-            if timer.callbacks is not None:
-                timer.callbacks.clear()
+            # Cancel the deadline (a no-op once it has fired).
+            timer.callbacks = None
             final = self.completed.get(agent_id)
             if final is None:
                 raise MigrationError(

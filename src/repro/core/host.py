@@ -134,13 +134,7 @@ class MobileHost:
         self._m_rejections = metrics.counter(
             "security.rejections", labels=labels
         )
-        # Urgent, like a process's first resumption: the first inbox
-        # get is armed at construction, in the slot a dispatch process
-        # would start in.
-        start = Event(self.env)
-        start._value = None
-        start.callbacks.append(self._arm_inbound)
-        self.env.schedule(start, priority=True)
+        self._arm_inbound()
         world.hosts[node.id] = self
 
     @property
@@ -262,8 +256,7 @@ class MobileHost:
         timeout whose one callback, ``expire``, settles a still-pending
         reply event with ``None``; the correlation id stays pending
         until the caller resumes and closes it.  A reply that wins
-        clears the deadline's callbacks, so the dead deadline still
-        pops (the series sampler runs on it) but pins nothing.
+        cancels the deadline.
 
         ``parent`` (a span or span context) makes the exchange a child
         of the caller's span; the request's span context travels inside
@@ -302,8 +295,9 @@ class MobileHost:
         reply = yield reply_event
         self._close_request(message)
         if reply is not None:
-            if timer.callbacks is not None:
-                timer.callbacks.clear()
+            # Cancel the deadline: the kernel drops it unrun, and the
+            # closure no longer pins the reply.
+            timer.callbacks = None
             self._m_request_rtt.observe(self.env.now - started)
             tracer.finish(span)
             return reply
@@ -492,7 +486,7 @@ class MobileHost:
 
     # -- dispatch -------------------------------------------------------------------
 
-    def _arm_inbound(self, _event: object = None) -> None:
+    def _arm_inbound(self) -> None:
         """Wait for the next inbound message: one inbox get, whose
         callback is :meth:`_on_inbound`."""
         self.node.inbox.get().callbacks.append(self._on_inbound)

@@ -106,8 +106,6 @@ class CodeUnit:
     requires: Tuple[Requirement, ...] = ()
     #: Human description, shown in catalogues.
     description: str = ""
-    #: Abstract capability tags this unit provides (e.g. "codec:ogg").
-    provides: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -134,7 +132,6 @@ def code_unit(
     size_bytes: int,
     requires: Optional[List[str]] = None,
     description: str = "",
-    provides: Optional[List[str]] = None,
 ) -> CodeUnit:
     """Convenience constructor taking string versions and requirements."""
     return CodeUnit(
@@ -144,7 +141,6 @@ def code_unit(
         size_bytes=size_bytes,
         requires=tuple(Requirement.parse(req) for req in (requires or [])),
         description=description,
-        provides=tuple(provides or []),
     )
 
 

@@ -27,7 +27,6 @@ from .technologies import (
     DIALUP,
     GPRS,
     LAN,
-    TECHNOLOGIES,
     WIFI_ADHOC,
     WIFI_INFRA,
     LinkTechnology,
@@ -59,7 +58,6 @@ __all__ = [
     "Router",
     "RoutingTable",
     "SpatialGrid",
-    "TECHNOLOGIES",
     "Transport",
     "WIFI_ADHOC",
     "WIFI_INFRA",

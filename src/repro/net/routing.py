@@ -36,7 +36,7 @@ but never by more than the documented stretch bound, and its
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..errors import Unreachable
 from ..sim import Environment, Event, MetricsRegistry
@@ -427,27 +427,23 @@ class _Relay:
     generator process (as :class:`~repro.net.transport._Leg` runs one
     leg).
 
-    The steps, each a callback on the one event it waits for:
+    The steps:
 
-    1. ``_start`` (an urgent start event, where a process would start)
-       stamps ``created_at``, plans, and starts the first leg with
-       ``send_reliable``, which has its own urgent start event;
+    1. ``_advance``, first in the caller's event, then in each hop
+       event, checks the next link, re-plans if it broke, and starts
+       the leg from ``current`` with ``send_reliable``; at the
+       destination it schedules ``done`` at normal priority and puts
+       the message into the destination's inbox;
     2. ``_acked`` (the leg's ``done``, its final acknowledgement)
        advances to the next node and schedules one normal-priority hop
-       event at that instant;
-    3. ``_hop`` (that hop event) checks the next link, re-plans if it
-       broke, and starts the next leg inline; at the destination it
-       schedules ``done`` at normal priority and puts the message into
-       the destination's inbox.
+       event at that instant, whose callback is ``_advance``.
 
     The hop event takes the queue slot of the inbox ``get`` that used
-    to reclaim each leg: the kernel pops a normal event at time *t*
-    only once no urgent event at *t* is left, and that get's only
-    callback scheduled the next leg's urgent start, so the start ran
-    right after it and runs inside it now.  Likewise ``done`` takes the
-    slot of the destination's ``put`` event, whose only callback
-    finished the process at once.  A failed leg, or any exception a
-    step raises, fails ``done`` urgently, as it failed the process.
+    to reclaim each leg, and ``done`` takes the slot of the
+    destination's ``put`` event, whose only callback finished the
+    process at once.  A failed leg, or any exception a step raises,
+    fails ``done`` urgently, as it failed the process (the first
+    step's too: ``send_multihop`` never raises at its call site).
     """
 
     __slots__ = ("router", "message", "done", "current", "hops", "route", "step")
@@ -462,12 +458,10 @@ class _Relay:
         #: not checked again.
         self.route: Optional[List[str]] = None
         self.step = 0
-        env = router.env
-        self.done = Event(env)
-        start = Event(env)
-        start._value = None
-        start.callbacks.append(self._start)
-        env.schedule(start, priority=True)
+        self.done = Event(router.env)
+        if message.created_at == 0.0:
+            message.created_at = router.env.now
+        self._advance()
 
     def _fail(self, error: Exception) -> None:
         """Fail ``done`` with ``error`` now (urgent, as a process failed)."""
@@ -479,12 +473,6 @@ class _Relay:
         done._value = error
         self.router.env.schedule(done, priority=True)
 
-    def _start(self, _event: Event) -> None:
-        message = self.message
-        if message.created_at == 0.0:
-            message.created_at = self.router.env.now
-        self._advance(self.router.transport.send_reliable)
-
     def _acked(self, leg: Event) -> None:
         if not leg._ok:
             leg._defused = True
@@ -495,14 +483,11 @@ class _Relay:
         self.current = self.route[self.step]  # type: ignore[index]
         hop = Event(self.router.env)
         hop._value = None
-        hop.callbacks.append(self._hop)
+        hop.callbacks.append(self._advance)
         self.router.env.schedule(hop)
 
-    def _hop(self, _event: Event) -> None:
-        self._advance(self.router.transport._send_reliable_inline)
-
-    def _advance(self, send: Callable[[Message], Event]) -> None:
-        """Start the leg from ``current`` with ``send``, or deliver."""
+    def _advance(self, _event: Optional[Event] = None) -> None:
+        """Start the leg from ``current``, or deliver."""
         try:
             router = self.router
             message = self.message
@@ -531,7 +516,7 @@ class _Relay:
                 size_bytes=message.size_bytes,
                 created_at=message.created_at,
             )
-            send(leg).callbacks.append(self._acked)  # type: ignore[union-attr]
+            router.transport.send_reliable(leg).callbacks.append(self._acked)
         except Exception as error:
             self._fail(error)
 

@@ -13,7 +13,6 @@ calibration constants, not magic — experiments sweep around them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 MB = 1_000_000  # bytes per megabyte, decimal, as tariffs were quoted
 
@@ -130,8 +129,3 @@ LAN = LinkTechnology(
 
 #: One-way latency added when a path crosses the fixed backbone.
 BACKBONE_LATENCY_S = 0.02
-
-TECHNOLOGIES: Dict[str, LinkTechnology] = {
-    tech.name: tech
-    for tech in (WIFI_ADHOC, BLUETOOTH, GPRS, DIALUP, WIFI_INFRA, LAN)
-}

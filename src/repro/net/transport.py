@@ -7,12 +7,13 @@ loss draw failed.  ``send_reliable`` adds ARQ-style retransmission with
 a bounded number of attempts.  ``broadcast`` models a single ad-hoc
 radio transmission heard by every in-range neighbour.
 
-A send is no process: it runs as a :class:`_Leg`, a chain of callbacks
-on the events the transfer has to schedule anyway — an urgent start
-event, the radio channel claim, the transmit and latency timeouts and,
-for a reliable send, the acknowledgement.  The returned :class:`Event`
-fires with the outcome at the instant the old sending process finished,
-so callers yield it exactly as before.
+A send is no process: it runs as a :class:`_Leg`, whose first step
+runs in the caller's event and whose later steps are callbacks on the
+events the transfer has to schedule anyway — the radio channel claim,
+the transmit and latency timeouts and, for a reliable send, the
+acknowledgement.  The returned :class:`Event` fires with the outcome at
+the instant the old sending process finished, so callers yield it
+exactly as before.
 
 A delivered message lands in the receiver's inbox, except a router
 relay leg (kind :data:`~repro.net.message.RELAY_KIND`): the router
@@ -57,11 +58,10 @@ def _check_size(message: Message, link: Link) -> None:
 class _Leg:
     """One send, run as kernel callbacks instead of a generator process.
 
-    The steps, each a callback on the one event it waits for:
+    The steps:
 
-    1. ``_start`` (an urgent start event, where a process would start,
-       or inline for a leg the router starts in its own hop event)
-       picks the first link and queues for the sender's radio;
+    1. ``_start``, in the caller's event, picks the first link and
+       queues for the sender's radio;
     2. ``_granted`` (the channel claim) starts the transmit timeout;
     3. ``_sent`` frees the radio, bills the sender and starts the
        propagation timeout;
@@ -73,7 +73,8 @@ class _Leg:
     when the delivery is decided; a reliable send's ``done`` *is* the
     final acknowledgement, scheduled one latency after the decision
     with ``_ack`` (the ack billing) as its first callback.  Any
-    exception a step raises fails ``done``, as it failed the process.
+    exception a step raises fails ``done`` (the first step's too: a
+    send never raises at its call site), as it failed the process.
     """
 
     __slots__ = (
@@ -96,7 +97,6 @@ class _Leg:
         message: Message,
         policy: LinkPolicy,
         attempts: int,
-        inline: bool = False,
     ) -> None:
         self.transport = transport
         self.message = message
@@ -106,18 +106,8 @@ class _Leg:
         self.attempt = 1
         self.span = NOOP_SPAN
         self.claim = None
-        env = transport.env
-        self.done = Event(env)
-        if inline:
-            self._start(None)
-            return
-        # Urgent, like a process's first resumption: the prelude runs at
-        # the send's instant, after the caller has yielded ``done`` and
-        # in the queue slot same-instant work is ordered against.
-        start = Event(env)
-        start._value = None
-        start.callbacks.append(self._start)
-        env.schedule(start, priority=True)
+        self.done = Event(transport.env)
+        self._start()
 
     def _fail(self, error: Exception) -> None:
         """Fail ``done`` with ``error`` now (urgent, as a process failed),
@@ -134,7 +124,7 @@ class _Leg:
         done._value = error
         self.transport.env.schedule(done, priority=True)
 
-    def _start(self, _event: Event) -> None:
+    def _start(self) -> None:
         try:
             self.source, self.destination, self.link = (
                 self.transport._first_link(self.message, self.policy)
@@ -425,19 +415,6 @@ class Transport:
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         return _Leg(self, message, policy or self.policy, max_attempts).done
-
-    def _send_reliable_inline(self, message: Message) -> Event:
-        """``send_reliable(message)``, started in the calling event
-        instead of an urgent start event of its own.
-
-        For a caller whose event sits exactly where that start event
-        would have run: the router's relay hops, whose normal-priority
-        hop event takes the slot of the inbox reclaim that used to
-        precede the start (see ``Router.send_multihop``).
-        """
-        return _Leg(
-            self, message, self.policy, RELIABLE_ATTEMPTS, inline=True
-        ).done
 
     def broadcast(
         self,

@@ -288,6 +288,16 @@ class RunReport:
                     "'health.slos' must be a list and 'health.verdicts' "
                     "an object of objects"
                 )
+        flight = data.get("flight")
+        if flight is not None:
+            for node, dump in flight.items():
+                if not isinstance(dump, dict):
+                    raise ReportSchemaError(f"'flight.{node}' must be an object")
+                for key in ("events", "faults"):
+                    if not isinstance(dump.get(key, []), list):
+                        raise ReportSchemaError(
+                            f"'flight.{node}.{key}' must be a list"
+                        )
         return data
 
     @classmethod

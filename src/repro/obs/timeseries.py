@@ -14,10 +14,14 @@ a fixed *simulated-time* cadence —
 — into per-metric ring buffers (``deque(maxlen=capacity)``), so memory
 stays bounded no matter how long the run is.  Sampling piggybacks on
 the kernel's step loop (no events of its own, so it neither keeps an
-idle simulation alive nor perturbs event ordering): the first event
-processed at or after each cadence boundary triggers one sweep.  A
-detached environment pays a single ``is not None`` check per step; a
-disabled recorder's ``on_step`` is one comparison and allocation-free.
+idle simulation alive nor perturbs event ordering).  A cadence
+boundary *b* is swept once every event at time <= *b* has run: just
+before the first event later than *b*, or when ``run(until)`` stops
+past *b*.  The sweep is stamped *b*, so a sample never depends on how
+many events an instant took or in what order they ran.  A quiet gap
+over several boundaries gives one sweep, not a backfill burst.  A
+detached environment pays a single ``is not None`` check per event;
+an attached recorder, one comparison more.
 
 The captured series travel inside :class:`~repro.obs.report.RunReport`
 (schema v2, top-level key ``series``), giving every benchmark a
@@ -80,7 +84,9 @@ class TimeSeriesRecorder:
         #: earlier windows (``Histogram.observed``, not a buffer
         #: index — stable across ``max_samples`` decimation).
         self._consumed: Dict[str, int] = {}
-        self._next_due = 0.0
+        #: The next cadence boundary to sweep; the kernel reads it
+        #: before each event (see :meth:`close`).
+        self.due = 0.0
         self._env = None
         self.samples_taken = 0
         #: Optional :class:`~repro.obs.health.HealthEngine` evaluated
@@ -90,12 +96,13 @@ class TimeSeriesRecorder:
     # -- kernel attachment ---------------------------------------------------
 
     def attach(self, env) -> "TimeSeriesRecorder":
-        """Hook into ``env``'s step loop (one recorder per environment)."""
+        """Hook into ``env``'s step loop (one recorder per environment).
+        The first sweep is the first boundary at or after ``env.now``."""
         if env._sampler is not None:
             raise RuntimeError("environment already has a sampler attached")
         env._sampler = self
         self._env = env
-        self._next_due = env.now
+        self.due = self._boundary_at_or_after(env.now)
         return self
 
     def detach(self) -> "TimeSeriesRecorder":
@@ -109,22 +116,42 @@ class TimeSeriesRecorder:
     def attached(self) -> bool:
         return self._env is not None
 
-    def on_step(self, now: float) -> None:
-        """Kernel callback after each processed event.
+    def close(self, upcoming: float) -> None:
+        """Kernel hook: every event at or before ``due`` has run, and
+        the next one is at ``upcoming`` (or the run stops there).
 
-        Hot path: when disabled or between cadence boundaries this is a
-        comparison and a return — no allocation (guarded by
-        ``tests/obs/test_timeseries.py``).
+        Sweeps ``due`` and moves it to the first boundary at or after
+        ``upcoming``: the boundaries in between see the same state, so
+        they get no sweep.  A disabled recorder sweeps nothing and sets
+        ``due`` to infinity, so the kernel never calls it again (guarded
+        by ``tests/obs/test_timeseries.py``).
         """
-        if not self.enabled or now < self._next_due:
+        if not self.enabled:
+            self.due = math.inf
             return
-        self.sample(now)
+        self._sweep(self.due)
+        self.due = self._boundary_at_or_after(upcoming)
+
+    def _boundary_at_or_after(self, time: float) -> float:
+        cadence = self.cadence
+        index = math.ceil(time / cadence)
+        # ``time / cadence`` can round either way; the grid point decides.
+        if (index - 1) * cadence >= time:
+            index -= 1
+        elif index * cadence < time:
+            index += 1
+        return index * cadence
 
     # -- sampling ------------------------------------------------------------
 
     def sample(self, now: float) -> None:
-        """Sweep the registry once at time ``now`` (also callable
-        manually, e.g. for a final sample after ``run()`` returns)."""
+        """Sweep the registry once at time ``now``, off the cadence (a
+        final sample after ``run()`` returns, say); the next sweep is
+        the first boundary after ``now``."""
+        self._sweep(now)
+        self.due = (math.floor(now / self.cadence) + 1.0) * self.cadence
+
+    def _sweep(self, now: float) -> None:
         record = self._record
         names = self.names
         for name, counter in self.metrics._counters.items():
@@ -155,9 +182,6 @@ class TimeSeriesRecorder:
         self.samples_taken += 1
         if self.health is not None:
             self.health.evaluate(now)
-        # Next boundary strictly after ``now``: long event gaps produce
-        # one fresh sample, not a backfill burst.
-        self._next_due = (math.floor(now / self.cadence) + 1.0) * self.cadence
 
     def _record(self, name: str, time: float, value: float) -> None:
         series = self._series.get(name)

@@ -28,11 +28,13 @@ class Environment:
         self._now = float(initial_time)
         self._queue: List[_QueueItem] = []
         self._seq = 0
-        #: Set by :meth:`repro.obs.TimeSeriesRecorder.attach`.
-        #: :meth:`step` reads it after each event's callbacks and calls
-        #: ``on_step(now)``, so a recorder attached by a callback first
-        #: sees the end of that same event; detached (None, the
-        #: default) it costs one check per event.
+        #: Set by :meth:`repro.obs.TimeSeriesRecorder.attach`.  The
+        #: sampler's ``due`` is the next cadence boundary to sweep.
+        #: Once every event at or before it has run, that is before
+        #: :meth:`step` runs the first event later than ``due``, or
+        #: when :meth:`run` stops past it, the kernel moves the clock
+        #: to ``due`` and calls ``close(upcoming)``.  Detached (None,
+        #: the default) it costs one check per event.
         self._sampler: Optional[object] = None
 
     def __repr__(self) -> str:
@@ -83,29 +85,45 @@ class Environment:
 
     def step(self) -> None:
         """Process the single next event."""
+        queue = self._queue
         try:
-            when, _, _, event = heappop(self._queue)
+            when, _, _, event = heappop(queue)
         except IndexError:
             raise EmptySchedule("no more events scheduled") from None
         if when < self._now:
             raise SimulationError("event scheduled in the past")
-        self._now = when
         # Processing finalises the event: its callbacks run exactly once,
         # and a copy that reaches the queue again finds None and is skipped.
         callbacks = event.callbacks
         if callbacks is None:
             return
+        sampler = self._sampler
+        if sampler is not None and when > sampler.due:
+            # Every event at or before the due boundary has run: the
+            # sample there sees all of that instant and none of this one.
+            self._now = sampler.due
+            sampler.close(when)  # type: ignore[attr-defined]
+        self._now = when
         event.callbacks = None
         for callback in callbacks:
             callback(event)
-        sampler = self._sampler
-        if sampler is not None:
-            # After the callbacks so a sample at time t reflects every
-            # metric update the events at t produced.
-            sampler.on_step(when)  # type: ignore[attr-defined]
+        # A cancelled entry (callbacks set to None while queued) is
+        # dropped once it reaches the head, so no step pops it, and
+        # neither the clock nor the sampler sees it.
+        while queue and queue[0][3].callbacks is None:
+            heappop(queue)
         if not event._ok and not event._defused:
             # A failure nobody consumed: surface it rather than losing it.
             raise event._value  # type: ignore[misc]
+
+    def _end_run(self, stop_at: float) -> None:
+        """End a run at ``stop_at``: every event before it has run, so a
+        sampler boundary earlier than ``stop_at`` is closed first."""
+        sampler = self._sampler
+        if sampler is not None and sampler.due < stop_at:
+            self._now = sampler.due
+            sampler.close(stop_at)  # type: ignore[attr-defined]
+        self._now = stop_at
 
     def run(self, until: object = None) -> object:
         """Run the simulation.
@@ -144,7 +162,7 @@ class Environment:
             # way a ``peek() >= until`` test does.
             while queue and not queue[0][0] >= stop_at:
                 step()
-            self._now = stop_at
+            self._end_run(stop_at)
             return None
         except EmptySchedule:
             if isinstance(until, Event):
@@ -152,7 +170,7 @@ class Environment:
                     "schedule ran dry before the target event fired"
                 ) from None
             if stop_at is not None:
-                self._now = stop_at
+                self._end_run(stop_at)
             return None
         except StopSimulation as stop:
             event = stop.value

@@ -12,11 +12,15 @@ scripted worlds and asserts that every observable — each request's
 outcome and resume time, the metrics snapshot, spans and sampled
 series — comes out the same.
 
-The host under test arms its first inbox get from an urgent start
-event scheduled in its constructor; the oracle turns that event into a
-no-op and starts its dispatch process right after it, in the adjacent
-queue slot.  Both happen at construction, before any message can reach
-the host.
+The host under test arms its first inbox get in its constructor; the
+oracle turns that into a no-op and starts its dispatch process instead,
+whose first get is armed one urgent event later.  Both happen at
+construction, before any message can reach the host.
+
+A deadline that loses its race is cancelled, in the oracle as in the
+host under test.  Its pop ran no code that did anything (the decided
+condition's ``_check`` returned at once), so the oracle keeps the
+race's semantics; only the kernel no longer pops the entry.
 """
 
 from __future__ import annotations
@@ -40,9 +44,8 @@ class RaceRequestHost(MobileHost):
             self._dispatch_loop(), name=f"dispatch:{self.node.id}"
         )
 
-    def _arm_inbound(self, _event: object = None) -> None:
-        """The start event's callback: the dispatch process arms the
-        gets instead."""
+    def _arm_inbound(self) -> None:
+        """The dispatch process arms the gets instead."""
 
     def request(
         self,
@@ -74,6 +77,7 @@ class RaceRequestHost(MobileHost):
             raise
         timeout_event = self.env.timeout(timeout)
         fired = yield self.env.any_of([reply_event, timeout_event])
+        timeout_event.callbacks = None
         self._close_request(message)
         if reply_event in fired:
             self._m_request_rtt.observe(self.env.now - started)
@@ -165,9 +169,9 @@ class RaceAgentRuntime(AgentRuntime):
                 },
                 trip=span,
             )
-            yield self.env.any_of(
-                [self.completion(agent_id), self.env.timeout(task.timeout)]
-            )
+            deadline = self.env.timeout(task.timeout)
+            yield self.env.any_of([self.completion(agent_id), deadline])
+            deadline.callbacks = None
             final = self.completed.get(agent_id)
             if final is None:
                 raise MigrationError(

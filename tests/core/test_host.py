@@ -270,14 +270,14 @@ class TestCapsuleGate:
 class TestRequestWorkCount:
     """Exact kernel work for sequential request/reply exchanges.
 
-    One 100 B exchange between two loss-free Wi-Fi hosts costs 16
-    events, the dead deadline included: the request leg's start,
-    channel claim, transmit, propagation and acknowledgement; the
-    server's inbox get and handler start; the reply leg's five; the
-    handler's end; the client's inbox get; the reply event, which
-    resumes the caller; and, a timeout later, the deadline popping
-    with no callback left.  An ``any_of`` race spent one more, the
-    condition firing between the reply event and the caller.
+    One 100 B exchange between two loss-free Wi-Fi hosts costs 13
+    events: the request leg's channel claim, transmit, propagation and
+    acknowledgement (the leg starts in the caller's event); the
+    server's inbox get and handler start; the reply leg's four (it
+    starts in the handler); the handler's end; the client's inbox get;
+    and the reply event, which resumes the caller.  The deadline is
+    cancelled once the reply wins, so the kernel never pops it, and no
+    ``any_of`` condition sits between the reply event and the caller.
     """
 
     def _run(self, world, monkeypatch):
@@ -312,16 +312,13 @@ class TestRequestWorkCount:
 
         env.step = counting_step
         env.process(client())
-        world.run()  # until the queue is empty: dead deadlines count
+        world.run()  # until the queue is empty
         return steps, conditions
 
-    def test_exchange_costs_sixteen_events_with_its_deadline(
-        self, world, monkeypatch
-    ):
+    def test_exchange_costs_thirteen_events(self, world, monkeypatch):
         steps, _ = self._run(world, monkeypatch)
-        # 100 exchanges, both hosts' dispatch start events, and the
-        # client process's start and end.
-        assert steps == 100 * 16 + 4
+        # 100 exchanges, and the client process's start and end.
+        assert steps == 100 * 13 + 2
 
     def test_request_path_builds_no_condition(self, world, monkeypatch):
         _, conditions = self._run(world, monkeypatch)

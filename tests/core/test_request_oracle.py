@@ -7,7 +7,8 @@ and once with :class:`tests.core.request_oracle.RaceRequestHost` and
 everything observable matches: each request's outcome and the instant
 its caller resumed, the metrics snapshot (``host.request_rtt``,
 ``host.request_timeouts``, ``host.stale_replies``, ``host.unhandled``
-among them), the spans and the sampled metric series.  Run from the
+among them), the spans and the sampled metric series, to which every
+caller adds a bump of its own as it resumes.  Run from the
 repo root (``python -m pytest``) so ``tests`` imports as a package.
 
 The radio is dyadic — a power-of-two bit rate and latency — so every
@@ -69,6 +70,9 @@ class Script:
         self.world = world
         self.env = world.env
         self.log = []
+        #: Bumped by every caller as it resumes: a same-instant metric
+        #: update, for the sampled series.
+        self.resumed = world.metrics.counter("scenario.resumed")
         self.recorder = world.sample_series(cadence=2.0**-6, capacity=4096)
         self.hosts = {}
 
@@ -103,6 +107,7 @@ class Script:
             else:
                 outcome = ("reply", reply.kind, reply.payload, reply.id)
             self.log.append((label, self.env.now, outcome))
+            self.resumed.increment()
 
         self.env.process(caller())
 
@@ -119,6 +124,7 @@ class Script:
             else:
                 outcome = ("result", result)
             self.log.append((label, self.env.now, outcome))
+            self.resumed.increment()
 
         self.env.process(caller())
 
@@ -322,6 +328,8 @@ def test_reply_event_requests_match_any_of_race(name, tracing):
     for key in expected:
         assert actual[key] == expected[key], key
     assert expected["log"]
+    resumed = expected["series"]["series"]["scenario.resumed"]
+    assert resumed["values"][-1] == len(expected["log"])
     if tracing:
         assert any(s["name"] == "host.request" for s in expected["spans"])
 

@@ -18,14 +18,13 @@ from repro.lmu import (
 )
 
 
-def unit(name, version="1.0.0", size=100, requires=None, provides=None):
+def unit(name, version="1.0.0", size=100, requires=None):
     return code_unit(
         name,
         version,
         lambda: (lambda ctx: name),
         size,
         requires=requires,
-        provides=provides,
     )
 
 

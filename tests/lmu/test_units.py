@@ -83,12 +83,6 @@ class TestCodeUnit:
         with pytest.raises(CodebaseError):
             code_unit("u", "1.0", lambda: (lambda ctx: None), -5)
 
-    def test_provides_capabilities(self):
-        unit = code_unit(
-            "codec", "1.0", lambda: (lambda ctx: None), 10, provides=["codec:ogg"]
-        )
-        assert "codec:ogg" in unit.provides
-
 
 class TestDataUnit:
     def test_holds_payload(self):

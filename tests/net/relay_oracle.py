@@ -11,6 +11,12 @@ worlds and asserts that every observable — timestamps, hop counts,
 resume order, loss draws, metrics, costs, spans and sampled series —
 comes out the same.
 
+The relay under test takes its first step (the plan and the first
+leg's start) in the caller's event.  The oracle's process does too: it
+is an :class:`_EagerProcess`, which runs its generator's first step at
+creation instead of in an urgent start event, so both relays number
+their legs and start their spans in the same order.
+
 The oracle transport models no fault hook for relay legs; the
 scenarios arm none.
 """
@@ -57,12 +63,28 @@ class InboxRelayTransport(Transport):
         return _InboxLeg(self, message, policy or self.policy, max_attempts).done
 
 
+class _EagerProcess(Process):
+    """A :class:`~repro.sim.Process` whose first step runs in the
+    caller's event; an exception it raises fails the process, as any
+    later step's does."""
+
+    __slots__ = ()
+
+    def __init__(self, env, generator: Generator, name: str) -> None:
+        Event.__init__(self, env)
+        self._generator = generator
+        self.name = name
+        start = Event(env)
+        start._value = None
+        self._resume(start)
+
+
 class ProcessRelayRouter(Router):
     """A :class:`Router` whose multi-hop sends are generator processes."""
 
     def send_multihop(self, message: Message) -> Process:
-        return self.env.process(
-            self._relay(message), name=f"route#{message.id}"
+        return _EagerProcess(
+            self.env, self._relay(message), name=f"route#{message.id}"
         )
 
     def _relay(self, message: Message) -> Generator:

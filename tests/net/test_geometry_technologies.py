@@ -11,7 +11,6 @@ from repro.net import (
     GPRS,
     LAN,
     Position,
-    TECHNOLOGIES,
     WIFI_ADHOC,
 )
 
@@ -68,11 +67,6 @@ class TestTechnologies:
         assert BLUETOOTH.is_adhoc
         assert not GPRS.is_adhoc
         assert not LAN.is_adhoc
-
-    def test_registry_complete(self):
-        assert {"802.11b-adhoc", "bluetooth", "gprs", "gsm-dialup", "lan"} <= set(
-            TECHNOLOGIES
-        )
 
     def test_dialup_has_slow_setup(self):
         assert DIALUP.setup_s >= 10.0

@@ -10,14 +10,11 @@ sequence, the metrics snapshot, every node's cost meter, the spans
 series.  Run from the repo root (``python -m pytest``) so ``tests``
 imports as a package.
 
-One difference is known and pinned by the last test: the series
-sampler reads after the *first* event at or past each cadence boundary.
-A reliable send's acknowledgement used to be that event on its own,
-with the sender resuming in a process-done event right after it; now
-the sender resumes inside the acknowledgement event.  A metric the
-sender updates at that very instant can therefore land in a sample the
-old leg took just before it.  The scenarios' senders log to lists, not
-metrics, so every other observable is compared exactly.
+Each sender bumps a metric as soon as its send resolves, so the
+sampled series would show a sender resuming in a different event of
+the same instant.  A boundary is swept only once its whole instant has
+run, so no such difference is left; the last test pins that for the
+two scenarios where the sampler used to see one.
 """
 
 import dataclasses
@@ -46,7 +43,7 @@ LOSSY_WIFI = dataclasses.replace(WIFI_ADHOC, loss=0.35)
 class Script:
     """A scripted world: nodes with receivers, senders that log."""
 
-    def __init__(self, transport_cls, tracing, bump_on_resume=False):
+    def __init__(self, transport_cls, tracing):
         world = World(seed=11, trace_enabled=tracing)
         world.transport = transport_cls(
             world.env,
@@ -62,7 +59,6 @@ class Script:
         self.messages = []
         #: Count each sender resumption in a metric (see the
         #: known-difference test at the end).
-        self.bump_on_resume = bump_on_resume
         self.recorder = world.sample_series(cadence=0.01, capacity=4096)
         rng = world.transport._rng
         draw = rng.random
@@ -133,8 +129,8 @@ class Script:
         except NetworkError as error:
             outcome = f"{type(error).__name__}: {error}"
         self.log.append(("sent", self.env.now, message.id, outcome))
-        if self.bump_on_resume:
-            self.world.metrics.counter("scenario.resumed").increment()
+        # A same-instant metric update, for the sampled series.
+        self.world.metrics.counter("scenario.resumed").increment()
 
     def at(self, delay, action):
         """Run ``action()`` ``delay`` seconds in."""
@@ -262,9 +258,9 @@ SCENARIOS = {
 }
 
 
-def observe(transport_cls, scenario, tracing, bump_on_resume=False):
+def observe(transport_cls, scenario, tracing):
     with fresh_message_ids():
-        script = Script(transport_cls, tracing, bump_on_resume)
+        script = Script(transport_cls, tracing)
         scenario(script)
         return script.observe()
 
@@ -327,22 +323,18 @@ def test_scenarios_cover_every_outcome():
 
 @pytest.mark.parametrize("name", ["uncontended", "fault_duplicate"])
 def test_known_difference_is_a_same_instant_sample(name):
-    """A sender that bumps a metric as soon as its reliable send
-    resolves moves sampled values, and nothing else."""
+    """The one difference this oracle used to pin is gone.  The sender
+    resumes inside the acknowledgement event, where the process leg
+    resumed in a process-done event right after it, and a duplicate
+    delayed by exactly the link latency lands after the ack instead of
+    before it.  The sampler once read after the *first* event at or past
+    a boundary, so the sender's same-instant bump landed on either side
+    of a sample; now a boundary is swept once its whole instant has run,
+    and every observable, the series included, is equal."""
     scenario = SCENARIOS[name]
-    expected = observe(ProcessLegTransport, scenario, False, bump_on_resume=True)
-    actual = observe(Transport, scenario, False, bump_on_resume=True)
-    for key in expected:
-        if key != "series":
-            assert actual[key] == expected[key], key
-    old, new = expected["series"], actual["series"]
-    assert old["samples"] == new["samples"]
-    assert old["series"].keys() == new["series"].keys()
-    moved = {
-        series
-        for series, points in old["series"].items()
-        if points["values"] != new["series"][series]["values"]
-    }
-    assert "scenario.resumed" in moved
-    for series, points in old["series"].items():
-        assert points["times"] == new["series"][series]["times"]
+    expected = observe(ProcessLegTransport, scenario, False)
+    actual = observe(Transport, scenario, False)
+    assert actual == expected
+    resumed = expected["series"]["series"]["scenario.resumed"]
+    sends = [entry for entry in expected["log"] if entry[0] == "sent"]
+    assert resumed["values"][-1] == len(sends)

@@ -350,8 +350,7 @@ class TestRelayFailures:
 
 class TestRelayWorkCount:
     """Exact kernel work of a multi-hop send: per hop, the leg's own
-    events plus one hop event; per message, one start event and the
-    relay's own event."""
+    events plus one hop event; per message, the relay's own event."""
 
     def test_hundred_three_hop_relays(self):
         env = Environment()
@@ -388,14 +387,14 @@ class TestRelayWorkCount:
         env.step = counting_step
         env.run()
         assert [message.kind for message in received] == ["data"] * 100
-        # 19 events per message: the relay's start; the first leg's
-        # start, claim, transmit, latency and ack; the later legs' same
-        # events but the start (they start inside the hop event); one
-        # hop event per leg; the relay's event and the receiver's get.
-        # The process-based relay took 22 (2,203 in all): the same
-        # legs, each with its own start, a reclaiming get per hop, the
-        # destination's put and the process's end.
-        assert steps == 1_903
+        # 17 events per message: each leg's claim, transmit, latency
+        # and ack (the first leg starts in the sender's event, the later
+        # ones inside the hop event); one hop event per leg; the relay's
+        # event and the receiver's get.  The process-based relay takes
+        # 22 (2,203 in all): the same legs, each with its own start, a
+        # reclaiming get per hop, the destination's put and the
+        # process's end.
+        assert steps == 1_703
 
 
 class CountingPlanner:

@@ -15,13 +15,10 @@ Receivers take only relayed messages (a filtered ``get``), as a
 dispatcher that ignores relay plumbing would: the oracle's legs sit in
 inboxes until their hop reclaims them.
 
-Unlike the transport's leg oracle, this one has no known difference in
-the sampled series, and the senders bump a metric each time they
-resume to show it.  The sampler reads after the *first* event at or
-past each cadence boundary, and every event the relay merged (the
-reclaim ``get`` with the next leg's start, the destination ``put``
-with the process's end) follows a leg's acknowledgement at the same
-instant, so that acknowledgement is always the event a sample follows.
+The senders bump a metric each time they resume, so the sampled
+series would show a sender resuming in a different event of the same
+instant; a boundary is swept only once its whole instant has run, so
+the series must match exactly.
 """
 
 import dataclasses

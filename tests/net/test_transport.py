@@ -424,15 +424,16 @@ class TestLegWorkCount:
         env.run(until=done)
         return steps
 
-    def test_plain_send_costs_six_events_per_message(self):
-        # Start, channel claim, transmit, latency, the send's own event
-        # and the receiver's get; the process-based leg cost 702.
-        assert self._kernel_steps(reliable=False) == 602
+    def test_plain_send_costs_five_events_per_message(self):
+        # Channel claim, transmit, latency, the send's own event and the
+        # receiver's get; the leg starts in the sender's event.  The
+        # process-based leg costs 702.
+        assert self._kernel_steps(reliable=False) == 502
 
-    def test_reliable_send_costs_six_events_per_message(self):
+    def test_reliable_send_costs_five_events_per_message(self):
         # The send's event is the final ack; the process-based leg
-        # (a put event, an ack timeout and a process-done) cost 803.
-        assert self._kernel_steps(reliable=True) == 603
+        # (a put event, an ack timeout and a process-done) costs 803.
+        assert self._kernel_steps(reliable=True) == 503
 
 
 class TestLegFailures:

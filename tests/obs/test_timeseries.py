@@ -1,11 +1,14 @@
 """TimeSeriesRecorder: cadence sampling, windows, rings, edge cases."""
 
+import math
+import random
 import tracemalloc
 from time import perf_counter
 
 import pytest
 
 from repro.core import World, mutual_trust, standard_host
+from repro.faults.chaos import run_chaos, standard_slos
 from repro.net import Position, WIFI_ADHOC
 from repro.obs import RunReport, TimeSeriesRecorder
 from repro.sim import Environment, MetricsRegistry
@@ -62,12 +65,13 @@ class TestSampling:
 
         env = ticking_env(registry, ticks=4, spacing=1.0, work=work)
         recorder = TimeSeriesRecorder(registry, cadence=1.0).attach(env)
-        env.run()
+        env.run(until=10.0)
         p50 = recorder.window_quantiles("lat", "p50")
         assert [value for _, value in p50] == [0.0, 10.0, 20.0, 30.0]
         counts = recorder.points("lat.count")
-        # The process-exit event at t=4 sweeps an empty window: count 0,
-        # and no quantile point (only 4 p50 entries above).
+        # Stopping at t=10 closes the ticker's last instant, t=4, whose
+        # window is empty: count 0, and no quantile point (only 4 p50
+        # entries above).
         assert [value for _, value in counts] == [3.0, 3.0, 3.0, 3.0, 0.0]
 
     def test_window_consumes_each_sample_once(self):
@@ -115,10 +119,179 @@ class TestSampling:
 
         env.process(sleeper(env))
         recorder = TimeSeriesRecorder(registry, cadence=1.0).attach(env)
-        env.run()
-        # Two events total (t=0 schedule, t=100 wake): one sample each,
+        env.run(until=200.0)
+        # Two instants with events (t=0 and t=100): one sweep each,
         # not 100 backfilled boundary points.
-        assert len(recorder.points("c")) == 2
+        assert [time for time, _ in recorder.points("c")] == [0.0, 100.0]
+
+
+class TestInstantRule:
+    """A boundary is swept once every event at or before it has run."""
+
+    # 3 * 0.1 is 0.30000000000000004, whose quotient by 0.1 rounds up
+    # past 3: the boundary is still the grid point the event sits on.
+    @pytest.mark.parametrize("cadence", [1.0, 0.1])
+    def test_event_exactly_at_a_boundary_is_in_its_sweep(self, cadence):
+        registry = MetricsRegistry()
+        counter = registry.counter("c")
+        env = Environment()
+
+        def bump(_event):
+            counter.increment()
+            # A second event at the same instant, queued from inside the
+            # first: it still belongs to the boundary's sweep.
+            follow = env.event()
+            follow.callbacks.append(lambda _e: counter.increment())
+            follow.succeed()
+
+        env.timeout(3 * cadence).callbacks.append(bump)
+        env.timeout(3.5 * cadence)
+        recorder = TimeSeriesRecorder(registry, cadence=cadence).attach(env)
+        env.run()
+        assert recorder.points("c") == [(0.0, 0.0), (3 * cadence, 2.0)]
+
+    def test_event_just_past_a_boundary_is_not_in_its_sweep(self):
+        # 0.9000000000000001 / 0.1 rounds down to exactly 9, yet the
+        # event lies past the grid point 9 * 0.1 == 0.9.
+        registry = MetricsRegistry()
+        counter = registry.counter("c")
+        env = Environment()
+        late = math.nextafter(0.9, math.inf)
+        env.timeout(late).callbacks.append(lambda _e: counter.increment())
+        env.timeout(0.95)
+        recorder = TimeSeriesRecorder(registry, cadence=0.1).attach(env)
+        env.run(until=2.0)
+        assert recorder.points("c") == [(0.0, 0.0), (1.0, 1.0)]
+
+    def test_gap_over_several_boundaries_gives_one_sweep(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("c")
+        env = Environment()
+        env.timeout(0.25).callbacks.append(lambda _e: counter.increment())
+        env.timeout(10.5).callbacks.append(lambda _e: counter.increment())
+        recorder = TimeSeriesRecorder(registry, cadence=1.0).attach(env)
+        env.run(until=20.0)
+        # t=0 (nothing yet), t=1 closes the event at 0.25, and the quiet
+        # boundaries 2..10 share that state, so the next sweep is t=11.
+        assert recorder.points("c") == [(0.0, 0.0), (1.0, 1.0), (11.0, 2.0)]
+
+    def test_run_until_a_boundary_defers_its_sweep(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("c")
+        env = Environment()
+        env.timeout(1.5).callbacks.append(lambda _e: counter.increment())
+        env.timeout(3.0).callbacks.append(lambda _e: counter.increment())
+        recorder = TimeSeriesRecorder(registry, cadence=1.0).attach(env)
+        env.run(until=3.0)
+        # The event at t=3 is still queued, so t=3 is not closed yet.
+        assert recorder.points("c") == [(0.0, 0.0), (2.0, 1.0)]
+        env.run(until=5.0)
+        assert recorder.points("c") == [(0.0, 0.0), (2.0, 1.0), (3.0, 2.0)]
+
+    def test_same_instant_event_count_and_order_do_not_move_a_sample(self):
+        def points(extra, urgent):
+            registry = MetricsRegistry()
+            counter = registry.counter("c")
+            env = Environment()
+            env.timeout(1.0).callbacks.append(lambda _e: counter.increment())
+            for _ in range(extra):
+                # No-op events at the boundary's instant, either side of
+                # the counted one.
+                event = env.event()
+                event._value = None
+                env.schedule(event, 1.0, priority=urgent)
+            env.timeout(1.5)
+            recorder = TimeSeriesRecorder(registry, cadence=1.0).attach(env)
+            env.run(until=2.0)
+            return recorder.points("c")
+
+        expected = points(0, False)
+        assert expected == [(0.0, 0.0), (1.0, 1.0)]
+        assert points(3, False) == expected
+        assert points(3, True) == expected
+
+    def test_sweep_sees_the_boundary_as_now(self):
+        registry = MetricsRegistry()
+        env = Environment()
+        seen = []
+        env.timeout(0.5)
+        env.timeout(2.5)
+        recorder = TimeSeriesRecorder(
+            registry, cadence=1.0, extra_probe=lambda: seen.append(env.now) or {}
+        ).attach(env)
+        env.run()
+        assert seen == [0.0, 1.0]
+
+
+class TestNoOpEventsInAChaosRun:
+    """Series and health are a function of the run, not of how many
+    events each instant took: no-op events scattered over the instants
+    of a quick chaos run, on either side of the run's own events, leave
+    its report unchanged."""
+
+    PARAMS = dict(seed=7, clients=3, servers=2, requests_per_client=4)
+
+    @staticmethod
+    def _run(monkeypatch, on_world):
+        sample_series = World.sample_series
+
+        def hooked(world, *args, **kwargs):
+            recorder = sample_series(world, *args, **kwargs)
+            on_world(world)
+            return recorder
+
+        monkeypatch.setattr(World, "sample_series", hooked)
+        outcome = run_chaos(
+            sample_cadence=0.5,
+            slos=standard_slos(),
+            **TestNoOpEventsInAChaosRun.PARAMS,
+        )
+        monkeypatch.setattr(World, "sample_series", sample_series)
+        return outcome.report
+
+    def test_noop_events_leave_series_and_health_unchanged(self, monkeypatch):
+        instants = []
+
+        def record_instants(world):
+            env = world.env
+            step = env.step
+
+            def recording_step():
+                step()
+                instants.append(env.now)
+
+            env.step = recording_step
+
+        expected = self._run(monkeypatch, record_instants)
+        distinct = sorted(set(instants))
+        picks = sorted(random.Random(2024).sample(distinct, len(distinct) // 2))
+
+        def scatter_noops(world):
+            env = world.env
+            rng = random.Random(99)
+
+            def noop_after(_event):
+                # Queued from inside the instant: after every event the
+                # instant already holds at its priority.
+                follow = env.event()
+                follow._value = None
+                env.schedule(follow, priority=rng.random() < 0.5)
+
+            for instant in picks:
+                for _ in range(rng.randint(1, 3)):
+                    event = env.event()
+                    event._value = None
+                    if rng.random() < 0.5:
+                        event.callbacks.append(noop_after)
+                    env.schedule(
+                        event, instant - env.now, priority=rng.random() < 0.5
+                    )
+
+        actual = self._run(monkeypatch, scatter_noops)
+        assert expected["series"]["series"] and expected["health"]["events"]
+        assert actual["series"] == expected["series"]
+        assert actual["health"] == expected["health"]
+        assert actual == expected
 
 
 class TestEdgeCases:
@@ -138,7 +311,7 @@ class TestEdgeCases:
         env = Environment()
         env.timeout(0.0)  # Timeout self-schedules its event
         recorder = TimeSeriesRecorder(registry, cadence=5.0).attach(env)
-        env.run()
+        env.run(until=1.0)
         assert recorder.samples_taken == 1
         assert recorder.points("c") == [(0.0, 1.0)]
 
@@ -198,33 +371,52 @@ class TestEdgeCases:
 
 
 class TestDisabledCost:
+    @staticmethod
+    def _peak_over_steps(recorder):
+        """Peak bytes traced over 9,999 kernel steps between boundaries,
+        with ``recorder`` attached (or none)."""
+        env = Environment()
+        for index in range(10_000):
+            event = env.event()
+            event._value = None
+            env.schedule(event, 1.0 + index)
+        if recorder is not None:
+            recorder.attach(env)
+        env.step()  # closes the initial boundary, t=0
+        tracemalloc.start()
+        for _ in range(9_999):
+            env.step()
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        return peak
+
     def test_disabled_on_step_is_allocation_free(self):
         registry = MetricsRegistry()
         registry.counter("c").increment()
-        recorder = TimeSeriesRecorder(registry, enabled=False)
-        recorder.on_step(0.0)  # warm any lazy attribute access
-        tracemalloc.start()
-        for step in range(10_000):
-            recorder.on_step(float(step))
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
+        # Cadence 1 with an event every second: every step crosses a
+        # boundary, so the kernel would call an enabled recorder each
+        # time.  A disabled one is never due again after its first call.
+        recorder = TimeSeriesRecorder(registry, cadence=1.0, enabled=False)
+        attached = self._peak_over_steps(recorder)
+        detached = self._peak_over_steps(None)
         assert recorder.samples_taken == 0
-        # The loop itself allocates nothing beyond the float steps the
-        # test creates; allow a tiny slack for interpreter internals.
-        assert peak < 4096, f"disabled on_step allocated {peak} bytes"
+        assert recorder.due == float("inf")
+        # The queue's list shrinks as it drains, which allocates with or
+        # without a recorder; the attached one must add nothing to that.
+        assert attached < detached + 4096, (
+            f"disabled recorder allocated {attached - detached} bytes"
+        )
 
     def test_between_boundaries_is_allocation_free(self):
         registry = MetricsRegistry()
         registry.counter("c").increment()
         recorder = TimeSeriesRecorder(registry, cadence=1e9)
-        recorder.sample(0.0)  # consume the initial boundary
-        tracemalloc.start()
-        for step in range(10_000):
-            recorder.on_step(1.0)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
+        attached = self._peak_over_steps(recorder)
+        detached = self._peak_over_steps(None)
         assert recorder.samples_taken == 1
-        assert peak < 4096, f"idle on_step allocated {peak} bytes"
+        assert attached < detached + 4096, (
+            f"idle attached recorder allocated {attached - detached} bytes"
+        )
 
     def test_disabled_recorder_cost_vs_kernel_events(self):
         """A disabled recorder's hook must be well under kernel event
@@ -234,7 +426,7 @@ class TestDisabledCost:
 
         started = perf_counter()
         for step in range(100_000):
-            recorder.on_step(0.0)
+            recorder.close(0.0)
         hook_seconds = perf_counter() - started
 
         def kernel_events():
@@ -253,7 +445,7 @@ class TestDisabledCost:
         per_hook = hook_seconds / 100_000
         per_event = kernel_seconds / 10_000
         assert per_hook < per_event * 0.10, (
-            f"disabled on_step costs {per_hook / per_event * 100:.1f}% "
+            f"disabled close costs {per_hook / per_event * 100:.1f}% "
             "of a kernel event"
         )
 

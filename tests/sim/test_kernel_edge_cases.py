@@ -141,8 +141,10 @@ class TestEventMisuse:
         env.run()
         assert calls == [0.0]
         assert event.processed and event.value == "value"
-        # The second copy still advances the clock, and nothing else.
-        assert env.now == 1.0
+        # The second copy is dropped once it reaches the head of the
+        # queue, as a cancelled entry is: no step pops it, so it moves
+        # neither the clock nor the sampler.
+        assert env.now == 0.0
 
 
 class TestRunSemantics:
@@ -204,10 +206,10 @@ class TestHooksAttachedMidRun:
         env.process(self._ticker(env, ticks))
         env.timeout(4.5).add_callback(lambda event: recorder.attach(env))
         env.run(until=20.0)
-        # The sampler is read after each event's callbacks, so the first
-        # sweep closes the attaching event itself; the cadence then
-        # samples every later tick.
+        # Attached at t=4.5, the first sweep is the next boundary, t=5,
+        # once its tick has run; the cadence then samples every later
+        # tick, and stopping at t=20 closes the last one, t=10.
         assert recorder.points("ticks") == [
-            (4.5, 4.0), (5.0, 5.0), (6.0, 6.0), (7.0, 7.0),
+            (5.0, 5.0), (6.0, 6.0), (7.0, 7.0),
             (8.0, 8.0), (9.0, 9.0), (10.0, 10.0),
         ]

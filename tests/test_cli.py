@@ -87,6 +87,8 @@ class TestReportCliErrors:
             '"series": [1, 2]',
             '"health": {"events": [{"time": 1.0, "node": "a"}]}',
             '"health": {"events": [], "verdicts": {"slo": 5}}',
+            '"flight": {"n": 5}',
+            '"flight": {"n": {"events": 5, "faults": []}}',
         ],
     )
     def test_malformed_section_exits_nonzero(self, tmp_path, capsys, section):
@@ -94,11 +96,12 @@ class TestReportCliErrors:
         bad.write_text(
             '{"schema": 3, "name": "x", "metrics": {}, ' + section + "}"
         )
-        assert main(["report", str(bad)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
-        assert captured.err.count("\n") == 1
+        for command in ("report", "health"):
+            assert main([command, str(bad)]) == 1, command
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1
 
     def test_valid_report_still_renders(self, tmp_path, capsys):
         from repro.obs import RunReport
@@ -404,6 +407,50 @@ class TestHealthCli:
 
 
 class TestReportListing:
+    @staticmethod
+    def _package_with_a_report(tmp_path, monkeypatch):
+        """Point the package-relative results directory at a temporary
+        tree holding one valid report."""
+        import repro.__main__ as cli
+        from repro.obs import RunReport
+
+        root = tmp_path / "package"
+        results = root / "benchmarks" / "results"
+        results.mkdir(parents=True)
+        RunReport("elsewhere", metrics={"a.b": 1.0}).write(
+            str(results / "elsewhere.json")
+        )
+        package = root / "src" / "repro"
+        package.mkdir(parents=True)
+        monkeypatch.setattr(cli, "__file__", str(package / "__main__.py"))
+
+    def test_listing_reads_only_an_existing_local_results_dir(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        self._package_with_a_report(tmp_path, monkeypatch)
+        work = tmp_path / "work"
+        (work / "benchmarks" / "results").mkdir(parents=True)
+        monkeypatch.chdir(work)
+        assert main(["report"]) == 1
+        out = capsys.readouterr().out
+        assert "no run reports found" in out
+        assert "elsewhere" not in out
+        # A name is looked up in the same one directory.
+        assert main(["report", "elsewhere"]) == 1
+        assert "no report named" in capsys.readouterr().err
+
+    def test_listing_falls_back_to_the_package_results_dir(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        self._package_with_a_report(tmp_path, monkeypatch)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(["report"]) == 0
+        assert "elsewhere" in capsys.readouterr().out
+        assert main(["report", "elsewhere"]) == 0
+        assert "run report — elsewhere" in capsys.readouterr().out
+
     @pytest.fixture
     def results(self, tmp_path, monkeypatch):
         directory = tmp_path / "benchmarks" / "results"
