@@ -18,7 +18,7 @@ from time import perf_counter
 from repro.core import Agent, World, mutual_trust, standard_host
 from repro.net import Message, Position, WIFI_ADHOC
 from repro.obs import SpanTracer
-from repro.sim import AllOf, AnyOf, Environment, Event, Resource, Store
+from repro.sim import AllOf, AnyOf, Environment, Event, Store
 from repro.sim.metrics import Histogram
 
 from _common import gate_against_baseline, instrument, write_report, write_report_data
@@ -310,7 +310,6 @@ def test_kernel_objects_stay_slotted(benchmark):
         AllOf(env, [Event(env), Event(env)]),
         Store(env).put("item"),
         Store(env).get(),
-        Resource(env).request(),
     ]
     for instance in samples:
         assert not hasattr(instance, "__dict__"), type(instance).__name__

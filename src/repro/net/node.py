@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import NetworkError
-from ..sim import Environment, Resource, Store
+from ..sim import Environment, Store
 from .cost import CostMeter
 from .geometry import Position
 from .message import Message
@@ -28,12 +28,23 @@ class Interface:
         self.enabled = True
         self._attached = technology.infrastructure and node.fixed
         self._attached_since: Optional[float] = env.now if self._attached else None
-        #: Radio is half-duplex-ish: one outbound transfer at a time.
-        self.channel = Resource(env, capacity=1)
+        #: Radio is half-duplex-ish: one outbound transfer at a time,
+        #: in FIFO order; the radio is booked until this instant.
+        self.busy_until = 0.0
 
     @property
     def attached(self) -> bool:
         return self._attached
+
+    def reserve(self, transfer_time: float) -> Tuple[float, float]:
+        """Book the radio for one transfer queued now, behind every
+        transfer booked before it: returns the instants it goes on air
+        and ends, and keeps the radio busy until the end."""
+        start = self.env.now
+        if start < self.busy_until:
+            start = self.busy_until
+        end = self.busy_until = start + transfer_time
+        return start, end
 
     def attach(self) -> float:
         """Connect to the backbone; returns the setup delay to pay.

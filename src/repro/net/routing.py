@@ -13,11 +13,10 @@ A multi-hop send is no process: it runs as a :class:`_Relay`, a chain
 of callbacks on its legs' acknowledgements, and returns a plain
 :class:`~repro.sim.Event`.  Its legs (kind
 :data:`~repro.net.message.RELAY_KIND`) never enter an inbox; only the
-relayed message itself is put into the destination's inbox.  Each hop
-costs the leg's own events plus one hop event, in the queue slot where
-the old relay process reclaimed the leg from the hop's inbox, so runs
-replay event for event as before (docs/PERFORMANCE.md, "Multi-hop
-relays without processes").
+relayed message itself is put into the destination's inbox.  A hop
+costs its leg's own events and nothing more: the relay starts the next
+leg in the event that acknowledges the last one (docs/PERFORMANCE.md,
+"Multi-hop relays without processes").
 
 Path planning goes through an epoch-memoised :class:`RoutingTable`:
 one BFS from a source yields the shortest-path tree to *every*
@@ -429,21 +428,20 @@ class _Relay:
 
     The steps:
 
-    1. ``_advance``, first in the caller's event, then in each hop
-       event, checks the next link, re-plans if it broke, and starts
-       the leg from ``current`` with ``send_reliable``; at the
+    1. ``_advance``, first in the caller's event, then in each leg's
+       acknowledgement, checks the next link, re-plans if it broke, and
+       starts the leg from ``current`` with ``send_reliable``; at the
        destination it schedules ``done`` at normal priority and puts
        the message into the destination's inbox;
-    2. ``_acked`` (the leg's ``done``, its final acknowledgement)
-       advances to the next node and schedules one normal-priority hop
-       event at that instant, whose callback is ``_advance``.
+    2. ``_acked`` (a callback on the leg's ``done``, its final
+       acknowledgement) advances to the next node and calls
+       ``_advance`` in that same event.
 
-    The hop event takes the queue slot of the inbox ``get`` that used
-    to reclaim each leg, and ``done`` takes the slot of the
-    destination's ``put`` event, whose only callback finished the
-    process at once.  A failed leg, or any exception a step raises,
-    fails ``done`` urgently, as it failed the process (the first
-    step's too: ``send_multihop`` never raises at its call site).
+    ``done`` takes the slot of the destination's ``put`` event, whose
+    only callback finished the process at once.  A failed leg, or any
+    exception a step raises, fails ``done`` urgently, as it failed the
+    process (the first step's too: ``send_multihop`` never raises at
+    its call site).
     """
 
     __slots__ = ("router", "message", "done", "current", "hops", "route", "step")
@@ -481,12 +479,9 @@ class _Relay:
         self.hops += 1
         self.step += 1
         self.current = self.route[self.step]  # type: ignore[index]
-        hop = Event(self.router.env)
-        hop._value = None
-        hop.callbacks.append(self._advance)
-        self.router.env.schedule(hop)
+        self._advance()
 
-    def _advance(self, _event: Optional[Event] = None) -> None:
+    def _advance(self) -> None:
         """Start the leg from ``current``, or deliver."""
         try:
             router = self.router

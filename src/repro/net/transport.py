@@ -1,19 +1,20 @@
 """Message transport: timing, loss, cost, and delivery.
 
 ``send`` models one unacknowledged transfer: pick a link under the
-policy, hold the sender's radio for the transmission time, then deliver
-after the propagation latency unless the link broke mid-transfer or the
-loss draw failed.  ``send_reliable`` adds ARQ-style retransmission with
-a bounded number of attempts.  ``broadcast`` models a single ad-hoc
-radio transmission heard by every in-range neighbour.
+policy, book the sender's radio for the transmission time (behind the
+transfers already booked on it, unicast and broadcast alike), then
+deliver after the propagation latency unless the link broke
+mid-transfer or the loss draw failed.  ``send_reliable`` adds
+ARQ-style retransmission with a bounded number of attempts.
+``broadcast`` models a single ad-hoc radio transmission heard by every
+in-range neighbour.
 
 A send is no process: it runs as a :class:`_Leg`, whose first step
 runs in the caller's event and whose later steps are callbacks on the
-events the transfer has to schedule anyway — the radio channel claim,
-the transmit and latency timeouts and, for a reliable send, the
-acknowledgement.  The returned :class:`Event` fires with the outcome at
-the instant the old sending process finished, so callers yield it
-exactly as before.
+events the transfer has to schedule anyway — the transmit and latency
+timeouts and, for a reliable send, the acknowledgement.  The returned
+:class:`Event` fires with the outcome at the instant the old sending
+process finished, so callers yield it exactly as before.
 
 A delivered message lands in the receiver's inbox, except a router
 relay leg (kind :data:`~repro.net.message.RELAY_KIND`): the router
@@ -60,12 +61,11 @@ class _Leg:
 
     The steps:
 
-    1. ``_start``, in the caller's event, picks the first link and
-       queues for the sender's radio;
-    2. ``_granted`` (the channel claim) starts the transmit timeout;
-    3. ``_sent`` frees the radio, bills the sender and starts the
-       propagation timeout;
-    4. ``_arrived`` decides delivery or loss and settles ``done`` —
+    1. ``_start``, in the caller's event, picks the first link, books
+       the sender's radio (:meth:`~repro.net.node.Interface.reserve`)
+       and starts the timeout to the end of the booked transfer;
+    2. ``_sent`` bills the sender and starts the propagation timeout;
+    3. ``_arrived`` decides delivery or loss and settles ``done`` —
        or, for a lost attempt with attempts left, starts the ack
        timeout whose callback ``_retry`` retransmits.
 
@@ -88,7 +88,6 @@ class _Leg:
         "link",
         "attempt",
         "span",
-        "claim",
     )
 
     def __init__(
@@ -105,17 +104,11 @@ class _Leg:
         self.attempts = attempts
         self.attempt = 1
         self.span = NOOP_SPAN
-        self.claim = None
         self.done = Event(transport.env)
         self._start()
 
     def _fail(self, error: Exception) -> None:
-        """Fail ``done`` with ``error`` now (urgent, as a process failed),
-        first returning a radio claim the failed step still held."""
-        claim = self.claim
-        if claim is not None:
-            self.claim = None
-            claim.resource.release(claim)
+        """Fail ``done`` with ``error`` now (urgent, as a process failed)."""
         done = self.done
         if done._value is not PENDING:
             # The outcome is already scheduled; surface the error.
@@ -134,17 +127,22 @@ class _Leg:
             self._fail(error)
 
     def _transmit(self) -> None:
-        """Open this attempt's span and queue for the sender's radio."""
+        """Open this attempt's span, book the sender's radio and start
+        the timeout to the end of the transfer."""
         # Hop timestamps for the trace analyzer: the span runs
         # enqueue -> on-air -> sent -> delivery decision, and ``t_air``/
-        # ``t_sent`` split it into channel-queue, airtime, and transit.
+        # ``t_sent`` split it into radio-queue, airtime, and transit.
         # Guarded so the disabled-tracing path builds, stamps (and
         # allocates) nothing.
-        tracer = self.transport.tracer
+        transport = self.transport
+        env = transport.env
         link = self.link
+        message = self.message
+        interface = self.source.interface(link.sender_technology.name)
+        start, end = interface.reserve(link.transfer_time(message.wire_size))
+        tracer = transport.tracer
         span = NOOP_SPAN
         if tracer.enabled:
-            message = self.message
             span = tracer.start(
                 "net.transmit",
                 self.source.id,
@@ -155,28 +153,13 @@ class _Leg:
                 to=self.destination.id,
                 bytes=message.wire_size,
                 via=link.name,
+                t_air=start,
             )
         self.span = span
-        interface = self.source.interface(link.sender_technology.name)
-        claim = self.claim = interface.channel.request()
-        claim.callbacks.append(self._granted)
-
-    def _granted(self, _event: Event) -> None:
-        try:
-            env = self.transport.env
-            span = self.span
-            if span is not NOOP_SPAN:
-                span.attributes["t_air"] = env.now
-            transmit_time = self.link.transfer_time(self.message.wire_size)
-            Timeout(env, transmit_time).callbacks.append(self._sent)
-        except Exception as error:
-            self._fail(error)
+        Timeout(env, end - env.now).callbacks.append(self._sent)
 
     def _sent(self, _event: Event) -> None:
         try:
-            claim = self.claim
-            self.claim = None
-            claim.resource.release(claim)
             transport = self.transport
             env = transport.env
             span = self.span
@@ -491,10 +474,11 @@ class Transport:
         received: List[str] = []
         wire = size_bytes + 64
         for tech in techs:
-            interface = source.interface(tech.name)
-            with interface.channel.request() as claim:
-                yield claim
-                yield self.env.timeout(tech.transfer_time(wire))
+            # The broadcast books the same radio as unicast legs do.
+            _, end = source.interface(tech.name).reserve(
+                tech.transfer_time(wire)
+            )
+            yield self.env.timeout(end - self.env.now)
             source.costs.account_transfer(tech, wire, sent=True)
             yield self.env.timeout(tech.latency_s)
             for neighbor in self.network.neighbors(source, technology=tech):

@@ -7,8 +7,8 @@ flat span list it reconstructs the causal DAG (parent links plus the
 then attributes every simulated second of each invocation to one of
 five buckets:
 
-* **queue**   — waiting for the sender's radio channel
-  (``net.transmit`` start to its ``t_air`` stamp);
+* **queue**   — waiting behind the transfers already booked on the
+  sender's radio (``net.transmit`` start to its ``t_air`` stamp);
 * **transit** — airtime plus propagation (``t_air`` to span end) plus
   any delivery stall between the transmit span closing and the
   receiver-side ``t_deliver`` stamp (fault-injected delays land here,

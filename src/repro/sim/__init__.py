@@ -2,8 +2,8 @@
 
 A from-scratch generator-process kernel in the style popularised by
 SimPy, plus the supporting cast a systems simulation needs: blocking
-stores, counting resources, named deterministic random streams, a
-metrics registry, and a per-kind trace counter.
+stores, named deterministic random streams, a metrics registry, and a
+per-kind trace counter.
 
 Quick taste::
 
@@ -25,7 +25,7 @@ from .events import AllOf, AnyOf, Condition, Event, Timeout
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .process import Process
 from .rng import RandomStreams, derive_seed
-from .stores import Resource, Store
+from .stores import Store
 from .tracing import TraceLog
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "MetricsRegistry",
     "Process",
     "RandomStreams",
-    "Resource",
     "Store",
     "Timeout",
     "TraceLog",

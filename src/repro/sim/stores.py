@@ -1,33 +1,21 @@
-"""Blocking FIFO stores and counting resources built on the kernel.
+"""Unbounded FIFO stores built on the kernel.
 
-These are the coordination primitives the network and middleware layers
-use: a :class:`Store` models an inbox or queue (producers ``put``,
-consumers ``yield store.get()``); a :class:`Resource` models a limited
-facility such as a radio channel or a CPU.
+A :class:`Store` is the coordination primitive the network and
+middleware layers use for inboxes: producers ``put``, consumers
+``yield store.get()``.  A radio's one-transfer-at-a-time rule needs no
+kernel primitive: it is a busy-until time on the interface
+(:meth:`repro.net.node.Interface.reserve`).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Generic, List, Optional, TypeVar
+from typing import Callable, Deque, Generic, Optional, TypeVar
 
-from ..errors import SimulationError
 from .environment import Environment
 from .events import PENDING, Event
 
 T = TypeVar("T")
-
-
-class StorePut(Event):
-    """Request to add ``item`` to a store; fires when accepted."""
-
-    __slots__ = ("item",)
-
-    def __init__(self, store: "Store", item: object) -> None:
-        super().__init__(store.env)
-        self.item = item
-        store._put_waiters.append(self)
-        store._service()
 
 
 class StoreGet(Event):
@@ -54,38 +42,33 @@ class StoreGet(Event):
 
 
 class Store(Generic[T]):
-    """Unbounded-or-bounded FIFO store of items.
+    """Unbounded FIFO store of items: a put never waits."""
 
-    ``capacity`` of ``inf`` (default) never blocks producers.  With a
-    finite capacity, ``put`` events stay pending until space frees up.
-    """
-
-    def __init__(self, env: Environment, capacity: float = float("inf")) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+    def __init__(self, env: Environment) -> None:
         self.env = env
-        self.capacity = capacity
         self.items: Deque[T] = deque()
-        self._put_waiters: Deque[StorePut] = deque()
         self._get_waiters: Deque[StoreGet] = deque()
 
     def __len__(self) -> int:
         return len(self.items)
 
-    def put(self, item: T) -> StorePut:
-        """Offer ``item``; the returned event fires once it is stored."""
-        return StorePut(self, item)
+    def put(self, item: T) -> Event:
+        """Store ``item`` now; the returned event fires (at once, at
+        normal priority) for a producer that yields it.
+
+        The event is scheduled before a getter the item serves.
+        """
+        event = Event(self.env)
+        event.succeed()
+        self.put_nowait(item)
+        return event
 
     def put_nowait(self, item: T) -> None:
         """Store ``item`` now, without an event, serving a waiting getter
-        at once; raises :class:`SimulationError` when the store is full.
+        at once.
 
         A waiting getter fires exactly as it would after :meth:`put`.
         """
-        if len(self.items) >= self.capacity:
-            raise SimulationError(
-                f"store is full ({len(self.items)} of {self.capacity} items)"
-            )
         self.items.append(item)
         self._service()
 
@@ -97,33 +80,18 @@ class Store(Generic[T]):
         """Non-blocking take of the head item, or None when empty."""
         if not self.items:
             return None
-        item = self.items.popleft()
-        self._service()
-        return item
+        return self.items.popleft()
 
     def _service(self) -> None:
-        """Match pending puts with space and pending gets with items."""
-        progress = True
-        while progress:
-            progress = False
-            # Admit puts while there is capacity.
-            while self._put_waiters and len(self.items) < self.capacity:
-                put = self._put_waiters.popleft()
-                self.items.append(put.item)  # type: ignore[arg-type]
-                put.succeed()
-                progress = True
-            # Serve gets in FIFO order.
-            for get in list(self._get_waiters):
-                if get._cancelled or get._value is not PENDING:
-                    self._get_waiters.remove(get)
-                    continue
-                item = self._find_match(get)
-                if item is not _NO_MATCH:
-                    self._get_waiters.remove(get)
-                    get.succeed(item)
-                    progress = True
-            if not self.items and not self._put_waiters:
-                break
+        """Serve pending gets in FIFO order with the items there are."""
+        for get in list(self._get_waiters):
+            if get._cancelled or get._value is not PENDING:
+                self._get_waiters.remove(get)
+                continue
+            item = self._find_match(get)
+            if item is not _NO_MATCH:
+                self._get_waiters.remove(get)
+                get.succeed(item)
 
     def _find_match(self, get: StoreGet) -> object:
         if get.predicate is None:
@@ -138,65 +106,3 @@ class Store(Generic[T]):
 
 
 _NO_MATCH = object()
-
-
-class ResourceRequest(Event):
-    """Pending claim on a :class:`Resource` slot."""
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.env)
-        self.resource = resource
-        resource._waiters.append(self)
-        resource._service()
-
-    def __enter__(self) -> "ResourceRequest":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.resource.release(self)
-
-
-class Resource:
-    """Counting resource with ``capacity`` concurrent slots."""
-
-    def __init__(self, env: Environment, capacity: int = 1) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.env = env
-        self.capacity = capacity
-        self._users: List[ResourceRequest] = []
-        self._waiters: Deque[ResourceRequest] = deque()
-
-    @property
-    def count(self) -> int:
-        """Number of slots currently held."""
-        return len(self._users)
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for a slot."""
-        return len(self._waiters)
-
-    def request(self) -> ResourceRequest:
-        """Claim a slot; the event fires when the slot is granted."""
-        return ResourceRequest(self)
-
-    def release(self, request: ResourceRequest) -> None:
-        """Return a previously granted slot."""
-        if request in self._users:
-            self._users.remove(request)
-            self._service()
-        else:
-            # Releasing an ungranted request withdraws it from the queue.
-            try:
-                self._waiters.remove(request)
-            except ValueError:
-                raise SimulationError("release of a request never made") from None
-
-    def _service(self) -> None:
-        while self._waiters and len(self._users) < self.capacity:
-            request = self._waiters.popleft()
-            self._users.append(request)
-            request.succeed()

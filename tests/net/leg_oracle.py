@@ -10,7 +10,8 @@ series — comes out the same.
 
 Only the sends are overridden; the prelude (``_first_link``), the
 labeled-metric lookups and ``broadcast`` are shared with the transport
-under test.
+under test, and the process books the sender's radio through the same
+:meth:`~repro.net.node.Interface.reserve` as the leg does.
 """
 
 from __future__ import annotations
@@ -82,12 +83,10 @@ class ProcessLegTransport(Transport):
         else:
             span = NOOP_SPAN
         interface = source.interface(link.sender_technology.name)
-        with interface.channel.request() as claim:
-            yield claim
-            if stamped:
-                span.attributes["t_air"] = self.env.now
-            transmit_time = link.transfer_time(message.wire_size)
-            yield self.env.timeout(transmit_time)
+        start, end = interface.reserve(link.transfer_time(message.wire_size))
+        if stamped:
+            span.attributes["t_air"] = start
+        yield self.env.timeout(end - self.env.now)
         if stamped:
             span.attributes["t_sent"] = self.env.now
         source.costs.account_transfer(

@@ -173,7 +173,7 @@ def uncontended(s):
 
 
 def same_instant_senders(s):
-    # Three senders claim a's one radio at t=0, and three more at 0.5.
+    # Three senders book a's one radio at t=0, and three more at 0.5.
     for name, x in (("a", 0), ("b", 40), ("c", 80)):
         s.node(name, x)
     for at in (0.0, 0.5):

@@ -350,7 +350,7 @@ class TestRelayFailures:
 
 class TestRelayWorkCount:
     """Exact kernel work of a multi-hop send: per hop, the leg's own
-    events plus one hop event; per message, the relay's own event."""
+    events and nothing more; per message, the relay's own event."""
 
     def test_hundred_three_hop_relays(self):
         env = Environment()
@@ -387,14 +387,13 @@ class TestRelayWorkCount:
         env.step = counting_step
         env.run()
         assert [message.kind for message in received] == ["data"] * 100
-        # 17 events per message: each leg's claim, transmit, latency
-        # and ack (the first leg starts in the sender's event, the later
-        # ones inside the hop event); one hop event per leg; the relay's
-        # event and the receiver's get.  The process-based relay takes
-        # 22 (2,203 in all): the same legs, each with its own start, a
-        # reclaiming get per hop, the destination's put and the
-        # process's end.
-        assert steps == 1_703
+        # 11 events per message: each leg's transmit, latency and ack
+        # (the first leg starts in the sender's event, each later one in
+        # the ack of the leg before it); the relay's event and the
+        # receiver's get.  The process-based relay takes 12 (1,203 in
+        # all): the same legs, the destination's put and the process's
+        # end.
+        assert steps == 1_103
 
 
 class CountingPlanner:

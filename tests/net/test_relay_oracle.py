@@ -1,19 +1,14 @@
 """Callback-chain multi-hop relays against the process-based oracle.
 
 Each scenario scripts one small world twice: once with the
-:class:`~repro.net.Router` and :class:`~repro.net.Transport` under
-test, and once with :class:`tests.net.relay_oracle.ProcessRelayRouter`
-on :class:`tests.net.relay_oracle.InboxRelayTransport`, where relay
-legs land in inboxes and each hop reclaims its leg.  It asserts that
-everything observable matches: per-message timestamps, route and hop
-count, the order in which senders and receivers resume, the loss-draw
-sequence, the metrics snapshot, every node's cost meter, the spans and
-the sampled metric series.  Run from the repo root (``python -m
-pytest``) so ``tests`` imports as a package.
-
-Receivers take only relayed messages (a filtered ``get``), as a
-dispatcher that ignores relay plumbing would: the oracle's legs sit in
-inboxes until their hop reclaims them.
+:class:`~repro.net.Router` under test, and once with
+:class:`tests.net.relay_oracle.ProcessRelayRouter`, both on the world's
+plain :class:`~repro.net.Transport`.  It asserts that everything
+observable matches: per-message timestamps, route and hop count, the
+order in which senders and receivers resume, the loss-draw sequence,
+the metrics snapshot, every node's cost meter, the spans and the
+sampled metric series.  Run from the repo root (``python -m pytest``)
+so ``tests`` imports as a package.
 
 The senders bump a metric each time they resume, so the sampled
 series would show a sender resuming in a different event of the same
@@ -32,36 +27,27 @@ from repro.net import (
     NetworkNode,
     Position,
     Router,
-    Transport,
     WIFI_ADHOC,
 )
-from repro.net.message import RELAY_KIND, fresh_message_ids
+from repro.net.message import fresh_message_ids
 from repro.sim import Process
 
-from tests.net.relay_oracle import InboxRelayTransport, ProcessRelayRouter
+from tests.net.relay_oracle import ProcessRelayRouter
 
 #: Wi-Fi with heavy transit loss, to force retransmissions and timeouts.
 LOSSY_WIFI = dataclasses.replace(WIFI_ADHOC, loss=0.3)
 
-#: The two implementations: (router class, transport class).
-ORACLE = (ProcessRelayRouter, InboxRelayTransport)
-UNDER_TEST = (Router, Transport)
+#: The two implementations.
+ORACLE = ProcessRelayRouter
+UNDER_TEST = Router
 
 
 class Script:
     """A scripted world: nodes with receivers, senders that log."""
 
-    def __init__(self, classes, tracing):
-        self.router_cls, transport_cls = classes
+    def __init__(self, router_cls, tracing):
+        self.router_cls = router_cls
         world = World(seed=11, trace_enabled=tracing)
-        world.transport = transport_cls(
-            world.env,
-            world.network,
-            world.streams,
-            trace=world.trace,
-            metrics=world.metrics,
-            tracer=world.tracer,
-        )
         self.world = world
         self.env = world.env
         self.log = []
@@ -98,9 +84,7 @@ class Script:
 
     def _receive(self, node):
         while True:
-            message = yield node.inbox.get(
-                predicate=lambda m: m.kind != RELAY_KIND
-            )
+            message = yield node.inbox.get()
             self.log.append(
                 ("recv", self.env.now, node.id, message.id, message.hops)
             )
@@ -267,7 +251,7 @@ def same_instant(s):
 def crowd(s):
     # A 4 x 4 grid, 70 m apart, on lossy Wi-Fi: every node relays a
     # chain of equal-sized messages across the grid and the middle of
-    # each row also sends direct, so acknowledgements, hop events,
+    # each row also sends direct, so acknowledgements, next legs,
     # retransmissions and relay ends keep landing on the same instants.
     for row in range(4):
         for column in range(4):
@@ -304,9 +288,9 @@ SCENARIOS = {
 }
 
 
-def observe(classes, scenario, tracing):
+def observe(router_cls, scenario, tracing):
     with fresh_message_ids():
-        script = Script(classes, tracing)
+        script = Script(router_cls, tracing)
         scenario(script)
         return script.observe()
 

@@ -162,10 +162,75 @@ class TestSend:
         env.process(run(env, Message("a", "b", "m2", size_bytes=500_000)))
         env.run()
         assert len(times) == 2
-        # Second message cannot finish at the same instant: channel was held.
+        # Second message cannot finish at the same instant: radio was booked.
         assert times[1] > times[0]
         assert times[1] - times[0] == pytest.approx(
             (500_000 + HEADER_BYTES) * 8 / WIFI_ADHOC.bandwidth_bps, rel=0.01
+        )
+
+
+class TestSharedRadio:
+    """Unicast legs and broadcasts book one radio, first come first
+    served: a transfer goes on air when the radio's last booked
+    transfer ends, or at once on an idle radio."""
+
+    def _traced(self):
+        env = Environment()
+        network = Network(env)
+        tracer = SpanTracer(now=lambda: env.now, enabled=True)
+        transport = Transport(env, network, RandomStreams(7), tracer=tracer)
+        transport._rng.random = lambda: 0.99  # never lose
+        a, _ = add_pair(env, network)
+        return env, transport, tracer, a.interface(WIFI_ADHOC.name)
+
+    def test_send_broadcast_send_chain_on_one_radio(self):
+        env, transport, tracer, radio = self._traced()
+        t0 = 1.0
+        booked = []
+
+        def run(env):
+            yield env.timeout(t0)
+            transport.send(Message("a", "b", "m1", size_bytes=5_000))
+            cast = transport.broadcast(radio.node, "hello", size_bytes=2_000)
+            # The broadcast books the radio in its start event, which
+            # runs before this same-instant timeout.
+            yield env.timeout(0)
+            booked.append(radio.busy_until)
+            transport.send(Message("a", "b", "m2", size_bytes=300))
+            heard = yield cast
+            assert heard == ["b"]
+
+        env.process(run(env))
+        env.run()
+        tt1 = WIFI_ADHOC.transfer_time(5_000 + HEADER_BYTES)
+        tt2 = WIFI_ADHOC.transfer_time(2_000 + 64)
+        tt3 = WIFI_ADHOC.transfer_time(300 + HEADER_BYTES)
+        spans = {
+            span.attributes["msg"]: span
+            for span in tracer.finished_spans()
+            if span.name == "net.transmit"
+        }
+        first, second = spans["m1"].attributes, spans["m2"].attributes
+        assert spans["m1"].start == spans["m2"].start == t0
+        assert first["t_air"] == t0
+        assert booked == [t0 + tt1 + tt2]
+        assert second["t_air"] == t0 + tt1 + tt2
+        assert second["t_sent"] == pytest.approx(t0 + tt1 + tt2 + tt3)
+        assert radio.busy_until == t0 + tt1 + tt2 + tt3
+
+    def test_send_on_an_idle_radio_goes_on_air_at_once(self):
+        env, transport, tracer, radio = self._traced()
+
+        def run(env):
+            yield env.timeout(2.5)
+            yield transport.send(Message("a", "b", "m", size_bytes=1_000))
+
+        env.process(run(env))
+        env.run()
+        (span,) = tracer.finished_spans()
+        assert span.start == span.attributes["t_air"] == 2.5
+        assert span.attributes["t_sent"] == pytest.approx(
+            2.5 + WIFI_ADHOC.transfer_time(1_000 + HEADER_BYTES)
         )
 
 
@@ -424,16 +489,16 @@ class TestLegWorkCount:
         env.run(until=done)
         return steps
 
-    def test_plain_send_costs_five_events_per_message(self):
-        # Channel claim, transmit, latency, the send's own event and the
-        # receiver's get; the leg starts in the sender's event.  The
-        # process-based leg costs 702.
-        assert self._kernel_steps(reliable=False) == 502
+    def test_plain_send_costs_four_events_per_message(self):
+        # Transmit, latency, the send's own event and the receiver's
+        # get; the leg starts, and books the radio, in the sender's
+        # event.  The process-based leg costs 602.
+        assert self._kernel_steps(reliable=False) == 402
 
-    def test_reliable_send_costs_five_events_per_message(self):
+    def test_reliable_send_costs_four_events_per_message(self):
         # The send's event is the final ack; the process-based leg
-        # (a put event, an ack timeout and a process-done) costs 803.
-        assert self._kernel_steps(reliable=True) == 503
+        # (a put event, an ack timeout and a process-done) costs 703.
+        assert self._kernel_steps(reliable=True) == 403
 
 
 class TestLegFailures:

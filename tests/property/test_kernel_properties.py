@@ -30,30 +30,6 @@ class TestStoreProperties:
         env.run()
         assert received == items
 
-    @given(
-        st.lists(st.integers(), min_size=1, max_size=20),
-        st.integers(min_value=1, max_value=5),
-    )
-    def test_bounded_store_never_overfills(self, items, capacity):
-        env = Environment()
-        store = Store(env, capacity=capacity)
-        high_water = [0]
-
-        def producer(env):
-            for item in items:
-                yield store.put(item)
-                high_water[0] = max(high_water[0], len(store))
-
-        def consumer(env):
-            for _ in items:
-                yield env.timeout(1.0)
-                yield store.get()
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert high_water[0] <= capacity
-
 
 class TestHistogramProperties:
     @given(st.lists(st.floats(-1e9, 1e9), min_size=1, max_size=100))

@@ -1,9 +1,6 @@
-"""Unit tests for Store and Resource coordination primitives."""
+"""Unit tests for the Store coordination primitive."""
 
-import pytest
-
-from repro.errors import SimulationError
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment, Store
 
 
 def run_process(env, generator):
@@ -60,34 +57,6 @@ def test_store_fifo_ordering():
     env.process(consumer(env))
     env.run()
     assert received == [0, 1, 2]
-
-
-def test_store_capacity_blocks_producer():
-    env = Environment()
-    store = Store(env, capacity=1)
-    log = []
-
-    def producer(env):
-        yield store.put("a")
-        log.append(("a-stored", env.now))
-        yield store.put("b")
-        log.append(("b-stored", env.now))
-
-    def consumer(env):
-        yield env.timeout(10.0)
-        item = yield store.get()
-        log.append(("got-" + item, env.now))
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert log == [("a-stored", 0.0), ("got-a", 10.0), ("b-stored", 10.0)]
-
-
-def test_store_invalid_capacity():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Store(env, capacity=0)
 
 
 def test_store_predicate_get_skips_non_matching():
@@ -182,15 +151,6 @@ def test_store_put_nowait_queues_without_a_getter():
     assert store.try_get() == 2
 
 
-def test_store_put_nowait_raises_on_a_full_store():
-    env = Environment()
-    store = Store(env, capacity=1)
-    store.put_nowait("a")
-    with pytest.raises(SimulationError):
-        store.put_nowait("b")
-    assert list(store.items) == ["a"]
-
-
 def test_store_get_cancel_withdraws_request():
     env = Environment()
     store = Store(env)
@@ -216,65 +176,3 @@ def test_store_get_cancel_withdraws_request():
     assert outcomes == ["timed-out"]
     # The cancelled get must not have consumed the item.
     assert store.try_get() == "late"
-
-
-def test_resource_serialises_access():
-    env = Environment()
-    resource = Resource(env, capacity=1)
-    log = []
-
-    def worker(env, tag, hold):
-        request = resource.request()
-        yield request
-        log.append((tag, "acquired", env.now))
-        yield env.timeout(hold)
-        resource.release(request)
-
-    env.process(worker(env, "a", 3.0))
-    env.process(worker(env, "b", 1.0))
-    env.run()
-    assert log == [("a", "acquired", 0.0), ("b", "acquired", 3.0)]
-
-
-def test_resource_capacity_two_runs_concurrently():
-    env = Environment()
-    resource = Resource(env, capacity=2)
-    log = []
-
-    def worker(env, tag):
-        with resource.request() as request:
-            yield request
-            log.append((tag, env.now))
-            yield env.timeout(1.0)
-
-    for tag in ("a", "b", "c"):
-        env.process(worker(env, tag))
-    env.run()
-    assert log == [("a", 0.0), ("b", 0.0), ("c", 1.0)]
-
-
-def test_resource_queue_length_and_count():
-    env = Environment()
-    resource = Resource(env, capacity=1)
-
-    def holder(env):
-        request = resource.request()
-        yield request
-        yield env.timeout(10.0)
-        resource.release(request)
-
-    def observer(env):
-        yield env.timeout(1.0)
-        resource.request()
-        yield env.timeout(1.0)
-        return resource.count, resource.queue_length
-
-    env.process(holder(env))
-    process = env.process(observer(env))
-    assert env.run(until=process) == (1, 1)
-
-
-def test_resource_invalid_capacity():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Resource(env, capacity=0)
