@@ -95,29 +95,30 @@ class SpatialGrid:
         """Current indexed position of ``item_id`` (KeyError if absent)."""
         return self._positions[item_id]
 
-    def insert(self, item_id: str, position: Position) -> None:
-        if item_id in self._positions:
-            self.move(item_id, position)
-            return
-        self._positions[item_id] = position
-        self._cells.setdefault(self.cell_of(position), {})[item_id] = position
+    def move(
+        self, item_id: str, position: Position
+    ) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+        """Index ``item_id`` at ``position`` (inserting it if absent).
 
-    def move(self, item_id: str, position: Position) -> None:
-        old = self._positions.get(item_id)
-        if old is None:
-            self.insert(item_id, position)
-            return
-        old_cell = self.cell_of(old)
+        Returns the (old cell, new cell) pair; a new item's old cell is
+        its new cell.
+        """
         new_cell = self.cell_of(position)
+        old = self._positions.get(item_id)
         self._positions[item_id] = position
+        if old is None:
+            self._cells.setdefault(new_cell, {})[item_id] = position
+            return new_cell, new_cell
+        old_cell = self.cell_of(old)
         if old_cell == new_cell:
             self._cells[old_cell][item_id] = position
-            return
+            return old_cell, new_cell
         bucket = self._cells[old_cell]
         del bucket[item_id]
         if not bucket:
             del self._cells[old_cell]
         self._cells.setdefault(new_cell, {})[item_id] = position
+        return old_cell, new_cell
 
     def rebuild(self, cell_size: float) -> None:
         """Re-bucket every item under a new cell size (rare; used when a

@@ -1,15 +1,19 @@
 """Mobility models driving node positions.
 
-Each model is a kernel process that updates node positions in small time
-steps; connectivity queries pick the movement up immediately.  Models
-draw from named RNG streams, so a seeded run replays identically.
+Each model updates node positions in small time steps; connectivity
+queries pick the movement up immediately.  A random-waypoint walk is no
+process: each node's walk is a :class:`_Walker`, a chain of timeout
+callbacks that moves the node and arms its next tick
+(docs/PERFORMANCE.md, "A gateway walk that ranks each node once").
+:class:`PathMobility` stays a process.  Models draw from named RNG
+streams, so a seeded run replays identically.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Iterable, List, Sequence, Tuple
+from typing import Dict, Generator, Iterable, List, Optional, Sequence, Tuple
 
-from ..sim import Environment, Process, RandomStreams
+from ..sim import Environment, Event, RandomStreams
 from .geometry import Area, Position
 from .node import NetworkNode
 
@@ -41,26 +45,57 @@ class RandomWaypoint:
         self.speed_range = speed_range
         self.pause_range = pause_range
         self.tick = tick
-        self.processes: List[Process] = []
         for node in nodes:
             rng = streams.stream(f"mobility.{node.id}")
             if not area.contains(node.position):
                 node.move_to(area.clamp(node.position))
-            self.processes.append(
-                env.process(self._walk(node, rng), name=f"rwp:{node.id}")
-            )
+            _Walker(self, node, rng)
 
-    def _walk(self, node: NetworkNode, rng) -> Generator:
-        while True:
-            destination = self.area.random_position(rng)
-            speed = rng.uniform(*self.speed_range)
-            step = speed * self.tick
-            while node.position != destination:
-                yield self.env.timeout(self.tick)
-                node.move_to(node.position.towards(destination, step))
-            pause = rng.uniform(*self.pause_range)
-            if pause > 0:
-                yield self.env.timeout(pause)
+
+class _Walker:
+    """One node's random-waypoint walk, run as timeout callbacks.
+
+    It makes the schedule calls of a process that loops "pick a
+    destination and speed; tick towards it; pause", in the same order:
+    an urgent start event (the process's init event), one timeout per
+    tick and one per non-zero pause.  Event order and the RNG draws are
+    therefore those of the process.
+    """
+
+    __slots__ = ("model", "node", "rng", "destination", "step")
+
+    def __init__(self, model: RandomWaypoint, node: NetworkNode, rng) -> None:
+        self.model = model
+        self.node = node
+        self.rng = rng
+        start = Event(model.env)
+        start._value = None
+        start.callbacks.append(self._leave)
+        model.env.schedule(start, priority=True)
+
+    def _leave(self, _event: Optional[Event]) -> None:
+        model = self.model
+        self.destination = model.area.random_position(self.rng)
+        self.step = self.rng.uniform(*model.speed_range) * model.tick
+        self._arm()
+
+    def _tick(self, _event: Event) -> None:
+        node = self.node
+        node.move_to(node.position.towards(self.destination, self.step))
+        self._arm()
+
+    def _arm(self) -> None:
+        """Arm the next tick or, at the destination, the pause; a zero
+        pause leaves at once."""
+        model = self.model
+        if self.node.position != self.destination:
+            model.env.timeout(model.tick).callbacks.append(self._tick)
+            return
+        pause = self.rng.uniform(*model.pause_range)
+        if pause > 0:
+            model.env.timeout(pause).callbacks.append(self._leave)
+        else:
+            self._leave(None)
 
 
 class PathMobility:
@@ -82,13 +117,9 @@ class PathMobility:
             raise ValueError("tick must be positive")
         self.env = env
         self.tick = tick
-        self.processes: List[Process] = []
         for node_id, points in waypoints.items():
-            node = nodes[node_id]
             ordered = sorted(points, key=lambda pair: pair[0])
-            self.processes.append(
-                env.process(self._follow(node, ordered), name=f"path:{node_id}")
-            )
+            env.process(self._follow(nodes[node_id], ordered), name=f"path:{node_id}")
 
     def _follow(
         self, node: NetworkNode, points: Sequence[Tuple[float, Position]]

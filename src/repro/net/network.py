@@ -227,11 +227,11 @@ class Network:
         cell_size = self._grid.cell_size
         for interface in node.interfaces.values():
             self._note_range(interface.technology)
-        self._grid.insert(node.id, node.position)
+        _, cell = self._grid.move(node.id, node.position)
         if self._grid.cell_size != cell_size:
             self._bump()  # grid rebuilt: every cached cell id is stale
         else:
-            self._bump(node.id, (self._grid.cell_of(node.position),))
+            self._bump(node.id, (cell,))
         return node
 
     def node(self, node_id: str) -> NetworkNode:
@@ -373,10 +373,7 @@ class Network:
     def _node_moved(self, node: NetworkNode) -> None:
         if self.nodes.get(node.id) is not node:
             return
-        grid = self._grid
-        old_cell = grid.cell_of(grid.position_of(node.id))
-        new_cell = grid.cell_of(node.position)
-        grid.move(node.id, node.position)
+        old_cell, new_cell = self._grid.move(node.id, node.position)
         if old_cell == new_cell:
             self._bump(node.id, (new_cell,))
         else:

@@ -35,6 +35,8 @@ but never by more than the documented stretch bound, and its
 
 from __future__ import annotations
 
+from heapq import heapify, heappop
+from math import floor, hypot
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..errors import Unreachable
@@ -247,60 +249,79 @@ class HierarchicalRouter:
         corridor is exhausted or every route exceeds ``hop_limit``
         (which enforces the stretch bound by construction); the caller
         then falls through to the flat fallback.
+
+        No event runs while a plan is made, so each peer is ranked once
+        per plan, with the arithmetic of ``SpatialGrid.cell_of`` and
+        ``Position.distance_to``, and each expansion's candidates wait
+        in a heap; ids are unique, so pops come in exactly (cells to
+        go, metres, id) order.
         """
         network = self.network
-        grid = network.grid
+        neighbors = network.neighbors
         nodes = network.nodes
-        goal_position = grid.position_of(target_id)
+        grid = network.grid
+        position_of = grid.position_of
+        size = grid.cell_size
+        goal = position_of(target_id)
+        goal_x, goal_y = goal.x, goal.y
+        goal_cx, goal_cy = goal_cell
+        target = nodes[target_id]
+        source = nodes[source_id]
+        #: peer -> (cells to go, metres, id, peer), in-corridor peers.
+        ranks = {}
+        outside = set()
+        seen = {source}
 
-        def children_of(node_id):
-            """(target is adjacent?, unvisited candidates; stack order —
-            pop() yields the most promising first)."""
-            ranked = []
-            for peer in network.neighbors(nodes[node_id]):
-                peer_id = peer.id
-                if peer_id == target_id:
-                    return True, []
-                if peer_id in seen:
-                    continue
-                position = grid.position_of(peer_id)
-                cell = grid.cell_of(position)
-                if cell not in corridor:
-                    continue
-                ranked.append(
-                    (
-                        max(
-                            abs(cell[0] - goal_cell[0]),
-                            abs(cell[1] - goal_cell[1]),
-                        ),
-                        position.distance_to(goal_position),
+        def children_of(node):
+            """None if the target is adjacent, else a heap of the
+            unvisited in-corridor peers (heappop yields the most
+            promising first)."""
+            peers = neighbors(node)
+            if target in peers:
+                return None
+            heap = []
+            for peer in set(peers).difference(seen, outside):
+                rank = ranks.get(peer)
+                if rank is None:
+                    peer_id = peer.id
+                    position = position_of(peer_id)
+                    x, y = position.x, position.y
+                    cx = int(floor(x / size))
+                    cy = int(floor(y / size))
+                    if (cx, cy) not in corridor:
+                        outside.add(peer)
+                        continue
+                    rank = ranks[peer] = (
+                        max(abs(cx - goal_cx), abs(cy - goal_cy)),
+                        hypot(x - goal_x, y - goal_y),
                         peer_id,
+                        peer,
                     )
-                )
-            ranked.sort(reverse=True)
-            return False, [peer_id for _, _, peer_id in ranked]
+                heap.append(rank)
+            heapify(heap)
+            return heap
 
-        seen = {source_id}
         path = [source_id]
-        adjacent, candidates = children_of(source_id)
-        if adjacent:
+        candidates = children_of(source)
+        if candidates is None:
             return [source_id, target_id]
         stack = [candidates]
         while stack:
-            if not stack[-1] or len(path) >= hop_limit:
+            top = stack[-1]
+            if not top or len(path) >= hop_limit:
                 # Dead end, or no budget left for "one more hop plus
                 # the closing hop": backtrack.
                 stack.pop()
                 path.pop()
                 continue
-            node_id = stack[-1].pop()
-            if node_id in seen:
+            _, _, node_id, node = heappop(top)
+            if node in seen:
                 # Reached first through a different branch meanwhile.
                 continue
-            seen.add(node_id)
+            seen.add(node)
             path.append(node_id)
-            adjacent, candidates = children_of(node_id)
-            if adjacent:
+            candidates = children_of(node)
+            if candidates is None:
                 path.append(target_id)
                 return path
             stack.append(candidates)

@@ -80,21 +80,28 @@ class TestSpatialGrid:
 
     def test_insert_and_range_query(self):
         grid = self._grid()
-        grid.insert("a", Position(0, 0))
-        grid.insert("b", Position(50, 0))
-        grid.insert("c", Position(500, 0))
+        grid.move("a", Position(0, 0))
+        grid.move("b", Position(50, 0))
+        grid.move("c", Position(500, 0))
         assert sorted(grid.near(Position(0, 0), 100.0)) == ["a", "b"]
         assert sorted(grid.near(Position(0, 0), 1000.0)) == ["a", "b", "c"]
 
     def test_query_radius_is_exact_not_cell_granular(self):
         grid = self._grid(cell=100.0)
-        grid.insert("edge", Position(100.0, 0))
-        grid.insert("outside", Position(100.1, 0))
+        grid.move("edge", Position(100.0, 0))
+        grid.move("outside", Position(100.1, 0))
         assert grid.near(Position(0, 0), 100.0) == ["edge"]
+
+    def test_move_returns_old_and_new_cell(self):
+        grid = self._grid()
+        # A new item's old cell is its new cell.
+        assert grid.move("a", Position(5, 5)) == ((0, 0), (0, 0))
+        assert grid.move("a", Position(50, 5)) == ((0, 0), (0, 0))
+        assert grid.move("a", Position(-50, 150)) == ((0, 0), (-1, 1))
 
     def test_move_rebuckets(self):
         grid = self._grid()
-        grid.insert("a", Position(0, 0))
+        grid.move("a", Position(0, 0))
         grid.move("a", Position(950, 950))
         assert grid.near(Position(0, 0), 200.0) == []
         assert grid.near(Position(1000, 1000), 200.0) == ["a"]
@@ -102,7 +109,7 @@ class TestSpatialGrid:
     def test_rebuild_preserves_items(self):
         grid = self._grid(cell=10.0)
         for index in range(20):
-            grid.insert(f"n{index}", Position(index * 7.0, index * 3.0))
+            grid.move(f"n{index}", Position(index * 7.0, index * 3.0))
         grid.rebuild(150.0)
         assert grid.cell_size == 150.0
         assert len(grid) == 20
@@ -112,7 +119,7 @@ class TestSpatialGrid:
 
     def test_negative_coordinates(self):
         grid = self._grid()
-        grid.insert("neg", Position(-250.0, -50.0))
+        grid.move("neg", Position(-250.0, -50.0))
         assert grid.near(Position(-200, 0), 100.0) == ["neg"]
 
     def test_invalid_cell_size(self):

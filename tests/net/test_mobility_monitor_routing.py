@@ -69,6 +69,104 @@ class TestRandomWaypoint:
             RandomWaypoint(env, [], Area(10, 10), RandomStreams(0), tick=0.0)
 
 
+class ProcessWaypoint(RandomWaypoint):
+    """The random-waypoint model as it was before its walks became
+    timeout callbacks: one generator process per node.  Kept as the
+    oracle :class:`RandomWaypoint` must replay event for event."""
+
+    def __init__(
+        self,
+        env,
+        nodes,
+        area,
+        streams,
+        speed_range=(0.5, 2.0),
+        pause_range=(0.0, 10.0),
+        tick=1.0,
+    ):
+        self.env = env
+        self.area = area
+        self.speed_range = speed_range
+        self.pause_range = pause_range
+        self.tick = tick
+        for node in nodes:
+            rng = streams.stream(f"mobility.{node.id}")
+            if not area.contains(node.position):
+                node.move_to(area.clamp(node.position))
+            env.process(self._walk(node, rng), name=f"rwp:{node.id}")
+
+    def _walk(self, node, rng):
+        while True:
+            destination = self.area.random_position(rng)
+            speed = rng.uniform(*self.speed_range)
+            step = speed * self.tick
+            while node.position != destination:
+                yield self.env.timeout(self.tick)
+                node.move_to(node.position.towards(destination, step))
+            pause = rng.uniform(*self.pause_range)
+            if pause > 0:
+                yield self.env.timeout(pause)
+
+
+class TestWaypointCallbacksMatchProcesses:
+    """:class:`RandomWaypoint` walks as callbacks, making the schedule
+    calls of :class:`ProcessWaypoint` in the same order, so every move
+    lands at the same instant, in the same order, at the same place,
+    and the kernel's sequence counter ends equal."""
+
+    CASES = [
+        # (area, speed range, pause range, tick)
+        (Area(60.0, 40.0), (1.0, 9.0), (0.0, 0.0), 1.0),
+        (Area(60.0, 40.0), (1.0, 9.0), (0.0, 3.0), 1.0),
+        (Area(200.0, 150.0), (0.5, 2.0), (1.5, 4.0), 0.5),
+        # Every destination is the start point: the walk pauses at once.
+        (Area(0.0, 0.0), (1.0, 2.0), (0.5, 2.0), 1.0),
+    ]
+
+    def _run(self, model, seed, case):
+        area, speed_range, pause_range, tick = case
+        env = Environment()
+        network = Network(env)
+        moves = []
+
+        class RecordingNode(NetworkNode):
+            def move_to(self, position):
+                super().move_to(position)
+                moves.append((env.now, self.id, self.position))
+
+        nodes = [
+            network.add_node(
+                RecordingNode(
+                    env, f"n{index}", Position(x, y), technologies=[WIFI_ADHOC]
+                )
+            )
+            # The last node starts outside the area, so the clamp runs.
+            for index, (x, y) in enumerate([(10, 10), (30, 5), (-20, 90)])
+        ]
+        model(
+            env, nodes, area, RandomStreams(seed), speed_range=speed_range,
+            pause_range=pause_range, tick=tick,
+        )
+        snapshots = []
+        for instant in range(1, 61):
+            env.run(until=instant * tick)
+            snapshots.append([node.position for node in nodes])
+        return moves, snapshots, env._seq
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_same_moves_ticks_and_sequence(self, seed, case):
+        callbacks = self._run(RandomWaypoint, seed, self.CASES[case])
+        processes = self._run(ProcessWaypoint, seed, self.CASES[case])
+        moves, snapshots, seq = callbacks
+        assert moves == processes[0]
+        assert snapshots == processes[1]
+        assert seq == processes[2]
+        clamped = self.CASES[case][0].clamp(Position(-20, 90))
+        assert (0.0, "n2", clamped) in moves
+        assert seq > 60  # ticks and pauses ran
+
+
 class TestPathMobility:
     def test_reaches_waypoints_on_time(self):
         env = Environment()

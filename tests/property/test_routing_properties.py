@@ -16,10 +16,15 @@ test_topology_cache_properties so the same world shapes are covered):
     the delivered hop count is the source plan's length minus one;
 (d) on random-waypoint meshes above ``flat_threshold``, the corridor
     walk's paths and ladder stats are the same whether ``neighbors``
-    answers by the link-free distance test or by the naive link sweep.
+    answers by the link-free distance test or by the naive link sweep;
+(e) the corridor walk, which ranks each peer once per plan and pops
+    candidates from heaps, returns exactly the path (or None) of the
+    walk that re-ranks and fully sorts every neighbourhood it expands,
+    on holed lattices and scattered worlds, under tight hop limits.
 """
 
 import random
+from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
@@ -300,3 +305,174 @@ class TestLinkFreeNeighbours:
                 paths.append([planner.path(a, b) for a, b in pairs])
             assert paths[0] == paths[1]
             assert planners[0].stats == planners[1].stats
+
+
+def sorted_walk(router, source_id, target_id, corridor, goal_cell, hop_limit,
+                counts=None):
+    """The corridor walk as it was before peers were ranked once per
+    plan: every expansion ranks each unvisited neighbour through
+    ``SpatialGrid.cell_of`` and ``Position.distance_to`` and sorts the
+    lot.  ``counts`` (a Counter) tallies backtracks and expansions."""
+    network = router.network
+    grid = network.grid
+    nodes = network.nodes
+    goal_position = grid.position_of(target_id)
+    counts = Counter() if counts is None else counts
+
+    def children_of(node_id):
+        counts["expansions"] += 1
+        ranked = []
+        for peer in network.neighbors(nodes[node_id]):
+            peer_id = peer.id
+            if peer_id == target_id:
+                return True, []
+            if peer_id in seen:
+                continue
+            position = grid.position_of(peer_id)
+            cell = grid.cell_of(position)
+            if cell not in corridor:
+                continue
+            ranked.append(
+                (
+                    max(
+                        abs(cell[0] - goal_cell[0]),
+                        abs(cell[1] - goal_cell[1]),
+                    ),
+                    position.distance_to(goal_position),
+                    peer_id,
+                )
+            )
+        ranked.sort(reverse=True)
+        return False, [peer_id for _, _, peer_id in ranked]
+
+    seen = {source_id}
+    path = [source_id]
+    adjacent, candidates = children_of(source_id)
+    if adjacent:
+        return [source_id, target_id]
+    stack = [candidates]
+    while stack:
+        if not stack[-1] or len(path) >= hop_limit:
+            counts["backtracks"] += 1
+            stack.pop()
+            path.pop()
+            continue
+        node_id = stack[-1].pop()
+        if node_id in seen:
+            continue
+        seen.add(node_id)
+        path.append(node_id)
+        adjacent, candidates = children_of(node_id)
+        if adjacent:
+            path.append(target_id)
+            return path
+        stack.append(candidates)
+    return None
+
+
+def _holed_lattice(side, spacing, holes, jitter, seed):
+    """A ``side`` x ``side`` Wi-Fi lattice, jittered by up to ``jitter``
+    metres, with the nodes at ``holes`` (indices mod side²) left out."""
+    env = Environment()
+    network = Network(env)
+    rng = random.Random(seed)
+    missing = {hole % (side * side) for hole in holes}
+    for index in range(side * side):
+        row, col = divmod(index, side)
+        x = col * spacing + rng.uniform(-jitter, jitter)
+        y = row * spacing + rng.uniform(-jitter, jitter)
+        if index in missing:
+            continue
+        network.add_node(
+            NetworkNode(
+                env, f"n{index}", Position(x, y), technologies=[WIFI_ADHOC]
+            )
+        )
+    return network
+
+
+def _scattered(points):
+    env = Environment()
+    network = Network(env)
+    for index, (x, y) in enumerate(points):
+        network.add_node(
+            NetworkNode(
+                env, f"n{index}", Position(x, y), technologies=[WIFI_ADHOC]
+            )
+        )
+    return network
+
+
+def _compare_walks(network, seed, pair_count, counts):
+    """Walk ``pair_count`` seeded pairs with both walks, at the router's
+    own hop limit and at a tight one; assert identical answers."""
+    router = HierarchicalRouter(network, flat_threshold=0)
+    grid = network.grid
+    ids = sorted(network.nodes)
+    pick = random.Random(seed)
+    for _ in range(pair_count):
+        source_id, target_id = pick.sample(ids, 2)
+        s_cell = grid.cell_of(grid.position_of(source_id))
+        t_cell = grid.cell_of(grid.position_of(target_id))
+        cells = max(abs(s_cell[0] - t_cell[0]), abs(s_cell[1] - t_cell[1]))
+        corridor = router._straight_corridor(s_cell, t_cell)
+        for hop_limit in (
+            router.stretch * max(cells, 1) + 2,
+            max(cells, 1) + 1,
+            2,
+        ):
+            expected = sorted_walk(
+                router, source_id, target_id, corridor, t_cell, hop_limit,
+                counts,
+            )
+            walked = router._greedy_corridor(
+                source_id, target_id, corridor, t_cell, hop_limit
+            )
+            assert walked == expected
+            counts["found" if expected is not None else "missed"] += 1
+
+
+class TestExactCorridorPaths:
+    @given(
+        side=st.integers(4, 11),
+        spacing=st.floats(55.0, 99.0),
+        holes=st.sets(st.integers(0, 120), max_size=45),
+        jitter=st.floats(0.0, 25.0),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_holed_lattices(self, side, spacing, holes, jitter, seed):
+        """(e) on lattices whose holes make dead ends and corridor
+        edges."""
+        network = _holed_lattice(side, spacing, holes, jitter, seed)
+        if len(network) >= 2:
+            _compare_walks(network, seed, 8, Counter())
+
+    @given(
+        points=st.lists(
+            st.tuples(st.floats(-50.0, 650.0), st.floats(-50.0, 650.0)),
+            min_size=2,
+            max_size=60,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_scattered_worlds(self, points, seed):
+        """(e) on scattered points, negative coordinates included."""
+        _compare_walks(_scattered(points), seed, 8, Counter())
+
+    def test_seeded_lattices_backtrack_and_miss(self):
+        """(e) is not vacuous: over seeded holed lattices the walks
+        backtrack out of dead ends, exhaust corridors and hop limits,
+        and still find paths, with identical answers throughout."""
+        counts = Counter()
+        rng = random.Random(5)
+        for seed in range(30):
+            side = rng.randint(6, 11)
+            holes = set(rng.sample(range(side * side), side * side // 4))
+            network = _holed_lattice(side, rng.uniform(60.0, 95.0), holes,
+                                     rng.uniform(0.0, 20.0), seed)
+            _compare_walks(network, seed, 10, counts)
+        assert counts["backtracks"] > 100
+        assert counts["found"] > 100
+        assert counts["missed"] > 100
