@@ -40,6 +40,12 @@ class RandomWaypoint:
             raise ValueError("minimum speed must be positive")
         if tick <= 0:
             raise ValueError("tick must be positive")
+        if min(pause_range) < 0:
+            raise ValueError("pauses must not be negative")
+        if area.width == 0 and area.height == 0 and max(pause_range) <= 0:
+            # Every destination is the start and every pause is zero:
+            # the walk could never let simulated time advance.
+            raise ValueError("a one-point area needs a positive pause")
         self.env = env
         self.area = area
         self.speed_range = speed_range

@@ -515,10 +515,11 @@ class Network:
         b: NetworkNode,
         policy: LinkPolicy = prefer_free_then_fast,
     ) -> Optional[Link]:
-        """The preferred link from ``a`` to ``b``, or None if unreachable."""
+        """The preferred link from ``a`` to ``b``, or None if unreachable;
+        a lone link is returned without asking the policy."""
         links = self.links_between(a, b)
-        if not links:
-            return None
+        if len(links) < 2:
+            return links[0] if links else None
         return min(links, key=policy)
 
     def connected(self, a_id: str, b_id: str) -> bool:

@@ -4,8 +4,9 @@ Direct links only reach one hop; the router forwards a message along a
 planned path, paying every hop's transmission time and loss.  It
 source-routes (Dynamic Source Routing, Johnson & Maltz 1996): the route
 is planned once at the source and carried with the message; before each
-hop one link lookup checks that the route's next node is still in
-range, and only a broken link makes it plan again, from the node the
+later hop one link lookup checks that the route's next node is still in
+range (skipped while the topology epoch stands where it was at the
+plan), and only a broken link makes it plan again, from the node the
 message has reached.  It gives up when the destination becomes
 unreachable.
 
@@ -392,6 +393,18 @@ class Router:
     route is walked hop by hop and planned again, from the node the
     message has reached, only when the link to the route's next node is
     gone.
+
+    The planner (``table=``) must keep one contract: every hop of a
+    route it returns has a link at the topology epoch it returned it.
+    :class:`RoutingTable` and :class:`HierarchicalRouter` keep it: they
+    plan over the graph of the current epoch, and drop a tree or a
+    cached path once a change could have touched one of its links
+    (``tests/property/test_routing_properties.py`` checks it, both
+    ``adhoc_only`` values, under an asymmetric link filter).  The relay
+    relies on it to skip the link check of a route's later hops while
+    the epoch has not moved; a planner that breaks it still cannot
+    carry a message over a missing link, because each leg's own pick
+    fails the hop with :class:`~repro.errors.Unreachable`.
     """
 
     def __init__(
@@ -409,8 +422,9 @@ class Router:
         self.transport = transport
         self.adhoc_only = adhoc_only
         self.max_hops = max_hops
-        #: Any planner with ``path(source_id, target_id)`` works —
-        #: pass a :class:`HierarchicalRouter` for city-scale worlds.
+        #: Any planner with ``path(source_id, target_id)`` that keeps
+        #: the contract above works — pass a
+        #: :class:`HierarchicalRouter` for city-scale worlds.
         self.table = (
             table
             if table is not None
@@ -453,7 +467,11 @@ class _Relay:
        acknowledgement, checks the next link, re-plans if it broke, and
        starts the leg from ``current`` with ``send_reliable``; at the
        destination it schedules ``done`` at normal priority and puts
-       the message into the destination's inbox;
+       the message into the destination's inbox.  The next link is
+       checked only once the topology epoch has moved since the plan
+       (``epoch``): until then the planner's contract says every hop
+       of the route has a link.  A passed check vouches for that one
+       hop only, so it leaves ``epoch`` at the plan's;
     2. ``_acked`` (a callback on the leg's ``done``, its final
        acknowledgement) advances to the next node and calls
        ``_advance`` in that same event.
@@ -465,18 +483,28 @@ class _Relay:
     its call site).
     """
 
-    __slots__ = ("router", "message", "done", "current", "hops", "route", "step")
+    __slots__ = (
+        "router",
+        "message",
+        "done",
+        "current",
+        "hops",
+        "route",
+        "step",
+        "epoch",
+    )
 
     def __init__(self, router: Router, message: Message) -> None:
         self.router = router
         self.message = message
         self.current = message.source
         self.hops = 0
-        #: The carried route and the index of ``current`` on it.  A fresh
-        #: plan was made over links that exist now, so its first link is
-        #: not checked again.
+        #: The carried route, the index of ``current`` on it and the
+        #: topology epoch it was planned at.  A fresh plan was made over
+        #: links that exist now, so its first link is not checked again.
         self.route: Optional[List[str]] = None
         self.step = 0
+        self.epoch = -1
         self.done = Event(router.env)
         if message.created_at == 0.0:
             message.created_at = router.env.now
@@ -517,13 +545,16 @@ class _Relay:
                     f"gave up after {self.hops} hops towards {destination}"
                 )
             route = self.route
-            if route is None or not router._link_up(
-                current, route[self.step + 1]
+            network = router.network
+            if route is None or (
+                self.epoch != network.topology_epoch
+                and not router._link_up(current, route[self.step + 1])
             ):
                 route = self.route = router.table.path(current, destination)
                 if route is None or len(route) < 2:
                     raise Unreachable(f"no path from {current} to {destination}")
                 self.step = 0
+                self.epoch = network.topology_epoch
             leg = Message(
                 source=current,
                 destination=route[self.step + 1],

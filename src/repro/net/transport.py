@@ -75,6 +75,15 @@ class _Leg:
     with ``_ack`` (the ack billing) as its first callback.  Any
     exception a step raises fails ``done`` (the first step's too: a
     send never raises at its call site), as it failed the process.
+    The errors a leg makes itself (a down sender, no link to start
+    with, none left for a retransmission) fail it unraised, so no
+    traceback ties them into a reference cycle.
+
+    Each attempt records the topology epoch its link was picked at
+    (``epoch``).  An unchanged epoch means every connectivity answer
+    is unchanged, so ``_arrived`` looks the link up again only when
+    the epoch has moved during the transfer: in a still world a leg
+    costs one link lookup per attempt.
     """
 
     __slots__ = (
@@ -88,6 +97,7 @@ class _Leg:
         "link",
         "attempt",
         "span",
+        "epoch",
     )
 
     def __init__(
@@ -119,9 +129,13 @@ class _Leg:
 
     def _start(self) -> None:
         try:
-            self.source, self.destination, self.link = (
-                self.transport._first_link(self.message, self.policy)
+            self.source, self.destination, link = self.transport._first_link(
+                self.message, self.policy
             )
+            if isinstance(link, Exception):
+                self._fail(link)
+                return
+            self.link = link
             self._transmit()
         except Exception as error:
             self._fail(error)
@@ -156,6 +170,8 @@ class _Leg:
                 t_air=start,
             )
         self.span = span
+        # The link was picked in this event, at this epoch.
+        self.epoch = transport.network.topology_epoch
         Timeout(env, end - env.now).callbacks.append(self._sent)
 
     def _sent(self, _event: Event) -> None:
@@ -184,9 +200,11 @@ class _Leg:
             destination = self.destination
             link = self.link
             span = self.span
-            # Connectivity may have broken while transmitting.
-            still_connected = bool(
-                transport.network.links_between(source, destination)
+            # Connectivity may have broken while transmitting; an
+            # unchanged epoch means every link answer still holds.
+            network = transport.network
+            still_connected = self.epoch == network.topology_epoch or bool(
+                network.links_between(source, destination)
             )
             lost = transport._rng.random() < link.loss
             reason = "loss" if lost else "disconnected"
@@ -310,10 +328,13 @@ class _Leg:
                 self.source, destination, self.policy
             )
             if link is None:
-                raise TransportTimeout(
-                    f"lost connectivity to {destination.id} after "
-                    f"{self.attempt - 1} attempts"
+                self._fail(
+                    TransportTimeout(
+                        f"lost connectivity to {destination.id} after "
+                        f"{self.attempt - 1} attempts"
+                    )
                 )
+                return
             _check_size(self.message, link)
             self.link = link
             self._transmit()
@@ -420,12 +441,17 @@ class Transport:
 
     def _first_link(self, message: Message, policy: LinkPolicy):
         """The prelude both sends share: ``(source, destination, link)``
-        for the first attempt, or the error (an unreachable peer is
-        counted and traced)."""
+        for the first attempt.  A down sender or an unreachable peer
+        (counted and traced) gives the error in the link's place, built
+        but not raised: a raised error's traceback would pin the
+        sender's frames, and through them the error itself, in a
+        reference cycle."""
         source = self.network.node(message.source)
         destination = self.network.node(message.destination)
         if not source.up:
-            raise NetworkError(f"sender {source.id} is down")
+            return source, destination, NetworkError(
+                f"sender {source.id} is down"
+            )
         if message.created_at == 0.0:
             message.created_at = self.env.now
         link = self.network.best_link(source, destination, policy)
@@ -434,7 +460,9 @@ class Transport:
             self.trace.emit(
                 self.env.now, source.id, "net.unreachable", to=destination.id
             )
-            raise Unreachable(f"{source.id} cannot reach {destination.id}")
+            return source, destination, Unreachable(
+                f"{source.id} cannot reach {destination.id}"
+            )
         _check_size(message, link)
         return source, destination, link
 

@@ -44,6 +44,9 @@ class TestVersionMemo:
         )
 
     def test_peer_inventory_stays_within_the_bound(self):
+        # Earlier tests may have parsed some of the inventory's texts;
+        # each text must be a miss here.
+        units._parse_version.cache_clear()
         world = loss_free(World(seed=3))
         client = standard_host(world, "client", Position(0, 0), [WIFI_ADHOC])
         server = standard_host(

@@ -11,7 +11,11 @@ series — comes out the same.
 Only the sends are overridden; the prelude (``_first_link``), the
 labeled-metric lookups and ``broadcast`` are shared with the transport
 under test, and the process books the sender's radio through the same
-:meth:`~repro.net.node.Interface.reserve` as the leg does.
+:meth:`~repro.net.node.Interface.reserve` as the leg does.  The process
+keeps the leg's lookup rule too: it records the topology epoch at each
+link pick and looks the link up again after the transfer only when the
+epoch has moved, so the topology-cache counters in the sampled series
+match.
 """
 
 from __future__ import annotations
@@ -53,6 +57,8 @@ class ProcessLegTransport(Transport):
 
     def _send(self, message: Message, policy: LinkPolicy) -> Generator:
         source, destination, link = self._first_link(message, policy)
+        if isinstance(link, Exception):
+            raise link
         delivered = yield from self._transmit(
             message, source, destination, link, attempt=1
         )
@@ -66,6 +72,8 @@ class ProcessLegTransport(Transport):
         link: Link,
         attempt: int = 1,
     ) -> Generator:
+        # The link was picked in this event, at this epoch.
+        epoch = self.network.topology_epoch
         tracer = self.tracer
         stamped = tracer.enabled
         if stamped:
@@ -96,7 +104,9 @@ class ProcessLegTransport(Transport):
             message.wire_size
         )
         yield self.env.timeout(link.latency_s)
-        still_connected = bool(self.network.links_between(source, destination))
+        still_connected = epoch == self.network.topology_epoch or bool(
+            self.network.links_between(source, destination)
+        )
         lost = self._rng.random() < link.loss
         reason = "loss" if lost else "disconnected"
         faults = self.faults
@@ -150,6 +160,8 @@ class ProcessLegTransport(Transport):
         self, message: Message, max_attempts: int, policy: LinkPolicy
     ) -> Generator:
         source, destination, link = self._first_link(message, policy)
+        if isinstance(link, Exception):
+            raise link
         for attempt in range(1, max_attempts + 1):
             if attempt > 1:
                 link = self.network.best_link(source, destination, policy)

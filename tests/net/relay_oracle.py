@@ -15,7 +15,10 @@ The relay under test takes its first step (the plan and the first
 leg's start) in the caller's event.  The oracle's process does too: it
 is an :class:`_EagerProcess`, which runs its generator's first step at
 creation instead of in an urgent start event, so both relays number
-their legs and start their spans in the same order.
+their legs and start their spans in the same order.  The process keeps
+the relay's lookup rule too: a later hop's link is checked only once
+the topology epoch has moved since the plan, and a passed check leaves
+the plan's epoch in place.
 """
 
 from __future__ import annotations
@@ -57,23 +60,28 @@ class ProcessRelayRouter(Router):
         hops = 0
         if message.created_at == 0.0:
             message.created_at = self.env.now
-        # The carried route and the index of ``current`` on it.  A fresh
-        # plan was made over links that exist now, so its first link is
-        # not checked again.
+        # The carried route, the index of ``current`` on it and the
+        # epoch it was planned at.  A fresh plan was made over links
+        # that exist now, so its first link is not checked again.
         route: Optional[List[str]] = None
         step = 0
+        epoch = -1
         while current != message.destination:
             if hops >= self.max_hops:
                 raise Unreachable(
                     f"gave up after {hops} hops towards {message.destination}"
                 )
-            if route is None or not self._link_up(current, route[step + 1]):
+            if route is None or (
+                epoch != self.network.topology_epoch
+                and not self._link_up(current, route[step + 1])
+            ):
                 route = self.table.path(current, message.destination)
                 if route is None or len(route) < 2:
                     raise Unreachable(
                         f"no path from {current} to {message.destination}"
                     )
                 step = 0
+                epoch = self.network.topology_epoch
             next_hop = route[step + 1]
             leg = Message(
                 source=current,

@@ -68,6 +68,29 @@ class TestRandomWaypoint:
         with pytest.raises(ValueError):
             RandomWaypoint(env, [], Area(10, 10), RandomStreams(0), tick=0.0)
 
+    def test_negative_pause_is_rejected(self):
+        env = Environment()
+        with pytest.raises(ValueError, match="pauses"):
+            RandomWaypoint(
+                env, [], Area(10, 10), RandomStreams(0), pause_range=(-1.0, 2.0)
+            )
+
+    def test_one_point_area_without_pauses_is_rejected(self):
+        # Every destination would be the start and every pause zero, so
+        # the walk could never let time advance.
+        env = Environment()
+        node = adhoc_node(env, "n0")
+        with pytest.raises(ValueError, match="positive pause"):
+            RandomWaypoint(
+                env, [node], Area(0.0, 0.0), RandomStreams(1), pause_range=(0.0, 0.0)
+            )
+        # A positive pause lets the one-point walk wait instead.
+        RandomWaypoint(
+            env, [node], Area(0.0, 0.0), RandomStreams(1), pause_range=(0.0, 1.0)
+        )
+        env.run(until=5.0)
+        assert node.position == Position(0.0, 0.0)
+
 
 class ProcessWaypoint(RandomWaypoint):
     """The random-waypoint model as it was before its walks became
@@ -447,10 +470,20 @@ class TestRelayFailures:
 
 
 class TestRelayWorkCount:
-    """Exact kernel work of a multi-hop send: per hop, the leg's own
-    events and nothing more; per message, the relay's own event."""
+    """Exact work of a multi-hop send: per hop, the leg's own events
+    and its one link lookup, and nothing more; per message, the relay's
+    own event."""
 
-    def test_hundred_three_hop_relays(self):
+    def test_hundred_three_hop_relays(self, monkeypatch):
+        lookups = 0
+        links_between = Network.links_between
+
+        def counting_links_between(self, a, b):
+            nonlocal lookups
+            lookups += 1
+            return links_between(self, a, b)
+
+        monkeypatch.setattr(Network, "links_between", counting_links_between)
         env = Environment()
         network = Network(env)
         transport = Transport(env, network, RandomStreams(5))
@@ -492,6 +525,11 @@ class TestRelayWorkCount:
         # all): the same legs, the destination's put and the process's
         # end.
         assert steps == 1_103
+        # Nothing moves, so each hop looks its link up once, to pick it:
+        # the relay trusts its plan's later hops and each leg its pick
+        # while the topology epoch stands still.  Checking every later
+        # hop and every arrival took 8 lookups per relay.
+        assert lookups == 300
 
 
 class CountingPlanner:

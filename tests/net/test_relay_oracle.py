@@ -194,6 +194,27 @@ def replan_crashed(s):
     detour(s, lambda node: node.crash())
 
 
+def replan_after_passed_check(s):
+    """n0 - n1 - n2 - n3 in a line plus c, which reaches n2 and n3.
+    While the first leg is in the air n3 steps out of n2's range but
+    stays in c's: at n1 the epoch has moved and the check of n1 - n2
+    passes, which vouches for that hop only; at n2 the check of
+    n2 - n3 fails and the relay re-plans through c."""
+    for name, (x, y) in {
+        "n0": (0, 0),
+        "n1": (90, 0),
+        "n2": (180, 0),
+        "n3": (270, 0),
+        "c": (240, 60),
+    }.items():
+        s.node(name, x, y)
+    s.send("n0", "n3", 2_000)
+    s.at(
+        0.001, lambda: s.world.network.node("n3").move_to(Position(300, 60))
+    )
+    s.send("n0", "n3", 400, at=1.0)
+
+
 def loss(s):
     line(s, 4, technology=LOSSY_WIFI)
     for index in range(8):
@@ -278,6 +299,7 @@ SCENARIOS = {
     "clean_chain": clean_chain,
     "replan_moved": replan_moved,
     "replan_crashed": replan_crashed,
+    "replan_after_passed_check": replan_after_passed_check,
     "loss": loss,
     "max_hops": max_hops,
     "no_path": no_path,

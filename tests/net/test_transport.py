@@ -1,8 +1,15 @@
 """Unit tests for the transport: timing, loss, cost, reliability, broadcast."""
 
+import gc
+
 import pytest
 
-from repro.errors import MessageTooLarge, TransportTimeout, Unreachable
+from repro.errors import (
+    MessageTooLarge,
+    NetworkError,
+    TransportTimeout,
+    Unreachable,
+)
 from repro.net import (
     BLUETOOTH,
     GPRS,
@@ -15,6 +22,7 @@ from repro.net import (
     Transport,
     WIFI_ADHOC,
 )
+from repro.net.network import prefer_free_then_fast
 from repro.obs import SpanTracer
 from repro.sim import Environment, RandomStreams
 
@@ -411,18 +419,26 @@ class TestBroadcast:
 
 
 class TestLegWorkCount:
-    """Exact work per leg: one link lookup to pick the link, one to
-    confirm it survived the transfer, no span unless tracing is on, and
-    a pinned number of kernel events."""
+    """Exact work per leg: one link lookup to pick the link, a second
+    to confirm it survived the transfer only when the topology epoch
+    moved meanwhile, no link-policy call for a lone link, no span
+    unless tracing is on, and a pinned number of kernel events."""
 
-    def _count_one_leg(self, monkeypatch, tracing):
+    def _count_one_leg(self, monkeypatch, tracing, move_mid_transfer=False):
         env = Environment()
         network = Network(env)
         tracer = SpanTracer(now=lambda: env.now, enabled=tracing)
-        transport = Transport(env, network, RandomStreams(7), tracer=tracer)
+        calls = {"links_between": 0, "start": 0, "policy": 0}
+
+        def counting_policy(link):
+            calls["policy"] += 1
+            return prefer_free_then_fast(link)
+
+        transport = Transport(
+            env, network, RandomStreams(7), tracer=tracer, policy=counting_policy
+        )
         transport._rng.random = lambda: 0.99  # never lose
-        add_pair(env, network)
-        calls = {"links_between": 0, "start": 0}
+        _, b = add_pair(env, network)
         links_between = Network.links_between
         start = SpanTracer.start
 
@@ -437,6 +453,13 @@ class TestLegWorkCount:
         monkeypatch.setattr(Network, "links_between", counting_links_between)
         monkeypatch.setattr(SpanTracer, "start", counting_start)
         message = Message("a", "b", "data", size_bytes=100)
+        if move_mid_transfer:
+            # b steps 10 m further while a's radio transmits, still in
+            # range: the epoch moves, the link survives.
+            halfway = WIFI_ADHOC.transfer_time(message.wire_size) / 2
+            env.timeout(halfway).callbacks.append(
+                lambda _event: b.move_to(Position(20, 0))
+            )
 
         def run(env):
             attempts = yield transport.send_reliable(message)
@@ -445,15 +468,23 @@ class TestLegWorkCount:
         assert env.run(until=env.process(run(env))) == 1
         return calls, tracer
 
-    def test_untraced_leg_looks_up_links_twice_and_opens_no_span(
+    def test_untraced_leg_looks_up_links_once_and_opens_no_span(
         self, monkeypatch
     ):
         calls, _ = self._count_one_leg(monkeypatch, tracing=False)
-        assert calls == {"links_between": 2, "start": 0}
+        assert calls == {"links_between": 1, "start": 0, "policy": 0}
+
+    def test_leg_looks_up_links_again_when_a_node_moved_mid_transfer(
+        self, monkeypatch
+    ):
+        calls, _ = self._count_one_leg(
+            monkeypatch, tracing=False, move_mid_transfer=True
+        )
+        assert calls == {"links_between": 2, "start": 0, "policy": 0}
 
     def test_traced_leg_opens_one_transmit_span(self, monkeypatch):
         calls, tracer = self._count_one_leg(monkeypatch, tracing=True)
-        assert calls == {"links_between": 2, "start": 1}
+        assert calls == {"links_between": 1, "start": 1, "policy": 0}
         (span,) = tracer.finished_spans()
         assert span.name == "net.transmit"
         assert span.attributes["via"] == WIFI_ADHOC.name
@@ -534,6 +565,62 @@ class TestLegFailures:
         # Nothing was left held: a later send still goes through.
         transport.faults = None
         assert env.run(until=transport.send(Message("a", "b", "y"))) is True
+
+    def test_failed_sends_leave_no_reference_cycles(self):
+        """The errors a leg makes itself (a down sender, an unreachable
+        peer, no link left for a retransmission) are built, not raised,
+        so no traceback ties the error, the leg and the caller's frames
+        into a cycle for the collector."""
+        env, network, transport = build()
+        transport._rng.random = lambda: 0.99  # lost only by moving away
+        a, b = add_pair(env, network)
+        network.add_node(
+            NetworkNode(env, "far", Position(900, 0), technologies=[WIFI_ADHOC])
+        )
+
+        def run(env):
+            failures = []
+            for _ in range(20):
+                for send in (transport.send, transport.send_reliable):
+                    try:
+                        yield send(Message("a", "far", "x"))
+                    except Unreachable as error:
+                        failures.append(type(error))
+                a.crash()
+                try:
+                    yield transport.send(Message("a", "b", "x"))
+                except NetworkError as error:
+                    failures.append(type(error))
+                a.restart()
+                # b walks off mid-transfer: the retransmission finds no
+                # link left.
+                env.timeout(0.001).callbacks.append(
+                    lambda _event: b.move_to(Position(1_000, 0))
+                )
+                try:
+                    yield transport.send_reliable(
+                        Message("a", "b", "x", size_bytes=10_000)
+                    )
+                except TransportTimeout as error:
+                    failures.append(type(error))
+                b.move_to(Position(10, 0))
+            return failures
+
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            failures = env.run(until=env.process(run(env)))
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert failures == [
+            Unreachable,
+            Unreachable,
+            NetworkError,
+            TransportTimeout,
+        ] * 20
 
     def test_unawaited_unreachable_send_raises_out_of_run(self):
         env, network, transport = build()

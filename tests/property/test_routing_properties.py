@@ -20,7 +20,12 @@ test_topology_cache_properties so the same world shapes are covered):
 (e) the corridor walk, which ranks each peer once per plan and pops
     candidates from heaps, returns exactly the path (or None) of the
     walk that re-ranks and fully sorts every neighbourhood it expands,
-    on holed lattices and scattered worlds, under tight hop limits.
+    on holed lattices and scattered worlds, under tight hop limits;
+(f) the planner contract :class:`Router` relies on to skip link checks
+    while the topology epoch stands still: every hop of a route either
+    planner returns, with ``adhoc_only`` true or false and under an
+    asymmetric link filter, passes ``Router._link_up`` at the epoch the
+    route was returned, across mutations with every cache live.
 """
 
 import random
@@ -241,6 +246,56 @@ class TestHierarchicalRouterProperties:
                 assert len(plans) == 1
                 assert hops == len(plans[0]) - 1
                 assert hops <= planner.stretch * (len(flat) - 1) + 2
+
+
+#: Directed (sender index, receiver index) pairs a link filter severs;
+#: a pair is mostly banned one way only, so the filter is asymmetric.
+banned_pairs = st.sets(
+    st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=16
+)
+
+
+class TestPlannerContract:
+    @given(programs, banned_pairs)
+    @settings(max_examples=150, deadline=None)
+    def test_every_hop_of_a_returned_route_has_a_link(self, program, banned):
+        """(f): a route's every hop has a link at the epoch it was
+        returned, for both planners, both ``adhoc_only`` values, under
+        an asymmetric link filter, with the caches live."""
+        specs, operations = program
+        env, network, nodes = _build(specs)
+        network.set_link_filter(
+            lambda a, b: (int(a[1:]), int(b[1:])) not in banned
+        )
+        transport = Transport(env, network, RandomStreams(0))
+        checks = []
+        for adhoc_only in (True, False):
+            router = Router(env, network, transport, adhoc_only=adhoc_only)
+            for planner in (
+                RoutingTable(network, adhoc_only=adhoc_only),
+                HierarchicalRouter(
+                    network, adhoc_only=adhoc_only, flat_threshold=0
+                ),
+            ):
+                checks.append((planner, router))
+
+        def check():
+            for planner, router in checks:
+                for a in nodes:
+                    for b in nodes:
+                        epoch = network.topology_epoch
+                        route = planner.path(a.id, b.id)
+                        if route is None:
+                            continue
+                        assert route[0] == a.id and route[-1] == b.id
+                        for sender, receiver in zip(route, route[1:]):
+                            assert router._link_up(sender, receiver)
+                        assert network.topology_epoch == epoch
+
+        check()  # populate the trees and the path cache, then mutate
+        for op in operations:
+            _apply(env, network, nodes, op)
+            check()
 
 
 class NaiveNeighborsNetwork(Network):
