@@ -30,14 +30,13 @@ from __future__ import annotations
 import json
 import os
 import subprocess
-from typing import Generator, List, Optional, Tuple
+from typing import Generator, Optional
 
 from repro.core import World
 from repro.obs import (
     RunReport,
     append_jsonl,
     atomic_write_text,
-    read_jsonl_if_exists,
     wall_time,
 )
 
@@ -130,18 +129,6 @@ def append_trajectory(
     # interleave partial lines.  Plain ``open(path, "a")`` could.
     append_jsonl(TRAJECTORY_PATH, entry)
     return TRAJECTORY_PATH
-
-
-def read_trajectory(
-    path: Optional[str] = None, strict: bool = False
-) -> Tuple[List[dict], int]:
-    """Load trajectory entries, tolerating torn or corrupt lines.
-
-    Returns ``(entries, skipped)``; a missing log is just ``([], 0)``.
-    With ``strict=True`` a malformed line raises instead — the posture
-    for tests that assert the log is pristine.
-    """
-    return read_jsonl_if_exists(path or TRAJECTORY_PATH, strict=strict)
 
 
 def baseline_path(name: str) -> str:

@@ -39,7 +39,7 @@ Subpackages:
 * :mod:`repro.tuplespace` — Linda/Lime data-sharing baseline;
 * :mod:`repro.apps`       — the paper's five scenario applications;
 * :mod:`repro.workloads`  — experiment workload generators;
-* :mod:`repro.analysis`   — table/series rendering for experiments.
+* :mod:`repro.analysis`   — table rendering for experiments.
 """
 
 from .core import (
@@ -50,7 +50,6 @@ from .core import (
     CodeOnDemand,
     Component,
     Discovery,
-    ItineraryAgent,
     LookupClient,
     LookupServer,
     MobileHost,
@@ -75,7 +74,6 @@ __all__ = [
     "CodeOnDemand",
     "Component",
     "Discovery",
-    "ItineraryAgent",
     "LookupClient",
     "LookupServer",
     "MobileHost",

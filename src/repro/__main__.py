@@ -2,8 +2,6 @@
 
 Commands:
 
-* ``info``    — version, subsystems, and experiment inventory;
-* ``demo``    — run the quickstart scenario inline (all four paradigms);
 * ``assess``  — print a design-time paradigm assessment for a task
   described by flags;
 * ``report``  — list or render machine-readable run reports (the JSON
@@ -28,38 +26,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-
-
-def _cmd_info(_args: argparse.Namespace) -> int:
-    import repro
-    from repro.core.assessment import STANDARD_CONTEXTS
-
-    print(f"repro {repro.__version__} — logical-mobility middleware")
-    print("reproduction of Zachariadis, Mascolo & Emmerich, ICDCSW'02\n")
-    print("subsystems: sim, net, lmu, security, core, tuplespace, apps,")
-    print("            workloads, analysis")
-    print("paradigms : cs, rev, cod, agents (+ discovery, lookup, update)")
-    print(
-        "contexts  : "
-        + ", ".join(name for name, _link in STANDARD_CONTEXTS)
-    )
-    print("experiments: E1-E10 + ablations A1-A4 (see DESIGN.md §3)")
-    return 0
-
-
-def _cmd_demo(_args: argparse.Namespace) -> int:
-    import os
-    import runpy
-
-    path = os.path.join(
-        os.path.dirname(__file__), os.pardir, os.pardir, "examples",
-        "quickstart.py",
-    )
-    if not os.path.exists(path):
-        print("examples/quickstart.py not found (installed without examples)")
-        return 1
-    runpy.run_path(path, run_name="__main__")
-    return 0
 
 
 def _cmd_assess(args: argparse.Namespace) -> int:
@@ -399,12 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     subparsers = parser.add_subparsers(dest="command")
-
-    info = subparsers.add_parser("info", help="version and inventory")
-    info.set_defaults(handler=_cmd_info)
-
-    demo = subparsers.add_parser("demo", help="run the quickstart scenario")
-    demo.set_defaults(handler=_cmd_demo)
 
     assess_cmd = subparsers.add_parser(
         "assess", help="design-time paradigm assessment"

@@ -1,24 +1,11 @@
-"""Analysis helpers: tables, series, crossovers, small-sample statistics."""
+"""Analysis helpers: tables, crossovers, small-sample statistics."""
 
-from .stats import (
-    Summary,
-    mean,
-    proportion_ci95,
-    sample_stddev,
-    summarize,
-    t_critical_95,
-)
-from .tables import crossover, format_value, render_series, render_table
+from .stats import proportion_ci95
+from .tables import crossover, format_value, render_table
 
 __all__ = [
-    "Summary",
     "crossover",
     "format_value",
-    "mean",
     "proportion_ci95",
-    "render_series",
     "render_table",
-    "sample_stddev",
-    "summarize",
-    "t_critical_95",
 ]

@@ -1,96 +1,13 @@
 """Small-sample statistics for multi-trial experiment cells.
 
-The disaster and spray experiments average a handful of seeded trials;
-these helpers report them honestly: mean, standard deviation, and a
-95% confidence half-width using Student-t critical values for small n
-(the usual normal approximation misleads below ~30 samples).
+The disaster experiment reports delivery ratios over a handful of
+seeded trials; :func:`proportion_ci95` annotates each with an honest
+95% half-width.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
-
-#: Two-sided 95% Student-t critical values by degrees of freedom (1..30).
-_T95 = [
-    12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
-    2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
-    2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
-]
-_T95_LARGE = 1.960
-
-
-def t_critical_95(degrees_of_freedom: int) -> float:
-    """Two-sided 95% t critical value."""
-    if degrees_of_freedom < 1:
-        raise ValueError("need at least 1 degree of freedom")
-    if degrees_of_freedom <= len(_T95):
-        return _T95[degrees_of_freedom - 1]
-    return _T95_LARGE
-
-
-def mean(values: Sequence[float]) -> float:
-    if not values:
-        raise ValueError("mean of an empty sample")
-    return sum(values) / len(values)
-
-
-def sample_stddev(values: Sequence[float]) -> float:
-    """Unbiased (n-1) standard deviation; 0 for singleton samples."""
-    if not values:
-        raise ValueError("stddev of an empty sample")
-    if len(values) == 1:
-        return 0.0
-    centre = mean(values)
-    return math.sqrt(
-        sum((value - centre) ** 2 for value in values) / (len(values) - 1)
-    )
-
-
-@dataclass(frozen=True)
-class Summary:
-    """A sample summarised for a results table."""
-
-    count: int
-    mean: float
-    stddev: float
-    ci95_halfwidth: float
-    minimum: float
-    maximum: float
-
-    @property
-    def ci_low(self) -> float:
-        return self.mean - self.ci95_halfwidth
-
-    @property
-    def ci_high(self) -> float:
-        return self.mean + self.ci95_halfwidth
-
-    def __str__(self) -> str:
-        return f"{self.mean:.3g} ± {self.ci95_halfwidth:.2g} (n={self.count})"
-
-
-def summarize(values: Sequence[float]) -> Summary:
-    """Mean / stddev / 95% CI half-width / extremes of a sample."""
-    if not values:
-        raise ValueError("summary of an empty sample")
-    centre = mean(values)
-    spread = sample_stddev(values)
-    if len(values) > 1:
-        halfwidth = (
-            t_critical_95(len(values) - 1) * spread / math.sqrt(len(values))
-        )
-    else:
-        halfwidth = float("inf")
-    return Summary(
-        count=len(values),
-        mean=centre,
-        stddev=spread,
-        ci95_halfwidth=halfwidth,
-        minimum=min(values),
-        maximum=max(values),
-    )
 
 
 def proportion_ci95(successes: int, trials: int) -> float:

@@ -1,12 +1,12 @@
-"""Plain-text tables and series for experiment output.
+"""Plain-text tables for experiment output.
 
-Every benchmark prints its table/figure through these helpers so the
+Every benchmark prints its tables through these helpers so the
 rows EXPERIMENTS.md quotes look identical across experiments.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 
 def format_value(value: object) -> str:
@@ -49,24 +49,6 @@ def render_table(
     if note:
         lines.append(f"note: {note}")
     return "\n".join(lines)
-
-
-def render_series(
-    title: str,
-    x_label: str,
-    series: Sequence[Tuple[str, Sequence[Tuple[float, float]]]],
-) -> str:
-    """A figure as aligned columns: x then one column per series."""
-    xs: List[float] = sorted({x for _name, points in series for x, _y in points})
-    headers = [x_label] + [name for name, _points in series]
-    rows = []
-    lookup = [dict(points) for _name, points in series]
-    for x in xs:
-        row: List[object] = [x]
-        for points in lookup:
-            row.append(points.get(x, float("nan")))
-        rows.append(row)
-    return render_table(title, headers, rows)
 
 
 def crossover(

@@ -28,7 +28,7 @@ from .adaptation import (
     estimator_for,
     register_estimator,
 )
-from .agents import Agent, AgentContext, AgentRuntime, ItineraryAgent, TaskAgent
+from .agents import Agent, AgentContext, AgentRuntime, TaskAgent
 from .assessment import (
     AssessmentReport,
     AssessmentRow,
@@ -37,10 +37,8 @@ from .assessment import (
 )
 from .builders import (
     STANDARD_COMPONENTS,
-    laptop_host,
     mutual_trust,
     pda_host,
-    phone_host,
     server_host,
     standard_host,
 )
@@ -102,7 +100,6 @@ __all__ = [
     "InvocationOutcome",
     "InvocationPipeline",
     "InvocationTask",
-    "ItineraryAgent",
     "KEY_BANDWIDTH",
     "KEY_BATTERY",
     "KEY_COST_PER_MB",
@@ -145,10 +142,8 @@ __all__ = [
     "estimate_ma",
     "estimate_rev",
     "estimator_for",
-    "laptop_host",
     "mutual_trust",
     "pda_host",
-    "phone_host",
     "provision_task",
     "register_estimator",
     "run_task_locally",

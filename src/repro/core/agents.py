@@ -608,56 +608,6 @@ class AgentRuntime(Component):
         )
 
 
-class ItineraryAgent(Agent):
-    """An agent that visits a list of hosts, then returns home.
-
-    Subclasses override :meth:`visit`; its return value is appended to
-    ``state["results"]``.  Unreachable hosts are skipped.  The homeward
-    migration is retried under :attr:`home_retry` through
-    :meth:`AgentContext.migrate_with_retry`; when every attempt fails
-    the agent raises :class:`MigrationError` at once and ends
-    ``stranded`` where it is.
-    """
-
-    #: Homeward migration: five tries, 5 s apart.
-    home_retry = RetryPolicy(attempts=5, base_delay_s=5.0, multiplier=1.0)
-
-    def visit(self, context: AgentContext) -> Generator:
-        """Work to do at each itinerary host; generator returning a result."""
-        raise NotImplementedError
-        yield  # pragma: no cover - marks this as a generator function
-
-    def on_arrival(self, context: AgentContext) -> Generator:
-        state = self.state
-        state.setdefault("results", [])
-        state.setdefault("index", 0)
-        state.setdefault("skipped", [])
-        itinerary: List[str] = list(state.get("itinerary", []))  # type: ignore[arg-type]
-        home = str(state["home"])
-
-        while int(state["index"]) < len(itinerary):  # type: ignore[arg-type]
-            index = int(state["index"])  # type: ignore[arg-type]
-            target = itinerary[index]
-            if target == context.host_id:
-                result = yield from self.visit(context)
-                state["results"].append(result)  # type: ignore[union-attr]
-                state["index"] = index + 1
-                continue
-            try:
-                yield from context.migrate(target)
-            except MigrationError:
-                state["skipped"].append(target)  # type: ignore[union-attr]
-                state["index"] = index + 1
-        if context.host_id == home:
-            return  # completed at home; results are in state
-        try:
-            yield from context.migrate_with_retry(home, self.home_retry)
-        except MigrationError as error:
-            raise MigrationError(
-                f"agent {self.agent_id} could not return home to {home}"
-            ) from error
-
-
 class TaskAgent(Agent):
     """The agent rendering of an :class:`InvocationTask`.
 

@@ -100,45 +100,6 @@ def pda_host(
     return standard_host(world, node_id, position, **settings)
 
 
-def phone_host(
-    world: World,
-    node_id: str,
-    position: Position = Position(0.0, 0.0),
-    **overrides,
-) -> MobileHost:
-    """A GPRS phone: cellular + Bluetooth, very slow CPU, tiny storage."""
-    from ..net import BLUETOOTH, GPRS
-    from .context import Battery
-
-    settings = dict(
-        technologies=[GPRS, BLUETOOTH],
-        cpu_speed=0.05,
-        quota_bytes=400_000,
-        battery=Battery(capacity_joules=18_000.0),
-    )
-    settings.update(overrides)
-    return standard_host(world, node_id, position, **settings)
-
-
-def laptop_host(
-    world: World,
-    node_id: str,
-    position: Position = Position(0.0, 0.0),
-    **overrides,
-) -> MobileHost:
-    """A nomadic laptop: Wi-Fi + dial-up modem, decent CPU, ample disk."""
-    from ..net import DIALUP, WIFI_ADHOC, WIFI_INFRA
-    from .context import Battery
-
-    settings = dict(
-        technologies=[WIFI_ADHOC, WIFI_INFRA, DIALUP],
-        cpu_speed=1.0,
-        battery=Battery(capacity_joules=180_000.0),
-    )
-    settings.update(overrides)
-    return standard_host(world, node_id, position, **settings)
-
-
 def server_host(
     world: World,
     node_id: str,

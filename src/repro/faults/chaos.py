@@ -1,4 +1,4 @@
-"""Chaos harness: workloads under fault plans, with recovery invariants.
+"""Chaos harness: workloads under fault plans.
 
 :func:`run_chaos` assembles a small ad-hoc fleet, drives a request
 workload through the full middleware stack while a :class:`FaultPlan`
@@ -6,18 +6,8 @@ plays out, and reports what completed.  Because both the workload and
 the faults are scheduled deterministically, the whole scenario is a
 pure function of the seed — two same-seed runs produce bit-identical
 metrics, which is what makes chaos results diffable and gateable.
-
-The ``verify_*`` helpers are the recovery invariants the paper's
-middleware must uphold (each raises ``AssertionError`` on violation):
-
-* :func:`verify_retry_convergence` — pipeline and application retries
-  converge through drops, crashes, partitions, and latency spikes;
-* :func:`verify_discovery_recovery` — discovery finds nothing across a
-  partition but re-finds providers after it heals;
-* :func:`verify_agent_reroute` — a :class:`TaskAgent` rides out a
-  crashed hop (retrying in place) and still completes its itinerary;
-* :func:`verify_local_degradation` — with no usable link, paradigm
-  selection degrades to ``LocalExecution`` instead of failing.
+:func:`run_hostile` is the same fleet with hostile guests attacking
+the servers.
 """
 
 from __future__ import annotations
@@ -27,14 +17,12 @@ from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from ..core import (
     InvocationTask,
-    ParadigmSelector,
     RetryPolicy,
     World,
     mutual_trust,
     provision_task,
     standard_host,
 )
-from ..core.invocation import LocalExecution
 from ..core.services import ServiceDescription
 from ..errors import ReproError
 from ..net import WIFI_ADHOC, Position
@@ -127,12 +115,13 @@ def build_fleet(
 def standard_slos():
     """The chaos invariants as checked-in per-node SLOs.
 
-    The four monitors mirror the ``verify_*`` invariants but run *in
-    flight* on every node: under the standard plan a healthy stack
-    dips to ``degraded`` while fault windows are open (the breach
-    events prove the monitors see the faults bite) and recovers —
-    ``critical`` levels mean the middleware failed to converge, which
-    is exactly what ``repro health --strict`` exits non-zero on.
+    The four monitors mirror the recovery invariants the tests check
+    after a run, but run *in flight* on every node: under the standard
+    plan a healthy stack dips to ``degraded`` while fault windows are
+    open (the breach events prove the monitors see the faults bite)
+    and recovers — ``critical`` levels mean the middleware failed to
+    converge, which is exactly what ``repro health --strict`` exits
+    non-zero on.
     """
     from ..obs.health import SloSpec
 
@@ -548,146 +537,3 @@ def run_hostile(
         True, seed, clients, servers, requests_per_client, spacing_s,
         hostile, trace_enabled, slos, sample_cadence,
     )
-
-
-def verify_hostile_containment(
-    seed: int = 7, floor: float = 0.95
-) -> ChaosOutcome:
-    """The hostile-guest tier-1 invariant, as one callable check.
-
-    Under the standard hostile plan: benign completion stays at or
-    above ``floor``, every launched guest is terminated with
-    ``SandboxViolation``, and nothing escapes the providers.
-    """
-    outcome = run_hostile(seed=seed)
-    summary = outcome.summary
-    guests = summary.get("hostile.guests", 0.0)
-    terminated = summary.get("hostile.terminated", 0.0)
-    escapes = summary.get("hostile.escapes", 0.0)
-    assert outcome.completion_rate >= floor, (
-        f"benign completion {outcome.completed}/{outcome.requests} fell "
-        f"below the {floor:.0%} floor under hostile guests"
-    )
-    assert guests >= 3, f"hostile plan launched only {guests:g} guests"
-    assert terminated == guests, (
-        f"{terminated:g}/{guests:g} hostile guests terminated with "
-        "SandboxViolation"
-    )
-    assert escapes == 0, f"{escapes:g} hostile guests escaped containment"
-    return outcome
-
-
-# ---------------------------------------------------------------------------
-# Recovery invariants
-# ---------------------------------------------------------------------------
-
-
-def verify_retry_convergence(
-    seed: int = 11, floor: float = 0.95
-) -> ChaosOutcome:
-    """Retries converge: completion stays above ``floor`` under the
-    standard plan, and the faults demonstrably bit (something retried)."""
-    outcome = run_chaos(seed=seed)
-    disruptions = outcome.app_retries + int(
-        outcome.summary.get("paradigm.cs.retries", 0.0)
-    )
-    assert outcome.completion_rate >= floor, (
-        f"chaos completion {outcome.completed}/{outcome.requests} fell "
-        f"below the {floor:.0%} floor"
-    )
-    assert disruptions > 0, "fault plan injected nothing (no retries seen)"
-    return outcome
-
-
-def verify_discovery_recovery(seed: int = 5) -> Dict[str, int]:
-    """Discovery goes dark across a partition and re-finds after heal."""
-    world = World(seed=seed)
-    client_hosts, server_hosts = build_fleet(world, clients=1, servers=1)
-    client = client_hosts[0]
-    discovery = client.components["discovery"]
-    plan = FaultPlan().partition(
-        [[client.id], [server_hosts[0].id]], at=10.0, duration=20.0
-    )
-    plan.inject(world)
-    found: Dict[str, int] = {}
-
-    def scenario() -> Generator:
-        before = yield from discovery.find("compute", use_cache=False)
-        found["before"] = len(before)
-        yield world.env.timeout(12.0 - world.now)  # inside the partition
-        during = yield from discovery.find("compute", use_cache=False)
-        found["during"] = len(during)
-        yield world.env.timeout(35.0 - world.now)  # healed
-        after = yield from discovery.find("compute", use_cache=False)
-        found["after"] = len(after)
-
-    process = world.env.process(scenario(), name="disc-recovery")
-    world.run(until=process)
-    assert found["before"] > 0, "provider not discoverable before the fault"
-    assert found["during"] == 0, "partition did not isolate discovery"
-    assert found["after"] > 0, "discovery did not recover after heal"
-    return found
-
-
-def verify_agent_reroute(seed: int = 3) -> Dict[str, float]:
-    """A task agent retries a crashed hop and completes once the node
-    restarts — the itinerary survives churn."""
-    world = World(seed=seed)
-    task = chaos_task()
-    client_hosts, server_hosts = build_fleet(
-        world, clients=1, servers=2, task=task
-    )
-    client = client_hosts[0]
-    runtime = client.components["agents"]
-    # First itinerary hop crashes under the agent and restarts at t=5;
-    # the hop retry backoff (2s, then 4s) lands after the restart.
-    plan = FaultPlan().crash([server_hosts[0].id], at=0.0, down_s=5.0)
-    plan.inject(world)
-    targets = [server.id for server in server_hosts]
-
-    def scenario() -> Generator:
-        results = yield from runtime.invoke(task, targets, retry=CHAOS_RETRY)
-        return results
-
-    process = world.env.process(scenario(), name="agent-reroute")
-    results = world.run(until=process)
-    assert len(results) == len(targets), (
-        f"agent visited {len(results)}/{len(targets)} itinerary hosts"
-    )
-    retries = world.metrics.counter("paradigm.ma.retries").value
-    assert retries >= 1, "crash injected but the agent never retried a hop"
-    return {"results": len(results), "retries": retries}
-
-
-def verify_local_degradation(seed: int = 2) -> str:
-    """With the link partitioned away, selection falls back to local
-    execution rather than failing the task."""
-    world = World(seed=seed)
-    task = chaos_task()
-    client_hosts, server_hosts = build_fleet(
-        world, clients=1, servers=1, task=task
-    )
-    client = client_hosts[0]
-    client.add_component(LocalExecution())
-    plan = FaultPlan().partition(
-        [[client.id], [server_hosts[0].id]], at=0.0, duration=60.0
-    )
-    plan.inject(world)
-    selector = ParadigmSelector(
-        available=["cs", "rev", "cod", "ma", "local"]
-    )
-
-    def scenario() -> Generator:
-        yield world.env.timeout(1.0)  # let the partition open first
-        outcome = yield from selector.select_and_invoke(
-            client, task, target=server_hosts[0].id
-        )
-        return outcome
-
-    process = world.env.process(scenario(), name="local-degradation")
-    outcome = world.run(until=process)
-    assert outcome.paradigm == "local", (
-        f"expected offline fallback to 'local', got {outcome.paradigm!r}"
-    )
-    assert outcome.result == {"echo": None}
-    return outcome.paradigm

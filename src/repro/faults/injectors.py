@@ -341,8 +341,3 @@ class FaultInjector:
             self.world.transport.faults = None
         self._partitions.clear()
         self.world.network.set_link_filter(self._base_filter)
-
-
-def inject(world, plan: FaultPlan) -> FaultInjector:
-    """Convenience alias for :meth:`FaultPlan.inject`."""
-    return FaultInjector(world, plan)

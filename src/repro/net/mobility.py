@@ -4,7 +4,7 @@ Each model updates node positions in small time steps; connectivity
 queries pick the movement up immediately.  A random-waypoint walk is no
 process: each node's walk is a :class:`_Walker`, a chain of timeout
 callbacks that moves the node and arms its next tick
-(docs/PERFORMANCE.md, "A gateway walk that ranks each node once").
+(docs/PERFORMANCE.md, "Random-waypoint walks").
 :class:`PathMobility` stays a process.  Models draw from named RNG
 streams, so a seeded run replays identically.
 """

@@ -37,8 +37,6 @@ from .fileio import (
     append_jsonl,
     atomic_write_text,
     locked_append_line,
-    read_jsonl,
-    read_jsonl_if_exists,
 )
 from .health import (
     FlightRecorder,
@@ -98,8 +96,6 @@ __all__ = [
     "diff_reports",
     "direction_of",
     "locked_append_line",
-    "read_jsonl",
-    "read_jsonl_if_exists",
     "wall_time",
     "worst_level",
 ]

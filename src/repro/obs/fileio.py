@@ -12,11 +12,6 @@ Two failure modes matter once runs fan out across worker processes
   a single ``O_APPEND`` write under an ``fcntl`` exclusive lock, so
   ``trajectory.jsonl`` stays one well-formed JSON document per line no
   matter how many processes append at once.
-
-:func:`read_jsonl` is the matching tolerant reader: a torn or corrupt
-line (from a pre-fix writer, or a crash between lock and write) is
-skipped and counted, never fatal, so one bad record cannot take down
-the whole perf history.
 """
 
 from __future__ import annotations
@@ -24,7 +19,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Dict, List, Tuple
+from typing import Dict
 
 try:  # POSIX only; on other platforms appends fall back to O_APPEND alone.
     import fcntl
@@ -95,50 +90,3 @@ def locked_append_line(path: str, line: str) -> str:
 def append_jsonl(path: str, entry: Dict[str, object]) -> str:
     """Append one dict to a JSONL log via :func:`locked_append_line`."""
     return locked_append_line(path, json.dumps(entry, sort_keys=True))
-
-
-def read_jsonl(
-    path: str, strict: bool = False
-) -> Tuple[List[Dict[str, object]], int]:
-    """Read a JSONL log, tolerating torn or corrupt lines.
-
-    Returns ``(entries, skipped)`` where ``skipped`` counts unreadable
-    lines (truncated tail from a killed writer, interleaved bytes from
-    a pre-lock appender, stray garbage).  ``strict=True`` raises
-    ``ValueError`` on the first bad line instead — what a gate uses
-    when corruption itself must fail the run.
-    """
-    entries: List[Dict[str, object]] = []
-    skipped = 0
-    with open(path, encoding="utf-8", errors="replace") as handle:
-        for number, raw in enumerate(handle, start=1):
-            text = raw.strip()
-            if not text:
-                continue
-            try:
-                entry = json.loads(text)
-            except json.JSONDecodeError as error:
-                if strict:
-                    raise ValueError(
-                        f"{path}:{number}: malformed JSONL line: {error}"
-                    )
-                skipped += 1
-                continue
-            if not isinstance(entry, dict):
-                if strict:
-                    raise ValueError(
-                        f"{path}:{number}: JSONL record is not an object"
-                    )
-                skipped += 1
-                continue
-            entries.append(entry)
-    return entries, skipped
-
-
-def read_jsonl_if_exists(
-    path: str, strict: bool = False
-) -> Tuple[List[Dict[str, object]], int]:
-    """Like :func:`read_jsonl` but a missing file is just ``([], 0)``."""
-    if not os.path.isfile(path):
-        return [], 0
-    return read_jsonl(path, strict=strict)

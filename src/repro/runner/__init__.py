@@ -13,7 +13,7 @@ fault plans" from a shell loop into a first-class object:
 * ``python -m repro matrix spec.json [--jobs N] [--strict]`` — the
   CLI entry point with a machine-readable verdict.
 
-See the "Run matrix" section of docs/PERFORMANCE.md.
+See "The run matrix" in docs/OBSERVABILITY.md.
 """
 
 from .merge import AGG_STATS, merge_matrix_report

@@ -38,7 +38,6 @@ from .provider import (
     ExecuteResult,
     InProcessProvider,
     Metrics,
-    ProviderCapabilities,
     SandboxProvider,
     SessionInfo,
     StrictProvider,
@@ -61,7 +60,6 @@ __all__ = [
     "OP_INSTALL_CODE",
     "OP_SERVE_COD",
     "OP_UPDATE_MIDDLEWARE",
-    "ProviderCapabilities",
     "PublicKey",
     "QuotaGrant",
     "SIGNATURE_BYTES",

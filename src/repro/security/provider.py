@@ -36,20 +36,6 @@ from .sandbox import WORK_UNITS_PER_SECOND, ExecutionContext
 
 
 @dataclass(frozen=True)
-class ProviderCapabilities:
-    """What one provider flavor guarantees about its metering."""
-
-    name: str
-    #: True when quotas preempt at charge points (never overshoot).
-    strict_quotas: bool
-    #: True when scratch-storage bytes are metered against the grant.
-    meters_storage: bool = True
-    #: True when service calls are counted (and capped, given a quota).
-    meters_services: bool = True
-    description: str = ""
-
-
-@dataclass(frozen=True)
 class Metrics:
     """Resource consumption of one guest run (or one whole session)."""
 
@@ -118,11 +104,6 @@ class ExecuteResult:
             return None
         return str(self.error_wire.get(WIRE_TYPE_KEY)) or None
 
-    @property
-    def cpu_seconds_reference(self) -> float:
-        """Simulated CPU seconds on a reference-speed host."""
-        return self.work_used / WORK_UNITS_PER_SECOND
-
 
 class SandboxProvider:
     """Base provider: session lifecycle + contained guest execution.
@@ -170,17 +151,6 @@ class SandboxProvider:
             self._m_service_calls = metrics.counter(
                 "security.guest_service_calls", labels=labels
             )
-
-    # -- capabilities ---------------------------------------------------------
-
-    def capabilities(self) -> ProviderCapabilities:
-        return ProviderCapabilities(
-            name=self.name,
-            strict_quotas=self.strict,
-            description=type(self).__doc__.splitlines()[0]
-            if type(self).__doc__
-            else "",
-        )
 
     # -- session lifecycle ----------------------------------------------------
 

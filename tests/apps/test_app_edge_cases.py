@@ -10,7 +10,7 @@ from repro.apps import (
     make_venue,
     send_via_spray,
 )
-from repro.core import ItineraryAgent, World, mutual_trust, standard_host
+from repro.core import TaskAgent, World, mutual_trust, standard_host
 from repro.net import GPRS, LAN, PathMobility, Position, WIFI_ADHOC
 from tests.core.conftest import loss_free, run
 
@@ -88,13 +88,10 @@ class TestItineraryDuplicates:
 
         vendor.register_service("tick", tick)
 
-        class DoubleVisit(ItineraryAgent):
-            def visit(self, context):
-                value = yield from context.invoke_local("tick", None)
-                return value
-
         runtime = home.component("agents")
-        agent_id = runtime.launch(DoubleVisit(), itinerary=["v", "v"])
+        agent_id = runtime.launch(
+            TaskAgent(), service="tick", payload=None, targets=["v", "v"]
+        )
 
         def go():
             final = yield runtime.completion(agent_id)

@@ -2,8 +2,8 @@
 
 The schedule tests pin *when* each ``agent.migrate`` attempt starts:
 a task agent's failed hop is retried 2 s and then 4 s after each
-failure, and an itinerary agent whose home stays unreachable tries
-five times, 5 s apart, before it strands.  The trace tests put an MA
+failure, and one whose home stays unreachable tries three times on
+the same schedule before it gives up away from home.  The trace tests put an MA
 invocation with failed hops through ``repro trace summary --strict``
 and find the hop stalls in the ``retry`` bucket and the agent's hops
 inside the ``ma.invoke`` tree.
@@ -13,12 +13,13 @@ import pytest
 
 from repro.__main__ import main
 from repro.core import (
-    ItineraryAgent,
+    TaskAgent,
     World,
     mutual_trust,
     provision_task,
     standard_host,
 )
+from repro.errors import WIRE_ERROR_KEY
 from repro.faults import FaultPlan
 from repro.faults.chaos import CHAOS_RETRY, build_fleet, chaos_task
 from repro.net import Position, WIFI_ADHOC
@@ -48,7 +49,8 @@ def gaps(spans):
 
 
 def reroute_world():
-    """The ``verify_agent_reroute`` shape with tracing on.
+    """The ``verify_agent_reroute`` shape (``tests/faults/invariants.py``)
+    with tracing on.
 
     One client sends a task agent over two servers; the first server
     is down from 0 s to 5 s, so the first hop fails twice.
@@ -74,43 +76,35 @@ class TestTaskAgentHopSchedule:
         assert world.metrics.counter("paradigm.ma.retries").value == 2
 
 
-class HomeBound(ItineraryAgent):
-    """Visits its itinerary; the first visit crashes the home host."""
-
-    def visit(self, context):
-        yield from context.sleep(1.0)
-        return context.host_id
-
-
-class TestItineraryHomeSchedule:
-    def test_unreachable_home_makes_five_attempts_then_strands(self):
+class TestTaskAgentHomeSchedule:
+    def test_unreachable_home_makes_three_attempts_then_gives_up(self):
         world = loss_free(World(seed=42, trace_enabled=True))
         home = standard_host(world, "home", Position(0, 0), [WIFI_ADHOC])
         vendor = standard_host(world, "vendor", Position(20, 0), [WIFI_ADHOC])
         mutual_trust(home, vendor)
+
+        def where(args, host):
+            home.node.crash()  # the agent is away: its home goes down
+            return host.id, 8
+
+        vendor.register_service("where", where)
         agent_id = home.component("agents").launch(
-            HomeBound(), itinerary=["vendor"]
+            TaskAgent(), service="where", payload=None, targets=["vendor"]
         )
 
-        def crash_home():
-            yield world.env.timeout(0.5)
-            home.node.crash()
-
-        world.env.process(crash_home())
-
-        def stranded():
+        def given_up():
             final = yield vendor.component("agents").completion(agent_id)
             return final, world.now
 
-        final, stranded_at = run(world, stranded())
-        assert final["outcome"] == "stranded"
+        final, ended_at = run(world, given_up())
         assert final["results"] == ["vendor"]
+        assert "transfer to home failed" in final["error"][WIRE_ERROR_KEY]
         attempts = migrate_spans(world, to="home")
-        assert len(attempts) == 5
+        assert len(attempts) == 3
         assert all(span.status == "error" for span in attempts)
-        assert gaps(attempts) == pytest.approx([5.0] * 4)
-        # The agent strands as soon as its fifth attempt fails.
-        assert stranded_at == pytest.approx(attempts[-1].end)
+        assert gaps(attempts) == pytest.approx([2.0, 4.0])
+        # The agent ends as soon as its third attempt fails.
+        assert ended_at == pytest.approx(attempts[-1].end)
 
 
 def ma_invocation(analysis):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import (
     Agent,
-    ItineraryAgent,
+    TaskAgent,
     World,
     mutual_trust,
     standard_host,
@@ -189,13 +189,7 @@ class TestDeliveries:
         assert b.component("agents").deliveries == ["hello b"]
 
 
-class PriceCheck(ItineraryAgent):
-    def visit(self, context):
-        price = yield from context.invoke_local("quote", None)
-        return (context.host_id, price)
-
-
-class TestItineraryAgent:
+class TestTaskAgentItinerary:
     def _fleet(self, world, vendor_ids, prices):
         home = standard_host(world, "home", Position(0, 0), [WIFI_ADHOC, LAN])
         vendors = [
@@ -206,31 +200,21 @@ class TestItineraryAgent:
         home.node.interface("lan").attach()  # docked: backbone reachable
         for vendor, price in zip(vendors, prices):
             vendor.register_service(
-                "quote", lambda args, host, p=price: (p, 16)
+                "quote", lambda args, host, p=price: ((host.id, p), 16)
             )
         return home, vendors
 
     def test_visits_all_and_returns(self, world):
         home, vendors = self._fleet(world, ["v1", "v2", "v3"], [30, 10, 20])
-        agent = PriceCheck()
         agent_id = home.component("agents").launch(
-            agent, itinerary=["v1", "v2", "v3"]
+            TaskAgent(), service="quote", payload=None,
+            targets=["v1", "v2", "v3"],
         )
         final = run(world, _await(home.component("agents"), agent_id))
         assert final["outcome"] == "completed"
+        assert final["error"] is None
         assert final["results"] == [("v1", 30), ("v2", 10), ("v3", 20)]
         assert final["hops"] == 4  # three vendors + home
-
-    def test_skips_unreachable_vendor(self, world):
-        home, vendors = self._fleet(world, ["v1", "v2"], [5, 7])
-        vendors[0].node.crash()
-        agent_id = home.component("agents").launch(
-            PriceCheck(), itinerary=["v1", "v2"]
-        )
-        final = run(world, _await(home.component("agents"), agent_id))
-        assert final["outcome"] == "completed"
-        assert final["results"] == [("v2", 7)]
-        assert final["skipped"] == ["v1"]
 
 
 def _await(runtime, agent_id):

@@ -5,14 +5,12 @@ import pytest
 from repro.core import (
     STANDARD_COMPONENTS,
     World,
-    laptop_host,
     mutual_trust,
     pda_host,
-    phone_host,
     server_host,
     standard_host,
 )
-from repro.net import Position, WIFI_ADHOC
+from repro.net import GPRS, Position, WIFI_ADHOC
 
 
 class TestStandardHost:
@@ -38,18 +36,6 @@ class TestDeviceProfiles:
         assert "802.11b-adhoc" in pda.node.interfaces
         assert "bluetooth" in pda.node.interfaces
 
-    def test_phone_profile(self, world):
-        phone = phone_host(world, "phone")
-        assert "gprs" in phone.node.interfaces
-        assert phone.node.cpu_speed < 0.2
-        assert phone.codebase.quota_bytes == 400_000
-
-    def test_laptop_profile(self, world):
-        laptop = laptop_host(world, "laptop")
-        assert "gsm-dialup" in laptop.node.interfaces
-        assert laptop.node.cpu_speed == 1.0
-        assert laptop.codebase.quota_bytes == float("inf")
-
     def test_server_profile(self, world):
         server = server_host(world, "srv")
         assert server.node.fixed
@@ -62,7 +48,7 @@ class TestDeviceProfiles:
         assert pda.codebase.quota_bytes == 123
 
     def test_profiles_interoperate(self, world):
-        phone = phone_host(world, "phone")
+        phone = pda_host(world, "phone", technologies=[GPRS])
         server = server_host(world, "srv")
         mutual_trust(phone, server)
         phone.node.interface("gprs").attach()

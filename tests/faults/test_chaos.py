@@ -14,13 +14,15 @@ from repro.faults import (
     hostile_job,
     run_chaos,
     run_hostile,
+)
+
+from .conftest import run
+from .invariants import (
     verify_agent_reroute,
     verify_discovery_recovery,
     verify_local_degradation,
     verify_retry_convergence,
 )
-
-from .conftest import run
 
 
 class TestRecoveryInvariants:

@@ -15,8 +15,9 @@ from repro.faults import (
     hostile_plan,
     run_chaos,
     run_hostile,
-    verify_hostile_containment,
 )
+
+from .invariants import verify_hostile_containment
 
 
 class TestContainmentInvariants:

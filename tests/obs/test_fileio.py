@@ -18,8 +18,6 @@ from repro.obs.fileio import (
     append_jsonl,
     atomic_write_text,
     locked_append_line,
-    read_jsonl,
-    read_jsonl_if_exists,
 )
 
 
@@ -64,53 +62,9 @@ class TestLockedAppend:
         entries = [{"n": index, "payload": "x" * index} for index in range(5)]
         for entry in entries:
             append_jsonl(path, entry)
-        loaded, skipped = read_jsonl(path)
-        assert skipped == 0
+        with open(path) as handle:
+            loaded = [json.loads(line) for line in handle]
         assert loaded == entries
-
-
-class TestTolerantReader:
-    def _corrupt_log(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        lines = [
-            json.dumps({"ok": 1}),
-            '{"truncated": ',          # torn write
-            "not json at all",
-            "",                        # blank line
-            json.dumps({"ok": 2}),
-        ]
-        path.write_text("\n".join(lines) + "\n")
-        return str(path)
-
-    def test_skips_and_counts_malformed(self, tmp_path):
-        entries, skipped = read_jsonl(self._corrupt_log(tmp_path))
-        assert entries == [{"ok": 1}, {"ok": 2}]
-        assert skipped == 2  # blank lines are ignored, not corrupt
-
-    def test_strict_raises_with_line_number(self, tmp_path):
-        with pytest.raises(ValueError, match=":2: malformed"):
-            read_jsonl(self._corrupt_log(tmp_path), strict=True)
-
-    def test_partial_final_line_tolerated(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        path.write_text(json.dumps({"ok": 1}) + "\n" + '{"half": ')
-        entries, skipped = read_jsonl(str(path))
-        assert entries == [{"ok": 1}]
-        assert skipped == 1
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert read_jsonl_if_exists(str(tmp_path / "nope")) == ([], 0)
-
-    def test_non_object_lines_counted_as_skipped(self, tmp_path):
-        # Trajectory records are objects; stray arrays/scalars are
-        # treated as corruption, not silently passed through.
-        path = tmp_path / "log.jsonl"
-        path.write_text("[1, 2]\n3\n")
-        entries, skipped = read_jsonl(str(path))
-        assert entries == []
-        assert skipped == 2
-        with pytest.raises(ValueError, match="not an object"):
-            read_jsonl(str(path), strict=True)
 
 
 _APPENDER = """
@@ -140,8 +94,9 @@ class TestConcurrentAppend:
         ]
         assert all(proc.wait(timeout=120) == 0 for proc in procs)
 
-        entries, skipped = read_jsonl(path, strict=True)
-        assert skipped == 0
+        # json.loads raises on any torn or interleaved line.
+        with open(path) as handle:
+            entries = [json.loads(line) for line in handle]
         assert len(entries) == workers * per_worker
         seen = {(entry["worker"], entry["index"]) for entry in entries}
         assert len(seen) == workers * per_worker, "lost or duplicated lines"

@@ -8,24 +8,31 @@ from hypothesis import given, settings, strategies as st
 from repro.lmu import DataUnit, assemble_capsule, code_unit, estimate_size
 from repro.security import KeyPair, TrustStore, sign_capsule, verify_capsule
 
+#: Cheap to draw: a small ASCII alphabet and few leaves keep generation
+#: well inside Hypothesis's ``too_slow`` health check even on a loaded
+#: machine, while still nesting lists and dicts of every JSON-ish leaf.
+_TEXT = string.ascii_letters + string.digits + " -_"
+
 state_values = st.recursive(
     st.one_of(
         st.none(),
         st.booleans(),
         st.integers(-(2**31), 2**31),
-        st.text(max_size=20),
+        st.text(alphabet=_TEXT, max_size=12),
     ),
     lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.dictionaries(st.text(max_size=6), children, max_size=4),
+        st.lists(children, max_size=3),
+        st.dictionaries(
+            st.text(alphabet=_TEXT, max_size=6), children, max_size=3
+        ),
     ),
-    max_leaves=12,
+    max_leaves=6,
 )
 
 agent_states = st.dictionaries(
     st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=10),
     state_values,
-    max_size=6,
+    max_size=4,
 )
 
 unit_names = st.text(

@@ -145,8 +145,10 @@ class TestSandbox:
         def guest(ctx):
             ctx.charge(1_000_000)
 
+        # A million work units are one simulated second on a
+        # reference-speed (cpu_speed 1.0) host.
         result = run_once(InProcessProvider("host"), guest)
-        assert result.cpu_seconds_reference == pytest.approx(1.0)
+        assert result.metrics.wall_sim_seconds == pytest.approx(1.0)
 
     def test_execution_counter(self):
         metrics = MetricsRegistry()
@@ -209,13 +211,6 @@ class TestProviders:
         )
         totals = provider.close_session(session)
         return session, result, totals
-
-    def test_capabilities_distinguish_flavors(self):
-        lenient = InProcessProvider("h").capabilities()
-        strict = StrictProvider("h").capabilities()
-        assert not lenient.strict_quotas
-        assert strict.strict_quotas
-        assert lenient.name == "inprocess" and strict.name == "strict"
 
     def test_inprocess_overshoots_then_trips(self):
         _, result, totals = self.run_greedy(InProcessProvider("h"))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.analysis import crossover, format_value, render_series, render_table
+from repro.analysis import crossover, format_value, render_table
 from repro.core import World
 from repro.net import Area
 from repro.workloads import TASK_CLASSES, adhoc_fleet, mixed_tasks, zipf_indices
@@ -48,22 +48,6 @@ class TestRenderTable:
     def test_empty_rows_ok(self):
         text = render_table("T", ["a"], [])
         assert "T" in text
-
-
-class TestRenderSeries:
-    def test_merges_x_values(self):
-        text = render_series(
-            "Fig",
-            "x",
-            [
-                ("up", [(1, 10), (2, 20)]),
-                ("down", [(1, 20), (3, 5)]),
-            ],
-        )
-        assert "Fig" in text
-        assert "up" in text and "down" in text
-        # x=3 appears even though "up" has no point there.
-        assert "3" in text
 
 
 class TestCrossover:

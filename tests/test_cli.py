@@ -9,12 +9,6 @@ from repro.__main__ import build_parser, main
 
 
 class TestCliInProcess:
-    def test_info_returns_zero(self, capsys):
-        assert main(["info"]) == 0
-        out = capsys.readouterr().out
-        assert "repro 1.0.0" in out
-        assert "E1-E10" in out
-
     def test_assess_defaults(self, capsys):
         assert main(["assess"]) == 0
         out = capsys.readouterr().out
@@ -34,7 +28,7 @@ class TestCliInProcess:
         parser = build_parser()
         text = parser.format_help()
         for command in (
-            "info", "demo", "assess", "report", "compare", "trace",
+            "assess", "report", "compare", "trace", "health", "matrix",
         ):
             assert command in text
 
@@ -235,13 +229,13 @@ class TestTraceCli:
 class TestCliSubprocess:
     def test_module_entry_point(self):
         completed = subprocess.run(
-            [sys.executable, "-m", "repro", "info"],
+            [sys.executable, "-m", "repro", "assess"],
             capture_output=True,
             text=True,
             timeout=60,
         )
         assert completed.returncode == 0
-        assert "logical-mobility middleware" in completed.stdout
+        assert "Paradigm assessment" in completed.stdout
 
 
 class TestWorldSummary:

@@ -1,80 +1,8 @@
-"""Unit and property tests for the small-sample statistics helpers."""
-
-import math
-import random
+"""Unit tests for the small-sample statistics helper."""
 
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.analysis import (
-    Summary,
-    mean,
-    proportion_ci95,
-    sample_stddev,
-    summarize,
-    t_critical_95,
-)
-
-
-class TestBasics:
-    def test_mean(self):
-        assert mean([1.0, 2.0, 3.0]) == 2.0
-
-    def test_mean_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mean([])
-
-    def test_stddev_known_value(self):
-        assert sample_stddev([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]) == (
-            pytest.approx(2.138, abs=1e-3)
-        )
-
-    def test_stddev_singleton_zero(self):
-        assert sample_stddev([5.0]) == 0.0
-
-    def test_t_critical_small_n(self):
-        assert t_critical_95(1) == pytest.approx(12.706)
-        assert t_critical_95(10) == pytest.approx(2.228)
-
-    def test_t_critical_large_n(self):
-        assert t_critical_95(100) == pytest.approx(1.960)
-
-    def test_t_critical_invalid(self):
-        with pytest.raises(ValueError):
-            t_critical_95(0)
-
-
-class TestSummarize:
-    def test_known_sample(self):
-        summary = summarize([10.0, 12.0, 14.0])
-        assert summary.count == 3
-        assert summary.mean == 12.0
-        assert summary.minimum == 10.0 and summary.maximum == 14.0
-        assert summary.ci_low < 12.0 < summary.ci_high
-
-    def test_singleton_infinite_interval(self):
-        assert summarize([5.0]).ci95_halfwidth == float("inf")
-
-    def test_str_form(self):
-        text = str(summarize([1.0, 2.0, 3.0]))
-        assert "n=3" in text and "±" in text
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-    def test_ci_covers_true_mean_usually(self):
-        # Statistical sanity: ~95% of intervals from N(0,1) samples
-        # should cover 0.  Use a generous acceptance band.
-        rng = random.Random(1234)
-        covered = 0
-        trials = 300
-        for _ in range(trials):
-            sample = [rng.gauss(0.0, 1.0) for _ in range(8)]
-            summary = summarize(sample)
-            if summary.ci_low <= 0.0 <= summary.ci_high:
-                covered += 1
-        assert covered / trials > 0.88
+from repro.analysis import proportion_ci95
 
 
 class TestProportionCI:
@@ -90,25 +18,3 @@ class TestProportionCI:
 
     def test_widest_at_half(self):
         assert proportion_ci95(5, 10) > proportion_ci95(9, 10)
-
-
-class TestProperties:
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=50))
-    def test_mean_within_extremes(self, values):
-        summary = summarize(values)
-        assert summary.minimum - 1e-9 <= summary.mean <= summary.maximum + 1e-9
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=50))
-    def test_interval_symmetric_about_mean(self, values):
-        summary = summarize(values)
-        assert summary.ci_high - summary.mean == pytest.approx(
-            summary.mean - summary.ci_low
-        )
-
-    @given(st.floats(-1e3, 1e3), st.integers(2, 20))
-    def test_constant_sample_negligible_width(self, value, count):
-        # The mean of n copies is not bit-identical to the value, so the
-        # width is bounded by floating rounding, not exactly zero.
-        summary = summarize([value] * count)
-        assert summary.stddev <= 1e-9 * max(1.0, abs(value))
-        assert summary.ci95_halfwidth <= 1e-8 * max(1.0, abs(value))
