@@ -83,7 +83,7 @@ class MobileHost:
         #: not just the task's declared estimate.
         self._observed_work: Dict[str, float] = {}
         self.keypair = keypair or KeyPair.generate(
-            node.id, world.streams.stream(f"keys.{node.id}")
+            node.id, world.streams.once(f"keys.{node.id}")
         )
         #: Publishable catalogue, for hosts that serve COD (may be None).
         self.repository = repository

@@ -83,7 +83,7 @@ class KeyPair:
         would mint OS-entropy keys, silently breaking whole-run
         reproducibility (fingerprints, trust decisions, and capsule
         sizes would differ between same-seed runs).  Draw from a named
-        world stream, e.g. ``world.streams.stream(f"keys.{principal}")``.
+        world stream, e.g. ``world.streams.once(f"keys.{principal}")``.
         """
         if rng is None:
             raise ValueError(

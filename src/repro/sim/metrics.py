@@ -20,7 +20,10 @@ keep working — while the children add the per-node breakdown under
 snapshot keys like ``net.bytes_sent{node="a"}``.  Cardinality is
 bounded per family (:data:`DEFAULT_LABEL_CAPACITY`): past the cap, new
 label values fold into one ``__other__`` bucket and the spill is
-counted in ``obs.labels.overflow``.
+counted in ``obs.labels.overflow``, once per distinct folded series.
+A family keeps at most ``cap + 1`` children whatever the fleet size;
+what still grows with it is one small entry per distinct folded label
+value, shared by all families, that makes the count exact.
 
 **Retention.**  Gauges and histograms keep every written value for
 end-of-run quantiles; ``MetricsRegistry(max_samples=N)`` opts into
@@ -398,12 +401,19 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        #: (family, sorted label items) -> child metric.  Folded series
-        #: alias their key to the family's ``__other__`` child, so a
-        #: repeat overflow lookup is one dict hit.
+        #: (family, sorted label items) -> child metric, for the at
+        #: most ``label_capacity + 1`` children of each family: the
+        #: series under the cap and the ``__other__`` fold.
         self._labeled: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], object] = {}
         #: family -> distinct labeled children created (the bound).
         self._cardinality: Dict[str, int] = {}
+        #: family past its cap -> {label names -> (``__other__`` child,
+        #: the fold's bit)}; see :meth:`_child`.  ``_fold_count`` bits
+        #: are handed out so far.
+        self._folds: Dict[str, Dict[object, Tuple[object, int]]] = {}
+        self._fold_count = 0
+        #: folded label values -> bits of the folds that have seen them.
+        self._folded: Dict[object, int] = {}
 
     # -- accessors -----------------------------------------------------------
 
@@ -451,37 +461,57 @@ class MetricsRegistry:
     # -- labeled children ----------------------------------------------------
 
     def _child(self, store, factory, name: str, labels):
-        key = (name, tuple(sorted((str(k), str(v)) for k, v in labels.items())))
-        child = self._labeled.get(key)
+        if len(labels) == 1:
+            # The usual one-label call: no sort, no generator.
+            ((label, value),) = labels.items()
+            items = ((str(label), str(value)),)
+        else:
+            items = tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+        child = self._labeled.get((name, items))
         if child is not None:
             return child
+        folds = self._folds.get(name)
+        if folds is None:
+            child = self._register_child(store, factory, name, items)
+            if self._cardinality[name] >= self.label_capacity:
+                self._folds[name] = {}
+            return child
+        # Past the family's cap: the series folds into the family's
+        # __other__ child (one per label-name set, created on first
+        # spill), and the overflow is counted once per distinct folded
+        # series.  A fleet past the cap adds no key per host: each fold
+        # owns one bit, and the folded label values (for the usual
+        # one-label family, the value string the caller already holds)
+        # map to the bits of the folds that have seen them.
+        if len(items) == 1:
+            ((names, values),) = items
+        else:
+            names = tuple(label for label, _ in items)
+            values = tuple(value for _, value in items)
+        fold = folds.get(names)
+        if fold is None:
+            other = tuple((label, OVERFLOW_LABEL) for label, _ in items)
+            fold = folds[names] = (
+                self._register_child(store, factory, name, other),
+                1 << self._fold_count,
+            )
+            self._fold_count += 1
+        child, bit = fold
+        seen = self._folded.get(values, 0)
+        if not seen & bit:
+            self._folded[values] = seen | bit
+            self.counter("obs.labels.overflow").increment()
+        return child
+
+    def _register_child(self, store, factory, name, items):
         parent = store.get(name)
         if parent is None:
             parent = store[name] = factory(name)
-        if self._cardinality.get(name, 0) >= self.label_capacity:
-            # Past the family's cap: fold into the shared __other__
-            # bucket (created on first spill) and count the overflow —
-            # once per distinct folded series, since the alias is
-            # cached under the original key.
-            folded_key = (
-                name,
-                tuple((label, OVERFLOW_LABEL) for label, _ in key[1]),
-            )
-            child = self._labeled.get(folded_key)
-            if child is None:
-                child = self._register_child(store, factory, parent, folded_key)
-            self.counter("obs.labels.overflow").increment()
-            self._labeled[key] = child
-            return child
-        return self._register_child(store, factory, parent, key)
-
-    def _register_child(self, store, factory, parent, key):
-        name, items = key
         labels = dict(items)
         child = factory(labeled_name(name, labels), parent=parent)
         child.labels = labels
         store[child.name] = child
-        self._labeled[key] = child
+        self._labeled[(name, items)] = child
         self._cardinality[name] = self._cardinality.get(name, 0) + 1
         self.counter("obs.labels.series").increment()
         return child

@@ -30,9 +30,17 @@ class RandomStreams:
         """The stream for ``name`` (created on first use, then cached)."""
         stream = self._streams.get(name)
         if stream is None:
-            stream = random.Random(derive_seed(self.root_seed, name))
-            self._streams[name] = stream
+            stream = self._streams[name] = self.once(name)
         return stream
+
+    def once(self, name: str) -> random.Random:
+        """A fresh stream seeded like ``stream(name)`` but not cached.
+
+        For a caller that draws once (a host's key pair): the stream is
+        freed with its last reference instead of living as long as the
+        world.  A second ``once(name)`` starts the same draws again.
+        """
+        return random.Random(derive_seed(self.root_seed, name))
 
     def spawn(self, name: str) -> "RandomStreams":
         """A child factory whose streams are independent of this one's."""

@@ -10,7 +10,7 @@ kernel primitive: it is a busy-until time on the interface
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Generic, Optional, TypeVar
+from typing import Callable, Deque, Generic, List, Optional, TypeVar
 
 from .environment import Environment
 from .events import PENDING, Event
@@ -47,7 +47,8 @@ class Store(Generic[T]):
     def __init__(self, env: Environment) -> None:
         self.env = env
         self.items: Deque[T] = deque()
-        self._get_waiters: Deque[StoreGet] = deque()
+        #: Pending gets in FIFO order; an inbox usually holds one.
+        self._get_waiters: List[StoreGet] = []
 
     def __len__(self) -> int:
         return len(self.items)

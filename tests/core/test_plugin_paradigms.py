@@ -1,21 +1,31 @@
 """Tests for plugging in paradigms dynamically ("used when needed")."""
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.core import (
+    PARADIGMS,
     AgentRuntime,
     ClientServer,
     CodeOnDemand,
+    CostEstimate,
+    CostWeights,
     MobileHost,
+    ParadigmSelector,
+    TaskProfile,
     UpdateManager,
     World,
     component_unit,
     mutual_trust,
+    register_estimator,
     standard_host,
 )
+from repro.core import adaptation
 from repro.errors import ComponentError
 from repro.lmu import CodeRepository
 from repro.net import GPRS, LAN, Position
+from repro.net.network import _backbone_link
 from repro.security import OPEN_POLICY
 from tests.core.conftest import loss_free, run
 
@@ -113,3 +123,59 @@ class TestPluginParadigms:
 
         run(world, go())
         assert mini.codebase.stats("component:agents").pinned
+
+
+@contextmanager
+def restored_estimators():
+    """Put the estimator registry back as it was on the way out."""
+    saved = dict(adaptation._ESTIMATORS)
+    try:
+        yield
+    finally:
+        adaptation._ESTIMATORS.clear()
+        adaptation._ESTIMATORS.update(saved)
+
+
+class TestRegisterEstimator:
+    """A fifth paradigm's estimator ranks beside the built-in four."""
+
+    profile = TaskProfile(
+        interactions=10,
+        request_bytes=200,
+        reply_bytes=2_000,
+        code_bytes=50_000,
+        result_bytes=500,
+        work_units=100,
+    )
+    link = _backbone_link(GPRS, LAN)
+
+    def test_toy_paradigm_ranks_among_the_four(self):
+        weights = CostWeights()
+        builtin = ParadigmSelector().rank(self.profile, self.link, weights)
+        best, runner_up = (e.composite(weights) for e in builtin[:2])
+        assert best < runner_up
+        between = (best + runner_up) / 2
+
+        def estimate_toy(profile, link):
+            return CostEstimate(
+                paradigm="toy",
+                wireless_bytes=0.0,
+                time_s=between,
+                money=0.0,
+                energy_j=0.0,
+            )
+
+        with restored_estimators():
+            register_estimator("toy", estimate_toy)
+            ranked = ParadigmSelector(available=[*PARADIGMS, "toy"]).rank(
+                self.profile, self.link, weights
+            )
+        assert [e.paradigm for e in ranked] == [
+            builtin[0].paradigm,
+            "toy",
+            *(e.paradigm for e in builtin[1:]),
+        ]
+        assert ranked[1].composite(weights) == between
+        # Restored: the toy kind is unknown again.
+        with pytest.raises(ValueError):
+            ParadigmSelector(available=["toy"])

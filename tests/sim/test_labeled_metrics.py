@@ -110,6 +110,20 @@ class TestCardinality:
         registry.counter("c", labels={"node": "z"}).increment()
         assert registry.counter("obs.labels.overflow").value == 2
 
+    def test_overflow_folds_per_label_name_set(self):
+        registry = MetricsRegistry(label_capacity=1)
+        registry.counter("c", labels={"node": "a"}).increment()
+        registry.counter("c", labels={"node": "b"}).increment()
+        for _ in range(2):
+            registry.counter("c", labels={"node": "b", "link": "wifi"}).increment()
+        registry.counter("c", labels={"link": "gprs", "node": "c"}).increment()
+        snapshot = registry.snapshot()
+        assert snapshot['c{node="__other__"}'] == 1
+        assert snapshot['c{link="__other__",node="__other__"}'] == 3
+        assert snapshot["c"] == 5
+        assert registry.counter("obs.labels.overflow").value == 3
+        assert registry.counter("obs.labels.series").value == 3
+
     def test_series_counter_tracks_created_children(self):
         registry = MetricsRegistry()
         registry.counter("c", labels={"node": "a"})
