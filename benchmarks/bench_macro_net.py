@@ -1,6 +1,6 @@
 """Macrobenchmark — city-scale routing on 1k..10k-node worlds.
 
-The scaling guard for the city-scale fabric (dirty-set invalidation,
+The scaling guard for the city-scale fabric (per-cell stamps,
 hierarchical cell routing — see
 docs/PERFORMANCE.md, "City-scale routing").  Each sweep round replays
 the traffic shape a paradigm-heavy simulation produces: a handful of
@@ -12,8 +12,8 @@ Two configurations run the same script:
 * **legacy** (1k nodes): a flat :class:`RoutingTable`, where any
   epoch bump discards every memoised tree and each re-plan pays a
   full-component BFS;
-* **hierarchical** (1k → 10k nodes): :class:`HierarchicalRouter`
-  over the dirty-cell journal.
+* **hierarchical** (1k → 10k nodes): :class:`HierarchicalRouter`,
+  whose cached paths survive while no cell they cross is stamped.
 
 The gated metric is ``scaling_speedup`` = legacy-1k round time /
 hierarchical round time at the largest size: a floor of 1.0 means

@@ -33,7 +33,6 @@ class Discovery(Component):
         self,
         beacon_interval: Optional[float] = None,
         cache_ttl: float = 30.0,
-        suppress_empty_beacons: bool = False,
     ) -> None:
         super().__init__()
         if beacon_interval is not None and beacon_interval <= 0:
@@ -42,13 +41,6 @@ class Discovery(Component):
             raise ValueError("cache_ttl must be positive")
         self.beacon_interval = beacon_interval
         self.cache_ttl = cache_ttl
-        #: When set, a beacon round first asks the network's spatial
-        #: index whether anyone is in ad-hoc range and stays silent if
-        #: not — an epoch-cached range query instead of a radio
-        #: transmission into the void.  Off by default because skipping
-        #: the transmission shifts subsequent beacon times (seeded runs
-        #: would diverge from the pre-optimisation trajectory).
-        self.suppress_empty_beacons = suppress_empty_beacons
         #: Services this host offers: key -> description.
         self.local: Dict[str, ServiceDescription] = {}
         #: Adverts heard from peers: key -> (description, heard_at).
@@ -206,12 +198,7 @@ class Discovery(Component):
     def _beacon_loop(self) -> Generator:
         host = self.require_host()
         while self.started:
-            wanted = self.local and host.node.up
-            if wanted and self.suppress_empty_beacons:
-                # Cheap epoch-cached range query; nobody in radio range
-                # means the advert could not be heard anyway.
-                wanted = bool(host.world.network.neighbors(host.node))
-            if wanted:
+            if self.local and host.node.up:
                 services = list(self.local.values())
                 yield host.world.transport.broadcast(
                     host.node,

@@ -21,22 +21,22 @@ queries touch only nearby nodes.  The cached fast paths are
 bit-identical to the naive sweeps in ``tests/net/reference.py``
 (property-tested under random mobility).
 
-Per-cell **dirty stamps** let the fabric scale past ~10k nodes (see
-docs/PERFORMANCE.md, "City-scale routing"): each epoch bump stamps the
-3×3 ring of grid cells around every cell it changed with the new
-epoch.  A per-pair/per-node cache entry survives later bumps while no
+Per-cell **stamps** let the fabric scale past ~10k nodes (see
+docs/PERFORMANCE.md, "City-scale routing"): each epoch bump writes the
+new epoch on every grid cell it changed and on the 3×3 ring around it.
+A per-pair/per-node cache entry survives later bumps while no ring
 stamp on its endpoints' cells is newer than the entry, an O(1) check
-per endpoint.  A bounded journal of the same bumps lets the
-hierarchical router (:meth:`dirty_cells_since`) drop only the cached
-paths that cross a dirty cell.  Whole-graph products still clear on
-every bump, and a global bump (grid rebuild, link-filter swap) drops
-every tagged entry.
+per endpoint.  A path cached by the hierarchical router survives while
+no exact stamp on a cell it crosses is newer than the path
+(:meth:`Network.cells_unchanged_since`).  Whole-graph products still
+clear on every bump, and a global bump (grid rebuild, link-filter
+swap) drops every tagged entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import NetworkError
 from ..sim import Environment
@@ -163,10 +163,6 @@ class Network:
     #: seen so a single query ring covers one full range circle.
     DEFAULT_CELL_M = 100.0
 
-    #: Dirty-log length; consumers further behind than this get a
-    #: conservative "everything dirty" answer.
-    DIRTY_LOG_CAP = 4096
-
     def __init__(self, env: Environment) -> None:
         self.env = env
         self.nodes: Dict[str, NetworkNode] = {}
@@ -196,11 +192,9 @@ class Network:
             "revalidations": 0,
             "dirty_nodes": 0,
         }
-        #: Append-only (epoch, cells) journal of what each bump touched;
-        #: ``None`` cells mean a global change.
-        self._dirty_log: List[Tuple[int, Optional[Tuple[Cell, ...]]]] = []
-        #: Epochs at or below this fell off the journal.
-        self._dirty_floor = 0
+        #: Cell -> newest epoch whose bump touched exactly this cell; a
+        #: cached path is stale once a cell it crosses is stamped newer.
+        self._cell_stamp: Dict[Cell, int] = {}
         #: Cell -> newest epoch whose bump dirtied a cell within one
         #: ring of it; a tagged entry is stale once a stamp on one of
         #: its endpoints' cells is newer than the entry.
@@ -262,71 +256,61 @@ class Network:
     def _bump(
         self, node_id: Optional[str] = None, cells: Tuple[Cell, ...] = ()
     ) -> None:
-        """Advance the epoch, stamping and journalling what changed.
+        """Advance the epoch, stamping what changed.
 
         ``node_id=None`` records a *global* change (grid rebuild, link
-        filter swap): every tagged cache entry dies, and every dirty
-        query until consumers resync answers "everything".  Otherwise
-        the ring around each grid cell the dirty node can have affected
-        is stamped, and the cells are appended to the log.
+        filter swap): both stamp maps clear, and every tagged cache
+        entry and cached path from before it dies.  Otherwise each grid
+        cell the dirty node can have affected gets an exact stamp, and
+        the ring around it a ring stamp.
         """
         self._epoch += 1
         epoch = self._epoch
-        log = self._dirty_log
         if node_id is None:
             self._global_epoch = epoch
             # No entry tagged before this epoch can be served again.
+            self._cell_stamp.clear()
             self._ring_stamp.clear()
             self._links_cache.clear()
             self._neighbors_cache.clear()
             self._coverage_cache.clear()
-            log.append((epoch, None))
         else:
+            exact = self._cell_stamp
             stamp = self._ring_stamp
-            for cx, cy in cells:
+            for cell in cells:
+                exact[cell] = epoch
+                cx, cy = cell
                 for x in (cx - 1, cx, cx + 1):
                     stamp[(x, cy - 1)] = epoch
                     stamp[(x, cy)] = epoch
                     stamp[(x, cy + 1)] = epoch
-            log.append((epoch, cells))
             self.cache_stats["dirty_nodes"] += 1
-        if len(log) > self.DIRTY_LOG_CAP:
-            drop = len(log) // 2
-            self._dirty_floor = log[drop - 1][0]
-            del log[:drop]
 
-    def dirty_cells_since(
-        self, epoch: int
-    ) -> Tuple[int, Optional[FrozenSet[Cell]]]:
-        """Grid cells touched by changes after ``epoch`` (None = all).
+    def cells_unchanged_since(self, epoch: int, cells: Iterable[Cell]) -> bool:
+        """True when no bump after ``epoch`` touched any of ``cells``.
 
-        A moved node contributes both its old and new cell, so "no
-        dirty cell within one ring of mine" certifies an unchanged
-        neighbourhood (cell size ≥ every radio range).
+        A moved node stamps both its old and new cell, and every change
+        to a node stamps the cell it sits in, so a walk whose nodes all
+        sat in ``cells`` at ``epoch`` still has every one of its links.
         """
-        if epoch >= self._epoch:
-            return (self._epoch, frozenset())
-        if epoch < self._dirty_floor:
-            return (self._epoch, None)
-        cells: List[Cell] = []
-        for entry_epoch, entry_cells in reversed(self._dirty_log):
-            if entry_epoch <= epoch:
-                break
-            if entry_cells is None:
-                return (self._epoch, None)
-            cells.extend(entry_cells)
-        return (self._epoch, frozenset(cells))
+        if epoch < self._global_epoch:
+            return False
+        stamp = self._cell_stamp
+        for cell in cells:
+            if stamp.get(cell, -1) > epoch:
+                return False
+        return True
 
     def _entry_fresh(self, entry_epoch: int, *positions: Position) -> bool:
         """True when a tagged cache entry provably still holds.
 
         The entry is about nodes at ``positions``; it survives a newer
-        epoch iff no global bump came after it, the journal still
-        covers it, and no bump since dirtied a cell within one ring of
-        any position — no mutation since could have touched a link
-        predicate whose endpoints sit there.
+        epoch iff no global bump came after it and no bump since
+        dirtied a cell within one ring of any position — no mutation
+        since could have touched a link predicate whose endpoints sit
+        there.
         """
-        if entry_epoch < self._global_epoch or entry_epoch < self._dirty_floor:
+        if entry_epoch < self._global_epoch:
             return False
         stamp = self._ring_stamp
         cell_of = self._grid.cell_of

@@ -47,6 +47,11 @@ from .message import RELAY_KIND, Message
 from .network import Cell, Network, bfs_tree, walk_tree
 from .transport import Transport
 
+#: The gateway walk's hop limit is ``STRETCH × max(cell distance, 1) +
+#: 2``, so a walked path is at most that many times the flat one, plus 2.
+STRETCH = 3
+
+
 class RoutingTable:
     """Epoch-memoised shortest-path trees over one network.
 
@@ -126,18 +131,21 @@ class HierarchicalRouter:
        :class:`RoutingTable`.
 
     *Reachability is bit-identical to flat BFS* (positives are real
-    node-level walks, negatives only come from the flat fallback).  *Hop counts are not*: the walk's hop limit is
-    ``stretch × max(cell_distance, 1) + 2``; since a flat path needs at
-    least ``cell_distance`` hops, walked paths are within ``stretch ×
+    node-level walks, negatives only come from the flat fallback).
+    *Hop counts are not*: the walk's hop limit is ``STRETCH ×
+    max(cell_distance, 1) + 2``; since a flat path needs at least
+    ``cell_distance`` hops, walked paths are within ``STRETCH ×
     flat_hops + 2`` of optimal, and fallback paths are optimal
     outright.  Worlds smaller than
     ``flat_threshold`` nodes — and any query over the backbone
     (``adhoc_only=False``), where every attached pair is one hop apart
     and hierarchy is pointless — skip straight to the flat table.
 
-    Planned paths are cached per (source, target) and invalidated with
-    the network's dirty-cell journal: a cached path stays valid until
-    some cell it crosses shows up dirty (negatives die on any change).
+    Planned paths are cached per (source, target) with the topology
+    epoch they were last confirmed at.  A lookup serves a path while
+    the epoch stands still, or while no bump since has touched a cell
+    it crosses (:meth:`Network.cells_unchanged_since`); negatives die
+    on any change.
     """
 
     def __init__(
@@ -145,25 +153,19 @@ class HierarchicalRouter:
         network: Network,
         adhoc_only: bool = True,
         flat_threshold: int = 256,
-        stretch: int = 3,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if stretch < 1:
-            raise ValueError("stretch must be >= 1")
         self.network = network
         self.adhoc_only = adhoc_only
         self.flat_threshold = flat_threshold
-        self.stretch = stretch
         self.metrics = metrics
         self.table = RoutingTable(network, adhoc_only=adhoc_only, metrics=metrics)
-        self._epoch = -1
-        self._cell_size: Optional[float] = None
-        #: (source, target) -> (path tuple or None, cells the path
-        #: crosses or None).  ``cells=None`` marks answers that any
-        #: topology change can overturn (negatives).
+        #: (source, target) -> (epoch last confirmed at, path tuple or
+        #: None, cells the path crosses or None).  ``cells=None`` marks
+        #: answers that any topology change can overturn (negatives).
         self._paths: Dict[
             Tuple[str, str],
-            Tuple[Optional[Tuple[str, ...]], Optional[FrozenSet[Cell]]],
+            Tuple[int, Optional[Tuple[str, ...]], Optional[FrozenSet[Cell]]],
         ] = {}
         self.stats = {
             "hits": 0,
@@ -180,40 +182,6 @@ class HierarchicalRouter:
             self.metrics.counter(
                 f"routing.hier.{key}", labels={"node": node}
             ).increment()
-
-    # -- path cache maintenance ----------------------------------------------
-
-    def _sync(self) -> None:
-        network = self.network
-        epoch = network.topology_epoch
-        grid_size = network.grid.cell_size
-        if epoch == self._epoch and grid_size == self._cell_size:
-            return
-        if self._cell_size != grid_size or self._epoch < 0:
-            # First use, or the grid was rebuilt (every cell id is new).
-            self._paths.clear()
-        else:
-            _, cells = network.dirty_cells_since(self._epoch)
-            if cells is None:
-                self._paths.clear()
-            elif cells:
-                self._apply_dirty(cells)
-        self._epoch = epoch
-        self._cell_size = grid_size
-
-    def _apply_dirty(self, cells: FrozenSet[Cell]) -> None:
-        stale = [
-            key
-            for key, (_path, path_cells) in self._paths.items()
-            # Negative answers (path_cells None) can be overturned by
-            # any new link anywhere; positive paths only break when a
-            # cell they cross is dirty (each link on the path has both
-            # endpoints on it, and a node's changes always dirty the
-            # cell it occupied).
-            if path_cells is None or not path_cells.isdisjoint(cells)
-        ]
-        for key in stale:
-            del self._paths[key]
 
     # -- planning ------------------------------------------------------------
 
@@ -342,12 +310,19 @@ class HierarchicalRouter:
         if source is None or target is None or not (source.up and target.up):
             # Flat BFS answers None for unknown/down endpoints; match it.
             return None
-        self._sync()
-        cached = self._paths.get((source_id, target_id))
+        key = (source_id, target_id)
+        cached = self._paths.get(key)
         if cached is not None:
-            self._count("hits", node=source_id)
-            path, _cells = cached
-            return list(path) if path is not None else None
+            epoch = network.topology_epoch
+            confirmed, path, cells = cached
+            if confirmed == epoch or (
+                cells is not None
+                and network.cells_unchanged_since(confirmed, cells)
+            ):
+                if confirmed != epoch:
+                    self._paths[key] = (epoch, path, cells)
+                self._count("hits", node=source_id)
+                return list(path) if path is not None else None
         self._count("misses", node=source_id)
         grid = network.grid
         s_cell = grid.cell_of(grid.position_of(source_id))
@@ -360,7 +335,7 @@ class HierarchicalRouter:
             target_id,
             self._straight_corridor(s_cell, t_cell),
             t_cell,
-            self.stretch * max(cell_distance, 1) + 2,
+            STRETCH * max(cell_distance, 1) + 2,
         )
         if path is not None:
             # The hop limit IS the stretch bound, so no re-check needed.
@@ -375,14 +350,16 @@ class HierarchicalRouter:
     def _remember(
         self, source_id: str, target_id: str, path: Optional[List[str]]
     ) -> Optional[List[str]]:
+        network = self.network
+        epoch = network.topology_epoch
         if path is None:
-            self._paths[(source_id, target_id)] = (None, None)
+            self._paths[(source_id, target_id)] = (epoch, None, None)
             return None
-        grid = self.network.grid
+        grid = network.grid
         cells = frozenset(
             grid.cell_of(grid.position_of(node_id)) for node_id in path
         )
-        self._paths[(source_id, target_id)] = (tuple(path), cells)
+        self._paths[(source_id, target_id)] = (epoch, tuple(path), cells)
         return path
 
 

@@ -135,7 +135,7 @@ class RunReport:
         kind_counts = dict(world.trace._kind_counts)
         spans = [span.to_dict() for span in world.tracer.finished_spans()]
         recorder = getattr(world, "timeseries", None)
-        if recorder is not None and recorder.enabled:
+        if recorder is not None:
             # Terminal sweep: the state at end-of-run is always the last
             # point, even when the run ended between cadence boundaries.
             recorder.sample(world.env.now)

@@ -58,7 +58,6 @@ class TimeSeriesRecorder:
         metrics: MetricsRegistry,
         cadence: float = DEFAULT_CADENCE,
         capacity: int = DEFAULT_CAPACITY,
-        enabled: bool = True,
         names: Optional[Sequence[str]] = None,
         histogram_stats: Sequence[str] = DEFAULT_HISTOGRAM_STATS,
         extra_probe=None,
@@ -70,7 +69,6 @@ class TimeSeriesRecorder:
         self.metrics = metrics
         self.cadence = float(cadence)
         self.capacity = int(capacity)
-        self.enabled = enabled
         self.names = frozenset(names) if names is not None else None
         #: Optional ``() -> {name: value}`` swept alongside the
         #: registry — for figures that live outside it (e.g. the
@@ -122,13 +120,8 @@ class TimeSeriesRecorder:
 
         Sweeps ``due`` and moves it to the first boundary at or after
         ``upcoming``: the boundaries in between see the same state, so
-        they get no sweep.  A disabled recorder sweeps nothing and sets
-        ``due`` to infinity, so the kernel never calls it again (guarded
-        by ``tests/obs/test_timeseries.py``).
+        they get no sweep.
         """
-        if not self.enabled:
-            self.due = math.inf
-            return
         self._sweep(self.due)
         self.due = self._boundary_at_or_after(upcoming)
 

@@ -157,14 +157,12 @@ class MatrixOrchestrator:
         matrix: RunMatrix,
         workers: int = 1,
         strict: bool = False,
-        mp_context: str = "spawn",
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.matrix = matrix
         self.workers = workers
         self.strict = strict
-        self._mp_context = mp_context
 
     def run(self) -> MatrixResult:
         jobs = self.matrix.jobs()
@@ -176,7 +174,7 @@ class MatrixOrchestrator:
         outcomes: Dict[str, Tuple[str, object]] = {}
         pool_size = min(self.workers, len(jobs))
         if pool_size > 1:
-            context = multiprocessing.get_context(self._mp_context)
+            context = multiprocessing.get_context("spawn")
             with context.Pool(processes=pool_size) as pool:
                 for key, status, payload in pool.imap_unordered(
                     execute_job, [job.to_dict() for job in jobs]
@@ -234,9 +232,6 @@ def run_matrix(
     matrix: RunMatrix,
     workers: int = 1,
     strict: bool = False,
-    mp_context: str = "spawn",
 ) -> MatrixResult:
     """One-call convenience wrapper around :class:`MatrixOrchestrator`."""
-    return MatrixOrchestrator(
-        matrix, workers=workers, strict=strict, mp_context=mp_context
-    ).run()
+    return MatrixOrchestrator(matrix, workers=workers, strict=strict).run()

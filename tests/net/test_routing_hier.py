@@ -1,7 +1,7 @@
 """Unit tests for the city-scale routing fabric.
 
 Covers the :class:`HierarchicalRouter` planning ladder (flat delegate,
-gateway walk, flat fallback), its dirty-cell
+gateway walk, flat fallback), its cell-stamped
 path cache, the epoch-flushed :class:`RoutingTable`, epoch bumps on
 every real move, the connectivity monitor's same-epoch scan skip, and
 same-seed determinism with the hierarchical planner driving a live
@@ -167,11 +167,6 @@ class TestHierarchicalRouterPlanning:
         assert router.path("n2", "n0") is None
         assert router.path("n2", "n2") == ["n2"]
 
-    def test_invalid_stretch_rejected(self):
-        env, network = make_network()
-        with pytest.raises(ValueError):
-            HierarchicalRouter(network, stretch=0)
-
 
 class TestHierarchicalPathCache:
     def test_unrelated_change_keeps_cached_path(self):
@@ -182,6 +177,22 @@ class TestHierarchicalPathCache:
         path = router.path("n0", "n4")
         assert path is not None
         bystander.move_to(Position(500, 2000))  # cross-cell, far away
+        assert router.path("n0", "n4") == path
+        assert router.stats["hits"] == 1
+        assert router.stats["misses"] == 1
+
+    def test_cached_path_survives_many_far_moves(self):
+        # However many bumps land elsewhere, a path whose cells no bump
+        # touched is served from the cache, not planned again.
+        env, network = make_network()
+        add_chain(env, network, 5)
+        bystander = network.add_node(adhoc_node(env, "by", 0, 5000))
+        router = HierarchicalRouter(network, flat_threshold=0)
+        path = router.path("n0", "n4")
+        assert path is not None
+        for step in range(5000):
+            x = 500.0 if step % 2 == 0 else 0.0  # across cells each time
+            bystander.move_to(Position(x, 5000))
         assert router.path("n0", "n4") == path
         assert router.stats["hits"] == 1
         assert router.stats["misses"] == 1
@@ -331,7 +342,11 @@ class TestMoveElision:
         a.move_to(Position(20, 10))  # same cell, b still in range
         assert network.topology_epoch == epoch + 1
         assert network.cache_stats["dirty_nodes"] == dirty + 1
-        assert network.dirty_cells_since(epoch) == (epoch + 1, {(0, 0)})
+        stamped = {
+            cell for cell, at in network._cell_stamp.items() if at > epoch
+        }
+        assert stamped == {(0, 0)}
+        assert network._cell_stamp[(0, 0)] == epoch + 1
         assert network.neighbors(a) == neighbors
         assert network.grid.position_of("a") == Position(20, 10)
 

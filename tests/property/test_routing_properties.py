@@ -11,7 +11,7 @@ test_topology_cache_properties so the same world shapes are covered):
     reference reachability (positives are real, validated paths;
     negatives only come from the flat fallback), again across mutations with its path cache live;
 (c) every hierarchical path respects the documented stretch bound
-    ``hops ≤ stretch × flat_hops + 2``, and so does every message a
+    ``hops ≤ STRETCH × flat_hops + 2``, and so does every message a
     source-routing :class:`Router` delivers over it: on a static world
     the delivered hop count is the source plan's length minus one;
 (d) on random-waypoint meshes above ``flat_threshold``, the corridor
@@ -49,6 +49,7 @@ from repro.net import (
     WIFI_ADHOC,
     WIFI_INFRA,
 )
+from repro.net.routing import STRETCH
 from repro.sim import Environment, RandomStreams
 from tests.net import reference as ref
 
@@ -200,10 +201,9 @@ class TestHierarchicalRouterProperties:
     @given(st.lists(node_spec, min_size=2, max_size=8))
     @settings(max_examples=150, deadline=None)
     def test_stretch_bound_holds(self, specs):
-        """(c): hier paths are at most stretch x flat + 2 hops long."""
+        """(c): hier paths are at most STRETCH x flat + 2 hops long."""
         env, network, nodes = _build(specs)
         router = HierarchicalRouter(network, flat_threshold=0)
-        stretch = router.stretch
         for a in nodes:
             for b in nodes:
                 flat = ref.naive_shortest_path(
@@ -214,7 +214,7 @@ class TestHierarchicalRouterProperties:
                     assert hier is None
                     continue
                 assert hier is not None
-                assert len(hier) - 1 <= stretch * (len(flat) - 1) + 2
+                assert len(hier) - 1 <= STRETCH * (len(flat) - 1) + 2
 
     @given(st.lists(node_spec, min_size=2, max_size=8))
     @settings(max_examples=100, deadline=None)
@@ -245,7 +245,7 @@ class TestHierarchicalRouterProperties:
                 hops = env.run(until=process)
                 assert len(plans) == 1
                 assert hops == len(plans[0]) - 1
-                assert hops <= planner.stretch * (len(flat) - 1) + 2
+                assert hops <= STRETCH * (len(flat) - 1) + 2
 
 
 #: Directed (sender index, receiver index) pairs a link filter severs;
@@ -472,7 +472,7 @@ def _compare_walks(network, seed, pair_count, counts):
         cells = max(abs(s_cell[0] - t_cell[0]), abs(s_cell[1] - t_cell[1]))
         corridor = router._straight_corridor(s_cell, t_cell)
         for hop_limit in (
-            router.stretch * max(cells, 1) + 2,
+            STRETCH * max(cells, 1) + 2,
             max(cells, 1) + 1,
             2,
         ):

@@ -266,8 +266,6 @@ global_operation = st.one_of(
 stamp_programs = st.tuples(
     st.lists(node_spec, min_size=2, max_size=4),
     st.lists(st.one_of(operation, global_operation), min_size=1, max_size=10),
-    # A tiny journal cap makes the log overflow within a few bumps.
-    st.sampled_from([2, 5, Network.DIRTY_LOG_CAP]),
 )
 
 
@@ -289,23 +287,55 @@ def _apply_any(env, network, nodes, op):
         _apply(env, network, nodes, op)
 
 
-def _journal_fresh(network, entry_epoch, positions):
-    """Freshness the journal way: dilate the cells dirtied since
-    ``entry_epoch`` by one ring and look for the entry's endpoints."""
-    _, cells = network.dirty_cells_since(entry_epoch)
-    if cells is None:
-        return False
-    ring = {
+def _record_bumps(network):
+    """Journal every bump of ``network`` as ``(epoch, cells)``, with
+    ``None`` cells for a global bump."""
+    journal = []
+    bump = network._bump
+
+    def recording(node_id=None, cells=()):
+        bump(node_id, cells)
+        journal.append(
+            (network.topology_epoch, None if node_id is None else tuple(cells))
+        )
+
+    network._bump = recording
+    return journal
+
+
+def _dirty_since(journal, epoch):
+    """Cells the bumps after ``epoch`` touched, or None after a global
+    bump."""
+    cells = set()
+    for entry_epoch, entry_cells in journal:
+        if entry_epoch <= epoch:
+            continue
+        if entry_cells is None:
+            return None
+        cells.update(entry_cells)
+    return cells
+
+
+def _ring(cells):
+    return {
         (cx + dx, cy + dy)
         for cx, cy in cells
         for dx in (-1, 0, 1)
         for dy in (-1, 0, 1)
     }
+
+
+def _journal_fresh(network, dirty, positions):
+    """Freshness the journal way: dilate the cells dirtied since the
+    entry by one ring and look for the entry's endpoints."""
+    if dirty is None:
+        return False
+    ring = _ring(dirty)
     cell_of = network.grid.cell_of
     return all(cell_of(position) not in ring for position in positions)
 
 
-def _check_freshness(network, nodes):
+def _check_freshness(network, nodes, journal):
     registry = network.nodes
     entries = [
         (epoch, (registry[a].position, registry[b].position))
@@ -318,14 +348,25 @@ def _check_freshness(network, nodes):
         )
     for epoch, positions in entries:
         assert network._entry_fresh(epoch, *positions) == _journal_fresh(
-            network, epoch, positions
+            network, _dirty_since(journal, epoch), positions
         )
-    # Every epoch an entry could carry, not only the live ones.
+    # Every epoch an entry or a path could carry, not only the live ones.
+    cell_of = network.grid.cell_of
+    occupied = {cell_of(node.position) for node in nodes}
     for epoch in range(network.topology_epoch + 1):
+        dirty = _dirty_since(journal, epoch)
         for node in nodes:
             assert network._entry_fresh(epoch, node.position) == (
-                _journal_fresh(network, epoch, (node.position,))
+                _journal_fresh(network, dirty, (node.position,))
             )
+        # The path rule reads the exact cells, never the ring.
+        for cell in _ring(occupied):
+            assert network.cells_unchanged_since(epoch, (cell,)) == (
+                dirty is not None and cell not in dirty
+            )
+        assert network.cells_unchanged_since(epoch, occupied) == (
+            dirty is not None and dirty.isdisjoint(occupied)
+        )
 
 
 def _query_all_pairs(network, nodes):
@@ -341,10 +382,10 @@ class TestCellStampFreshness:
     @given(stamp_programs)
     @settings(max_examples=300, deadline=None)
     def test_stamps_agree_with_the_journal_oracle(self, program):
-        specs, operations, log_cap = program
+        specs, operations = program
         env = Environment()
         network = Network(env)
-        network.DIRTY_LOG_CAP = log_cap
+        journal = _record_bumps(network)
         nodes = [
             _make_node(env, network, index, spec)
             for index, spec in enumerate(specs)
@@ -353,9 +394,9 @@ class TestCellStampFreshness:
         for op in operations:
             _apply_any(env, network, nodes, op)
             # Before any query refreshes the tags.
-            _check_freshness(network, nodes)
+            _check_freshness(network, nodes, journal)
             _check_live_queries(network, nodes)
-            _check_freshness(network, nodes)
+            _check_freshness(network, nodes, journal)
         _check_full(network, nodes)
 
     @given(
