@@ -12,8 +12,10 @@ simulator runs no threads, so the main thread's hook sees them all).
 At exit the process writes the ``module:qualname`` keys of the
 ``src/repro`` functions it called to
 ``benchmarks/results/census/<pid>.json``; ``report.py`` merges them.
-A process that leaves through ``os._exit`` (a spawn-pool worker)
-writes nothing.
+A process that leaves through ``os._exit`` writes nothing, and a
+spawn-pool worker may be terminated by its pool while it writes: the
+file is written under a temporary name and renamed into place, so a
+killed writer leaves no empty or cut-off ``.json`` behind.
 
 A profiler replaces this hook while it runs (cProfile, or
 pytest-benchmark's timing loop unless ``--benchmark-disable`` is
@@ -55,8 +57,10 @@ def _write():
         and code.co_filename.endswith(".py")
     })
     os.makedirs(_OUT, exist_ok=True)
-    with open(os.path.join(_OUT, f"{os.getpid()}.json"), "w") as handle:
+    path = os.path.join(_OUT, f"{os.getpid()}.json")
+    with open(path + ".tmp", "w") as handle:
         json.dump({"called": called}, handle)
+    os.replace(path + ".tmp", path)
 
 
 atexit.register(_write)

@@ -379,21 +379,64 @@ class InvocationTask:
     timeout: float = 60.0
     version: str = "1.0.0"
 
+    # What unit() and service_entry() built for this task.  Left
+    # unannotated so they are not dataclass fields: they take no part
+    # in equality or hashing, and a ``dataclasses.replace`` copy starts
+    # without them and builds its own.
+    _unit = None
+    _service = None
+
     def unit(self) -> CodeUnit:
-        """This task's behaviour as a transferable code unit."""
-        if self.factory is None:
-            raise ComponentError(
-                f"task {self.name!r} has no factory: it can only run where "
-                "the behaviour already exists (CS against a registered "
-                "service)"
+        """This task's behaviour as a transferable code unit.
+
+        Built on the first call; every later call returns that same
+        unit.  A :class:`CodeUnit` is frozen, so every codebase and
+        repository the task reaches shares the one object.
+        """
+        unit = self._unit
+        if unit is None:
+            if self.factory is None:
+                raise ComponentError(
+                    f"task {self.name!r} has no factory: it can only run "
+                    "where the behaviour already exists (CS against a "
+                    "registered service)"
+                )
+            unit = code_unit(
+                self.name,
+                self.version,
+                self.factory,
+                self.code_bytes,
+                description=f"invocation task {self.name}",
             )
-        return code_unit(
-            self.name,
-            self.version,
-            self.factory,
-            self.code_bytes,
-            description=f"invocation task {self.name}",
-        )
+            object.__setattr__(self, "_unit", unit)
+        return unit
+
+    def service_entry(self) -> Tuple[Callable, float]:
+        """The ``(handler, work_units)`` CS entry serving this task.
+
+        Built on the first call and then shared, unchanged, by every
+        host the task is provisioned on: the handler runs the task's
+        shared unit in the sandbox of the host it is handed.
+        """
+        entry = self._service
+        if entry is None:
+            unit = self.unit()
+
+            def handler(args: object, host) -> Tuple[object, int]:
+                outcome = host.run_guest(
+                    unit.instantiate(),
+                    f"task:{unit.name}",
+                    args,
+                    services={"host_id": host.id},
+                    task_name=unit.name,
+                )
+                if not outcome.ok:
+                    raise from_wire(outcome.error_wire)
+                return outcome.value, estimate_size(outcome.value)
+
+            entry = (handler, self.work_units)
+            object.__setattr__(self, "_service", entry)
+        return entry
 
 
 def run_task_locally(
@@ -427,23 +470,14 @@ def provision_task(host, task: InvocationTask) -> CodeUnit:
     sandbox (also what a visiting agent calls via ``invoke_local``)
     and publishes the unit in the host's repository so COD clients can
     fetch it.  Returns the published unit.
+
+    Provisioning pays once per task, not once per host: every host
+    holds the task's one immutable unit and its one service entry
+    (:meth:`InvocationTask.unit`, :meth:`InvocationTask.service_entry`).
     """
     unit = task.unit()
-
-    def handler(args: object, host_) -> Tuple[object, int]:
-        outcome = host_.run_guest(
-            unit.instantiate(),
-            f"task:{task.name}",
-            args,
-            services={"host_id": host_.id},
-            task_name=task.name,
-        )
-        if not outcome.ok:
-            raise from_wire(outcome.error_wire)
-        return outcome.value, estimate_size(outcome.value)
-
     if task.name not in host.services:
-        host.register_service(task.name, handler, work_units=task.work_units)
+        host.services[task.name] = task.service_entry()
     if host.repository is None:
         host.repository = CodeRepository()
     host.repository.publish(unit)

@@ -177,7 +177,8 @@ class TestRemoteEvaluation:
 class TestCodeOnDemand:
     def _provision(self, server, units):
         repository = CodeRepository()
-        repository.publish_all(units)
+        for unit in units:
+            repository.publish(unit)
         server.repository = repository
 
     def test_fetch_installs_closure(self, phone_and_server):
@@ -260,7 +261,8 @@ class TestCodeOnDemand:
             for i in range(3)
         ]
         repository = CodeRepository()
-        repository.publish_all(units)
+        for unit in units:
+            repository.publish(unit)
         server.repository = repository
 
         def go():

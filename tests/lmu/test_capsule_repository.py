@@ -16,6 +16,7 @@ from repro.lmu import (
     estimate_size,
     install_capsule,
 )
+from repro.sim.metrics import MetricsRegistry
 
 
 def unit(name, version="1.0.0", size=100, requires=None):
@@ -30,7 +31,8 @@ def unit(name, version="1.0.0", size=100, requires=None):
 
 def make_repository(*units_):
     repository = CodeRepository()
-    repository.publish_all(list(units_))
+    for unit_ in units_:
+        repository.publish(unit_)
     return repository
 
 
@@ -58,6 +60,80 @@ class TestRepository:
     def test_total_bytes(self):
         repository = make_repository(unit("a", size=100), unit("b", size=250))
         assert repository.total_bytes() == 350
+
+
+class TestRepositoryCatalogue:
+    """What the catalogue answers, whatever shape it keeps versions in."""
+
+    def test_out_of_order_publish_keeps_newest_latest(self):
+        repository = make_repository(unit("a", "1.2.0"), unit("a", "1.0.0"))
+        assert str(repository.latest("a").version) == "1.2.0"
+        resolved = repository.resolve(Requirement.parse("a>=1.0"))
+        assert str(resolved.version) == "1.2.0"
+
+    def test_republishing_a_version_replaces_that_unit(self):
+        first = unit("a", "1.0.0", size=100)
+        second = unit("a", "1.0.0", size=300)
+        repository = make_repository(first, unit("a", "0.9.0"), second)
+        assert repository.latest("a") is second
+        assert repository.resolve(Requirement.parse("a>=1.0")) is second
+        assert repository.total_bytes() == 300
+        with pytest.raises(UnitNotFound) as excinfo:
+            repository.resolve(Requirement.parse("a>=1.5"))
+        assert "have ['0.9.0', '1.0.0']" in str(excinfo.value)
+
+    def test_units_gauge_counts_names_not_versions(self):
+        metrics = MetricsRegistry()
+        repository = CodeRepository(metrics=metrics)
+        for unit_ in (unit("a", "1.0.0"), unit("a", "1.1.0"), unit("b")):
+            repository.publish(unit_)
+        repository.publish(unit("a", "1.1.0"))
+        assert metrics.gauge("repository.units").value == 2
+        assert metrics.counter("repository.publishes").value == 4
+        assert len(repository) == 2
+        assert repository.names() == ["a", "b"]
+
+    def test_resolve_picks_newest_compatible_within_major_line(self):
+        metrics = MetricsRegistry()
+        repository = CodeRepository(metrics=metrics)
+        for text in ("2.1.0", "1.0.0", "1.4.2", "3.0.0", "1.4.0", "2.0.0"):
+            repository.publish(unit("a", text))
+        picks = {
+            text: str(repository.resolve(Requirement.parse(text)).version)
+            for text in ("a>=1.0", "a>=1.4.1", "a>=2.0", "a>=2.1", "a>=3.0")
+        }
+        assert picks == {
+            "a>=1.0": "1.4.2",
+            "a>=1.4.1": "1.4.2",
+            "a>=2.0": "2.1.0",
+            "a>=2.1": "2.1.0",
+            "a>=3.0": "3.0.0",
+        }
+        # A bare requirement takes the newest of all.
+        newest = repository.resolve(Requirement.parse("a"))
+        assert str(newest.version) == "3.0.0"
+        # Newer majors never satisfy an older floor.
+        with pytest.raises(UnitNotFound):
+            repository.resolve(Requirement.parse("a>=1.5"))
+        assert metrics.counter("repository.resolutions").value == 6
+        assert metrics.counter("repository.misses").value == 1
+
+    def test_unsatisfiable_miss_lists_versions_sorted(self):
+        metrics = MetricsRegistry()
+        repository = CodeRepository(metrics=metrics)
+        for text in ("1.10.0", "0.3.0", "1.2.0"):
+            repository.publish(unit("a", text))
+        with pytest.raises(UnitNotFound) as excinfo:
+            repository.resolve(Requirement.parse("a>=2.0"))
+        assert str(excinfo.value) == (
+            "no published version of a satisfies a>=2.0.0; "
+            "have ['0.3.0', '1.10.0', '1.2.0']"
+        )
+        with pytest.raises(UnitNotFound) as excinfo:
+            repository.resolve(Requirement.parse("ghost"))
+        assert str(excinfo.value) == "repository has no unit 'ghost'"
+        assert metrics.counter("repository.misses").value == 2
+        assert metrics.counter("repository.resolutions").value == 0
 
 
 class TestCapsuleBuild:
