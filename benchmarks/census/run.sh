@@ -31,6 +31,7 @@ python3 benchmarks/e2e/run.py --workload all --seconds 1 --repeat 1 > /dev/null
 
 python -m repro report e1_paradigm_traffic > /dev/null
 python -m repro report > /dev/null
+python -m repro assess > /dev/null
 python benchmarks/check_reports.py e1
 python -m repro trace summary chaos --strict > /dev/null
 python -m repro trace critical-path chaos --top 3 > /dev/null

@@ -20,13 +20,6 @@ from .adaptation import (
     CostWeights,
     ParadigmSelector,
     TaskProfile,
-    estimate_cod,
-    estimate_cs,
-    estimate_local,
-    estimate_ma,
-    estimate_rev,
-    estimator_for,
-    register_estimator,
 )
 from .agents import Agent, AgentContext, AgentRuntime, TaskAgent
 from .assessment import (
@@ -67,7 +60,6 @@ from .invocation import (
     InvocationPipeline,
     InvocationTask,
     LocalExecution,
-    Paradigm,
     RetryPolicy,
     provision_task,
     run_task_locally,
@@ -119,7 +111,6 @@ __all__ = [
     "PARADIGM_LOCAL",
     "PARADIGM_MA",
     "PARADIGM_REV",
-    "Paradigm",
     "ParadigmSelector",
     "PrefetchItem",
     "Prefetcher",
@@ -136,16 +127,9 @@ __all__ = [
     "World",
     "assess",
     "component_unit",
-    "estimate_cod",
-    "estimate_cs",
-    "estimate_local",
-    "estimate_ma",
-    "estimate_rev",
-    "estimator_for",
     "mutual_trust",
     "pda_host",
     "provision_task",
-    "register_estimator",
     "run_task_locally",
     "server_host",
     "service",

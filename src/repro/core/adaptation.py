@@ -2,36 +2,31 @@
 
 "Different mobile code paradigms could be plugged-in dynamically and
 used when needed after assessment of the environment and application."
-This module is that assessment, made programmatic: closed-form cost
-estimates for each paradigm over a :class:`TaskProfile` and the current
-link/context, combined into a weighted composite the selector ranks.
-:func:`resolve_profile` turns a task into that profile, and
+This module is that assessment, made programmatic: each paradigm
+component prices itself (``estimate(profile, link)`` beside its
+``invoke``) over a :class:`TaskProfile` and the current link/context,
+and the selector ranks those :class:`CostEstimate` values by a weighted
+composite.  :func:`resolve_profile` turns a task into that profile, and
 :class:`InvocationOutcome` is what a selection hands back; both are
 re-exported from :mod:`repro.core.invocation`.
 
 The estimates follow the Fuggetta/Picco/Vigna traffic decomposition
 (who initiates, what moves) — the same modelling the PrimaMob-UML
-methodology the paper cites performs at design time.
+methodology the paper cites performs at design time.  The pricing
+helpers they share (:func:`_transfer`, :func:`_quota_penalty`, the
+energy and penalty constants) live here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ComponentError
-from ..net import HEADER_BYTES, Link
+from ..net import Link
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .components import Component
     from .invocation import InvocationTask
 
 #: Sentinel distinguishing "no link argument" from an explicit None.
@@ -46,6 +41,12 @@ PARADIGM_MA = "ma"
 #: paradigms of the paper) but rankable alongside them.
 PARADIGM_LOCAL = "local"
 PARADIGMS = (PARADIGM_CS, PARADIGM_REV, PARADIGM_COD, PARADIGM_MA)
+
+#: Paradigm kind -> the component class that executes and prices it.
+#: ``Component.__init_subclass__`` fills it with every class that
+#: declares ``paradigm`` in its own body, so defining a plug-in's class
+#: is all it takes for :class:`ParadigmSelector` to rank its kind.
+PARADIGM_CLASSES: Dict[str, type[Component]] = {}
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ class TaskProfile:
 
 
 def resolve_profile(
-    task: Union["InvocationTask", TaskProfile],
+    task: "InvocationTask",
     local_speed: Optional[float] = None,
     remote_speed: Optional[float] = None,
     hosts: Optional[int] = None,
@@ -92,19 +93,14 @@ def resolve_profile(
     remote_work_quota: Optional[float] = None,
     observed_work: Optional[float] = None,
 ) -> TaskProfile:
-    """A :class:`TaskProfile` for the cost estimators.
+    """The :class:`TaskProfile` the paradigm estimates price ``task`` by.
 
-    Accepts a ready profile (speeds/quotas patched in if given) or an
-    :class:`~repro.core.invocation.InvocationTask`, whose per-host
-    ``interactions`` are multiplied out over ``hosts`` targets — the
-    CS-centric convention the estimators use (``estimate_ma``
-    additionally scales by ``hosts_to_visit``, making its compute term
-    conservative for multi-target tasks; transfer terms dominate
-    paradigm choice in every scenario the paper discusses).
-
-    A ready profile is copied only when a given value differs (``!=``)
-    from the field it would replace; otherwise the profile itself comes
-    back, so re-resolving a resolved profile returns the same object.
+    The task's per-host ``interactions`` are multiplied out over
+    ``hosts`` targets — the CS-centric convention the estimates use
+    (the MA estimate additionally scales by ``hosts_to_visit``, making
+    its compute term conservative for multi-target tasks; transfer
+    terms dominate paradigm choice in every scenario the paper
+    discusses).
 
     ``observed_work`` (metered :class:`~repro.security.Metrics` from a
     prior run of the same guest) ratchets the task's declared
@@ -112,27 +108,8 @@ def resolve_profile(
     actually measured when a guest under-declares, but a past small
     invocation never masks a declared-large one.  The two quotas come
     from the executing side's :class:`~repro.security.QuotaGrant` and
-    feed the estimators' quota-pressure penalty.
+    feed the estimates' quota-pressure penalty.
     """
-    if isinstance(task, TaskProfile):
-        updates: Dict[str, float] = {}
-        if local_speed is not None and local_speed != task.local_speed:
-            updates["local_speed"] = local_speed
-        if remote_speed is not None and remote_speed != task.remote_speed:
-            updates["remote_speed"] = remote_speed
-        if (
-            local_work_quota is not None
-            and local_work_quota != task.local_work_quota
-        ):
-            updates["local_work_quota"] = local_work_quota
-        if (
-            remote_work_quota is not None
-            and remote_work_quota != task.remote_work_quota
-        ):
-            updates["remote_work_quota"] = remote_work_quota
-        if observed_work is not None and observed_work > task.work_units:
-            updates["work_units"] = observed_work
-        return replace(task, **updates) if updates else task
     count = int(hosts) if hosts else 1
     count = max(1, count)
     return TaskProfile(
@@ -231,148 +208,6 @@ def _transfer(link: Link, size_bytes: float) -> Tuple[float, float]:
     return seconds, money
 
 
-def estimate_cs(profile: TaskProfile, link: Link) -> CostEstimate:
-    """All interactions cross the wireless link; compute stays remote."""
-    per_round = (
-        profile.request_bytes + profile.reply_bytes + 2 * HEADER_BYTES
-    )
-    total_bytes = profile.interactions * per_round
-    transfer_s, transfer_money = _transfer(link, total_bytes)
-    seconds = transfer_s + (2 * link.latency_s) * max(
-        0, profile.interactions - 1
-    )
-    money = transfer_money
-    required = profile.interactions * profile.work_units
-    compute_s = required / 1e6 / profile.remote_speed
-    penalty_s = _quota_penalty(required, profile.remote_work_quota)
-    return CostEstimate(
-        paradigm=PARADIGM_CS,
-        wireless_bytes=total_bytes,
-        time_s=seconds + compute_s + penalty_s,
-        money=money,
-        energy_j=total_bytes * _RADIO_J_PER_BYTE,
-    )
-
-
-def estimate_rev(profile: TaskProfile, link: Link) -> CostEstimate:
-    """Code ships once; interactions happen at the server; one result back."""
-    outbound = (
-        profile.code_bytes
-        + profile.request_bytes
-        + profile.state_bytes
-        + HEADER_BYTES
-    )
-    inbound = profile.result_bytes + HEADER_BYTES
-    total_bytes = outbound + inbound
-    transfer_s, money = _transfer(link, total_bytes)
-    required = profile.interactions * profile.work_units
-    compute_s = required / 1e6 / profile.remote_speed
-    penalty_s = _quota_penalty(required, profile.remote_work_quota)
-    return CostEstimate(
-        paradigm=PARADIGM_REV,
-        wireless_bytes=total_bytes,
-        time_s=transfer_s + compute_s + link.latency_s + penalty_s,
-        money=money,
-        energy_j=total_bytes * _RADIO_J_PER_BYTE,
-    )
-
-
-def estimate_cod(profile: TaskProfile, link: Link) -> CostEstimate:
-    """Code downloads once; every (re)use then runs locally, offline."""
-    download = profile.code_bytes + HEADER_BYTES
-    transfer_s, money = _transfer(link, download)
-    uses = max(1, profile.expected_reuses)
-    required = uses * profile.interactions * profile.work_units
-    compute_s = required / 1e6 / profile.local_speed
-    # COD's guest runs under the *local* grant, once per use.
-    penalty_s = uses * _quota_penalty(
-        profile.interactions * profile.work_units, profile.local_work_quota
-    )
-    per_use_time = (transfer_s / uses) + (compute_s + penalty_s) / uses
-    return CostEstimate(
-        paradigm=PARADIGM_COD,
-        wireless_bytes=download / uses,
-        time_s=per_use_time,
-        money=money / uses,
-        energy_j=(
-            download * _RADIO_J_PER_BYTE / uses
-            + compute_s / uses * _CPU_J_PER_S
-        ),
-    )
-
-
-def estimate_ma(profile: TaskProfile, link: Link) -> CostEstimate:
-    """Agent leaves and returns over wireless; hops between servers are
-    fixed-network and cost the device nothing."""
-    hop_bytes = profile.code_bytes + profile.state_bytes + HEADER_BYTES
-    wireless = 2 * hop_bytes + profile.result_bytes
-    transfer_s, money = _transfer(link, wireless)
-    # Remote hops: modelled at backbone speed, so only a latency term.
-    remote_hops_s = profile.hosts_to_visit * 0.05
-    required = (
-        profile.hosts_to_visit * profile.interactions * profile.work_units
-    )
-    compute_s = required / 1e6 / profile.remote_speed
-    # Each visited host grants the agent its own quota per stop.
-    penalty_s = profile.hosts_to_visit * _quota_penalty(
-        profile.interactions * profile.work_units,
-        profile.remote_work_quota,
-    )
-    return CostEstimate(
-        paradigm=PARADIGM_MA,
-        wireless_bytes=wireless,
-        time_s=transfer_s + remote_hops_s + compute_s + penalty_s,
-        money=money,
-        energy_j=wireless * _RADIO_J_PER_BYTE,
-    )
-
-
-def estimate_local(
-    profile: TaskProfile, link: Optional[Link] = None
-) -> CostEstimate:
-    """Nothing moves: the task runs on the device's own (slow) CPU."""
-    required = profile.interactions * profile.work_units
-    compute_s = required / 1e6 / max(profile.local_speed, 1e-9)
-    penalty_s = _quota_penalty(required, profile.local_work_quota)
-    return CostEstimate(
-        paradigm=PARADIGM_LOCAL,
-        wireless_bytes=0.0,
-        time_s=compute_s + penalty_s,
-        money=0.0,
-        energy_j=compute_s * _CPU_J_PER_S,
-    )
-
-
-_ESTIMATORS: Dict[str, Callable[[TaskProfile, Link], CostEstimate]] = {
-    PARADIGM_CS: estimate_cs,
-    PARADIGM_REV: estimate_rev,
-    PARADIGM_COD: estimate_cod,
-    PARADIGM_MA: estimate_ma,
-    PARADIGM_LOCAL: estimate_local,
-}
-
-
-def register_estimator(
-    paradigm: str, estimator: Callable[[TaskProfile, Link], CostEstimate]
-) -> None:
-    """Register (or replace) the cost estimator for a paradigm kind.
-
-    The plugin hook for a fifth paradigm: register its estimator here,
-    then list its kind in ``ParadigmSelector(available=[...])``.
-    """
-    _ESTIMATORS[paradigm] = estimator
-
-
-def estimator_for(
-    paradigm: str,
-) -> Callable[[TaskProfile, Link], CostEstimate]:
-    """The registered estimator for ``paradigm`` (ValueError if none)."""
-    try:
-        return _ESTIMATORS[paradigm]
-    except KeyError:
-        raise ValueError(f"unknown paradigm {paradigm!r}") from None
-
-
 def normalize_targets(
     target: Union[str, Sequence[str], None],
 ) -> Tuple[List[str], bool]:
@@ -407,14 +242,14 @@ class ParadigmSelector:
         if not self.available:
             raise ValueError("no paradigm available to rank")
         for paradigm in self.available:
-            if paradigm not in _ESTIMATORS:
+            if paradigm not in PARADIGM_CLASSES:
                 raise ValueError(f"unknown paradigm {paradigm!r}")
 
     def estimates(
         self, profile: TaskProfile, link: Link
     ) -> List[CostEstimate]:
         return [
-            _ESTIMATORS[paradigm](profile, link)
+            PARADIGM_CLASSES[paradigm].estimate(profile, link)
             for paradigm in self.available
         ]
 
@@ -453,10 +288,10 @@ class ParadigmSelector:
         (generator).
 
         Ranks the paradigms in :attr:`available` that ``host`` actually
-        has installed (components satisfying the
-        :class:`~repro.core.invocation.Paradigm` protocol), by composite
-        cost over the current best link to the primary target, and
-        invokes the cheapest.  With no usable link, link-requiring
+        has installed, each priced by its own
+        :meth:`~repro.core.components.Component.estimate` over the
+        current best link to the primary target, and invokes the
+        cheapest.  With no usable link, link-requiring
         paradigms are excluded (a local/COD-cached fallback still
         runs).  Ties keep :attr:`available` order — list the preferred
         fallback first.  Returns an :class:`InvocationOutcome`.
@@ -517,7 +352,7 @@ class ParadigmSelector:
             observed_work=observed_work,
         )
         ranking = sorted(
-            (component.cost(profile, link) for component in candidates),
+            (component.estimate(profile, link) for component in candidates),
             key=lambda estimate: estimate.composite(weights),
         )
         by_kind = {component.paradigm: component for component in candidates}

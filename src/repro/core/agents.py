@@ -27,7 +27,7 @@ from ..errors import (
     to_wire,
 )
 from ..lmu import DataUnit, assemble_capsule, code_unit, estimate_size
-from ..net import Message
+from ..net import HEADER_BYTES, Link, Message
 from ..security import (
     OP_ACCEPT_AGENT,
     WORK_UNITS_PER_SECOND,
@@ -35,7 +35,14 @@ from ..security import (
 )
 from ..sim import Event
 from ..sim.events import PENDING
-from .adaptation import PARADIGM_MA
+from .adaptation import (
+    _RADIO_J_PER_BYTE,
+    PARADIGM_MA,
+    CostEstimate,
+    TaskProfile,
+    _quota_penalty,
+    _transfer,
+)
 from .components import Component, MessageHandler
 from .invocation import (
     DEFAULT_RETRY,
@@ -536,7 +543,7 @@ class AgentRuntime(Component):
         host.world.metrics.counter("agents.arrivals").increment()
         self._run(agent, message.trace_context)
 
-    # -- Paradigm protocol -------------------------------------------------------
+    # -- paradigm contract -------------------------------------------------------
 
     def invoke(
         self,
@@ -545,7 +552,7 @@ class AgentRuntime(Component):
         retry: Optional[RetryPolicy] = None,
     ) -> Generator:
         """Run ``task`` by sending a :class:`TaskAgent` to the target
-        host(s) (Paradigm protocol).
+        host(s) (paradigm contract).
 
         The agent visits each target, calls the service named
         ``task.name`` there, and carries the results home.  A lost or
@@ -605,6 +612,32 @@ class AgentRuntime(Component):
                 transient=(MigrationError,),
                 task=task.name,
             )
+        )
+
+    @classmethod
+    def estimate(cls, profile: TaskProfile, link: Link) -> CostEstimate:
+        """Agent leaves and returns over wireless; hops between servers
+        are fixed-network and cost the device nothing."""
+        hop_bytes = profile.code_bytes + profile.state_bytes + HEADER_BYTES
+        wireless = 2 * hop_bytes + profile.result_bytes
+        transfer_s, money = _transfer(link, wireless)
+        # Remote hops: modelled at backbone speed, so only a latency term.
+        remote_hops_s = profile.hosts_to_visit * 0.05
+        required = (
+            profile.hosts_to_visit * profile.interactions * profile.work_units
+        )
+        compute_s = required / 1e6 / profile.remote_speed
+        # Each visited host grants the agent its own quota per stop.
+        penalty_s = profile.hosts_to_visit * _quota_penalty(
+            profile.interactions * profile.work_units,
+            profile.remote_work_quota,
+        )
+        return CostEstimate(
+            paradigm=cls.paradigm,
+            wireless_bytes=wireless,
+            time_s=transfer_s + remote_hops_s + compute_s + penalty_s,
+            money=money,
+            energy_j=wireless * _RADIO_J_PER_BYTE,
         )
 
 

@@ -20,7 +20,6 @@ from ..net.technologies import BLUETOOTH, DIALUP, GPRS, LAN, WIFI_ADHOC, WIFI_IN
 from .adaptation import (
     CostEstimate,
     CostWeights,
-    PARADIGMS,
     ParadigmSelector,
     TaskProfile,
 )
@@ -58,6 +57,9 @@ class AssessmentReport:
     profile: TaskProfile
     weights: CostWeights
     rows: List[AssessmentRow]
+    #: The assessed paradigm kinds, in the selector's ``available``
+    #: order: the report's cost columns.
+    paradigms: Tuple[str, ...]
 
     def winner_by_context(self) -> Dict[str, str]:
         return {row.context: row.winner for row in self.rows}
@@ -73,14 +75,14 @@ class AssessmentReport:
         """The report as a designer-readable text table."""
         from ..analysis import render_table
 
-        header = ["context"] + [f"{p} cost" for p in PARADIGMS] + [
+        header = ["context"] + [f"{p} cost" for p in self.paradigms] + [
             "winner",
             "margin x",
         ]
         table_rows = []
         for row in self.rows:
             cells: List[object] = [row.context]
-            for paradigm in PARADIGMS:
+            for paradigm in self.paradigms:
                 cells.append(row.estimate_for(paradigm).composite(self.weights))
             cells.append(row.winner)
             cells.append(row.margin)
@@ -123,4 +125,9 @@ def assess(
                 estimates=tuple(ranked),
             )
         )
-    return AssessmentReport(profile=profile, weights=weights, rows=rows)
+    return AssessmentReport(
+        profile=profile,
+        weights=weights,
+        rows=rows,
+        paradigms=tuple(selector.available),
+    )

@@ -28,14 +28,22 @@ from ..lmu import (
     estimate_size,
     install_capsule,
 )
-from ..net import Message
+from ..net import HEADER_BYTES, Link, Message
 from ..security import (
     OP_INSTALL_CODE,
     OP_SERVE_COD,
     WORK_UNITS_PER_SECOND,
     sign_capsule,
 )
-from .adaptation import PARADIGM_COD
+from .adaptation import (
+    _CPU_J_PER_S,
+    _RADIO_J_PER_BYTE,
+    PARADIGM_COD,
+    CostEstimate,
+    TaskProfile,
+    _quota_penalty,
+    _transfer,
+)
 from .components import Component, MessageHandler
 from .invocation import (
     DEFAULT_RETRY,
@@ -182,8 +190,8 @@ class CodeOnDemand(Component):
         target: Union[str, Sequence[str], None],
         retry: Optional[RetryPolicy] = None,
     ) -> Generator:
-        """Run ``task`` locally, fetching its unit on demand (Paradigm
-        protocol).  ``target`` names the provider(s) to fetch from on a
+        """Run ``task`` locally, fetching its unit on demand (paradigm
+        contract).  ``target`` names the provider(s) to fetch from on a
         cache miss; execution always happens on this host."""
         host = self.require_host()
         policy = DEFAULT_RETRY if retry is None else retry
@@ -222,6 +230,30 @@ class CodeOnDemand(Component):
             yield from self.pipeline.run(
                 "cod.invoke", attempt, task=task.name
             )
+        )
+
+    @classmethod
+    def estimate(cls, profile: TaskProfile, link: Link) -> CostEstimate:
+        """Code downloads once; every (re)use then runs locally, offline."""
+        download = profile.code_bytes + HEADER_BYTES
+        transfer_s, money = _transfer(link, download)
+        uses = max(1, profile.expected_reuses)
+        required = uses * profile.interactions * profile.work_units
+        compute_s = required / 1e6 / profile.local_speed
+        # COD's guest runs under the *local* grant, once per use.
+        penalty_s = uses * _quota_penalty(
+            profile.interactions * profile.work_units, profile.local_work_quota
+        )
+        per_use_time = (transfer_s / uses) + (compute_s + penalty_s) / uses
+        return CostEstimate(
+            paradigm=cls.paradigm,
+            wireless_bytes=download / uses,
+            time_s=per_use_time,
+            money=money / uses,
+            energy_j=(
+                download * _RADIO_J_PER_BYTE / uses
+                + compute_s / uses * _CPU_J_PER_S
+            ),
         )
 
     def release(self, names: Sequence[str]) -> List[str]:

@@ -5,22 +5,34 @@ plugged-in dynamically and used when needed".  Concretely: each
 paradigm (CS, REV, COD, MA), discovery flavour, and manager is a
 :class:`Component` registered with a host.  Components declare the
 message kinds they handle; the host's dispatcher routes inbound
-messages to them.  Because components are described by code units,
+messages to them.  A paradigm component also carries the paradigm
+contract: :meth:`Component.invoke` runs a task and
+:meth:`Component.estimate` prices it, so assessment and execution ship
+together.  Because components are described by code units,
 they can themselves be shipped and hot-swapped via COD (see
 :mod:`repro.core.update`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Generator, Optional
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Generator,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from ..errors import ComponentError
 from ..lmu import Version
-from ..net import Message
-from .adaptation import estimator_for, resolve_profile
+from ..net import Link, Message
+from .adaptation import PARADIGM_CLASSES, CostEstimate, TaskProfile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .host import MobileHost
+    from .invocation import InvocationTask, RetryPolicy
 
 #: A handler consumes one inbound message; it is run as a kernel process,
 #: so it may yield events (timeouts, sends) freely.
@@ -33,6 +45,12 @@ class Component:
     Subclasses set :attr:`kind` (registry name, e.g. ``"cod"``) and
     :attr:`version`, implement :meth:`handlers`, and may override the
     lifecycle hooks.  A component is *attached* to exactly one host.
+
+    A paradigm component also declares :attr:`paradigm` and
+    :attr:`requires_link` and implements :meth:`invoke` and
+    :meth:`estimate`.  Declaring :attr:`paradigm` in a class body
+    plugs the class in: ``ParadigmSelector`` can rank its kind from
+    then on.
     """
 
     kind: str = "component"
@@ -45,6 +63,11 @@ class Component:
     #: False when :meth:`invoke` works without a usable network link
     #: (local execution, COD against an already-cached unit).
     requires_link: bool = True
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if cls.__dict__.get("paradigm") is not None:
+            PARADIGM_CLASSES[cls.paradigm] = cls
 
     def __init__(self) -> None:
         self.host: Optional["MobileHost"] = None
@@ -102,31 +125,25 @@ class Component:
             )
         return self._pipeline
 
-    def cost(self, task, link):
-        """Predicted cost of :meth:`invoke` for ``task`` over ``link``.
+    # -- the paradigm contract -----------------------------------------------------
 
-        The default consults the estimator registered for this
-        component's :attr:`paradigm` (see
-        :func:`~repro.core.adaptation.register_estimator`).
-        """
-        if self.paradigm is None:
-            raise ComponentError(
-                f"component {self.kind} declares no paradigm to cost"
-            )
-        host = self.require_host()
-        task_name = getattr(task, "name", None)
-        local_work_quota = None
-        if task_name:
-            local_work_quota = host.policy.grant_for(
-                f"task:{task_name}"
-            ).work_units
-        profile = resolve_profile(
-            task,
-            local_speed=host.node.cpu_speed,
-            local_work_quota=local_work_quota,
-            observed_work=host.observed_guest_work(task_name),
-        )
-        return estimator_for(self.paradigm)(profile, link)
+    def invoke(
+        self,
+        task: "InvocationTask",
+        target: Union[str, Sequence[str], None],
+        retry: Optional["RetryPolicy"] = None,
+    ) -> Generator:
+        """Run ``task`` against ``target`` (generator; returns result)."""
+        raise NotImplementedError(f"component {self.kind} runs no paradigm")
+
+    @classmethod
+    def estimate(
+        cls, profile: TaskProfile, link: Optional[Link]
+    ) -> CostEstimate:
+        """Predicted cost of :meth:`invoke` for ``profile`` over ``link``
+        (``None`` only for a component that does not require a link),
+        labelled :attr:`paradigm`."""
+        raise NotImplementedError(f"component {cls.kind} prices no paradigm")
 
     def __repr__(self) -> str:
         owner = self.host.id if self.host else "unattached"

@@ -16,8 +16,15 @@ from __future__ import annotations
 from typing import Dict, Generator, Optional, Sequence, Union
 
 from ..lmu import estimate_size
-from ..net import Message
-from .adaptation import PARADIGM_CS
+from ..net import HEADER_BYTES, Link, Message
+from .adaptation import (
+    _RADIO_J_PER_BYTE,
+    PARADIGM_CS,
+    CostEstimate,
+    TaskProfile,
+    _quota_penalty,
+    _transfer,
+)
 from .components import Component, MessageHandler
 from .invocation import DEFAULT_RETRY, InvocationTask, RetryPolicy
 
@@ -96,8 +103,8 @@ class ClientServer(Component):
         target: Union[str, Sequence[str], None],
         retry: Optional[RetryPolicy] = None,
     ) -> Generator:
-        """Run ``task`` as service calls against each target (Paradigm
-        protocol).  The service named ``task.name`` must already exist
+        """Run ``task`` as service calls against each target (paradigm
+        contract).  The service named ``task.name`` must already exist
         remotely — CS moves no code (see
         :func:`~repro.core.invocation.provision_task`)."""
         policy = DEFAULT_RETRY if retry is None else retry
@@ -116,6 +123,29 @@ class ClientServer(Component):
         if isinstance(target, str):
             return results[0]
         return results
+
+    @classmethod
+    def estimate(cls, profile: TaskProfile, link: Link) -> CostEstimate:
+        """All interactions cross the wireless link; compute stays remote."""
+        per_round = (
+            profile.request_bytes + profile.reply_bytes + 2 * HEADER_BYTES
+        )
+        total_bytes = profile.interactions * per_round
+        transfer_s, transfer_money = _transfer(link, total_bytes)
+        seconds = transfer_s + (2 * link.latency_s) * max(
+            0, profile.interactions - 1
+        )
+        money = transfer_money
+        required = profile.interactions * profile.work_units
+        compute_s = required / 1e6 / profile.remote_speed
+        penalty_s = _quota_penalty(required, profile.remote_work_quota)
+        return CostEstimate(
+            paradigm=cls.paradigm,
+            wireless_bytes=total_bytes,
+            time_s=seconds + compute_s + penalty_s,
+            money=money,
+            energy_j=total_bytes * _RADIO_J_PER_BYTE,
+        )
 
     # -- server side ----------------------------------------------------------------
 

@@ -194,15 +194,10 @@ class MobileHost:
 
         Looked up by the component's declared :attr:`~Component.paradigm`
         (not its registry kind), so a plugged-in fifth paradigm is found
-        the same way the built-in four are.  Only components satisfying
-        the :class:`~repro.core.invocation.Paradigm` protocol (an
-        ``invoke`` entry point) qualify.
+        the same way the built-in four are.
         """
         for component in self.components.values():
-            if (
-                getattr(component, "paradigm", None) == paradigm
-                and hasattr(component, "invoke")
-            ):
+            if component.paradigm == paradigm:
                 return component
         if required:
             raise ComponentError(

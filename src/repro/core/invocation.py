@@ -34,8 +34,9 @@ provides:
   ``paradigm.<kind>.{calls,served,errors,retries}`` counters and a
   ``paradigm.<kind>.seconds`` histogram (see docs/OBSERVABILITY.md).
 
-On top of the pipeline sits the executable :class:`Paradigm` protocol:
-``invoke(task, target)`` plus ``cost(task, link)``, implemented by
+On top of the pipeline sits the paradigm contract on
+:class:`~repro.core.components.Component`: ``invoke(task, target)``
+plus the classmethod ``estimate(profile, link)``, implemented by
 ``ClientServer``, ``RemoteEvaluation``, ``CodeOnDemand``,
 ``AgentRuntime``, and the degenerate :class:`LocalExecution` — which
 is also the worked example for plugging in a fifth paradigm (see
@@ -51,11 +52,9 @@ from typing import (
     Dict,
     Generator,
     Optional,
-    Protocol,
     Sequence,
     Tuple,
     Union,
-    runtime_checkable,
 )
 
 from ..errors import (
@@ -75,6 +74,7 @@ from .adaptation import (  # noqa: F401 - re-exported from here
     normalize_targets,
     resolve_profile,
 )
+from .adaptation import _CPU_J_PER_S, _quota_penalty
 from .components import Component
 
 #: Failures worth retrying: the link dropped or the transport gave up.
@@ -485,40 +485,6 @@ def provision_task(host, task: InvocationTask) -> CodeUnit:
 
 
 # ---------------------------------------------------------------------------
-# The Paradigm protocol
-# ---------------------------------------------------------------------------
-
-
-@runtime_checkable
-class Paradigm(Protocol):
-    """What a pluggable paradigm implementation looks like.
-
-    Structural: any component exposing these members participates in
-    ``ParadigmSelector.select_and_invoke`` — assessment
-    (:meth:`cost`) and execution (:meth:`invoke`) finally meet.
-    """
-
-    #: The paradigm kind this component executes (``"cs"``, ``"rev"``,
-    #: ``"cod"``, ``"ma"``, ``"local"``, or a plugin's own kind).
-    paradigm: str
-    #: False when the paradigm can run without a usable link.
-    requires_link: bool
-
-    def invoke(
-        self,
-        task: InvocationTask,
-        target: Union[str, Sequence[str], None],
-        retry: Optional[RetryPolicy] = None,
-    ) -> Generator:
-        """Run ``task`` against ``target`` (generator; returns result)."""
-
-    def cost(
-        self, task: Union[InvocationTask, TaskProfile], link: Optional[Link]
-    ) -> CostEstimate:
-        """Predicted cost of running ``task`` over ``link``."""
-
-
-# ---------------------------------------------------------------------------
 # The degenerate fifth paradigm: run it here
 # ---------------------------------------------------------------------------
 
@@ -527,7 +493,7 @@ class LocalExecution(Component):
     """No mobility at all: the task runs in this host's own sandbox.
 
     Exists so the selector can compare "stay local" against the four
-    mobile paradigms through the same protocol (and as the worked
+    mobile paradigms through the same contract (and as the worked
     example of plugging in a fifth paradigm — see docs/TUTORIAL.md).
     """
 
@@ -551,4 +517,20 @@ class LocalExecution(Component):
 
         return (
             yield from self.pipeline.run("local.run", attempt, task=task.name)
+        )
+
+    @classmethod
+    def estimate(
+        cls, profile: TaskProfile, link: Optional[Link]
+    ) -> CostEstimate:
+        """Nothing moves: the task runs on the device's own (slow) CPU."""
+        required = profile.interactions * profile.work_units
+        compute_s = required / 1e6 / max(profile.local_speed, 1e-9)
+        penalty_s = _quota_penalty(required, profile.local_work_quota)
+        return CostEstimate(
+            paradigm=cls.paradigm,
+            wireless_bytes=0.0,
+            time_s=compute_s + penalty_s,
+            money=0.0,
+            energy_j=compute_s * _CPU_J_PER_S,
         )

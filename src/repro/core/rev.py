@@ -18,13 +18,20 @@ from typing import Dict, Generator, Optional, Sequence, Union
 
 from ..errors import UnitNotFound
 from ..lmu import DataUnit, Requirement, build_capsule, estimate_size
-from ..net import Message
+from ..net import HEADER_BYTES, Link, Message
 from ..security import (
     OP_ACCEPT_REV,
     WORK_UNITS_PER_SECOND,
     sign_capsule,
 )
-from .adaptation import PARADIGM_REV
+from .adaptation import (
+    _RADIO_J_PER_BYTE,
+    PARADIGM_REV,
+    CostEstimate,
+    TaskProfile,
+    _quota_penalty,
+    _transfer,
+)
 from .components import Component, MessageHandler
 from .invocation import DEFAULT_RETRY, InvocationTask, RetryPolicy
 
@@ -126,8 +133,8 @@ class RemoteEvaluation(Component):
         target: Union[str, Sequence[str], None],
         retry: Optional[RetryPolicy] = None,
     ) -> Generator:
-        """Run ``task`` by shipping its unit to each target (Paradigm
-        protocol).  The task's unit is (re)installed into the local
+        """Run ``task`` by shipping its unit to each target (paradigm
+        contract).  The task's unit is (re)installed into the local
         codebase so the capsule closure can resolve it."""
         host = self.require_host()
         policy = DEFAULT_RETRY if retry is None else retry
@@ -147,6 +154,30 @@ class RemoteEvaluation(Component):
         if isinstance(target, str):
             return results[0]
         return results
+
+    @classmethod
+    def estimate(cls, profile: TaskProfile, link: Link) -> CostEstimate:
+        """Code ships once; interactions happen at the server; one result
+        back."""
+        outbound = (
+            profile.code_bytes
+            + profile.request_bytes
+            + profile.state_bytes
+            + HEADER_BYTES
+        )
+        inbound = profile.result_bytes + HEADER_BYTES
+        total_bytes = outbound + inbound
+        transfer_s, money = _transfer(link, total_bytes)
+        required = profile.interactions * profile.work_units
+        compute_s = required / 1e6 / profile.remote_speed
+        penalty_s = _quota_penalty(required, profile.remote_work_quota)
+        return CostEstimate(
+            paradigm=cls.paradigm,
+            wireless_bytes=total_bytes,
+            time_s=transfer_s + compute_s + link.latency_s + penalty_s,
+            money=money,
+            energy_j=total_bytes * _RADIO_J_PER_BYTE,
+        )
 
     # -- server side ----------------------------------------------------------------
 

@@ -76,10 +76,16 @@ class TestAssess:
         assert assess(profile()).unanimous() is None
 
     def test_restricted_paradigm_set(self):
-        report = assess(profile(), paradigms=["cs", "rev"])
+        report = assess(profile(), paradigms=["rev", "cs"])
         for row in report.rows:
             assert row.winner in ("cs", "rev")
             assert len(row.estimates) == 2
+        # The table has one cost column per assessed paradigm, in the
+        # order they were asked for.
+        header = report.render().splitlines()[2].split()
+        assert header == [
+            "context", "rev", "cost", "cs", "cost", "winner", "margin", "x"
+        ]
 
     def test_render_contains_contexts_and_winners(self):
         report = assess(profile())

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.core import (
+    AgentRuntime,
     Battery,
+    ClientServer,
+    CodeOnDemand,
     ContextMonitor,
     ContextRegistry,
     CostWeights,
@@ -11,12 +14,9 @@ from repro.core import (
     KEY_NEIGHBORS,
     PARADIGMS,
     ParadigmSelector,
+    RemoteEvaluation,
     TaskProfile,
     World,
-    estimate_cod,
-    estimate_cs,
-    estimate_ma,
-    estimate_rev,
     standard_host,
 )
 from repro.net import GPRS, LAN, Position, WIFI_ADHOC
@@ -156,28 +156,30 @@ def profile(**overrides):
 
 class TestEstimators:
     def test_cs_scales_with_interactions(self):
-        small = estimate_cs(profile(interactions=1), GPRS_LINK)
-        large = estimate_cs(profile(interactions=100), GPRS_LINK)
+        small = ClientServer.estimate(profile(interactions=1), GPRS_LINK)
+        large = ClientServer.estimate(profile(interactions=100), GPRS_LINK)
         assert large.wireless_bytes > 50 * small.wireless_bytes
 
     def test_rev_pays_code_once(self):
-        few = estimate_rev(profile(interactions=1), GPRS_LINK)
-        many = estimate_rev(profile(interactions=100), GPRS_LINK)
+        few = RemoteEvaluation.estimate(profile(interactions=1), GPRS_LINK)
+        many = RemoteEvaluation.estimate(profile(interactions=100), GPRS_LINK)
         assert many.wireless_bytes == few.wireless_bytes  # traffic flat
 
     def test_cod_amortises_with_reuse(self):
-        once = estimate_cod(profile(expected_reuses=1), GPRS_LINK)
-        often = estimate_cod(profile(expected_reuses=100), GPRS_LINK)
+        once = CodeOnDemand.estimate(profile(expected_reuses=1), GPRS_LINK)
+        often = CodeOnDemand.estimate(profile(expected_reuses=100), GPRS_LINK)
         assert often.money < once.money
         assert often.wireless_bytes < once.wireless_bytes
 
     def test_ma_charges_two_wireless_hops(self):
-        estimate = estimate_ma(profile(), GPRS_LINK)
+        estimate = AgentRuntime.estimate(profile(), GPRS_LINK)
         assert estimate.wireless_bytes >= 2 * profile().code_bytes
 
     def test_money_zero_on_free_link(self):
-        for estimator in (estimate_cs, estimate_rev, estimate_cod, estimate_ma):
-            assert estimator(profile(), WIFI_LINK).money == 0.0
+        for paradigm in (
+            ClientServer, RemoteEvaluation, CodeOnDemand, AgentRuntime
+        ):
+            assert paradigm.estimate(profile(), WIFI_LINK).money == 0.0
 
 
 class TestSelector:

@@ -1,7 +1,5 @@
 """Tests for plugging in paradigms dynamically ("used when needed")."""
 
-from contextlib import contextmanager
-
 import pytest
 
 from repro.core import (
@@ -9,6 +7,7 @@ from repro.core import (
     AgentRuntime,
     ClientServer,
     CodeOnDemand,
+    Component,
     CostEstimate,
     CostWeights,
     MobileHost,
@@ -18,16 +17,15 @@ from repro.core import (
     World,
     component_unit,
     mutual_trust,
-    register_estimator,
     standard_host,
 )
-from repro.core import adaptation
 from repro.errors import ComponentError
 from repro.lmu import CodeRepository
 from repro.net import GPRS, LAN, Position
 from repro.net.network import _backbone_link
 from repro.security import OPEN_POLICY
 from tests.core.conftest import loss_free, run
+from tests.core.test_selector_ranking import make_task, make_world
 
 
 def minimal_host(world):
@@ -125,19 +123,48 @@ class TestPluginParadigms:
         assert mini.codebase.stats("component:agents").pinned
 
 
-@contextmanager
-def restored_estimators():
-    """Put the estimator registry back as it was on the way out."""
-    saved = dict(adaptation._ESTIMATORS)
-    try:
-        yield
-    finally:
-        adaptation._ESTIMATORS.clear()
-        adaptation._ESTIMATORS.update(saved)
+class Toy(Component):
+    """A fifth paradigm, plugged in by its class alone.
+
+    It prices a task at :attr:`position` of the way from the cheapest
+    built-in paradigm's composite (0) to the runner-up's (1), and runs
+    it by answering at once.
+    """
+
+    kind = "toy"
+    paradigm = "toy"
+    requires_link = False
+    position = 0.5
+
+    def invoke(self, task, target, retry=None):
+        yield self.env.timeout(0)
+        return f"toy:{task.name}"
+
+    @classmethod
+    def estimate(cls, profile, link):
+        best, runner_up = (
+            estimate.composite(CostWeights())
+            for estimate in ParadigmSelector().rank(profile, link)[:2]
+        )
+        return CostEstimate(
+            paradigm=cls.paradigm,
+            wireless_bytes=0.0,
+            time_s=best + cls.position * (runner_up - best),
+            money=0.0,
+            energy_j=0.0,
+        )
+
+
+class CheapToy(Toy):
+    """The toy priced below every built-in paradigm."""
+
+    kind = "cheap-toy"
+    paradigm = "cheap-toy"
+    position = -0.5
 
 
 class TestRegisterEstimator:
-    """A fifth paradigm's estimator ranks beside the built-in four."""
+    """A fifth paradigm's own ``estimate`` ranks it beside the four."""
 
     profile = TaskProfile(
         interactions=10,
@@ -154,28 +181,35 @@ class TestRegisterEstimator:
         builtin = ParadigmSelector().rank(self.profile, self.link, weights)
         best, runner_up = (e.composite(weights) for e in builtin[:2])
         assert best < runner_up
-        between = (best + runner_up) / 2
-
-        def estimate_toy(profile, link):
-            return CostEstimate(
-                paradigm="toy",
-                wireless_bytes=0.0,
-                time_s=between,
-                money=0.0,
-                energy_j=0.0,
-            )
-
-        with restored_estimators():
-            register_estimator("toy", estimate_toy)
-            ranked = ParadigmSelector(available=[*PARADIGMS, "toy"]).rank(
-                self.profile, self.link, weights
-            )
-        assert [e.paradigm for e in ranked] == [
-            builtin[0].paradigm,
-            "toy",
-            *(e.paradigm for e in builtin[1:]),
+        expected = [
+            builtin[0].paradigm, "toy", *(e.paradigm for e in builtin[1:])
         ]
-        assert ranked[1].composite(weights) == between
-        # Restored: the toy kind is unknown again.
-        with pytest.raises(ValueError):
-            ParadigmSelector(available=["toy"])
+        selector = ParadigmSelector(available=[*PARADIGMS, "toy"])
+        ranked = selector.rank(self.profile, self.link, weights)
+        assert [e.paradigm for e in ranked] == expected
+        assert ranked[1].composite(weights) == (best + runner_up) / 2
+
+        # The same class, installed on a host, ranks the same way there.
+        task = make_task("chore", 20_000.0, 20_000, interactions=3)
+        world, device, targets = make_world(task, servers=1)
+        device.add_component(Toy())
+        outcome = run(
+            world, selector.select_and_invoke(device, task, targets[0])
+        )
+        four = [e.paradigm for e in outcome.ranking if e.paradigm != "toy"]
+        assert [e.paradigm for e in outcome.ranking] == [
+            four[0], "toy", *four[1:]
+        ]
+        assert outcome.paradigm == four[0]
+
+    def test_cheapest_toy_paradigm_runs(self):
+        task = make_task("chore", 20_000.0, 20_000, interactions=3)
+        world, device, targets = make_world(task, servers=1)
+        device.add_component(CheapToy())
+        selector = ParadigmSelector(available=[*PARADIGMS, "cheap-toy"])
+        outcome = run(
+            world, selector.select_and_invoke(device, task, targets[0])
+        )
+        assert outcome.paradigm == "cheap-toy"
+        assert outcome.result == "toy:chore"
+        assert outcome.ranking[0].paradigm == "cheap-toy"

@@ -19,15 +19,12 @@ from repro.core import (
     PARADIGM_LOCAL,
     PARADIGM_REV,
     ParadigmSelector,
+    RemoteEvaluation,
+    TaskProfile,
     World,
     mutual_trust,
     provision_task,
     standard_host,
-)
-from repro.core.adaptation import (
-    TaskProfile,
-    estimate_local,
-    estimate_rev,
 )
 from repro.net import Position, WIFI_ADHOC
 from repro.security import QuotaGrant
@@ -136,8 +133,10 @@ class TestEstimatorPenalty:
         lenient = self.profile(remote_work_quota=None)
         capped = self.profile(remote_work_quota=CRUNCH_WORK)
         link = _fake_link()
-        assert estimate_rev(lenient, link).time_s == pytest.approx(
-            estimate_rev(capped, link).time_s
+        assert RemoteEvaluation.estimate(
+            lenient, link
+        ).time_s == pytest.approx(
+            RemoteEvaluation.estimate(capped, link).time_s
         )
 
     def test_starved_quota_adds_linear_penalty(self):
@@ -146,15 +145,18 @@ class TestEstimatorPenalty:
         link = _fake_link()
         excess = CRUNCH_WORK - 1_000.0
         delta = (
-            estimate_rev(starved, link).time_s
-            - estimate_rev(lenient, link).time_s
+            RemoteEvaluation.estimate(starved, link).time_s
+            - RemoteEvaluation.estimate(lenient, link).time_s
         )
         assert delta == pytest.approx(excess * 1.0e-4)
 
     def test_local_estimator_reads_local_quota(self):
         starved = self.profile(local_work_quota=1_000.0)
         lenient = self.profile(local_work_quota=None)
-        delta = estimate_local(starved).time_s - estimate_local(lenient).time_s
+        delta = (
+            LocalExecution.estimate(starved, None).time_s
+            - LocalExecution.estimate(lenient, None).time_s
+        )
         assert delta > 0
 
 

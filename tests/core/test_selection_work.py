@@ -3,10 +3,9 @@
 Exact counts, not timings: on a fixed small world whose context does
 not change between selections, ``select_and_invoke`` must
 
-* never copy a :class:`TaskProfile` (``dataclasses.replace``, as
-  ``repro.core.adaptation.replace``, is not called);
-* resolve the profile exactly once per selection plus once per priced
-  candidate (``Component.cost`` re-resolves what the selector built);
+* resolve the profile exactly once per selection, however many
+  candidates it prices (each ``Component.estimate`` prices the one
+  profile the selector built);
 * parse each version text at most once (``Version.parse`` memoises);
 * run no ``import`` statement.
 
@@ -17,7 +16,7 @@ import builtins
 
 import pytest
 
-from repro.core import ParadigmSelector, adaptation, components, provision_task
+from repro.core import ParadigmSelector, adaptation, provision_task
 from repro.lmu import units
 from tests.core.test_selector_ranking import ALL_FIVE, make_task, make_world
 
@@ -106,13 +105,10 @@ def warmed():
 
 
 def test_selection_path_work_counts(warmed, monkeypatch):
-    replace = Counting(adaptation.replace)
     resolve = Counting(adaptation.resolve_profile)
     pattern = CountingPattern(units._VERSION_RE)
     imports = Counting(builtins.__import__)
-    monkeypatch.setattr(adaptation, "replace", replace)
     monkeypatch.setattr(adaptation, "resolve_profile", resolve)
-    monkeypatch.setattr(components, "resolve_profile", resolve)
     monkeypatch.setattr(units, "_VERSION_RE", pattern)
     units._parse_version.cache_clear()
     monkeypatch.setattr(builtins, "__import__", imports)
@@ -120,9 +116,7 @@ def test_selection_path_work_counts(warmed, monkeypatch):
     monkeypatch.undo()
 
     assert {outcome.paradigm for outcome in outcomes} == set(ALL_FIVE)
-    priced = sum(len(outcome.ranking) for outcome in outcomes)
-    assert replace.calls == 0
-    assert resolve.calls == len(outcomes) + priced
+    assert resolve.calls == len(outcomes)
     assert pattern.texts, "the selections parsed no version at all"
     assert max(pattern.texts.values()) == 1, pattern.texts
     assert imports.calls == 0

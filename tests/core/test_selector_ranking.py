@@ -1,15 +1,13 @@
-"""``select_and_invoke`` ranks exactly what its estimators say.
+"""``select_and_invoke`` ranks exactly what its components' estimates say.
 
 Each case builds a small world (a GPRS device carrying all five
 paradigm components, LAN servers), works out the selector's inputs by
 hand — link, speeds, both sides' quota grants, metered work — builds
 the :class:`TaskProfile` from them afresh, and prices every installed
-paradigm with its registered estimator.  The selector's ranking,
-winning estimate and chosen paradigm must equal those estimates sorted
-by composite, ties in ``available`` order.
+paradigm with its component class's ``estimate``.  The selector's
+ranking, winning estimate and chosen paradigm must equal those
+estimates sorted by composite, ties in ``available`` order.
 """
-
-from dataclasses import replace
 
 import pytest
 
@@ -20,13 +18,10 @@ from repro.core import (
     ParadigmSelector,
     TaskProfile,
     World,
-    estimate_local,
-    estimator_for,
     mutual_trust,
     provision_task,
     standard_host,
 )
-from repro.core import adaptation
 from repro.net import GPRS, LAN, Position
 from tests.core.conftest import loss_free, run
 
@@ -92,11 +87,11 @@ def expected_ranking(selector, device, task, target, weights):
         local_work_quota=device.policy.grant_for(principal).work_units,
         remote_work_quota=peer.policy.grant_for(principal).work_units,
     )
-    estimates = [
-        estimator_for(kind)(profile, link)
-        for kind in selector.available
-        if device.paradigm_component(kind, required=False) is not None
-    ]
+    estimates = []
+    for kind in selector.available:
+        component = device.paradigm_component(kind, required=False)
+        if component is not None:
+            estimates.append(type(component).estimate(profile, link))
     return profile, sorted(estimates, key=lambda e: e.composite(weights))
 
 
@@ -168,23 +163,14 @@ class TestRankingMatchesEstimators:
 
 
 class LocalTwin(LocalExecution):
-    """A plugged-in paradigm priced exactly like ``local``."""
+    """A plugged-in paradigm priced exactly like ``local``: its class is
+    all it needs to be ranked."""
 
     kind = "local-twin"
     paradigm = "local-twin"
 
 
 class TestTiesKeepAvailableOrder:
-    @pytest.fixture(autouse=True)
-    def twin_estimator(self, monkeypatch):
-        monkeypatch.setitem(
-            adaptation._ESTIMATORS,
-            "local-twin",
-            lambda profile, link=None: replace(
-                estimate_local(profile, link), paradigm="local-twin"
-            ),
-        )
-
     @pytest.mark.parametrize(
         "available",
         [

@@ -10,11 +10,11 @@ within a factor-two band.
 import pytest
 
 from repro.core import (
+    ClientServer,
+    CodeOnDemand,
+    RemoteEvaluation,
     TaskProfile,
     World,
-    estimate_cod,
-    estimate_cs,
-    estimate_rev,
     mutual_trust,
     standard_host,
 )
@@ -97,8 +97,8 @@ class TestEstimatorOrdering:
         for rounds in (1, 40):
             cs_sim_bytes, cs_sim_time = simulate_cs(rounds)
             rev_sim_bytes, rev_sim_time = simulate_rev(rounds)
-            cs_est = estimate_cs(profile(rounds), LINK)
-            rev_est = estimate_rev(profile(rounds), LINK)
+            cs_est = ClientServer.estimate(profile(rounds), LINK)
+            rev_est = RemoteEvaluation.estimate(profile(rounds), LINK)
             sim_winner = "cs" if cs_sim_time < rev_sim_time else "rev"
             est_winner = "cs" if cs_est.time_s < rev_est.time_s else "rev"
             assert sim_winner == est_winner, f"disagreement at n={rounds}"
@@ -106,19 +106,19 @@ class TestEstimatorOrdering:
     def test_traffic_magnitudes_within_factor_two(self):
         for rounds in (1, 10, 40):
             cs_sim_bytes, _time = simulate_cs(rounds)
-            cs_est = estimate_cs(profile(rounds), LINK)
+            cs_est = ClientServer.estimate(profile(rounds), LINK)
             assert cs_est.wireless_bytes == pytest.approx(
                 cs_sim_bytes, rel=1.0
             )
         rev_sim_bytes, _time = simulate_rev(10)
-        rev_est = estimate_rev(profile(10), LINK)
+        rev_est = RemoteEvaluation.estimate(profile(10), LINK)
         assert rev_est.wireless_bytes == pytest.approx(rev_sim_bytes, rel=1.0)
 
     def test_cs_time_estimate_tracks_simulation_growth(self):
         _bytes_small, time_small = simulate_cs(2)
         _bytes_large, time_large = simulate_cs(20)
-        est_small = estimate_cs(profile(2), LINK).time_s
-        est_large = estimate_cs(profile(20), LINK).time_s
+        est_small = ClientServer.estimate(profile(2), LINK).time_s
+        est_large = ClientServer.estimate(profile(20), LINK).time_s
         sim_growth = time_large / time_small
         est_growth = est_large / est_small
         assert est_growth == pytest.approx(sim_growth, rel=0.5)
@@ -127,7 +127,7 @@ class TestEstimatorOrdering:
         # The estimator says per-use cost falls with reuse; verify the
         # simulated equivalent: second play of a fetched unit is nearly
         # free compared to the first.
-        once = estimate_cod(profile(1), LINK)
+        once = CodeOnDemand.estimate(profile(1), LINK)
         often_profile = TaskProfile(
             interactions=1,
             request_bytes=REQUEST_BYTES,
@@ -139,6 +139,6 @@ class TestEstimatorOrdering:
             remote_speed=2.0,
             expected_reuses=10,
         )
-        often = estimate_cod(often_profile, LINK)
+        often = CodeOnDemand.estimate(often_profile, LINK)
         assert often.money < once.money
         assert often.wireless_bytes < once.wireless_bytes
