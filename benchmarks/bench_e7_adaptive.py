@@ -85,7 +85,11 @@ def test_e7_adaptive(benchmark):
             "adaptive picks",
         ],
         rows,
-        note="composite = time + money (equal weights); estimators validated by E1",
+        note=(
+            "composite = time + money (equal weights); costs predicted by "
+            "the selector's own estimators (realised costs: ROADMAP, "
+            "'Measure E7')"
+        ),
     )
     write_result("e7_adaptive", table)
     metrics = {}

@@ -107,12 +107,11 @@ def run_rev(count, observe=False):
         original = sensor.guest_session
 
         def patched(
-            principal, services=None, provider=None, _space=space,
-            _original=original,
+            principal, services=None, _space=space, _original=original
         ):
             services = dict(services or {})
             services["lime_space"] = _space
-            return _original(principal, services, provider)
+            return _original(principal, services)
 
         sensor.guest_session = patched
     consumer.codebase.install(aggregation_unit())

@@ -6,9 +6,9 @@ bombs, and a service-flood confused deputy) attacks the servers, and
 enforces four properties:
 
 * **Containment**: every launched hostile guest is terminated by its
-  strict :class:`~repro.security.QuotaGrant` with ``SandboxViolation``
+  :class:`~repro.security.QuotaGrant` with ``SandboxViolation``
   (``hostile.terminated == hostile.guests``) and nothing escapes the
-  provider substrate (``hostile.escapes == 0``).
+  sandbox (``hostile.escapes == 0``).
 * **Service survival**: benign completion stays at or above the 95%
   floor while the attacks run — encoded with the other ceilings in
   ``benchmarks/baselines/hostile.json`` and checked by the shared
@@ -19,7 +19,7 @@ enforces four properties:
   metered cost is a pure function of its grant.
 * **Attribution**: the written report carries the attack cost in
   per-node labeled ``hostile.*`` / ``security.*`` families, with the
-  strict provider's work clamped at exactly the grant.
+  hungriest guest's work clamped at exactly the grant.
 
 ``--quick`` shrinks the fleet and request count for CI smoke runs; the
 floor document applies to both sizes.
@@ -68,8 +68,8 @@ def test_hostile_containment_gate():
     assert summary["hostile.escapes"] == 0.0, (
         f"{summary['hostile.escapes']:g} hostile guests escaped"
     )
-    # The strict provider clamps the hungriest guest at exactly the
-    # grant — overshoot here means post-hoc metering leaked in.
+    # The sandbox clamps the hungriest guest at exactly the grant —
+    # overshoot here means a charge landed past the quota.
     assert (
         first.report["metrics"]["hostile.work_units.max"]
         == HOSTILE_GRANT.work_units

@@ -45,7 +45,8 @@ PARADIGMS = (PARADIGM_CS, PARADIGM_REV, PARADIGM_COD, PARADIGM_MA)
 #: Paradigm kind -> the component class that executes and prices it.
 #: ``Component.__init_subclass__`` fills it with every class that
 #: declares ``paradigm`` in its own body, so defining a plug-in's class
-#: is all it takes for :class:`ParadigmSelector` to rank its kind.
+#: is all it takes for :class:`ParadigmSelector` to rank its kind; a
+#: second class declaring a held kind is refused.
 PARADIGM_CLASSES: Dict[str, type[Component]] = {}
 
 

@@ -133,21 +133,16 @@ class AgentContext:
         self._agent = agent
         self._trip = trip
         host = runtime.require_host()
-        # The agent's whole stay at this host is one provider session:
+        # The agent's whole stay at this host is one sandbox session:
         # every ``execute``/``invoke_local`` charge lands on the
-        # session's metered context, and closing it (lifecycle end or
-        # departure) emits the stay's resource metrics.
-        self._provider, self._session = host.guest_session(
-            principal=agent.agent_id
-        )
+        # session's metered context, and closing it once (lifecycle end
+        # or departure) emits the stay's resource metrics.
+        self._session = host.guest_session(principal=agent.agent_id)
         self._exec = self._session.context
 
     def close(self) -> None:
-        """End this stay's provider session (idempotent)."""
-        if self._session.open:
-            self._runtime.require_host().close_guest_session(
-                self._provider, self._session
-            )
+        """End this stay's sandbox session."""
+        self._runtime.require_host().close_guest_session(self._session)
 
     # -- observation ---------------------------------------------------------
 
@@ -403,7 +398,7 @@ class AgentRuntime(Component):
     def _guarded_arrival(
         self, agent: Agent, context: AgentContext
     ) -> Generator:
-        """Run ``on_arrival`` inside the stay's provider session."""
+        """Run ``on_arrival`` inside the stay's sandbox session."""
         try:
             yield from agent.on_arrival(context)
         finally:

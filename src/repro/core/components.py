@@ -50,7 +50,9 @@ class Component:
     :attr:`requires_link` and implements :meth:`invoke` and
     :meth:`estimate`.  Declaring :attr:`paradigm` in a class body
     plugs the class in: ``ParadigmSelector`` can rank its kind from
-    then on.
+    then on.  A kind has one class: declaring a kind another class
+    already holds raises :class:`~repro.errors.ComponentError`
+    (a subclass that inherits its kind does not declare it).
     """
 
     kind: str = "component"
@@ -66,8 +68,15 @@ class Component:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        if cls.__dict__.get("paradigm") is not None:
-            PARADIGM_CLASSES[cls.paradigm] = cls
+        kind = cls.__dict__.get("paradigm")
+        if kind is None:
+            return
+        holder = PARADIGM_CLASSES.get(kind)
+        if holder is not None:
+            raise ComponentError(
+                f"paradigm {kind!r} is already held by {holder.__qualname__}"
+            )
+        PARADIGM_CLASSES[kind] = cls
 
     def __init__(self) -> None:
         self.host: Optional["MobileHost"] = None

@@ -25,14 +25,12 @@ from ..lmu import Capsule, Codebase, CodeRepository
 from ..net import Message, NetworkNode
 from ..security import (
     ExecuteResult,
-    InProcessProvider,
     KeyPair,
-    QuotaGrant,
+    Metrics,
     SandboxProvider,
     SecurityPolicy,
     SessionInfo,
     SIGNED_POLICY,
-    StrictProvider,
     TrustStore,
     WORK_UNITS_PER_SECOND,
     capsule_verification_delay,
@@ -70,14 +68,10 @@ class MobileHost:
             quota_bytes=quota_bytes, now=lambda: self.env.now
         )
         self.truststore = TrustStore()
-        #: Pluggable guest-execution substrate: provider name ->
-        #: :class:`~repro.security.SandboxProvider`.  Which provider a
-        #: guest runs under is decided by the principal's
-        #: :class:`~repro.security.QuotaGrant` (see ``run_guest``).
-        self.providers: Dict[str, SandboxProvider] = {
-            "inprocess": InProcessProvider(node.id, metrics=world.metrics),
-            "strict": StrictProvider(node.id, metrics=world.metrics),
-        }
+        #: The guest-execution substrate: every guest runs here under
+        #: its principal's :class:`~repro.security.QuotaGrant` (see
+        #: ``run_guest``).
+        self.sandbox = SandboxProvider(node.id, metrics=world.metrics)
         #: Last observed metered work per task name, fed into the
         #: paradigm cost model so the selector prices CPU it has seen,
         #: not just the task's declared estimate.
@@ -380,44 +374,25 @@ class MobileHost:
             self.battery.consume_cpu(seconds)
         return seconds
 
-    def provider_for(self, grant: QuotaGrant) -> SandboxProvider:
-        """The installed provider a grant names (default: in-process)."""
-        return self.providers.get(grant.provider, self.providers["inprocess"])
-
     def guest_session(
         self,
         principal: str,
         services: Optional[Dict[str, object]] = None,
-        provider: Optional[str] = None,
-    ) -> Tuple[SandboxProvider, SessionInfo]:
+    ) -> SessionInfo:
         """Open a guest-execution session for ``principal``.
 
         The policy's :meth:`~repro.security.SecurityPolicy.grant_for`
-        picks the quotas and (unless ``provider`` overrides it) the
-        provider flavor.  The caller owns the session: run guests with
-        ``provider.execute(session, guest, *args)`` and finish with
+        picks the quotas.  The caller owns the session: run guests with
+        ``host.sandbox.execute(session, guest, *args)`` and finish with
         :meth:`close_guest_session`.
         """
-        grant = self.policy.grant_for(principal)
-        chosen = (
-            self.providers[provider]
-            if provider is not None
-            else self.provider_for(grant)
+        return self.sandbox.open_session(
+            principal, self.policy.grant_for(principal), services=services
         )
-        session = chosen.open_session(
-            principal,
-            grant,
-            services=services,
-            now=self.env.now,
-            cpu_speed=self.node.cpu_speed,
-        )
-        return chosen, session
 
-    def close_guest_session(
-        self, provider: SandboxProvider, session: SessionInfo
-    ) -> "object":
+    def close_guest_session(self, session: SessionInfo) -> Metrics:
         """Close a guest session, emitting its final metrics."""
-        return provider.close_session(session, now=self.env.now)
+        return self.sandbox.close_session(session)
 
     def run_guest(
         self,
@@ -425,10 +400,9 @@ class MobileHost:
         principal: str,
         *args: object,
         services: Optional[Dict[str, object]] = None,
-        provider: Optional[str] = None,
         task_name: Optional[str] = None,
     ) -> ExecuteResult:
-        """Run one guest callable through this host's provider substrate.
+        """Run one guest callable in this host's sandbox.
 
         Opens a single-use session under ``principal``'s grant,
         executes, and closes.  The caller still pays the simulated CPU
@@ -437,13 +411,11 @@ class MobileHost:
         observation feeds the paradigm cost model
         (:meth:`observed_guest_work`).
         """
-        chosen, session = self.guest_session(
-            principal, services=services, provider=provider
-        )
+        session = self.guest_session(principal, services=services)
         try:
-            result = chosen.execute(session, guest, *args)
+            result = self.sandbox.execute(session, guest, *args)
         finally:
-            self.close_guest_session(chosen, session)
+            self.close_guest_session(session)
         if task_name is not None and result.work_used > 0:
             self._observed_work[task_name] = result.work_used
         return result

@@ -73,7 +73,7 @@ def build_fleet(
     disruption.  Servers are provisioned to serve ``task`` (and
     advertise it for discovery); everyone trusts everyone.
     ``server_policy`` overrides the servers' security policy (how
-    hostile runs arm strict quota grants on the attack surface).
+    hostile runs arm tight quota grants on the attack surface).
     """
     task = task if task is not None else chaos_task()
     client_hosts = [
@@ -466,23 +466,22 @@ def _fleet_job(
 # ---------------------------------------------------------------------------
 
 
-#: The strict grant hostile principals receive under
-#: :func:`hostile_policy`: small enough that every hostile body trips
-#: its quota within sim-milliseconds, enforced by the strict provider.
+#: The grant hostile principals receive under :func:`hostile_policy`:
+#: small enough that every hostile body is preempted at its quota
+#: within sim-milliseconds.
 HOSTILE_GRANT = QuotaGrant(
     work_units=40_000.0,
     storage_bytes=32_000,
     service_calls=16,
-    provider="strict",
 )
 
 
 def hostile_policy() -> SecurityPolicy:
-    """A server policy arming strict quotas on hostile principals.
+    """A server policy arming tight quotas on hostile principals.
 
     Every principal matching ``hostile:*`` runs under
-    :data:`HOSTILE_GRANT` on the strict provider; everyone else keeps
-    the default budgets, so the benign workload is untouched.
+    :data:`HOSTILE_GRANT`; everyone else keeps the default budgets, so
+    the benign workload is untouched.
     """
     return SecurityPolicy(
         require_signatures=True,

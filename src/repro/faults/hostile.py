@@ -5,14 +5,14 @@ callable with the standard sandbox signature ``body(context) -> value``
 (see :class:`repro.security.ExecutionContext`).  They are the attack
 half of the hostile-guest fault family — the
 :class:`~repro.faults.injectors.FaultInjector` launches them into a
-target host's provider substrate (``host.run_guest``), where the
+target host's sandbox (``host.run_guest``), where the
 principal's :class:`~repro.security.QuotaGrant` must terminate every
 one of them with :class:`~repro.errors.SandboxViolation` before it can
 starve the host.
 
 The bodies are written so their behaviour is a pure function of the
-grant: a quota loop always trips after a bounded number of charges
-under both provider flavors, keeping hostile runs bit-deterministic.
+grant: a quota loop is always preempted after a bounded number of
+charges, keeping hostile runs bit-deterministic.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ def quota_loop_guest() -> Callable:
 
     Charges half the remaining budget each step (always at least one
     unit), so it exhausts any finite grant in O(log budget) charges and
-    the final overdraft charge trips :class:`SandboxViolation` under
-    both the post-hoc and the strict provider.
+    the first charge that would overdraw it is preempted with
+    :class:`SandboxViolation`.
     """
 
     def body(context):

@@ -145,9 +145,9 @@ class FaultInjector:
     def _apply_hostile(self, spec: FaultSpec):
         """Launch the named hostile guest into each target host.
 
-        The guest runs through the target's provider substrate under
-        the principal ``hostile:<guest>``, so the host's policy decides
-        the quota grant (and provider flavor) that must terminate it.
+        The guest runs in the target's sandbox under the principal
+        ``hostile:<guest>``, so the host's policy decides the quota
+        grant that must terminate it.
         The host then pays the metered CPU the guest actually consumed
         — a hostile guest costs its victim real simulated time, capped
         by the grant.  Outcomes land in per-node ``hostile.*`` metrics:

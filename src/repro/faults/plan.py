@@ -25,7 +25,7 @@ Fault kinds (see docs/ROBUSTNESS.md for the model):
 * ``hostile_guest`` — a named hostile guest body (quota-exhaustion
   loop, scratch-storage bomb, service-flood confused deputy; see
   :data:`repro.faults.hostile.HOSTILE_GUESTS`) is launched into each
-  target host's sandbox-provider substrate at ``at``.
+  target host's sandbox at ``at``.
 
 Message-window faults (`drop`/`duplicate`/`delay`/`corrupt`) accept
 ``targets`` (destination node ids; empty = every node) and

@@ -3,9 +3,9 @@
 Implements the paper's security story — "digital signatures can be used
 to ensure the safety and authenticity of the downloaded code" plus "a
 protected environment to host mobile agents and serve REV requests" —
-with simulated (HMAC-based) asymmetric signatures and pluggable
-sandbox providers (:mod:`repro.security.provider`) that meter guest
-CPU, scratch storage, and service calls against per-principal
+with simulated (HMAC-based) asymmetric signatures and a sandbox
+provider (:mod:`repro.security.provider`) that meters guest CPU,
+scratch storage, and service calls against per-principal
 :class:`~repro.security.policy.QuotaGrant`\\ s.  See docs/SECURITY.md.
 """
 
@@ -36,11 +36,9 @@ from .policy import (
 )
 from .provider import (
     ExecuteResult,
-    InProcessProvider,
     Metrics,
     SandboxProvider,
     SessionInfo,
-    StrictProvider,
 )
 from .sandbox import WORK_UNITS_PER_SECOND, ExecutionContext
 from .signing import capsule_verification_delay, sign_capsule, verify_capsule
@@ -51,7 +49,6 @@ __all__ = [
     "CLIENT_ONLY_POLICY",
     "ExecuteResult",
     "ExecutionContext",
-    "InProcessProvider",
     "KeyPair",
     "Metrics",
     "OPEN_POLICY",
@@ -70,7 +67,6 @@ __all__ = [
     "SecurityPolicy",
     "SessionInfo",
     "Signature",
-    "StrictProvider",
     "TrustStore",
     "VERIFY_FIXED_S",
     "VERIFY_PER_BYTE_S",

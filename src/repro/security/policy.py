@@ -37,17 +37,14 @@ ALL_OPERATIONS = frozenset(
 class QuotaGrant:
     """Resource quotas one principal's guest executions receive.
 
-    The grant names the provider flavor that enforces it:
-    ``"inprocess"`` meters post hoc (the cooperative default), while
-    ``"strict"`` preempts deterministically at charge points.  A
-    ``service_calls`` of ``None`` counts host-service lookups without
-    capping them.
+    The sandbox preempts a guest at the charge point that would cross
+    a quota.  A ``service_calls`` of ``None`` counts host-service
+    lookups without capping them.
     """
 
     work_units: float = 1_000_000_000.0
     storage_bytes: int = 1_000_000
     service_calls: Optional[int] = None
-    provider: str = "inprocess"
 
 
 #: The grant a principal receives when no ``quota_grants`` key matches

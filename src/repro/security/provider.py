@@ -1,4 +1,4 @@
-"""Pluggable sandbox providers: the guest-execution substrate.
+"""The sandbox provider: the guest-execution substrate of one host.
 
 A :class:`SandboxProvider` owns the lifecycle of guest execution on one
 host: it opens a metered *session* for a principal under a
@@ -6,21 +6,14 @@ host: it opens a metered *session* for a principal under a
 inside that session's :class:`~repro.security.sandbox.ExecutionContext`
 (never letting any guest exception class escape into the kernel), and
 closes the session with a final per-run :class:`Metrics` record — work
-units consumed, peak scratch bytes held, wall simulated seconds, and
-service-call counts.
+units consumed, peak scratch bytes held, and service-call counts.
 
-Two providers ship:
+Quotas preempt deterministically at charge points: a charge that would
+cross the work quota never lands, and the guest's metered work is
+clamped to exactly the grant, so two same-seed runs terminate a hostile
+guest at the same charge with the same tally.
 
-* :class:`InProcessProvider` — the historical flavor: budgets are
-  checked *post hoc* (a charge lands, then trips the violation), which
-  matches the cooperative metering the middleware has always done;
-* :class:`StrictProvider` — hard quotas with **deterministic
-  preemption at charge points**: a charge that would cross the quota
-  never lands; the guest's metered work is clamped to exactly the
-  grant, so two same-seed runs terminate a hostile guest at the same
-  charge with the same tally.
-
-Providers emit the ``security.*`` metric families with per-node
+The provider emits the ``security.*`` metric families with per-node
 labeled children (``labels={"node": ...}``), so hostile-guest activity
 shows up both per host and in fleet rollups.
 """
@@ -32,7 +25,7 @@ from typing import Any, Dict, Optional
 
 from ..errors import SandboxViolation, to_wire, WIRE_ERROR_KEY, WIRE_TYPE_KEY
 from .policy import QuotaGrant
-from .sandbox import WORK_UNITS_PER_SECOND, ExecutionContext
+from .sandbox import ExecutionContext
 
 
 @dataclass(frozen=True)
@@ -41,28 +34,16 @@ class Metrics:
 
     work_units: float = 0.0
     peak_storage_bytes: int = 0
-    wall_sim_seconds: float = 0.0
     service_calls: int = 0
 
 
 @dataclass
 class SessionInfo:
-    """One open guest-execution session on a provider."""
+    """One guest-execution session on a provider."""
 
-    session_id: str
     host_id: str
     principal: str
-    provider: str
     context: ExecutionContext
-    #: CPU speed of the hosting node, for the wall-sim-seconds figure.
-    cpu_speed: float = 1.0
-    opened_at: float = 0.0
-    closed_at: Optional[float] = None
-    executions: int = 0
-
-    @property
-    def open(self) -> bool:
-        return self.closed_at is None
 
     def totals(self) -> Metrics:
         """Cumulative consumption across every run in this session."""
@@ -70,8 +51,6 @@ class SessionInfo:
         return Metrics(
             work_units=context.work_used,
             peak_storage_bytes=context.peak_storage_bytes,
-            wall_sim_seconds=context.work_used
-            / (WORK_UNITS_PER_SECOND * max(self.cpu_speed, 1e-9)),
             service_calls=context.service_calls,
         )
 
@@ -106,25 +85,16 @@ class ExecuteResult:
 
 
 class SandboxProvider:
-    """Base provider: session lifecycle + contained guest execution.
-
-    Subclasses set :attr:`name` / :attr:`strict` and inherit the whole
-    mechanism — the strict/post-hoc distinction lives in
-    :meth:`ExecutionContext.charge`, keyed off the context's ``strict``
-    flag this provider sets at :meth:`open_session`.
+    """Session lifecycle + contained guest execution on one host.
 
     ``metrics`` (a :class:`~repro.sim.metrics.MetricsRegistry`, or
     None) receives the ``security.*`` families with per-node labeled
     children.
     """
 
-    name: str = "provider"
-    strict: bool = False
-
     def __init__(self, host_id: str, metrics: Optional[Any] = None) -> None:
         self.host_id = host_id
         self.metrics = metrics
-        self._session_counter = 0
         self._m_runs = None
         self._m_violations = None
         self._m_errors = None
@@ -159,35 +129,17 @@ class SandboxProvider:
         principal: str,
         grant: QuotaGrant,
         services: Optional[Dict[str, Any]] = None,
-        now: float = 0.0,
-        cpu_speed: float = 1.0,
     ) -> SessionInfo:
         """Open a metered session for ``principal`` under ``grant``."""
         context = ExecutionContext(
-            host_id=self.host_id,
-            principal=principal,
-            work_budget=grant.work_units,
-            storage_budget_bytes=grant.storage_bytes,
-            services=services,
-            service_call_budget=grant.service_calls,
-            strict=self.strict,
+            self.host_id, principal, grant, services=services
         )
-        self._session_counter += 1
         return SessionInfo(
-            session_id=f"{self.host_id}:{self.name}:{self._session_counter}",
-            host_id=self.host_id,
-            principal=principal,
-            provider=self.name,
-            context=context,
-            cpu_speed=cpu_speed,
-            opened_at=now,
+            host_id=self.host_id, principal=principal, context=context
         )
 
-    def close_session(
-        self, session: SessionInfo, now: float = 0.0
-    ) -> Metrics:
+    def close_session(self, session: SessionInfo) -> Metrics:
         """Close the session; returns its cumulative :class:`Metrics`."""
-        session.closed_at = now
         totals = session.totals()
         if self.metrics is not None:
             self._m_storage_peak.observe(float(totals.peak_storage_bytes))
@@ -208,7 +160,6 @@ class SandboxProvider:
         ``error_wire`` carries the typed payload.
         """
         context = session.context
-        session.executions += 1
         work_before = context.work_used
         calls_before = context.service_calls
         if self.metrics is not None:
@@ -218,75 +169,43 @@ class SandboxProvider:
         except SandboxViolation as violation:
             if self.metrics is not None:
                 self._m_violations.increment()
-            return self._failure(session, violation, work_before, calls_before)
+            return _failure(context, violation, work_before, calls_before)
         except BaseException as error:  # noqa: BLE001 - guests are untrusted
             if self.metrics is not None:
                 self._m_errors.increment()
-            return self._failure(session, error, work_before, calls_before)
+            return _failure(context, error, work_before, calls_before)
         if self.metrics is not None:
             self._m_work.observe(context.work_used)
         return ExecuteResult(
             ok=True,
             value=value,
             work_used=context.work_used,
-            metrics=self._run_metrics(session, work_before, calls_before),
-        )
-
-    # -- internals ------------------------------------------------------------
-
-    def _run_metrics(
-        self, session: SessionInfo, work_before: float, calls_before: int
-    ) -> Metrics:
-        context = session.context
-        delta = context.work_used - work_before
-        return Metrics(
-            work_units=delta,
-            peak_storage_bytes=context.peak_storage_bytes,
-            wall_sim_seconds=delta
-            / (WORK_UNITS_PER_SECOND * max(session.cpu_speed, 1e-9)),
-            service_calls=context.service_calls - calls_before,
-        )
-
-    def _failure(
-        self,
-        session: SessionInfo,
-        error: BaseException,
-        work_before: float,
-        calls_before: int,
-    ) -> ExecuteResult:
-        wire = to_wire(error)
-        return ExecuteResult(
-            ok=False,
-            error=str(wire.get(WIRE_ERROR_KEY)),
-            error_wire=wire,
-            work_used=session.context.work_used,
-            metrics=self._run_metrics(session, work_before, calls_before),
+            metrics=_run_metrics(context, work_before, calls_before),
         )
 
 
-class InProcessProvider(SandboxProvider):
-    """Post-hoc metering: charges land, then trip the budget check.
+def _failure(
+    context: ExecutionContext,
+    error: BaseException,
+    work_before: float,
+    calls_before: int,
+) -> ExecuteResult:
+    wire = to_wire(error)
+    return ExecuteResult(
+        ok=False,
+        error=str(wire.get(WIRE_ERROR_KEY)),
+        error_wire=wire,
+        work_used=context.work_used,
+        metrics=_run_metrics(context, work_before, calls_before),
+    )
 
-    This is the historical sandbox flavor — a guest may overshoot its
-    work budget by the size of its final charge before the violation
-    fires, which is the right model for cooperative metering of
-    trusted-but-buggy guests.
-    """
 
-    name = "inprocess"
-    strict = False
-
-
-class StrictProvider(SandboxProvider):
-    """Hard quotas with deterministic preemption at charge points.
-
-    A charge that would cross the work quota never lands: the guest's
-    metered work is clamped to exactly the grant and the violation
-    fires *at* the charge point, so the host never pays (or simulates)
-    more CPU than the grant allows.  Service calls past the grant are
-    refused the same way.  This is the provider hostile-guest fault
-    plans run under.
-    """
-
-    name = "strict"
-    strict = True
+def _run_metrics(
+    context: ExecutionContext, work_before: float, calls_before: int
+) -> Metrics:
+    """One run's own consumption: the deltas since it started."""
+    return Metrics(
+        work_units=context.work_used - work_before,
+        peak_storage_bytes=context.peak_storage_bytes,
+        service_calls=context.service_calls - calls_before,
+    )

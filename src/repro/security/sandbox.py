@@ -9,11 +9,10 @@ converts any guest exception into a structured
 :class:`~repro.security.provider.ExecuteResult`, so a hostile or buggy
 unit can never crash its host.
 
-Two metering disciplines exist, selected by the context's ``strict``
-flag (set by the owning provider): post-hoc (the historical flavor —
-a charge lands, then trips the check) and strict (the charge that
-would cross the quota never lands; usage is clamped to exactly the
-budget, giving deterministic preemption at charge points).
+The budgets come from the principal's
+:class:`~repro.security.policy.QuotaGrant`.  A guest is preempted at
+the charge point: a charge that would cross the work quota never
+lands, and usage is clamped to exactly the budget.
 
 Work units map to simulated CPU time through the host's ``cpu_speed``
 (see :data:`WORK_UNITS_PER_SECOND`); the middleware yields that delay.
@@ -25,35 +24,34 @@ from typing import Any, Dict, Optional
 
 from ..errors import SandboxViolation
 from ..lmu.serializer import estimate_size
+from .policy import DEFAULT_GRANT, QuotaGrant
 
 #: Work units one reference-speed (1.0) host executes per simulated second.
 WORK_UNITS_PER_SECOND = 1_000_000.0
 
 
 class ExecutionContext:
-    """What guest code sees of its host: metered CPU, storage, services."""
+    """What guest code sees of its host: metered CPU, storage, services.
+
+    Its budgets are the caps of ``grant`` (:data:`DEFAULT_GRANT` when
+    none is given).
+    """
 
     def __init__(
         self,
         host_id: str,
         principal: str,
-        work_budget: float = 1_000_000.0,
-        storage_budget_bytes: int = 1_000_000,
+        grant: QuotaGrant = DEFAULT_GRANT,
         services: Optional[Dict[str, Any]] = None,
-        service_call_budget: Optional[int] = None,
-        strict: bool = False,
     ) -> None:
         self.host_id = host_id
         self.principal = principal
-        self.work_budget = work_budget
-        self.storage_budget_bytes = storage_budget_bytes
+        self.work_budget = grant.work_units
+        self.storage_budget_bytes = grant.storage_bytes
         #: Host-provided API surface (discovery, messaging hooks, ...).
         self.services: Dict[str, Any] = dict(services or {})
         #: None means unmetered (count only); an int is a hard cap.
-        self.service_call_budget = service_call_budget
-        #: Strict contexts preempt *at* the charge point; post-hoc
-        #: contexts let the charge land and then trip the check.
-        self.strict = strict
+        self.service_call_budget = grant.service_calls
         self.work_used = 0.0
         self.service_calls = 0
         self.peak_storage_bytes = 0
@@ -74,20 +72,16 @@ class ExecutionContext:
         # ``work_used`` and silence every later budget check.
         if not work_units >= 0:
             raise ValueError(f"work must be >= 0, got {work_units!r}")
-        if self.strict and self.work_used + work_units > self.work_budget:
-            # Deterministic preemption: clamp usage to exactly the
-            # quota so the host never pays more CPU than the grant.
+        if self.work_used + work_units > self.work_budget:
+            # Deterministic preemption: the charge never lands and usage
+            # is clamped to exactly the quota, so the host never pays
+            # more CPU than the grant.
             self.work_used = self.work_budget
             raise SandboxViolation(
                 f"guest of {self.principal!r} preempted at work quota "
                 f"({self.work_budget:.0f} units)"
             )
         self.work_used += work_units
-        if self.work_used > self.work_budget:
-            raise SandboxViolation(
-                f"guest of {self.principal!r} exceeded work budget "
-                f"({self.work_used:.0f} > {self.work_budget:.0f} units)"
-            )
 
     @property
     def work_remaining(self) -> float:

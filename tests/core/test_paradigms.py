@@ -171,7 +171,7 @@ class TestRemoteEvaluation:
         # budget trip is no longer flattened into RemoteExecutionError.
         with pytest.raises(SandboxViolation) as excinfo:
             run(phone.world, go())
-        assert "work budget" in str(excinfo.value)
+        assert "preempted at work quota" in str(excinfo.value)
 
 
 class TestCodeOnDemand:

@@ -19,6 +19,7 @@ from repro.core import (
     mutual_trust,
     standard_host,
 )
+from repro.core.adaptation import PARADIGM_CLASSES
 from repro.errors import ComponentError
 from repro.lmu import CodeRepository
 from repro.net import GPRS, LAN, Position
@@ -213,3 +214,26 @@ class TestRegisterEstimator:
         assert outcome.paradigm == "cheap-toy"
         assert outcome.result == "toy:chore"
         assert outcome.ranking[0].paradigm == "cheap-toy"
+
+
+class TestParadigmKindsAreUnique:
+    def test_redeclared_builtin_kind_is_refused(self):
+        with pytest.raises(ComponentError, match="'cs'"):
+
+            class Impostor(ClientServer):
+                paradigm = "cs"
+
+        assert PARADIGM_CLASSES["cs"] is ClientServer
+
+    def test_inherited_kind_is_not_a_declaration(self):
+        class ClientServerV2(ClientServer):
+            kind = "cs-v2"
+
+        assert ClientServerV2.paradigm == "cs"
+        assert PARADIGM_CLASSES["cs"] is ClientServer
+
+
+def teardown_module():
+    """Unplug this module's kinds so later tests rank the built-ins only."""
+    for kind in (Toy.paradigm, CheapToy.paradigm):
+        del PARADIGM_CLASSES[kind]

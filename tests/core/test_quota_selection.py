@@ -1,6 +1,6 @@
 """Quota-priced paradigm selection: grants steer the selector.
 
-Acceptance criterion for the provider substrate: on two otherwise
+Acceptance criterion for quota grants: on two otherwise
 bit-identical worlds — same seed, same topology, same link, same task —
 the :class:`~repro.core.adaptation.ParadigmSelector` must rank
 paradigms *differently* when the executing side's

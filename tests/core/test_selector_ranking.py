@@ -22,6 +22,7 @@ from repro.core import (
     provision_task,
     standard_host,
 )
+from repro.core.adaptation import PARADIGM_CLASSES
 from repro.net import GPRS, LAN, Position
 from tests.core.conftest import loss_free, run
 
@@ -197,3 +198,8 @@ class TestTiesKeepAvailableOrder:
             for estimate in outcome.ranking
         }
         assert composites["local"] == composites["local-twin"]
+
+
+def teardown_module():
+    """Unplug ``local-twin`` so later tests rank the built-ins only."""
+    del PARADIGM_CLASSES[LocalTwin.paradigm]

@@ -51,7 +51,7 @@ class TestContainmentInvariants:
     def test_strict_grant_clamps_metered_work(self):
         outcome = run_hostile(seed=7)
         metrics = outcome.report["metrics"]
-        # The strict provider preempts at the quota: the hungriest
+        # The sandbox preempts at the quota: the hungriest
         # hostile guest metered exactly the grant, never more.
         assert metrics["hostile.work_units.max"] == HOSTILE_GRANT.work_units
 

@@ -1,10 +1,12 @@
-"""Property-based tests for the sandbox-provider substrate.
+"""Property-based tests for the sandbox provider.
 
-Three invariants the tentpole depends on:
+Four invariants guest containment depends on:
 
 * **Deterministic metering** — replaying the same guest behaviour
   through a fresh session yields a bit-identical per-run
-  :class:`~repro.security.Metrics` record, for both provider flavors.
+  :class:`~repro.security.Metrics` record.
+* **Clamp at the quota** — metered work equals min(running sum of the
+  charges, budget) for any charge sequence.
 * **No escape** — no exception class a guest raises (``BaseException``
   subclasses included) ever escapes ``SandboxProvider.execute``.
 * **Running storage total** — the incremental byte total the budget
@@ -15,14 +17,7 @@ Three invariants the tentpole depends on:
 from hypothesis import given, strategies as st
 
 from repro.errors import SandboxViolation
-from repro.security import (
-    ExecutionContext,
-    InProcessProvider,
-    QuotaGrant,
-    StrictProvider,
-)
-
-PROVIDERS = st.sampled_from([InProcessProvider, StrictProvider])
+from repro.security import ExecutionContext, QuotaGrant, SandboxProvider
 
 # Charge sequences stay positive; zero-unit charges are legal.
 CHARGES = st.lists(
@@ -31,8 +26,8 @@ CHARGES = st.lists(
 )
 
 
-def _metered_replay(provider_cls, charges, budget):
-    provider = provider_cls("node")
+def _metered_replay(charges, budget):
+    provider = SandboxProvider("node")
     session = provider.open_session("guest", QuotaGrant(work_units=budget))
 
     def body(ctx):
@@ -46,42 +41,29 @@ def _metered_replay(provider_cls, charges, budget):
 
 
 class TestDeterministicMetering:
-    @given(PROVIDERS, CHARGES, st.floats(min_value=1.0, max_value=1e7))
-    def test_same_guest_same_metrics(self, provider_cls, charges, budget):
-        first_result, first_totals = _metered_replay(
-            provider_cls, charges, budget
-        )
-        second_result, second_totals = _metered_replay(
-            provider_cls, charges, budget
-        )
+    @given(CHARGES, st.floats(min_value=1.0, max_value=1e7))
+    def test_same_guest_same_metrics(self, charges, budget):
+        first_result, first_totals = _metered_replay(charges, budget)
+        second_result, second_totals = _metered_replay(charges, budget)
         assert first_result.ok == second_result.ok
         assert first_result.metrics == second_result.metrics
         assert first_totals == second_totals
 
     @given(CHARGES, st.floats(min_value=1.0, max_value=1e7))
     def test_strict_never_exceeds_quota(self, charges, budget):
-        _, totals = _metered_replay(StrictProvider, charges, budget)
-        assert totals.work_units <= budget
-
-    @given(CHARGES)
-    def test_flavors_agree_when_within_budget(self, charges):
-        # With an un-trippable budget the two flavors are
-        # indistinguishable: same success, same metered figures.
-        budget = 1e12
-        lenient, lenient_totals = _metered_replay(
-            InProcessProvider, charges, budget
-        )
-        strict, strict_totals = _metered_replay(
-            StrictProvider, charges, budget
-        )
-        assert lenient.ok and strict.ok
-        assert lenient.metrics == strict.metrics
-        assert lenient_totals == strict_totals
+        result, totals = _metered_replay(charges, budget)
+        running = 0.0
+        for amount in charges:
+            running += amount
+        # Charges are non-negative, so the running sum only grows: the
+        # guest finishes iff the whole sum fits, and is clamped to
+        # exactly the budget otherwise.
+        assert result.ok == (running <= budget)
+        assert totals.work_units == min(running, budget)
 
 
 class TestNoEscape:
     @given(
-        PROVIDERS,
         st.sampled_from(
             [
                 ValueError,
@@ -99,8 +81,8 @@ class TestNoEscape:
         ),
         st.text(max_size=20),
     )
-    def test_any_raise_is_contained(self, provider_cls, exc_class, message):
-        provider = provider_cls("node")
+    def test_any_raise_is_contained(self, exc_class, message):
+        provider = SandboxProvider("node")
         session = provider.open_session("guest", QuotaGrant())
 
         def bomb(ctx):
@@ -110,9 +92,8 @@ class TestNoEscape:
         assert not result.ok
         assert result.error_type is not None
 
-    @given(PROVIDERS)
-    def test_fresh_exception_class_is_contained(self, provider_cls):
-        provider = provider_cls("node")
+    def test_fresh_exception_class_is_contained(self):
+        provider = SandboxProvider("node")
         session = provider.open_session("guest", QuotaGrant())
 
         class Bespoke(BaseException):
@@ -142,7 +123,7 @@ class TestStorageRunningTotal:
     @given(STORAGE_OPS)
     def test_running_total_matches_recomputation(self, ops):
         context = ExecutionContext(
-            "host", "guest", storage_budget_bytes=5_000
+            "host", "guest", QuotaGrant(storage_bytes=5_000)
         )
         for is_store, key, size in ops:
             if is_store:
@@ -160,7 +141,7 @@ class TestStorageRunningTotal:
     @given(STORAGE_OPS)
     def test_peak_is_monotone_high_water(self, ops):
         context = ExecutionContext(
-            "host", "guest", storage_budget_bytes=5_000
+            "host", "guest", QuotaGrant(storage_bytes=5_000)
         )
         peak = 0
         for is_store, key, size in ops:

@@ -5,15 +5,15 @@ import pytest
 from repro.errors import PolicyViolation, SandboxViolation
 from repro.security import (
     ExecutionContext,
-    InProcessProvider,
     OPEN_POLICY,
     OP_ACCEPT_AGENT,
     OP_ACCEPT_REV,
     OP_SERVE_COD,
     QuotaGrant,
+    SandboxProvider,
     SecurityPolicy,
-    StrictProvider,
 )
+from repro.security.policy import DEFAULT_GRANT
 from repro.sim.metrics import MetricsRegistry
 
 
@@ -49,15 +49,24 @@ class TestPolicy:
 
 class TestExecutionContext:
     def test_charge_within_budget(self):
-        context = ExecutionContext("host", "guest", work_budget=100)
+        context = ExecutionContext("host", "guest", QuotaGrant(work_units=100))
         context.charge(60)
         context.charge(40)
         assert context.work_remaining == 0
 
     def test_charge_over_budget_raises(self):
-        context = ExecutionContext("host", "guest", work_budget=100)
-        with pytest.raises(SandboxViolation):
+        context = ExecutionContext("host", "guest", QuotaGrant(work_units=100))
+        context.charge(30)
+        with pytest.raises(SandboxViolation, match="preempted at work quota"):
             context.charge(101)
+        # The crossing charge never lands: usage is clamped to the quota.
+        assert context.work_used == 100
+
+    def test_budgets_come_from_the_default_grant(self):
+        context = ExecutionContext("host", "guest")
+        assert context.work_budget == DEFAULT_GRANT.work_units
+        assert context.storage_budget_bytes == DEFAULT_GRANT.storage_bytes
+        assert context.service_call_budget == DEFAULT_GRANT.service_calls
 
     def test_negative_charge_rejected(self):
         context = ExecutionContext("host", "guest")
@@ -65,18 +74,22 @@ class TestExecutionContext:
             context.charge(-1)
 
     def test_nan_charge_rejected(self):
-        context = ExecutionContext("host", "guest", work_budget=100)
+        context = ExecutionContext("host", "guest", QuotaGrant(work_units=100))
         with pytest.raises(ValueError):
             context.charge(float("nan"))
         assert context.work_used == 0.0
 
     def test_storage_within_budget(self):
-        context = ExecutionContext("host", "guest", storage_budget_bytes=10_000)
+        context = ExecutionContext(
+            "host", "guest", QuotaGrant(storage_bytes=10_000)
+        )
         context.store("key", "value")
         assert context.fetch("key") == "value"
 
     def test_storage_over_budget_raises_and_rolls_back(self):
-        context = ExecutionContext("host", "guest", storage_budget_bytes=100)
+        context = ExecutionContext(
+            "host", "guest", QuotaGrant(storage_bytes=100)
+        )
         with pytest.raises(SandboxViolation):
             context.store("blob", "x" * 1000)
         assert context.fetch("blob") is None
@@ -94,7 +107,7 @@ class TestExecutionContext:
             context.service("missing")
 
 
-def run_once(provider, guest, *args, grant=QuotaGrant()):
+def run_once(provider, guest, *args, grant=DEFAULT_GRANT):
     """One guest run in a fresh session on ``provider``."""
     session = provider.open_session("guest", grant)
     try:
@@ -104,14 +117,14 @@ def run_once(provider, guest, *args, grant=QuotaGrant()):
 
 
 class TestSandbox:
-    """Guest containment through the in-process provider."""
+    """Guest containment through the sandbox provider."""
 
     def test_successful_run(self):
         def guest(ctx, x):
             ctx.charge(10)
             return x * 2
 
-        result = run_once(InProcessProvider("host"), guest, 21)
+        result = run_once(SandboxProvider("host"), guest, 21)
         assert result.ok and result.value == 42
         assert result.work_used == 10
 
@@ -119,14 +132,14 @@ class TestSandbox:
         def guest(ctx):
             raise ValueError("guest bug")
 
-        result = run_once(InProcessProvider("host"), guest)
+        result = run_once(SandboxProvider("host"), guest)
         assert not result.ok
         assert result.error_type == "ValueError"
         assert "guest bug" in result.error
 
     def test_budget_violation_reported(self):
         metrics = MetricsRegistry()
-        provider = InProcessProvider("host", metrics=metrics)
+        provider = SandboxProvider("host", metrics=metrics)
 
         def greedy(ctx):
             ctx.charge(10)
@@ -141,18 +154,9 @@ class TestSandbox:
         # Labeled children roll up into the flat family total.
         assert metrics.counter("security.sandbox_violations").value == 1
 
-    def test_cpu_seconds_mapping(self):
-        def guest(ctx):
-            ctx.charge(1_000_000)
-
-        # A million work units are one simulated second on a
-        # reference-speed (cpu_speed 1.0) host.
-        result = run_once(InProcessProvider("host"), guest)
-        assert result.metrics.wall_sim_seconds == pytest.approx(1.0)
-
     def test_execution_counter(self):
         metrics = MetricsRegistry()
-        provider = InProcessProvider("host", metrics=metrics)
+        provider = SandboxProvider("host", metrics=metrics)
         for _ in range(3):
             run_once(provider, lambda ctx: None)
         runs = metrics.counter(
@@ -170,7 +174,6 @@ class TestQuotaGrants:
         assert grant.work_units == 1_000_000_000.0
         assert grant.storage_bytes == 1_000_000
         assert grant.service_calls is None
-        assert grant.provider == "inprocess"
 
     def test_star_grant_replaces_the_default(self):
         policy = SecurityPolicy(
@@ -193,53 +196,38 @@ class TestQuotaGrants:
     def test_glob_grants_match_in_insertion_order(self):
         policy = SecurityPolicy(
             quota_grants={
-                "hostile:*": QuotaGrant(work_units=1.0, provider="strict"),
+                "hostile:*": QuotaGrant(work_units=1.0),
                 "*": QuotaGrant(work_units=2.0),
             }
         )
-        assert policy.grant_for("hostile:quota_loop").provider == "strict"
+        assert policy.grant_for("hostile:quota_loop").work_units == 1.0
         assert policy.grant_for("task:x").work_units == 2.0
 
 
 class TestProviders:
-    def run_greedy(self, provider, budget=100.0, charge=150.0):
-        session = provider.open_session(
-            "guest", QuotaGrant(work_units=budget)
-        )
-        result = provider.execute(
-            session, lambda ctx: ctx.charge(charge)
-        )
-        totals = provider.close_session(session)
-        return session, result, totals
-
-    def test_inprocess_overshoots_then_trips(self):
-        _, result, totals = self.run_greedy(InProcessProvider("h"))
-        assert not result.ok
-        assert result.error_type == "SandboxViolation"
-        # Post-hoc metering: the final charge lands before the check.
-        assert totals.work_units == 150.0
-
     def test_strict_preempts_at_quota(self):
-        _, result, totals = self.run_greedy(StrictProvider("h"))
+        provider = SandboxProvider("h")
+        session = provider.open_session("guest", QuotaGrant(work_units=100.0))
+        result = provider.execute(session, lambda ctx: ctx.charge(150.0))
+        totals = provider.close_session(session)
         assert not result.ok
         assert result.error_type == "SandboxViolation"
         # Preemption clamps metered work to exactly the grant.
         assert totals.work_units == 100.0
 
     def test_session_lifecycle(self):
-        provider = StrictProvider("h")
-        session = provider.open_session(
-            "guest", QuotaGrant(), now=5.0, cpu_speed=2.0
-        )
-        assert session.open and session.opened_at == 5.0
-        provider.execute(session, lambda ctx: ctx.charge(1_000_000))
-        totals = provider.close_session(session, now=9.0)
-        assert not session.open and session.closed_at == 9.0
-        # 1e6 units at 2x reference speed -> 0.5 wall sim-seconds.
-        assert totals.wall_sim_seconds == pytest.approx(0.5)
+        provider = SandboxProvider("h")
+        session = provider.open_session("guest", QuotaGrant())
+        first = provider.execute(session, lambda ctx: ctx.charge(300.0))
+        second = provider.execute(session, lambda ctx: ctx.charge(200.0))
+        # Each run reports its own delta; the session accumulates.
+        assert first.metrics.work_units == 300.0
+        assert second.metrics.work_units == 200.0
+        assert second.work_used == 500.0
+        assert provider.close_session(session).work_units == 500.0
 
     def test_service_call_quota_enforced(self):
-        provider = StrictProvider("h")
+        provider = SandboxProvider("h")
         session = provider.open_session(
             "guest",
             QuotaGrant(service_calls=2),
@@ -256,7 +244,7 @@ class TestProviders:
         assert provider.close_session(session).service_calls == 2
 
     def test_base_exception_never_escapes(self):
-        provider = InProcessProvider("h")
+        provider = SandboxProvider("h")
         session = provider.open_session("guest", QuotaGrant())
 
         class Hostile(BaseException):
@@ -269,9 +257,8 @@ class TestProviders:
         assert not result.ok
         assert "escape attempt" in result.error
 
-    @pytest.mark.parametrize("flavor", [InProcessProvider, StrictProvider])
-    def test_nan_charge_is_contained(self, flavor):
-        provider = flavor("h")
+    def test_nan_charge_is_contained(self):
+        provider = SandboxProvider("h")
         session = provider.open_session("guest", QuotaGrant(work_units=100.0))
         result = provider.execute(session, lambda ctx: ctx.charge(float("nan")))
         assert not result.ok
