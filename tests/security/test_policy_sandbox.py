@@ -257,13 +257,21 @@ class TestProviders:
         assert not result.ok
         assert "escape attempt" in result.error
 
-    def test_nan_charge_is_contained(self):
+    @pytest.mark.parametrize(
+        "spent", [0.0, 60.0], ids=["fresh_session", "partly_spent"]
+    )
+    def test_nan_charge_is_contained(self, spent):
         provider = SandboxProvider("h")
         session = provider.open_session("guest", QuotaGrant(work_units=100.0))
+        if spent:
+            assert provider.execute(session, lambda ctx: ctx.charge(spent)).ok
         result = provider.execute(session, lambda ctx: ctx.charge(float("nan")))
         assert not result.ok
         assert result.error_type == "ValueError"
-        # The NaN never landed, so the budget still binds.
+        # The NaN never landed: earlier usage is intact and the budget
+        # still binds.
+        assert result.work_used == spent
         result = provider.execute(session, lambda ctx: ctx.charge(1e12))
         assert not result.ok
         assert result.error_type == "SandboxViolation"
+        assert provider.close_session(session).work_units == 100.0
