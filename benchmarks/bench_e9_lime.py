@@ -104,16 +104,19 @@ def run_rev(count, observe=False):
     # Expose each sensor's lime space to REV guests.
     for sensor in sensors:
         space = sensor.component("lime").space
-        original = sensor.guest_session
+        original = sensor.run_guest
 
         def patched(
-            principal, services=None, _space=space, _original=original
+            guest, principal, *args, services=None, _space=space,
+            _original=original, **kwargs
         ):
             services = dict(services or {})
             services["lime_space"] = _space
-            return _original(principal, services)
+            return _original(
+                guest, principal, *args, services=services, **kwargs
+            )
 
-        sensor.guest_session = patched
+        sensor.run_guest = patched
     consumer.codebase.install(aggregation_unit())
     base = consumer.node.costs.total_bytes
 

@@ -48,7 +48,7 @@ def test_hostile_containment_gate():
 
     # Determinism first: a nondeterministic hostile run is ungateable.
     assert first.summary == second.summary, (
-        "same-seed hostile runs diverged — provider metering or the "
+        "same-seed hostile runs diverged — sandbox metering or the "
         "injector consumed nondeterministic state"
     )
     first_trace = TraceAnalysis.from_report(first.report)

@@ -103,11 +103,11 @@ def resolve_profile(
     terms dominate paradigm choice in every scenario the paper
     discusses).
 
-    ``observed_work`` (metered :class:`~repro.security.Metrics` from a
-    prior run of the same guest) ratchets the task's declared
-    ``work_units`` *upward* — the selector prices CPU the substrate
-    actually measured when a guest under-declares, but a past small
-    invocation never masks a declared-large one.  The two quotas come
+    ``observed_work`` (the metered ``work_used`` of a prior run of the
+    same guest) ratchets the task's declared ``work_units`` *upward* —
+    the selector prices CPU the substrate actually measured when a guest
+    under-declares, but a past small invocation never masks a
+    declared-large one.  The two quotas come
     from the executing side's :class:`~repro.security.QuotaGrant` and
     feed the estimates' quota-pressure penalty.
     """
@@ -211,13 +211,12 @@ def _transfer(link: Link, size_bytes: float) -> Tuple[float, float]:
 
 def normalize_targets(
     target: Union[str, Sequence[str], None],
-) -> Tuple[List[str], bool]:
-    """``(target ids, scalar?)`` — a string target means a scalar result."""
-    if target is None:
-        return [], True
+) -> List[str]:
+    """The target ids of a paradigm ``invoke``: a string is one target,
+    None is none.  Only a string target gets a single result back."""
     if isinstance(target, str):
-        return [target], True
-    return list(target), False
+        return [target]
+    return list(target or [])
 
 
 @dataclass
@@ -297,7 +296,7 @@ class ParadigmSelector:
         runs).  Ties keep :attr:`available` order — list the preferred
         fallback first.  Returns an :class:`InvocationOutcome`.
         """
-        targets, scalar = normalize_targets(target)
+        targets = normalize_targets(target)
         network = host.world.network
         if link is _UNSET:
             link = None

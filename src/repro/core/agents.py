@@ -31,6 +31,7 @@ from ..net import HEADER_BYTES, Link, Message
 from ..security import (
     OP_ACCEPT_AGENT,
     WORK_UNITS_PER_SECOND,
+    ExecutionContext,
     sign_capsule,
 )
 from ..sim import Event
@@ -42,6 +43,7 @@ from .adaptation import (
     TaskProfile,
     _quota_penalty,
     _transfer,
+    normalize_targets,
 )
 from .components import Component, MessageHandler
 from .invocation import (
@@ -133,16 +135,12 @@ class AgentContext:
         self._agent = agent
         self._trip = trip
         host = runtime.require_host()
-        # The agent's whole stay at this host is one sandbox session:
-        # every ``execute``/``invoke_local`` charge lands on the
-        # session's metered context, and closing it once (lifecycle end
-        # or departure) emits the stay's resource metrics.
-        self._session = host.guest_session(principal=agent.agent_id)
-        self._exec = self._session.context
-
-    def close(self) -> None:
-        """End this stay's sandbox session."""
-        self._runtime.require_host().close_guest_session(self._session)
+        # The agent's whole stay at this host meters on one sandbox
+        # context: every ``execute``/``invoke_local`` charge lands on it
+        # under the agent's grant.
+        self._exec = ExecutionContext(
+            host.id, agent.agent_id, host.policy.grant_for(agent.agent_id)
+        )
 
     # -- observation ---------------------------------------------------------
 
@@ -354,7 +352,7 @@ class AgentRuntime(Component):
         host = self.require_host()
         context = AgentContext(self, agent, trip)
         try:
-            yield from self._guarded_arrival(agent, context)
+            yield from agent.on_arrival(context)
         except _MigrationComplete as move:
             self.hosted.pop(agent.agent_id, None)
             host.world.trace.emit(
@@ -367,9 +365,7 @@ class AgentRuntime(Component):
             return
         except SandboxViolation as violation:
             self.violations += 1
-            host.world.metrics.counter(
-                "security.sandbox_violations", labels={"node": host.id}
-            ).increment()
+            host.guest_metrics.violations.increment()
             host.world.trace.emit(
                 self.env.now, host.id, "agent.violation",
                 agent=agent.agent_id, error=str(violation),
@@ -394,15 +390,6 @@ class AgentRuntime(Component):
             self._finish(agent, outcome="crashed")
             return
         self._finish(agent, outcome="completed")
-
-    def _guarded_arrival(
-        self, agent: Agent, context: AgentContext
-    ) -> Generator:
-        """Run ``on_arrival`` inside the stay's sandbox session."""
-        try:
-            yield from agent.on_arrival(context)
-        finally:
-            context.close()
 
     def _finish(self, agent: Agent, outcome: str) -> None:
         host = self.require_host()
@@ -556,8 +543,7 @@ class AgentRuntime(Component):
         with backoff (``paradigm.ma.retries`` counts the relaunches).
         """
         policy = DEFAULT_RETRY if retry is None else retry
-        scalar = isinstance(target, str)
-        targets = [target] if scalar else list(target or [])
+        targets = normalize_targets(target)
 
         def attempt(span: object) -> Generator:
             agent_id = self._launch(
@@ -597,7 +583,7 @@ class AgentRuntime(Component):
                     f"agent {agent_id} ended {final.get('outcome')!r}"
                 )
             results = list(final.get("results", []))
-            return results[0] if scalar else results
+            return results[0] if isinstance(target, str) else results
 
         return (
             yield from self.pipeline.run(

@@ -43,6 +43,7 @@ from .adaptation import (
     TaskProfile,
     _quota_penalty,
     _transfer,
+    normalize_targets,
 )
 from .components import Component, MessageHandler
 from .invocation import (
@@ -195,9 +196,7 @@ class CodeOnDemand(Component):
         cache miss; execution always happens on this host."""
         host = self.require_host()
         policy = DEFAULT_RETRY if retry is None else retry
-        providers = (
-            [target] if isinstance(target, str) else list(target or [])
-        )
+        providers = normalize_targets(target)
 
         def attempt(span: object) -> Generator:
             requirement = Requirement.parse(task.name)

@@ -24,6 +24,7 @@ from .adaptation import (
     TaskProfile,
     _quota_penalty,
     _transfer,
+    normalize_targets,
 )
 from .components import Component, MessageHandler
 from .invocation import DEFAULT_RETRY, InvocationTask, RetryPolicy
@@ -108,9 +109,8 @@ class ClientServer(Component):
         remotely — CS moves no code (see
         :func:`~repro.core.invocation.provision_task`)."""
         policy = DEFAULT_RETRY if retry is None else retry
-        targets = [target] if isinstance(target, str) else list(target or [])
         results = []
-        for server_id in targets:
+        for server_id in normalize_targets(target):
             result = yield from self.call(
                 server_id,
                 task.name,

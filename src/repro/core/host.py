@@ -1,18 +1,18 @@
 """The mobile host: the middleware runtime on one device.
 
 A :class:`MobileHost` ties a network node to a codebase, a security
-identity, a sandbox, a context registry, and a set of pluggable
-components.  It dispatches each inbound message to a component handler
-(a kernel callback on the inbox get, not a process), correlates
-request/reply exchanges, gates inbound capsules through policy and
-signature checks, and meters CPU and battery for everything executed
-locally.
+identity, a guest runner (:meth:`MobileHost.run_guest`), a context
+registry, and a set of pluggable components.  It dispatches each
+inbound message to a component handler (a kernel callback on the inbox
+get, not a process), correlates request/reply exchanges, gates inbound
+capsules through policy and signature checks, and meters CPU and
+battery for everything executed locally.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, Generator, Optional, Tuple
+from typing import Callable, Dict, Generator, NamedTuple, Optional, Tuple
 
 from ..errors import (
     ComponentError,
@@ -25,18 +25,16 @@ from ..lmu import Capsule, Codebase, CodeRepository
 from ..net import Message, NetworkNode
 from ..security import (
     ExecuteResult,
+    ExecutionContext,
     KeyPair,
-    Metrics,
-    SandboxProvider,
     SecurityPolicy,
-    SessionInfo,
     SIGNED_POLICY,
     TrustStore,
     WORK_UNITS_PER_SECOND,
     capsule_verification_delay,
     verify_capsule,
 )
-from ..sim import Event
+from ..sim import Counter, Event, Histogram
 from ..sim.events import PENDING
 from .components import Component, MessageHandler
 from .context import Battery, ContextRegistry
@@ -44,6 +42,20 @@ from .world import World
 
 #: A CS service handler: (request payload, server host) -> (result, size).
 ServiceHandler = Callable[[object, "MobileHost"], Tuple[object, int]]
+
+
+class GuestMetrics(NamedTuple):
+    """One host's labeled children of the ``security.*`` families that
+    :meth:`MobileHost.run_guest` emits.  One attribute rather than six
+    keeps the host's instance dict within CPython's shared-keys limit
+    (30 keys), which saves about 1.3 kB per host."""
+
+    runs: Counter
+    violations: Counter
+    errors: Counter
+    work: Histogram
+    storage_peak: Histogram
+    service_calls: Counter
 
 
 class MobileHost:
@@ -68,10 +80,17 @@ class MobileHost:
             quota_bytes=quota_bytes, now=lambda: self.env.now
         )
         self.truststore = TrustStore()
-        #: The guest-execution substrate: every guest runs here under
-        #: its principal's :class:`~repro.security.QuotaGrant` (see
-        #: ``run_guest``).
-        self.sandbox = SandboxProvider(node.id, metrics=world.metrics)
+        metrics = world.metrics
+        labels = {"node": node.id}
+        #: ``violations`` also counts agent stays killed at their quota.
+        self.guest_metrics = GuestMetrics(
+            metrics.counter("security.sandbox_runs", labels=labels),
+            metrics.counter("security.sandbox_violations", labels=labels),
+            metrics.counter("security.sandbox_errors", labels=labels),
+            metrics.histogram("security.guest_work", labels=labels),
+            metrics.histogram("security.guest_storage_peak", labels=labels),
+            metrics.counter("security.guest_service_calls", labels=labels),
+        )
         #: Last observed metered work per task name, fed into the
         #: paradigm cost model so the selector prices CPU it has seen,
         #: not just the task's declared estimate.
@@ -103,8 +122,6 @@ class MobileHost:
         # once: each update lands on the ``{node=...}`` series *and*
         # forwards to the flat family total, so fleet-wide figures stay
         # identical while health monitors see individual hosts.
-        metrics = world.metrics
-        labels = {"node": node.id}
         self._m_request_rtt = metrics.histogram("host.request_rtt", labels=labels)
         self._m_request_timeouts = metrics.counter(
             "host.request_timeouts", labels=labels
@@ -374,26 +391,6 @@ class MobileHost:
             self.battery.consume_cpu(seconds)
         return seconds
 
-    def guest_session(
-        self,
-        principal: str,
-        services: Optional[Dict[str, object]] = None,
-    ) -> SessionInfo:
-        """Open a guest-execution session for ``principal``.
-
-        The policy's :meth:`~repro.security.SecurityPolicy.grant_for`
-        picks the quotas.  The caller owns the session: run guests with
-        ``host.sandbox.execute(session, guest, *args)`` and finish with
-        :meth:`close_guest_session`.
-        """
-        return self.sandbox.open_session(
-            principal, self.policy.grant_for(principal), services=services
-        )
-
-    def close_guest_session(self, session: SessionInfo) -> Metrics:
-        """Close a guest session, emitting its final metrics."""
-        return self.sandbox.close_session(session)
-
     def run_guest(
         self,
         guest: object,
@@ -402,20 +399,32 @@ class MobileHost:
         services: Optional[Dict[str, object]] = None,
         task_name: Optional[str] = None,
     ) -> ExecuteResult:
-        """Run one guest callable in this host's sandbox.
+        """Run one guest callable in a fresh sandbox context.
 
-        Opens a single-use session under ``principal``'s grant,
-        executes, and closes.  The caller still pays the simulated CPU
-        time: ``yield from host.execute(result.work_used)``.  When
+        The context's quotas are the policy's
+        :meth:`~repro.security.SecurityPolicy.grant_for` ``principal``.
+        The caller still pays the simulated CPU time:
+        ``yield from host.execute(result.work_used)``.  When
         ``task_name`` is given and the guest metered any work, the
         observation feeds the paradigm cost model
         (:meth:`observed_guest_work`).
         """
-        session = self.guest_session(principal, services=services)
-        try:
-            result = self.sandbox.execute(session, guest, *args)
-        finally:
-            self.close_guest_session(session)
+        context = ExecutionContext(
+            self.id, principal, self.policy.grant_for(principal),
+            services=services,
+        )
+        guest_metrics = self.guest_metrics
+        guest_metrics.runs.increment()
+        result = context.run(guest, *args)
+        if result.ok:
+            guest_metrics.work.observe(result.work_used)
+        elif context.violation is not None:
+            guest_metrics.violations.increment()
+        else:
+            guest_metrics.errors.increment()
+        guest_metrics.storage_peak.observe(float(result.peak_storage_bytes))
+        if result.service_calls:
+            guest_metrics.service_calls.increment(result.service_calls)
         if task_name is not None and result.work_used > 0:
             self._observed_work[task_name] = result.work_used
         return result

@@ -31,6 +31,7 @@ from .adaptation import (
     TaskProfile,
     _quota_penalty,
     _transfer,
+    normalize_targets,
 )
 from .components import Component, MessageHandler
 from .invocation import DEFAULT_RETRY, InvocationTask, RetryPolicy
@@ -140,9 +141,8 @@ class RemoteEvaluation(Component):
         policy = DEFAULT_RETRY if retry is None else retry
         unit = task.unit()
         host.codebase.install(unit)
-        targets = [target] if isinstance(target, str) else list(target or [])
         results = []
-        for target_id in targets:
+        for target_id in normalize_targets(target):
             value = yield from self.evaluate(
                 target_id,
                 [task.name],

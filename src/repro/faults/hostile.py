@@ -4,8 +4,8 @@ Each entry in :data:`HOSTILE_GUESTS` is a factory returning a guest
 callable with the standard sandbox signature ``body(context) -> value``
 (see :class:`repro.security.ExecutionContext`).  They are the attack
 half of the hostile-guest fault family — the
-:class:`~repro.faults.injectors.FaultInjector` launches them into a
-target host's sandbox (``host.run_guest``), where the
+:class:`~repro.faults.injectors.FaultInjector` runs them through a
+target host's guest runner (``host.run_guest``), where the
 principal's :class:`~repro.security.QuotaGrant` must terminate every
 one of them with :class:`~repro.errors.SandboxViolation` before it can
 starve the host.

@@ -178,9 +178,9 @@ class FaultInjector:
                 guest=spec.guest,
                 terminated=not result.ok,
                 error=result.error or "",
-                work_units=result.metrics.work_units,
-                storage_peak=result.metrics.peak_storage_bytes,
-                service_calls=result.metrics.service_calls,
+                work_units=result.work_used,
+                storage_peak=result.peak_storage_bytes,
+                service_calls=result.service_calls,
             )
             if (
                 not result.ok
@@ -192,7 +192,7 @@ class FaultInjector:
             else:
                 metrics.counter("hostile.escapes", labels=labels).increment()
             metrics.histogram("hostile.work_units", labels=labels).observe(
-                result.metrics.work_units
+                result.work_used
             )
             yield from host.execute(result.work_used)
 

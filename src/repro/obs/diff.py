@@ -64,7 +64,7 @@ DEFAULT_DIRECTIONS: Tuple[Tuple[str, Optional[str]], ...] = (
     # Hostile-guest chaos (repro.faults.hostile): terminations are the
     # containment working, escapes are the one figure that must never
     # grow; launch counts and metered attack cost are scenario shape.
-    # The security.* provider families describe how much guest
+    # The security.* guest-runner families describe how much guest
     # activity the workload ran, not its quality — except violations
     # and errors on a *fixed* scenario, which stay neutral too because
     # hostile plans terminate guests *by* violation.

@@ -4,9 +4,11 @@ Implements the paper's security story — "digital signatures can be used
 to ensure the safety and authenticity of the downloaded code" plus "a
 protected environment to host mobile agents and serve REV requests" —
 with simulated (HMAC-based) asymmetric signatures and a sandbox
-provider (:mod:`repro.security.provider`) that meters guest CPU,
-scratch storage, and service calls against per-principal
-:class:`~repro.security.policy.QuotaGrant`\\ s.  See docs/SECURITY.md.
+(:mod:`repro.security.sandbox`) whose
+:class:`~repro.security.sandbox.ExecutionContext` runs one guest and
+meters its CPU, scratch storage, and service calls against its
+principal's :class:`~repro.security.policy.QuotaGrant`.  See
+docs/SECURITY.md.
 """
 
 from .keys import (
@@ -34,13 +36,7 @@ from .policy import (
     QuotaGrant,
     SecurityPolicy,
 )
-from .provider import (
-    ExecuteResult,
-    Metrics,
-    SandboxProvider,
-    SessionInfo,
-)
-from .sandbox import WORK_UNITS_PER_SECOND, ExecutionContext
+from .sandbox import WORK_UNITS_PER_SECOND, ExecuteResult, ExecutionContext
 from .signing import capsule_verification_delay, sign_capsule, verify_capsule
 from .truststore import TrustStore
 
@@ -50,7 +46,6 @@ __all__ = [
     "ExecuteResult",
     "ExecutionContext",
     "KeyPair",
-    "Metrics",
     "OPEN_POLICY",
     "OP_ACCEPT_AGENT",
     "OP_ACCEPT_REV",
@@ -63,9 +58,7 @@ __all__ = [
     "SIGNED_POLICY",
     "SIGN_FIXED_S",
     "SIGN_PER_BYTE_S",
-    "SandboxProvider",
     "SecurityPolicy",
-    "SessionInfo",
     "Signature",
     "TrustStore",
     "VERIFY_FIXED_S",

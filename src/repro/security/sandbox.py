@@ -1,18 +1,19 @@
 """The sandbox: a protected, budgeted environment for guest code.
 
 Guest code (a REV body, an agent's ``on_arrival`` step, a downloaded
-unit's behaviour) runs inside an :class:`ExecutionContext` that meters
-abstract *work units*, scratch storage, and host service calls.
-Exceeding a budget raises :class:`SandboxViolation` inside the guest;
-the surrounding :class:`~repro.security.provider.SandboxProvider`
-converts any guest exception into a structured
-:class:`~repro.security.provider.ExecuteResult`, so a hostile or buggy
-unit can never crash its host.
+unit's behaviour, a hostile guest) runs inside an
+:class:`ExecutionContext` that meters abstract *work units*, scratch
+storage, and host service calls.  Exceeding a budget raises
+:class:`SandboxViolation` inside the guest.  :meth:`ExecutionContext.run`
+runs one guest and converts any guest exception into a structured
+:class:`ExecuteResult`, so a hostile or buggy unit can never crash its
+host.
 
 The budgets come from the principal's
 :class:`~repro.security.policy.QuotaGrant`.  A guest is preempted at
 the charge point: a charge that would cross the work quota never
-lands, and usage is clamped to exactly the budget.
+lands, and usage is clamped to exactly the budget.  Preemption is
+final: a guest that catches its violation still fails with it.
 
 Work units map to simulated CPU time through the host's ``cpu_speed``
 (see :data:`WORK_UNITS_PER_SECOND`); the middleware yields that delay.
@@ -20,9 +21,10 @@ Work units map to simulated CPU time through the host's ``cpu_speed``
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from ..errors import SandboxViolation
+from ..errors import SandboxViolation, to_wire, WIRE_ERROR_KEY, WIRE_TYPE_KEY
 from ..lmu.serializer import estimate_size
 from .policy import DEFAULT_GRANT, QuotaGrant
 
@@ -30,11 +32,46 @@ from .policy import DEFAULT_GRANT, QuotaGrant
 WORK_UNITS_PER_SECOND = 1_000_000.0
 
 
+@dataclass
+class ExecuteResult:
+    """Outcome of one guest run (:meth:`ExecutionContext.run`).
+
+    Failures carry the typed wire payload built by
+    :func:`repro.errors.to_wire` — callers rebuild the exception with
+    :func:`repro.errors.from_wire` instead of matching raw class-name
+    strings.  ``work_used`` is the run's metered work (the figure call
+    sites pay as simulated CPU time).
+    """
+
+    ok: bool
+    value: object = None
+    #: Typed wire-error payload (:func:`repro.errors.to_wire` shape),
+    #: None on success.
+    error_wire: Optional[Dict[str, object]] = None
+    work_used: float = 0.0
+    peak_storage_bytes: int = 0
+    service_calls: int = 0
+
+    @property
+    def error(self) -> Optional[str]:
+        """The failure's wire text; None on success."""
+        if self.error_wire is None:
+            return None
+        return str(self.error_wire.get(WIRE_ERROR_KEY))
+
+    @property
+    def error_type(self) -> Optional[str]:
+        """The failed exception's registered wire-type name."""
+        if self.error_wire is None:
+            return None
+        return str(self.error_wire.get(WIRE_TYPE_KEY)) or None
+
+
 class ExecutionContext:
     """What guest code sees of its host: metered CPU, storage, services.
 
     Its budgets are the caps of ``grant`` (:data:`DEFAULT_GRANT` when
-    none is given).
+    none is given).  One context meters one guest run.
     """
 
     def __init__(
@@ -63,6 +100,54 @@ class ExecutionContext:
         # they added.
         self._storage_bytes = 0
         self._entry_bytes: Dict[str, int] = {}
+        #: The first :class:`SandboxViolation` of the run (a quota
+        #: check's, or one the guest raised itself); once set, the run
+        #: fails with it whatever the guest does next.
+        self.violation: Optional[SandboxViolation] = None
+
+    # -- execution ------------------------------------------------------------
+
+    def run(self, guest: Any, *args: object) -> ExecuteResult:
+        """Run ``guest(self, *args)`` under this context's metering.
+
+        No guest exception class escapes into the kernel: budget
+        violations and guest bugs of *any* type (``BaseException``
+        included) come back as a failed :class:`ExecuteResult` whose
+        ``error_wire`` carries the typed payload.  A guest that catches
+        a violation and returns (or raises something else) still fails
+        with that violation.
+        """
+        try:
+            value = guest(self, *args)
+        except SandboxViolation as violation:
+            if self.violation is None:
+                self.violation = violation
+        except BaseException as error:  # noqa: BLE001 - guests are untrusted
+            if self.violation is None:
+                return self._result(error=error)
+        if self.violation is not None:
+            return self._result(error=self.violation)
+        return self._result(value=value)
+
+    def _result(
+        self, value: object = None, error: Optional[BaseException] = None
+    ) -> ExecuteResult:
+        return ExecuteResult(
+            ok=error is None,
+            value=value,
+            error_wire=None if error is None else to_wire(error),
+            work_used=self.work_used,
+            peak_storage_bytes=self.peak_storage_bytes,
+            service_calls=self.service_calls,
+        )
+
+    def _violate(self, message: str) -> SandboxViolation:
+        """Record (the first) and return a violation for the caller to
+        raise."""
+        violation = SandboxViolation(message)
+        if self.violation is None:
+            self.violation = violation
+        return violation
 
     # -- CPU metering --------------------------------------------------------
 
@@ -77,7 +162,7 @@ class ExecutionContext:
             # is clamped to exactly the quota, so the host never pays
             # more CPU than the grant.
             self.work_used = self.work_budget
-            raise SandboxViolation(
+            raise self._violate(
                 f"guest of {self.principal!r} preempted at work quota "
                 f"({self.work_budget:.0f} units)"
             )
@@ -94,7 +179,7 @@ class ExecutionContext:
         entry = estimate_size(key) + estimate_size(value)
         projected = self._storage_bytes - self._entry_bytes.get(key, 0) + entry
         if projected > self.storage_budget_bytes:
-            raise SandboxViolation(
+            raise self._violate(
                 f"guest of {self.principal!r} exceeded storage budget "
                 f"({self.storage_budget_bytes}B)"
             )
@@ -133,14 +218,14 @@ class ExecutionContext:
             self.service_call_budget is not None
             and self.service_calls >= self.service_call_budget
         ):
-            raise SandboxViolation(
+            raise self._violate(
                 f"guest of {self.principal!r} exceeded service-call quota "
                 f"({self.service_call_budget} calls)"
             )
         try:
             handle = self.services[name]
         except KeyError:
-            raise SandboxViolation(
+            raise self._violate(
                 f"host {self.host_id} offers no service {name!r} to guests"
             ) from None
         self.service_calls += 1

@@ -4,11 +4,12 @@ A host runs every guest under its principal's
 :class:`~repro.security.QuotaGrant`, and a charge that would cross the
 grant's ``work_units`` never lands: the guest's metered work stops at
 exactly the grant, both for a one-shot guest (``host.run_guest``) and
-for an agent's stay (``AgentContext.execute``).
+for an agent's stay (``AgentContext.execute``).  Only ``run_guest``
+runs add ``security.*`` samples; a stay adds a violation at most.
 """
 
-from repro.core import Agent
-from repro.security import QuotaGrant, SecurityPolicy
+from repro.core import Agent, agents
+from repro.security import ExecutionContext, QuotaGrant, SecurityPolicy
 from tests.core.conftest import run
 
 GRANT = QuotaGrant(work_units=100.0)
@@ -38,28 +39,59 @@ def test_run_guest_is_clamped_at_the_grant(adhoc_pair):
     assert not result.ok
     assert result.error_type == "SandboxViolation"
     assert result.work_used == GRANT.work_units
-    assert result.metrics.work_units == GRANT.work_units
 
 
-def test_agent_stay_is_clamped_at_the_grant(adhoc_pair):
-    a, _ = adhoc_pair
-    a.policy = quota_policy()
-    closed = []
-    close = a.close_guest_session
+def recording_contexts(monkeypatch):
+    """Record every ``ExecutionContext`` an agent stay meters on."""
+    contexts = []
 
-    def record(*args):
-        totals = close(*args)
-        closed.append(totals)
-        return totals
+    class Recorded(ExecutionContext):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            contexts.append(self)
 
-    a.close_guest_session = record
-    runtime = a.component("agents")
-    agent_id = runtime.launch(TwoSteps())
+    monkeypatch.setattr(agents, "ExecutionContext", Recorded)
+    return contexts
 
-    def await_agent():
+
+def await_agent(host, agent):
+    runtime = host.component("agents")
+    agent_id = runtime.launch(agent)
+
+    def wait():
         return (yield runtime.completion(agent_id))
 
-    final = run(a.world, await_agent())
+    return run(host.world, wait())
+
+
+def test_agent_stay_is_clamped_at_the_grant(adhoc_pair, monkeypatch):
+    a, _ = adhoc_pair
+    a.policy = quota_policy()
+    contexts = recording_contexts(monkeypatch)
+    final = await_agent(a, TwoSteps())
     assert final["outcome"] == "killed"
-    # One stay, one session, closed once, metered at exactly the grant.
-    assert [totals.work_units for totals in closed] == [GRANT.work_units]
+    # One stay, one context, metered at exactly the grant.
+    assert [context.work_used for context in contexts] == [GRANT.work_units]
+    assert a.world.metrics.counter(
+        "security.sandbox_violations", labels={"node": "a"}
+    ).value == 1
+
+
+class OneStep(Agent):
+    """Computes 10 units and completes where it was launched."""
+
+    def on_arrival(self, context):
+        yield from context.execute(10)
+
+
+def test_storage_peak_samples_guest_runs_only(adhoc_pair):
+    """Each ``run_guest`` run adds one ``security.guest_storage_peak``
+    sample; an agent stay, which has no storage API, adds none."""
+    a, _ = adhoc_pair
+    for _ in range(3):
+        a.run_guest(lambda context: context.store("k", "v"), "guest")
+    assert await_agent(a, OneStep())["outcome"] == "completed"
+    metrics = a.world.metrics
+    runs = metrics.counter("security.sandbox_runs").value
+    assert runs == 3
+    assert metrics.histogram("security.guest_storage_peak").count == runs

@@ -5,9 +5,9 @@ Walks the AST of every module under ``src/repro/core`` *and*
 with an ``"error_type"`` key — the signature of hand-rolled wire
 marshalling that :func:`repro.errors.to_wire` /
 :func:`~repro.errors.from_wire` exist to centralise.  The security
-package joined the guard when :class:`~repro.security.SandboxProvider`
-started shipping typed failures (``ExecuteResult.error_wire``) across
-the REV/COD reply path.
+package is guarded because :meth:`~repro.security.ExecutionContext.run`
+builds the typed failures (``ExecuteResult.error_wire``) that the
+REV/COD reply path ships.
 """
 
 import ast

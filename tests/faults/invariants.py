@@ -38,7 +38,7 @@ def verify_hostile_containment(
 
     Under the standard hostile plan: benign completion stays at or
     above ``floor``, every launched guest is terminated with
-    ``SandboxViolation``, and nothing escapes the providers.
+    ``SandboxViolation``, and nothing escapes the guest runner.
     """
     outcome = run_hostile(seed=seed)
     summary = outcome.summary

@@ -3,7 +3,7 @@
 The tier-1 guarantees of the hostile-guest fault family: benign
 completion survives the attacks, every hostile guest is terminated by
 its :class:`~repro.security.QuotaGrant` with ``SandboxViolation``
-(nothing escapes the providers), the whole hostile trajectory is a
+(nothing escapes the guest runner), the whole hostile trajectory is a
 pure function of the seed, and an *unarmed* hostile run is
 bit-identical to the plain chaos harness — arming the machinery costs
 nothing until a plan actually fires.
@@ -41,7 +41,7 @@ class TestContainmentInvariants:
         # Per-node attribution of the attack surface...
         assert metrics['hostile.guests{node="server-0"}'] >= 1.0
         assert metrics['hostile.terminated{node="server-0"}'] >= 1.0
-        # ...and the provider-side security families it consumed.
+        # ...and the guest runner's security families it consumed.
         assert metrics['security.sandbox_violations{node="server-0"}'] >= 1.0
         assert any(
             key.startswith("security.guest_storage_peak")

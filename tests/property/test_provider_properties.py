@@ -1,14 +1,14 @@
-"""Property-based tests for the sandbox provider.
+"""Property-based tests for the guest runner.
 
 Four invariants guest containment depends on:
 
 * **Deterministic metering** — replaying the same guest behaviour
-  through a fresh session yields a bit-identical per-run
-  :class:`~repro.security.Metrics` record.
+  in a fresh context yields a bit-identical
+  :class:`~repro.security.ExecuteResult`.
 * **Clamp at the quota** — metered work equals min(running sum of the
   charges, budget) for any charge sequence.
 * **No escape** — no exception class a guest raises (``BaseException``
-  subclasses included) ever escapes ``SandboxProvider.execute``.
+  subclasses included) ever escapes ``ExecutionContext.run``.
 * **Running storage total** — the incremental byte total the budget
   check reads equals the O(n) recomputation over the live entries
   after any store/discard sequence.
@@ -17,7 +17,7 @@ Four invariants guest containment depends on:
 from hypothesis import given, strategies as st
 
 from repro.errors import SandboxViolation
-from repro.security import ExecutionContext, QuotaGrant, SandboxProvider
+from repro.security import ExecutionContext, QuotaGrant
 
 # Charge sequences stay positive; zero-unit charges are legal.
 CHARGES = st.lists(
@@ -27,31 +27,26 @@ CHARGES = st.lists(
 
 
 def _metered_replay(charges, budget):
-    provider = SandboxProvider("node")
-    session = provider.open_session("guest", QuotaGrant(work_units=budget))
+    context = ExecutionContext("node", "guest", QuotaGrant(work_units=budget))
 
     def body(ctx):
         for amount in charges:
             ctx.charge(amount)
         return "done"
 
-    result = provider.execute(session, body)
-    totals = provider.close_session(session)
-    return result, totals
+    return context.run(body)
 
 
 class TestDeterministicMetering:
     @given(CHARGES, st.floats(min_value=1.0, max_value=1e7))
     def test_same_guest_same_metrics(self, charges, budget):
-        first_result, first_totals = _metered_replay(charges, budget)
-        second_result, second_totals = _metered_replay(charges, budget)
-        assert first_result.ok == second_result.ok
-        assert first_result.metrics == second_result.metrics
-        assert first_totals == second_totals
+        assert _metered_replay(charges, budget) == _metered_replay(
+            charges, budget
+        )
 
     @given(CHARGES, st.floats(min_value=1.0, max_value=1e7))
     def test_strict_never_exceeds_quota(self, charges, budget):
-        result, totals = _metered_replay(charges, budget)
+        result = _metered_replay(charges, budget)
         running = 0.0
         for amount in charges:
             running += amount
@@ -59,7 +54,7 @@ class TestDeterministicMetering:
         # guest finishes iff the whole sum fits, and is clamped to
         # exactly the budget otherwise.
         assert result.ok == (running <= budget)
-        assert totals.work_units == min(running, budget)
+        assert result.work_used == min(running, budget)
 
 
 class TestNoEscape:
@@ -82,24 +77,19 @@ class TestNoEscape:
         st.text(max_size=20),
     )
     def test_any_raise_is_contained(self, exc_class, message):
-        provider = SandboxProvider("node")
-        session = provider.open_session("guest", QuotaGrant())
-
         def bomb(ctx):
             raise exc_class(message)
 
-        result = provider.execute(session, bomb)
+        result = ExecutionContext("node", "guest").run(bomb)
         assert not result.ok
         assert result.error_type is not None
 
     def test_fresh_exception_class_is_contained(self):
-        provider = SandboxProvider("node")
-        session = provider.open_session("guest", QuotaGrant())
-
         class Bespoke(BaseException):
             pass
 
-        result = provider.execute(session, lambda ctx: _raise(Bespoke))
+        context = ExecutionContext("node", "guest")
+        result = context.run(lambda ctx: _raise(Bespoke))
         assert not result.ok
         assert "Bespoke" in (result.error_type or "")
 

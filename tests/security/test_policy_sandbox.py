@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core import World, standard_host
 from repro.errors import PolicyViolation, SandboxViolation
+from repro.net import LAN, Position
 from repro.security import (
     ExecutionContext,
     OPEN_POLICY,
@@ -10,11 +12,9 @@ from repro.security import (
     OP_ACCEPT_REV,
     OP_SERVE_COD,
     QuotaGrant,
-    SandboxProvider,
     SecurityPolicy,
 )
 from repro.security.policy import DEFAULT_GRANT
-from repro.sim.metrics import MetricsRegistry
 
 
 class TestPolicy:
@@ -107,24 +107,27 @@ class TestExecutionContext:
             context.service("missing")
 
 
-def run_once(provider, guest, *args, grant=DEFAULT_GRANT):
-    """One guest run in a fresh session on ``provider``."""
-    session = provider.open_session("guest", grant)
-    try:
-        return provider.execute(session, guest, *args)
-    finally:
-        provider.close_session(session)
+def run_once(guest, *args, grant=DEFAULT_GRANT):
+    """One guest run in a fresh context."""
+    return ExecutionContext("host", "guest", grant).run(guest, *args)
+
+
+def lone_host(grant=DEFAULT_GRANT):
+    """A host whose policy hands every principal ``grant``."""
+    host = standard_host(World(seed=1), "host", Position(0, 0), [LAN])
+    host.policy = SecurityPolicy(quota_grants={"*": grant})
+    return host
 
 
 class TestSandbox:
-    """Guest containment through the sandbox provider."""
+    """Guest containment: ``ExecutionContext.run`` and ``host.run_guest``."""
 
     def test_successful_run(self):
         def guest(ctx, x):
             ctx.charge(10)
             return x * 2
 
-        result = run_once(SandboxProvider("host"), guest, 21)
+        result = run_once(guest, 21)
         assert result.ok and result.value == 42
         assert result.work_used == 10
 
@@ -132,21 +135,21 @@ class TestSandbox:
         def guest(ctx):
             raise ValueError("guest bug")
 
-        result = run_once(SandboxProvider("host"), guest)
+        result = run_once(guest)
         assert not result.ok
         assert result.error_type == "ValueError"
         assert "guest bug" in result.error
 
     def test_budget_violation_reported(self):
-        metrics = MetricsRegistry()
-        provider = SandboxProvider("host", metrics=metrics)
+        host = lone_host(QuotaGrant(work_units=5))
 
         def greedy(ctx):
             ctx.charge(10)
 
-        result = run_once(provider, greedy, grant=QuotaGrant(work_units=5))
+        result = host.run_guest(greedy, "guest")
         assert not result.ok
         assert result.error_type == "SandboxViolation"
+        metrics = host.world.metrics
         violations = metrics.counter(
             "security.sandbox_violations", labels={"node": "host"}
         )
@@ -155,11 +158,10 @@ class TestSandbox:
         assert metrics.counter("security.sandbox_violations").value == 1
 
     def test_execution_counter(self):
-        metrics = MetricsRegistry()
-        provider = SandboxProvider("host", metrics=metrics)
+        host = lone_host()
         for _ in range(3):
-            run_once(provider, lambda ctx: None)
-        runs = metrics.counter(
+            host.run_guest(lambda ctx: None, "guest")
+        runs = host.world.metrics.counter(
             "security.sandbox_runs", labels={"node": "host"}
         )
         assert runs.value == 3
@@ -205,32 +207,30 @@ class TestQuotaGrants:
 
 
 class TestProviders:
+    """Metering outcomes of one guest run."""
+
     def test_strict_preempts_at_quota(self):
-        provider = SandboxProvider("h")
-        session = provider.open_session("guest", QuotaGrant(work_units=100.0))
-        result = provider.execute(session, lambda ctx: ctx.charge(150.0))
-        totals = provider.close_session(session)
+        result = run_once(
+            lambda ctx: ctx.charge(150.0), grant=QuotaGrant(work_units=100.0)
+        )
         assert not result.ok
         assert result.error_type == "SandboxViolation"
         # Preemption clamps metered work to exactly the grant.
-        assert totals.work_units == 100.0
+        assert result.work_used == 100.0
 
     def test_session_lifecycle(self):
-        provider = SandboxProvider("h")
-        session = provider.open_session("guest", QuotaGrant())
-        first = provider.execute(session, lambda ctx: ctx.charge(300.0))
-        second = provider.execute(session, lambda ctx: ctx.charge(200.0))
-        # Each run reports its own delta; the session accumulates.
-        assert first.metrics.work_units == 300.0
-        assert second.metrics.work_units == 200.0
-        assert second.work_used == 500.0
-        assert provider.close_session(session).work_units == 500.0
+        def guest(ctx):
+            ctx.charge(300.0)
+            ctx.charge(200.0)
+
+        # Every charge of the run lands on its one context.
+        result = run_once(guest)
+        assert result.ok
+        assert result.work_used == 500.0
 
     def test_service_call_quota_enforced(self):
-        provider = SandboxProvider("h")
-        session = provider.open_session(
-            "guest",
-            QuotaGrant(service_calls=2),
+        context = ExecutionContext(
+            "h", "guest", QuotaGrant(service_calls=2),
             services={"ping": lambda: None},
         )
 
@@ -238,22 +238,19 @@ class TestProviders:
             while True:
                 ctx.service("ping")
 
-        result = provider.execute(session, flood)
+        result = context.run(flood)
         assert not result.ok
         assert result.error_type == "SandboxViolation"
-        assert provider.close_session(session).service_calls == 2
+        assert result.service_calls == 2
 
     def test_base_exception_never_escapes(self):
-        provider = SandboxProvider("h")
-        session = provider.open_session("guest", QuotaGrant())
-
         class Hostile(BaseException):
             pass
 
         def bomb(ctx):
             raise Hostile("escape attempt")
 
-        result = provider.execute(session, bomb)
+        result = run_once(bomb)
         assert not result.ok
         assert "escape attempt" in result.error
 
@@ -261,17 +258,85 @@ class TestProviders:
         "spent", [0.0, 60.0], ids=["fresh_session", "partly_spent"]
     )
     def test_nan_charge_is_contained(self, spent):
-        provider = SandboxProvider("h")
-        session = provider.open_session("guest", QuotaGrant(work_units=100.0))
-        if spent:
-            assert provider.execute(session, lambda ctx: ctx.charge(spent)).ok
-        result = provider.execute(session, lambda ctx: ctx.charge(float("nan")))
+        context = ExecutionContext("h", "guest", QuotaGrant(work_units=100.0))
+
+        def guest(ctx):
+            ctx.charge(spent)
+            ctx.charge(float("nan"))
+
+        result = context.run(guest)
         assert not result.ok
         assert result.error_type == "ValueError"
         # The NaN never landed: earlier usage is intact and the budget
         # still binds.
         assert result.work_used == spent
-        result = provider.execute(session, lambda ctx: ctx.charge(1e12))
+        with pytest.raises(SandboxViolation):
+            context.charge(1e12)
+        assert context.work_used == 100.0
+
+
+def _swallow(step):
+    """A guest that catches the violation ``step`` raises and returns."""
+
+    def guest(ctx):
+        try:
+            while True:
+                step(ctx)
+        except SandboxViolation:
+            return "escaped"
+
+    return guest
+
+
+#: Per quota: (grant, a metered step, the usage it meters, the cap).
+QUOTAS = {
+    "work_units": (
+        QuotaGrant(work_units=100.0),
+        lambda ctx: ctx.charge(30.0),
+        lambda result: result.work_used,
+        100.0,
+    ),
+    "storage_bytes": (
+        QuotaGrant(storage_bytes=1_000),
+        lambda ctx: ctx.store(f"k{ctx.storage_bytes_used}", "x" * 200),
+        lambda result: result.peak_storage_bytes,
+        1_000,
+    ),
+    "service_calls": (
+        QuotaGrant(service_calls=3),
+        lambda ctx: ctx.service("ping"),
+        lambda result: result.service_calls,
+        3,
+    ),
+}
+
+
+class TestPreemptionIsFinal:
+    """A guest cannot undo its preemption by catching the violation."""
+
+    @pytest.mark.parametrize("quota", sorted(QUOTAS))
+    def test_swallowed_violation_still_fails(self, quota):
+        grant, step, usage, cap = QUOTAS[quota]
+        host = lone_host(grant)
+        result = host.run_guest(
+            _swallow(step), "guest", services={"ping": lambda: None}
+        )
         assert not result.ok
+        assert result.value is None
         assert result.error_type == "SandboxViolation"
-        assert provider.close_session(session).work_units == 100.0
+        assert 0 < usage(result) <= cap
+        metrics = host.world.metrics
+        assert metrics.counter("security.sandbox_violations").value == 1
+        assert metrics.counter("security.sandbox_errors").value == 0
+        assert metrics.histogram("security.guest_work").count == 0
+
+    def test_later_error_does_not_mask_the_violation(self):
+        def guest(ctx):
+            try:
+                ctx.charge(150.0)
+            except SandboxViolation:
+                raise ValueError("cover-up")
+
+        result = run_once(guest, grant=QuotaGrant(work_units=100.0))
+        assert result.error_type == "SandboxViolation"
+        assert result.work_used == 100.0
