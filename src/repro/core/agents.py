@@ -242,7 +242,10 @@ class AgentContext:
         On success the local execution stops (weak mobility): control
         does NOT return.  On failure :class:`MigrationError` is raised
         and the agent keeps running here (it may pick another target).
+        An agent preempted during this stay cannot leave: its recorded
+        :class:`SandboxViolation` is raised again before anything ships.
         """
+        self._check_preempted()
         yield from self._runtime._migrate(
             self._agent, target_id, parent=self._trip
         )
@@ -254,10 +257,17 @@ class AgentContext:
         Unlike :meth:`migrate`, the local agent keeps running.  The
         clone gets a fresh agent id (suffix ``.cN``) and starts its own
         ``on_arrival`` at the target.  Returns the clone's id; raises
-        :class:`MigrationError` when the transfer fails.
+        :class:`MigrationError` when the transfer fails; a preempted
+        agent's violation is raised again, as by :meth:`migrate`.
         """
+        self._check_preempted()
         clone_id = yield from self._runtime._clone(self._agent, target_id)
         return clone_id
+
+    def _check_preempted(self) -> None:
+        """Raise the stay's recorded violation, if any."""
+        if self._exec.violation is not None:
+            raise self._exec.violation
 
     def die(self) -> None:
         """Terminate this agent here and now."""
@@ -351,6 +361,7 @@ class AgentRuntime(Component):
     def _lifecycle(self, agent: Agent, trip: object) -> Generator:
         host = self.require_host()
         context = AgentContext(self, agent, trip)
+        raised: Optional[Exception] = None
         try:
             yield from agent.on_arrival(context)
         except _MigrationComplete as move:
@@ -360,10 +371,15 @@ class AgentRuntime(Component):
                 agent=agent.agent_id, to=move.target,
             )
             return
-        except _AgentDied:
-            self._finish(agent, outcome="died")
-            return
-        except SandboxViolation as violation:
+        except Exception as error:  # noqa: BLE001 - agent code is foreign
+            raised = error
+        # Preemption is final for the stay, as for a guest run: once a
+        # violation is recorded, the agent is killed whether it caught
+        # the violation and returned, died or raised something else.
+        violation = context._exec.violation
+        if violation is None and isinstance(raised, SandboxViolation):
+            violation = raised
+        if violation is not None:
             self.violations += 1
             host.guest_metrics.violations.increment()
             host.world.trace.emit(
@@ -371,25 +387,25 @@ class AgentRuntime(Component):
                 agent=agent.agent_id, error=str(violation),
             )
             self._finish(agent, outcome="killed")
-            return
-        except MigrationError as error:
+        elif raised is None:
+            self._finish(agent, outcome="completed")
+        elif isinstance(raised, _AgentDied):
+            self._finish(agent, outcome="died")
+        elif isinstance(raised, MigrationError):
             self.failures += 1
             host.world.trace.emit(
                 self.env.now, host.id, "agent.stranded",
-                agent=agent.agent_id, error=str(error),
+                agent=agent.agent_id, error=str(raised),
             )
             self._finish(agent, outcome="stranded")
-            return
-        except Exception as error:  # noqa: BLE001 - agent code is foreign
+        else:
             self.failures += 1
             host.world.trace.emit(
                 self.env.now, host.id, "agent.crashed",
                 agent=agent.agent_id,
-                error=f"{type(error).__name__}: {error}",
+                error=f"{type(raised).__name__}: {raised}",
             )
             self._finish(agent, outcome="crashed")
-            return
-        self._finish(agent, outcome="completed")
 
     def _finish(self, agent: Agent, outcome: str) -> None:
         host = self.require_host()

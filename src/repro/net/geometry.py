@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import product
 from typing import Dict, List, Tuple
 
 
@@ -131,11 +132,15 @@ class SpatialGrid:
         for item_id, position in items:
             self._cells.setdefault(self.cell_of(position), {})[item_id] = position
 
-    def near(self, position: Position, radius: float) -> List[str]:
-        """Ids of all items within ``radius`` metres of ``position``.
+    def buckets_near(
+        self, position: Position, radius: float
+    ) -> List[Tuple[Tuple[int, int], Dict[str, Position]]]:
+        """``(cell, bucket)`` for every occupied cell that a circle of
+        ``radius`` metres around ``position`` overlaps.
 
-        Exact (distance-filtered), in no particular order; callers
-        needing determinism must impose their own ordering.
+        A bucket maps each item id in the cell to its indexed position;
+        it is the live index, so treat it as read-only.  Items in a
+        bucket may lie outside the circle.
         """
         if radius < 0:
             return []
@@ -144,15 +149,26 @@ class SpatialGrid:
         max_cx = int(math.floor((position.x + radius) / size))
         min_cy = int(math.floor((position.y - radius) / size))
         max_cy = int(math.floor((position.y + radius) / size))
-        cells = self._cells
+        get = self._cells.get
+        return [
+            (cell, bucket)
+            for cell in product(
+                range(min_cx, max_cx + 1), range(min_cy, max_cy + 1)
+            )
+            if (bucket := get(cell))
+        ]
+
+    def near(self, position: Position, radius: float) -> List[str]:
+        """Ids of all items within ``radius`` metres of ``position``.
+
+        Exact (distance-filtered), in no particular order; callers
+        needing determinism must impose their own ordering.
+        """
         px, py = position.x, position.y
-        found: List[str] = []
-        for cx in range(min_cx, max_cx + 1):
-            for cy in range(min_cy, max_cy + 1):
-                bucket = cells.get((cx, cy))
-                if not bucket:
-                    continue
-                for item_id, item_position in bucket.items():
-                    if math.hypot(item_position.x - px, item_position.y - py) <= radius:
-                        found.append(item_id)
-        return found
+        hypot = math.hypot
+        return [
+            item_id
+            for _, bucket in self.buckets_near(position, radius)
+            for item_id, item_position in bucket.items()
+            if hypot(item_position.x - px, item_position.y - py) <= radius
+        ]

@@ -36,6 +36,8 @@ swap) drops every tagged entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import hypot
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import NetworkError
@@ -536,13 +538,29 @@ class Network:
                     self.cache_stats["revalidations"] += 1
                     return cached
             self.cache_stats["misses"] += 1
-        # The direct-link predicate of :meth:`_compute_links`, on ids
-        # and positions: ``other`` is a neighbour iff it is up, the
-        # filter admits (node, other), and one of this node's usable
-        # ad-hoc radios reaches it and finds a usable same-name
-        # interface there.  No Link is built; only sent legs need one.
+        result: Tuple[NetworkNode, ...] = ()
+        radios = self.adhoc_radios(node, technology)
+        if radios:
+            # Any ad-hoc neighbour sits within the longest usable
+            # range, so a single grid ring bounds the sweep.
+            candidates = self._grid.near(node.position, radios[0][1])
+            candidates.sort(key=self._order.__getitem__)
+            result = tuple(self.adhoc_peers(node, radios, candidates))
+        if cacheable:
+            self._neighbors_cache[key] = (self._epoch, result)
+        return result
+
+    def adhoc_radios(
+        self, node: NetworkNode, technology: Optional[LinkTechnology] = None
+    ) -> List[Tuple[str, float]]:
+        """``node``'s usable ad-hoc radios as (technology name, range)
+        pairs, longest range first, so ``radios[0][1]`` is how far the
+        node reaches.
+
+        With ``technology`` given, only that radio counts.  A down node
+        has no usable radio.
+        """
         radios: List[Tuple[str, float]] = []
-        radius = -1.0
         for iface in node.usable_interfaces():
             tech = iface.technology
             if not tech.is_adhoc:
@@ -550,40 +568,52 @@ class Network:
             if technology is not None and tech.name != technology.name:
                 continue
             radios.append((tech.name, tech.range_m))
-            if tech.range_m > radius:
-                radius = tech.range_m
+        if len(radios) > 1:
+            radios.sort(key=itemgetter(1), reverse=True)
+        return radios
+
+    def adhoc_peers(
+        self,
+        node: NetworkNode,
+        radios: List[Tuple[str, float]],
+        candidate_ids: Iterable[str],
+    ) -> List[NetworkNode]:
+        """The candidates that ``node`` reaches over one of ``radios``
+        (as :meth:`adhoc_radios` returns them) right now, in candidate
+        order.
+
+        The direct-link predicate of :meth:`_compute_links`, on ids and
+        positions: ``other`` is reached iff it is up, the link filter
+        admits (node, other), and one of the radios reaches it and finds
+        a usable same-name interface there.  No Link is built; only sent
+        legs need one.  ``node`` itself is never reached.
+        """
+        if not radios:
+            return []
+        reach = radios[0][1]
+        x, y = node.position.x, node.position.y
+        node_id = node.id
+        nodes = self.nodes
+        link_filter = self._link_filter
         found: List[NetworkNode] = []
-        if radios:
-            # Any ad-hoc neighbour sits within the longest usable
-            # range, so a single grid ring bounds the sweep.
-            position = node.position
-            node_id = node.id
-            nodes = self.nodes
-            link_filter = self._link_filter
-            candidates = self._grid.near(position, radius)
-            candidates.sort(key=self._order.__getitem__)
-            for other_id in candidates:
-                if other_id == node_id:
-                    continue
-                other = nodes[other_id]
-                if not other.up:
-                    continue
-                if link_filter is not None and not link_filter(
-                    node_id, other_id
-                ):
-                    continue
-                distance = position.distance_to(other.position)
-                interfaces = other.interfaces
-                for name, range_m in radios:
-                    if distance <= range_m:
-                        peer = interfaces.get(name)
-                        if peer is not None and peer.usable:
-                            found.append(other)
-                            break
-        result = tuple(found)
-        if cacheable:
-            self._neighbors_cache[key] = (self._epoch, result)
-        return result
+        for other_id in candidate_ids:
+            other = nodes[other_id]
+            # ``Position.distance_to``, inlined; most candidates of a
+            # grid sweep are out of reach, so this test comes first.
+            position = other.position
+            distance = hypot(x - position.x, y - position.y)
+            if distance > reach or other_id == node_id or not other.up:
+                continue
+            if link_filter is not None and not link_filter(node_id, other_id):
+                continue
+            interfaces = other.interfaces
+            for name, range_m in radios:
+                if distance <= range_m:
+                    peer = interfaces.get(name)
+                    if peer is not None and peer.usable:
+                        found.append(other)
+                        break
+        return found
 
     def adjacency(
         self, adhoc_only: bool = False

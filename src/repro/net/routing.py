@@ -28,7 +28,9 @@ For city-scale worlds :class:`HierarchicalRouter` first walks
 neighbour to neighbour through the straight corridor of
 :class:`~repro.net.geometry.SpatialGrid` cells between the endpoints,
 and only when that walk misses pays one flat BFS, which also gives
-every negative answer.  Its paths may be longer than flat-BFS paths,
+every negative answer.  The walk is lazy: it builds no neighbour list,
+and each node it expands tests and ranks only the peers in its nearest
+corridor cells until the walk backtracks into it.  Its paths may be longer than flat-BFS paths,
 but never by more than the documented stretch bound, and its
 *reachability* answers are bit-identical to the naive reference sweeps
 (see docs/PERFORMANCE.md, "City-scale routing").
@@ -37,7 +39,7 @@ but never by more than the documented stretch bound, and its
 from __future__ import annotations
 
 from heapq import heapify, heappop
-from math import floor, hypot
+from math import hypot
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..errors import Unreachable
@@ -124,8 +126,10 @@ class HierarchicalRouter:
     1. **Gateway walk.**  Dilate the straight cell-to-cell walk from
        the source's cell to the target's by one ring and walk
        neighbour to neighbour inside it, best-first towards the
-       target.  In dense worlds this finds a short path after touching
-       O(path length × degree) nodes.
+       target, testing and ranking only the peers in the nearest
+       cells of each node it expands.  In dense worlds this finds a
+       short path after touching O(path length × nearest-cell
+       occupancy) nodes.
     2. **Flat fallback.**  If the walk misses (sparse or maze-like
        worlds, or no path at all), delegate to the flat
        :class:`RoutingTable`.
@@ -213,87 +217,107 @@ class HierarchicalRouter:
         always trying the neighbour closest to the target first (fewest
         cells to go, then metres, then id — fully deterministic) and
         backtracking out of dead ends.  Visited nodes stay burned, so
-        the walk is best-first DFS: O(path length x degree) on open
-        ground, O(corridor area) at worst.  Returns None when the
-        corridor is exhausted or every route exceeds ``hop_limit``
-        (which enforces the stretch bound by construction); the caller
-        then falls through to the flat fallback.
+        the walk is best-first DFS.  Returns None when the corridor is
+        exhausted or every route exceeds ``hop_limit`` (which enforces
+        the stretch bound by construction); the caller then falls
+        through to the flat fallback.
 
-        No event runs while a plan is made, so each peer is ranked once
-        per plan, with the arithmetic of ``SpatialGrid.cell_of`` and
-        ``Position.distance_to``, and each expansion's candidates wait
-        in a heap; ids are unique, so pops come in exactly (cells to
-        go, metres, id) order.
+        The walk is lazy.  No event runs while a plan is made, so an
+        expansion needs no neighbour list: it takes the in-corridor grid
+        cells within its node's longest radio range (a link never spans
+        more than one cell per axis) and groups them by cells to go, a
+        per-cell constant.  Only the nearest group is tested with
+        :meth:`Network.adhoc_peers` and ranked by (metres, id); the next
+        group is opened only when the walk backtracks into an exhausted
+        one.  So an expansion costs its nearest group, not its whole
+        neighbourhood, and peers still come in exactly (cells to go,
+        metres, id) order.
         """
         network = self.network
-        neighbors = network.neighbors
         nodes = network.nodes
-        grid = network.grid
-        position_of = grid.position_of
-        size = grid.cell_size
-        goal = position_of(target_id)
+        radios_of = network.adhoc_radios
+        peers_of = network.adhoc_peers
+        buckets_near = network.grid.buckets_near
+        goal = network.grid.position_of(target_id)
         goal_x, goal_y = goal.x, goal.y
         goal_cx, goal_cy = goal_cell
-        target = nodes[target_id]
-        source = nodes[source_id]
-        #: peer -> (cells to go, metres, id, peer), in-corridor peers.
-        ranks = {}
-        outside = set()
-        seen = {source}
+        target_only = (target_id,)
+        seen = {source_id}
+        # Corridor cell -> cells to go from it.
+        to_go_of = {
+            cell: max(abs(cell[0] - goal_cx), abs(cell[1] - goal_cy))
+            for cell in corridor
+        }
 
-        def children_of(node):
-            """None if the target is adjacent, else a heap of the
-            unvisited in-corridor peers (heappop yields the most
-            promising first)."""
-            peers = neighbors(node)
-            if target in peers:
+        def expand(node):
+            """None if the target is adjacent, else the node's frame:
+            [node, radios, {cells to go: buckets} of the unopened
+            groups, ranked peers of the open group (a heap)]."""
+            radios = radios_of(node)
+            groups = {}
+            for cell, bucket in buckets_near(
+                node.position, radios[0][1] if radios else -1.0
+            ):
+                to_go = to_go_of.get(cell)
+                if to_go is not None:
+                    groups.setdefault(to_go, []).append(bucket)
+            # Only the goal cell is 0 cells to go, and the target sits
+            # in it.
+            if 0 in groups and peers_of(node, radios, target_only):
                 return None
-            heap = []
-            for peer in set(peers).difference(seen, outside):
-                rank = ranks.get(peer)
-                if rank is None:
-                    peer_id = peer.id
-                    position = position_of(peer_id)
-                    x, y = position.x, position.y
-                    cx = int(floor(x / size))
-                    cy = int(floor(y / size))
-                    if (cx, cy) not in corridor:
-                        outside.add(peer)
-                        continue
-                    rank = ranks[peer] = (
-                        max(abs(cx - goal_cx), abs(cy - goal_cy)),
-                        hypot(x - goal_x, y - goal_y),
-                        peer_id,
+            return [node, radios, groups, []]
+
+        def next_peer(frame):
+            """The frame's best unvisited peer, opening its groups
+            nearest first; None once they are exhausted."""
+            heap = frame[3]
+            while True:
+                while heap:
+                    peer = heappop(heap)[2]
+                    if peer.id not in seen:
+                        return peer
+                groups = frame[2]
+                if not groups:
+                    return None
+                candidates = [
+                    peer_id
+                    for bucket in groups.pop(min(groups))
+                    for peer_id in bucket
+                    if peer_id not in seen
+                ]
+                heap = frame[3] = [
+                    (
+                        hypot(
+                            peer.position.x - goal_x, peer.position.y - goal_y
+                        ),
+                        peer.id,
                         peer,
                     )
-                heap.append(rank)
-            heapify(heap)
-            return heap
+                    for peer in peers_of(frame[0], frame[1], candidates)
+                ]
+                heapify(heap)
 
         path = [source_id]
-        candidates = children_of(source)
-        if candidates is None:
+        frame = expand(nodes[source_id])
+        if frame is None:
             return [source_id, target_id]
-        stack = [candidates]
+        stack = [frame]
         while stack:
-            top = stack[-1]
-            if not top or len(path) >= hop_limit:
-                # Dead end, or no budget left for "one more hop plus
-                # the closing hop": backtrack.
+            # No budget left for "one more hop plus the closing hop", or
+            # a dead end: backtrack.
+            node = next_peer(stack[-1]) if len(path) < hop_limit else None
+            if node is None:
                 stack.pop()
                 path.pop()
                 continue
-            _, _, node_id, node = heappop(top)
-            if node in seen:
-                # Reached first through a different branch meanwhile.
-                continue
-            seen.add(node)
+            node_id = node.id
+            seen.add(node_id)
             path.append(node_id)
-            candidates = children_of(node)
-            if candidates is None:
+            frame = expand(node)
+            if frame is None:
                 path.append(target_id)
                 return path
-            stack.append(candidates)
+            stack.append(frame)
         return None
 
     def path(self, source_id: str, target_id: str) -> Optional[List[str]]:

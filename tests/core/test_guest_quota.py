@@ -6,9 +6,15 @@ grant's ``work_units`` never lands: the guest's metered work stops at
 exactly the grant, both for a one-shot guest (``host.run_guest``) and
 for an agent's stay (``AgentContext.execute``).  Only ``run_guest``
 runs add ``security.*`` samples; a stay adds a violation at most.
+
+Preemption is final for a stay too: an agent that catches its
+violation is still killed, and it cannot migrate or clone away.
 """
 
+import pytest
+
 from repro.core import Agent, agents
+from repro.errors import SandboxViolation
 from repro.security import ExecutionContext, QuotaGrant, SecurityPolicy
 from tests.core.conftest import run
 
@@ -54,9 +60,9 @@ def recording_contexts(monkeypatch):
     return contexts
 
 
-def await_agent(host, agent):
+def await_agent(host, agent, **initial_state):
     runtime = host.component("agents")
-    agent_id = runtime.launch(agent)
+    agent_id = runtime.launch(agent, **initial_state)
 
     def wait():
         return (yield runtime.completion(agent_id))
@@ -95,3 +101,44 @@ def test_storage_peak_samples_guest_runs_only(adhoc_pair):
     runs = metrics.counter("security.sandbox_runs").value
     assert runs == 3
     assert metrics.histogram("security.guest_storage_peak").count == runs
+
+
+class Swallower(Agent):
+    """Catches the violation of a step that crosses the grant, then
+    ends its stay as ``state["then"]`` says."""
+
+    def on_arrival(self, context):
+        yield from context.execute(60)
+        try:
+            yield from context.execute(60)
+        except SandboxViolation:
+            self.state["caught"] = True
+        then = self.state["then"]
+        if then == "migrate":
+            yield from context.migrate("b")
+        elif then == "clone":
+            yield from context.clone_to("b")
+        elif then == "die":
+            context.die()
+        elif then == "crash":
+            raise RuntimeError("after the violation")
+
+
+@pytest.mark.parametrize("then", ["return", "migrate", "clone", "die", "crash"])
+def test_a_caught_violation_still_kills_the_agent(adhoc_pair, then):
+    a, b = adhoc_pair
+    a.policy = quota_policy()
+    runtime = a.component("agents")
+    final = await_agent(a, Swallower(), then=then)
+    assert final["outcome"] == "killed"
+    assert final["caught"] is True
+    assert runtime.violations == 1
+    assert runtime.failures == 0
+    assert a.world.metrics.counter(
+        "security.sandbox_violations", labels={"node": "a"}
+    ).value == 1
+    # Nothing was shipped: b never heard of the agent or a clone.
+    assert a.world.metrics.counter("agents.migrations").value == 0
+    assert a.world.metrics.counter("agents.clones").value == 0
+    assert not b.component("agents").completed
+    assert not b.component("agents").hosted

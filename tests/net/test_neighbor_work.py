@@ -1,17 +1,20 @@
-"""Work-count gate for neighbour queries on a corridor-routed mesh.
+"""Work-count gates for the corridor walk on a routed mesh.
 
-Exact counts, not timings: ``Network.neighbors`` decides ad-hoc
-adjacency with a distance test on ids and positions, so planning paths
-through :class:`HierarchicalRouter`'s corridor walk — one
-``neighbors`` call per expanded node — must build no :class:`Link` at
-all (``Network._compute_links`` is never called), however many
-neighbour-cache misses the moves cause.  Links are built only for legs
-that are sent.  A per-candidate ``links_between`` inside
-``neighbors`` would show up here as over a thousand calls.
+Exact counts, not timings.  :class:`HierarchicalRouter`'s corridor walk
+asks no neighbour list of :meth:`Network.neighbors`: each expansion
+takes the in-corridor grid cells around its node and tests candidates
+with the ad-hoc link predicate, :meth:`Network.adhoc_peers`, which
+decides adjacency with a distance test on ids and positions.  So
+planning paths must build no :class:`Link` at all
+(``Network._compute_links`` is never called), however many re-plans
+the moves cause.  Links are built only for legs that are sent.
 
-The walk also ranks each peer once per plan, however many of the
-nodes it expands see that peer: the pinned ranking counts below grow
-if an expansion ranks its neighbourhood again.
+The walk is lazy: an expansion tests and ranks only the nearest
+not-yet-exhausted group of cells (by cells to go), and opens the next
+group only when the walk backtracks into it.  The pinned per-plan
+counts below grow if an expansion ranks its whole neighbourhood, and no
+plan may rank more peers than the eager walk (which ranked every
+in-corridor peer once per plan) did.
 """
 
 import random
@@ -83,72 +86,90 @@ def test_corridor_plans_after_moves_build_no_links(monkeypatch):
             assert router.path(source.id, target.id) is not None
     monkeypatch.undo()
     assert built == []
-    # The walk really queried neighbours afresh, on the corridor path.
-    assert network.cache_stats["misses"] - misses > ROUNDS * PAIRS
+    # The moves really made the router plan again, and the walk asked
+    # for no neighbour list.
+    assert router.stats["misses"] > 2 * PAIRS
+    assert network.cache_stats["misses"] == misses
     assert router.stats["greedy"] > 0
     assert router.stats["flat"] == 0
 
 
 #: Per plan, for the 12 seeded pairs on a fresh lattice: (path length,
-#: ``neighbors`` calls, peers ranked, ``SpatialGrid.cell_of`` calls).
-#: The walk never backtracks here, so it expands every path node but
-#: the target; a ranking is two ``floor`` calls (the peer's cell), and
-#: ``cell_of`` runs only for the endpoints and the remembered path.
+#: expansions, candidates tested against the link predicate, peers
+#: ranked, ``SpatialGrid.cell_of`` calls).  The walk never backtracks
+#: here, so it expands every path node but the target; an expansion is
+#: one :meth:`Network.adhoc_radios` call, a ranking one ``hypot`` call,
+#: and ``cell_of`` runs only for the endpoints and the remembered path.
 PLAN_WORK = [
-    (4, 3, 13, 6),
-    (12, 11, 37, 14),
-    (5, 4, 18, 7),
-    (4, 3, 11, 6),
-    (2, 1, 0, 4),
-    (9, 8, 17, 11),
-    (8, 7, 29, 10),
-    (5, 4, 16, 7),
-    (11, 10, 33, 13),
-    (15, 14, 48, 17),
-    (13, 12, 48, 15),
-    (7, 6, 28, 9),
+    (4, 3, 16, 7, 6),
+    (12, 11, 93, 36, 14),
+    (5, 4, 19, 10, 7),
+    (4, 3, 20, 8, 6),
+    (2, 1, 1, 0, 4),
+    (9, 8, 38, 16, 11),
+    (8, 7, 56, 22, 10),
+    (5, 4, 26, 11, 7),
+    (11, 10, 79, 33, 13),
+    (15, 14, 99, 47, 17),
+    (13, 12, 81, 39, 15),
+    (7, 6, 36, 17, 9),
 ]
 
+#: Peers the eager walk ranked for the same plans: every in-corridor
+#: neighbour of every expanded node, once per plan.
+EAGER_RANKED = [13, 37, 18, 11, 0, 17, 29, 16, 33, 48, 48, 28]
 
-def test_corridor_walk_ranks_each_peer_once_per_plan(monkeypatch):
+
+def test_corridor_walk_ranks_only_the_nearest_cells(monkeypatch):
     network, nodes = build_lattice()
     router = HierarchicalRouter(network)
     rng = random.Random(11)
     pairs = [tuple(rng.sample(nodes, 2)) for _ in range(PAIRS)]
-    calls = {"floor": 0, "hypot": 0, "neighbors": 0, "cell_of": 0}
-    floor, hypot = routing.floor, routing.hypot
-    neighbors, cell_of = Network.neighbors, SpatialGrid.cell_of
-
-    def counting_floor(value):
-        calls["floor"] += 1
-        return floor(value)
+    calls = {"expansions": 0, "tested": 0, "hypot": 0, "cell_of": 0}
+    hypot = routing.hypot
+    adhoc_radios, adhoc_peers = Network.adhoc_radios, Network.adhoc_peers
+    cell_of = SpatialGrid.cell_of
 
     def counting_hypot(dx, dy):
         calls["hypot"] += 1
         return hypot(dx, dy)
 
-    def counting_neighbors(self, node, technology=None):
-        calls["neighbors"] += 1
-        return neighbors(self, node, technology)
+    def counting_adhoc_radios(self, node, technology=None):
+        calls["expansions"] += 1
+        return adhoc_radios(self, node, technology)
+
+    def counting_adhoc_peers(self, node, radios, candidate_ids):
+        calls["tested"] += len(candidate_ids)
+        return adhoc_peers(self, node, radios, candidate_ids)
+
+    def failing_neighbors(self, node, technology=None):
+        raise AssertionError("the corridor walk asked for a neighbour list")
 
     def counting_cell_of(self, position):
         calls["cell_of"] += 1
         return cell_of(self, position)
 
-    monkeypatch.setattr(routing, "floor", counting_floor)
     monkeypatch.setattr(routing, "hypot", counting_hypot)
-    monkeypatch.setattr(Network, "neighbors", counting_neighbors)
+    monkeypatch.setattr(Network, "adhoc_radios", counting_adhoc_radios)
+    monkeypatch.setattr(Network, "adhoc_peers", counting_adhoc_peers)
+    monkeypatch.setattr(Network, "neighbors", failing_neighbors)
     monkeypatch.setattr(SpatialGrid, "cell_of", counting_cell_of)
     work = []
     for source, target in pairs:
         before = dict(calls)
         path = router.path(source.id, target.id)
         spent = {key: calls[key] - before[key] for key in calls}
-        # Every ranked peer lies inside this lattice's corridors.
-        assert spent["floor"] == 2 * spent["hypot"]
         work.append(
-            (len(path), spent["neighbors"], spent["hypot"], spent["cell_of"])
+            (
+                len(path),
+                spent["expansions"],
+                spent["tested"],
+                spent["hypot"],
+                spent["cell_of"],
+            )
         )
     monkeypatch.undo()
     assert work == PLAN_WORK
     assert router.stats["greedy"] == PAIRS
+    for (_, _, _, ranked, _), eager in zip(work, EAGER_RANKED):
+        assert ranked <= eager

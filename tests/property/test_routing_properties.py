@@ -17,10 +17,12 @@ test_topology_cache_properties so the same world shapes are covered):
 (d) on random-waypoint meshes above ``flat_threshold``, the corridor
     walk's paths and ladder stats are the same whether ``neighbors``
     answers by the link-free distance test or by the naive link sweep;
-(e) the corridor walk, which ranks each peer once per plan and pops
-    candidates from heaps, returns exactly the path (or None) of the
-    walk that re-ranks and fully sorts every neighbourhood it expands,
-    on holed lattices and scattered worlds, under tight hop limits;
+(e) the lazy corridor walk, which tests links itself and ranks only
+    the nearest cells of each expansion, returns exactly the path (or
+    None) of the walk that asks ``neighbors`` and fully sorts every
+    neighbourhood it expands, on holed lattices, scattered worlds and
+    worlds with mixed radios, down nodes, disabled Wi-Fi and an
+    asymmetric link filter, under tight hop limits;
 (f) the planner contract :class:`Router` relies on to skip link checks
     while the topology epoch stands still: every hop of a route either
     planner returns, with ``adhoc_only`` true or false and under an
@@ -364,10 +366,11 @@ class TestLinkFreeNeighbours:
 
 def sorted_walk(router, source_id, target_id, corridor, goal_cell, hop_limit,
                 counts=None):
-    """The corridor walk as it was before peers were ranked once per
-    plan: every expansion ranks each unvisited neighbour through
-    ``SpatialGrid.cell_of`` and ``Position.distance_to`` and sorts the
-    lot.  ``counts`` (a Counter) tallies backtracks and expansions."""
+    """The exact-path oracle of the corridor walk: every expansion asks
+    ``Network.neighbors``, ranks each unvisited in-corridor neighbour
+    through ``SpatialGrid.cell_of`` and ``Position.distance_to`` and
+    sorts the lot.  ``counts`` (a Counter) tallies backtracks and
+    expansions."""
     network = router.network
     grid = network.grid
     nodes = network.nodes
@@ -458,12 +461,59 @@ def _scattered(points):
     return network
 
 
+#: Radio sets of the mixed worlds; a link needs a shared radio in range
+#: (Wi-Fi 100 m, Bluetooth 10 m).
+MIXED_RADIOS = [
+    [WIFI_ADHOC],
+    [BLUETOOTH],
+    [WIFI_ADHOC, BLUETOOTH],
+    [WIFI_ADHOC, BLUETOOTH],
+]
+
+
+def _banned(sender_id, receiver_id):
+    """An asymmetric ban: (a, b) is refused iff 31a + 17b ≡ 0 (mod 7)."""
+    return (31 * int(sender_id[1:]) + 17 * int(receiver_id[1:])) % 7 == 0
+
+
+def _mixed_world(seed, count):
+    """``count`` nodes over a 340 m square, each with Wi-Fi, Bluetooth or
+    both; two in five sit within Bluetooth range of an earlier node.
+    About one node in eight is down, one in six of the rest has its
+    Wi-Fi disabled, and the link filter refuses the :func:`_banned`
+    ordered pairs."""
+    env = Environment()
+    network = Network(env)
+    rng = random.Random(seed)
+    placed = []
+    for index in range(count):
+        if placed and rng.random() < 0.4:
+            x, y = rng.choice(placed)
+            position = Position(x + rng.uniform(-7.0, 7.0),
+                                y + rng.uniform(-7.0, 7.0))
+        else:
+            position = Position(rng.uniform(-20.0, 320.0),
+                                rng.uniform(-20.0, 320.0))
+        placed.append((position.x, position.y))
+        node = network.add_node(
+            NetworkNode(env, f"n{index}", position,
+                        technologies=rng.choice(MIXED_RADIOS))
+        )
+        if rng.random() < 0.125:
+            node.crash()
+        elif WIFI_ADHOC.name in node.interfaces and rng.random() < 1 / 6:
+            node.interface(WIFI_ADHOC.name).disable()
+    network.set_link_filter(lambda a, b: not _banned(a, b))
+    return network
+
+
 def _compare_walks(network, seed, pair_count, counts):
     """Walk ``pair_count`` seeded pairs with both walks, at the router's
     own hop limit and at a tight one; assert identical answers."""
     router = HierarchicalRouter(network, flat_threshold=0)
     grid = network.grid
-    ids = sorted(network.nodes)
+    nodes = network.nodes
+    ids = sorted(nodes)
     pick = random.Random(seed)
     for _ in range(pair_count):
         source_id, target_id = pick.sample(ids, 2)
@@ -485,6 +535,14 @@ def _compare_walks(network, seed, pair_count, counts):
             )
             assert walked == expected
             counts["found" if expected is not None else "missed"] += 1
+            counts["down_endpoints"] += not (
+                nodes[source_id].up and nodes[target_id].up
+            )
+            for a, b in zip(expected or (), (expected or ())[1:]):
+                links = network.links_between(nodes[a], nodes[b])
+                counts["bluetooth_hops"] += all(
+                    link.sender_technology is BLUETOOTH for link in links
+                )
 
 
 class TestExactCorridorPaths:
@@ -515,6 +573,42 @@ class TestExactCorridorPaths:
     def test_scattered_worlds(self, points, seed):
         """(e) on scattered points, negative coordinates included."""
         _compare_walks(_scattered(points), seed, 8, Counter())
+
+    @given(seed=st.integers(0, 2**16), count=st.integers(2, 60))
+    @settings(max_examples=150, deadline=None)
+    def test_mixed_radios_filters_and_churn(self, seed, count):
+        """(e) where the walk tests links itself: an asymmetric link
+        filter, down nodes (endpoints included), disabled Wi-Fi, and
+        Wi-Fi and Bluetooth radios of different ranges."""
+        _compare_walks(_mixed_world(seed, count), seed, 8, Counter())
+
+    def test_seeded_mixed_worlds_exercise_every_branch(self):
+        """(e) on mixed worlds is not vacuous: the filter refuses pairs
+        in range, walks start at or aim for down nodes, and found paths
+        take Bluetooth-only hops, with identical answers throughout."""
+        counts = Counter()
+        for seed in range(40):
+            network = _mixed_world(seed, 30 + seed)
+            _compare_walks(network, seed, 10, counts)
+            nodes = list(network.nodes.values())
+            counts["down"] += sum(not node.up for node in nodes)
+            counts["wifi_off"] += sum(
+                node.up and not node.interfaces[WIFI_ADHOC.name].enabled
+                for node in nodes
+                if WIFI_ADHOC.name in node.interfaces
+            )
+            network.set_link_filter(None)
+            for node in nodes:
+                for peer in network.neighbors(node):
+                    counts["filtered"] += _banned(node.id, peer.id)
+        assert counts["found"] > 200
+        assert counts["missed"] > 500
+        assert counts["backtracks"] > 1000
+        assert counts["bluetooth_hops"] > 30
+        assert counts["down_endpoints"] > 100
+        assert counts["down"] > 100
+        assert counts["wifi_off"] > 100
+        assert counts["filtered"] > 500
 
     def test_seeded_lattices_backtrack_and_miss(self):
         """(e) is not vacuous: over seeded holed lattices the walks
