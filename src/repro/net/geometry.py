@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import product
+from math import floor
 from typing import Dict, List, Tuple
 
 
@@ -67,6 +67,10 @@ class SpatialGrid:
     of O(all items).  Cell size should match the dominant query radius
     (the longest radio range): larger cells degrade towards a full
     scan, smaller cells multiply the number of cells visited per query.
+
+    The grid keeps each item's cell beside its position, so a move
+    computes only the new cell, and readers that need an item's cell
+    (:meth:`item_cell`) compute none.
     """
 
     def __init__(self, cell_size: float = 100.0) -> None:
@@ -75,6 +79,8 @@ class SpatialGrid:
         self.cell_size = cell_size
         self._cells: Dict[Tuple[int, int], Dict[str, Position]] = {}
         self._positions: Dict[str, Position] = {}
+        #: Item id -> the cell its bucket is in.
+        self._item_cells: Dict[str, Tuple[int, int]] = {}
 
     def __len__(self) -> int:
         return len(self._positions)
@@ -90,11 +96,16 @@ class SpatialGrid:
         per-cell data must key on the size (or watch it) too.
         """
         size = self.cell_size
-        return (int(math.floor(position.x / size)), int(math.floor(position.y / size)))
+        return (floor(position.x / size), floor(position.y / size))
 
     def position_of(self, item_id: str) -> Position:
         """Current indexed position of ``item_id`` (KeyError if absent)."""
         return self._positions[item_id]
+
+    def item_cell(self, item_id: str) -> Tuple[int, int]:
+        """The cell ``item_id`` is bucketed in, ``cell_of`` its indexed
+        position (KeyError if absent)."""
+        return self._item_cells[item_id]
 
     def move(
         self, item_id: str, position: Position
@@ -105,19 +116,19 @@ class SpatialGrid:
         its new cell.
         """
         new_cell = self.cell_of(position)
-        old = self._positions.get(item_id)
         self._positions[item_id] = position
-        if old is None:
-            self._cells.setdefault(new_cell, {})[item_id] = position
-            return new_cell, new_cell
-        old_cell = self.cell_of(old)
+        old_cell = self._item_cells.get(item_id)
         if old_cell == new_cell:
-            self._cells[old_cell][item_id] = position
-            return old_cell, new_cell
-        bucket = self._cells[old_cell]
-        del bucket[item_id]
-        if not bucket:
-            del self._cells[old_cell]
+            self._cells[new_cell][item_id] = position
+            return new_cell, new_cell
+        self._item_cells[item_id] = new_cell
+        if old_cell is None:
+            old_cell = new_cell
+        else:
+            bucket = self._cells[old_cell]
+            del bucket[item_id]
+            if not bucket:
+                del self._cells[old_cell]
         self._cells.setdefault(new_cell, {})[item_id] = position
         return old_cell, new_cell
 
@@ -126,11 +137,12 @@ class SpatialGrid:
         longer-range technology first appears)."""
         if cell_size <= 0:
             raise ValueError("cell_size must be positive")
-        items = list(self._positions.items())
         self.cell_size = cell_size
         self._cells = {}
-        for item_id, position in items:
-            self._cells.setdefault(self.cell_of(position), {})[item_id] = position
+        item_cells = self._item_cells
+        for item_id, position in self._positions.items():
+            cell = item_cells[item_id] = self.cell_of(position)
+            self._cells.setdefault(cell, {})[item_id] = position
 
     def buckets_near(
         self, position: Position, radius: float
@@ -145,18 +157,19 @@ class SpatialGrid:
         if radius < 0:
             return []
         size = self.cell_size
-        min_cx = int(math.floor((position.x - radius) / size))
-        max_cx = int(math.floor((position.x + radius) / size))
-        min_cy = int(math.floor((position.y - radius) / size))
-        max_cy = int(math.floor((position.y + radius) / size))
+        x, y = position.x, position.y
+        rows = range(floor((y - radius) / size), floor((y + radius) / size) + 1)
         get = self._cells.get
-        return [
-            (cell, bucket)
-            for cell in product(
-                range(min_cx, max_cx + 1), range(min_cy, max_cy + 1)
-            )
-            if (bucket := get(cell))
-        ]
+        found = []
+        for cx in range(
+            floor((x - radius) / size), floor((x + radius) / size) + 1
+        ):
+            for cy in rows:
+                cell = (cx, cy)
+                bucket = get(cell)
+                if bucket:
+                    found.append((cell, bucket))
+        return found
 
     def near(self, position: Position, radius: float) -> List[str]:
         """Ids of all items within ``radius`` metres of ``position``.

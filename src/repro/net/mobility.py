@@ -38,6 +38,10 @@ class RandomWaypoint:
     ) -> None:
         if speed_range[0] <= 0:
             raise ValueError("minimum speed must be positive")
+        if speed_range[1] < speed_range[0]:
+            # ``uniform`` would draw speeds below the minimum, down to
+            # negative ones that walk away from the waypoint forever.
+            raise ValueError("maximum speed must not be below the minimum")
         if tick <= 0:
             raise ValueError("tick must be positive")
         if min(pause_range) < 0:
@@ -94,7 +98,10 @@ class _Walker:
         """Arm the next tick or, at the destination, the pause; a zero
         pause leaves at once."""
         model = self.model
-        if self.node.position != self.destination:
+        position, destination = self.node.position, self.destination
+        # Coordinates, not ``Position.__eq__``: the dataclass comparison
+        # costs more than the rest of the test.
+        if position.x != destination.x or position.y != destination.y:
             model.env.timeout(model.tick).callbacks.append(self._tick)
             return
         pause = self.rng.uniform(*model.pause_range)

@@ -42,7 +42,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import NetworkError
 from ..sim import Environment
-from .geometry import Position, SpatialGrid
+from .geometry import SpatialGrid
 from .node import Interface, NetworkNode
 from .technologies import BACKBONE_LATENCY_S, LinkTechnology
 
@@ -303,21 +303,21 @@ class Network:
                 return False
         return True
 
-    def _entry_fresh(self, entry_epoch: int, *positions: Position) -> bool:
+    def _entry_fresh(self, entry_epoch: int, *node_ids: str) -> bool:
         """True when a tagged cache entry provably still holds.
 
-        The entry is about nodes at ``positions``; it survives a newer
-        epoch iff no global bump came after it and no bump since
-        dirtied a cell within one ring of any position — no mutation
-        since could have touched a link predicate whose endpoints sit
-        there.
+        The entry is about the registered nodes ``node_ids``; it
+        survives a newer epoch iff no global bump came after it and no
+        bump since dirtied a cell within one ring of any of their grid
+        cells — no mutation since could have touched a link predicate
+        whose endpoints sit there.
         """
         if entry_epoch < self._global_epoch:
             return False
         stamp = self._ring_stamp
-        cell_of = self._grid.cell_of
-        for position in positions:
-            if stamp.get(cell_of(position), -1) > entry_epoch:
+        item_cell = self._grid.item_cell
+        for node_id in node_ids:
+            if stamp.get(item_cell(node_id), -1) > entry_epoch:
                 return False
         return True
 
@@ -367,7 +367,7 @@ class Network:
 
     def _topology_changed(self, node: NetworkNode) -> None:
         if self.nodes.get(node.id) is node:
-            self._bump(node.id, (self._grid.cell_of(node.position),))
+            self._bump(node.id, (self._grid.item_cell(node.id),))
         else:
             self._bump(node.id)
 
@@ -408,7 +408,7 @@ class Network:
                 if entry_epoch == self._epoch:
                     self.cache_stats["hits"] += 1
                     return links
-                if self._entry_fresh(entry_epoch, a.position, b.position):
+                if self._entry_fresh(entry_epoch, a.id, b.id):
                     self._links_cache[key] = (self._epoch, links)
                     self.cache_stats["hits"] += 1
                     self.cache_stats["revalidations"] += 1
@@ -475,7 +475,7 @@ class Network:
                 entry_epoch, covered = entry
                 if entry_epoch == self._epoch:
                     return covered
-                if self._entry_fresh(entry_epoch, node.position):
+                if self._entry_fresh(entry_epoch, node.id):
                     self._coverage_cache[key] = (self._epoch, covered)
                     self.cache_stats["revalidations"] += 1
                     return covered
@@ -532,7 +532,7 @@ class Network:
                 if entry_epoch == self._epoch:
                     self.cache_stats["hits"] += 1
                     return cached
-                if self._entry_fresh(entry_epoch, node.position):
+                if self._entry_fresh(entry_epoch, node.id):
                     self._neighbors_cache[key] = (self._epoch, cached)
                     self.cache_stats["hits"] += 1
                     self.cache_stats["revalidations"] += 1
@@ -561,9 +561,12 @@ class Network:
         has no usable radio.
         """
         radios: List[Tuple[str, float]] = []
-        for iface in node.usable_interfaces():
+        if not node.up:
+            return radios
+        for iface in node.interfaces.values():
+            # ``Interface.usable`` for an ad-hoc radio on an up node.
             tech = iface.technology
-            if not tech.is_adhoc:
+            if tech.infrastructure or not iface.enabled:
                 continue
             if technology is not None and tech.name != technology.name:
                 continue

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop
 from math import hypot
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import Unreachable
 from ..sim import Environment, Event, MetricsRegistry
@@ -165,11 +165,12 @@ class HierarchicalRouter:
         self.metrics = metrics
         self.table = RoutingTable(network, adhoc_only=adhoc_only, metrics=metrics)
         #: (source, target) -> (epoch last confirmed at, path tuple or
-        #: None, cells the path crosses or None).  ``cells=None`` marks
-        #: answers that any topology change can overturn (negatives).
+        #: None, the distinct cells the path crosses or None).
+        #: ``cells=None`` marks answers that any topology change can
+        #: overturn (negatives).
         self._paths: Dict[
             Tuple[str, str],
-            Tuple[int, Optional[Tuple[str, ...]], Optional[FrozenSet[Cell]]],
+            Tuple[int, Optional[Tuple[str, ...]], Optional[Tuple[Cell, ...]]],
         ] = {}
         self.stats = {
             "hits": 0,
@@ -178,39 +179,51 @@ class HierarchicalRouter:
             "greedy": 0,
             "flat_fallback": 0,
         }
+        #: stats key -> {node -> its labeled ``routing.hier.*`` child},
+        #: each resolved on first use (the run digest covers the metric
+        #: snapshot, so no child may be registered early).
+        self._counters: Dict[str, Dict[str, object]] = {
+            key: {} for key in self.stats
+        }
 
     def _count(self, key: str, node: str) -> None:
         self.stats[key] += 1
         if self.metrics is not None:
             # The labeled child forwards to the flat family total.
-            self.metrics.counter(
-                f"routing.hier.{key}", labels={"node": node}
-            ).increment()
+            counters = self._counters[key]
+            counter = counters.get(node)
+            if counter is None:
+                counter = counters[node] = self.metrics.counter(
+                    f"routing.hier.{key}", labels={"node": node}
+                )
+            counter.increment()
 
     # -- planning ------------------------------------------------------------
 
-    def _straight_corridor(self, start: Cell, goal: Cell) -> FrozenSet[Cell]:
-        """The straight cell walk start→goal, dilated by one ring."""
-        walk = [start]
+    def _straight_corridor(self, start: Cell, goal: Cell) -> Dict[Cell, int]:
+        """The straight cell walk start→goal, dilated by one ring, as
+        ``{cell: cells to go}``: each cell's Chebyshev distance to
+        ``goal``, so ``corridor[start]`` is the endpoints' cell
+        distance.  Built in one pass over the walk."""
+        corridor: Dict[Cell, int] = {}
         cx, cy = start
         gx, gy = goal
-        while (cx, cy) != (gx, gy):
+        while True:
+            for x in (cx - 1, cx, cx + 1):
+                to_go_x = abs(x - gx)
+                for y in (cy - 1, cy, cy + 1):
+                    to_go_y = abs(y - gy)
+                    corridor[x, y] = to_go_x if to_go_x > to_go_y else to_go_y
+            if cx == gx and cy == gy:
+                return corridor
             cx += (gx > cx) - (gx < cx)
             cy += (gy > cy) - (gy < cy)
-            walk.append((cx, cy))
-        return frozenset(
-            (wx + dx, wy + dy)
-            for wx, wy in walk
-            for dx in (-1, 0, 1)
-            for dy in (-1, 0, 1)
-        )
 
     def _greedy_corridor(
         self,
         source_id: str,
         target_id: str,
-        corridor: FrozenSet[Cell],
-        goal_cell: Cell,
+        corridor: Dict[Cell, int],
         hop_limit: int,
     ) -> Optional[List[str]]:
         """Gateway walk: hop neighbour-to-neighbour inside ``corridor``,
@@ -225,11 +238,11 @@ class HierarchicalRouter:
         The walk is lazy.  No event runs while a plan is made, so an
         expansion needs no neighbour list: it takes the in-corridor grid
         cells within its node's longest radio range (a link never spans
-        more than one cell per axis) and groups them by cells to go, a
-        per-cell constant.  Only the nearest group is tested with
-        :meth:`Network.adhoc_peers` and ranked by (metres, id); the next
-        group is opened only when the walk backtracks into an exhausted
-        one.  So an expansion costs its nearest group, not its whole
+        more than one cell per axis) and groups them by the cells to go
+        that ``corridor`` maps them to.  Only the nearest group is tested
+        with :meth:`Network.adhoc_peers` and ranked by (metres, id); the
+        next group is opened only when the walk backtracks into an
+        exhausted one.  So an expansion costs its nearest group, not its whole
         neighbourhood, and peers still come in exactly (cells to go,
         metres, id) order.
         """
@@ -240,14 +253,9 @@ class HierarchicalRouter:
         buckets_near = network.grid.buckets_near
         goal = network.grid.position_of(target_id)
         goal_x, goal_y = goal.x, goal.y
-        goal_cx, goal_cy = goal_cell
         target_only = (target_id,)
         seen = {source_id}
-        # Corridor cell -> cells to go from it.
-        to_go_of = {
-            cell: max(abs(cell[0] - goal_cx), abs(cell[1] - goal_cy))
-            for cell in corridor
-        }
+        to_go_of = corridor.get
 
         def expand(node):
             """None if the target is adjacent, else the node's frame:
@@ -258,9 +266,13 @@ class HierarchicalRouter:
             for cell, bucket in buckets_near(
                 node.position, radios[0][1] if radios else -1.0
             ):
-                to_go = to_go_of.get(cell)
+                to_go = to_go_of(cell)
                 if to_go is not None:
-                    groups.setdefault(to_go, []).append(bucket)
+                    group = groups.get(to_go)
+                    if group is None:
+                        groups[to_go] = [bucket]
+                    else:
+                        group.append(bucket)
             # Only the goal cell is 0 cells to go, and the target sits
             # in it.
             if 0 in groups and peers_of(node, radios, target_only):
@@ -349,17 +361,13 @@ class HierarchicalRouter:
                 return list(path) if path is not None else None
         self._count("misses", node=source_id)
         grid = network.grid
-        s_cell = grid.cell_of(grid.position_of(source_id))
-        t_cell = grid.cell_of(grid.position_of(target_id))
-        cell_distance = max(
-            abs(s_cell[0] - t_cell[0]), abs(s_cell[1] - t_cell[1])
-        )
+        s_cell = grid.item_cell(source_id)
+        corridor = self._straight_corridor(s_cell, grid.item_cell(target_id))
         path = self._greedy_corridor(
             source_id,
             target_id,
-            self._straight_corridor(s_cell, t_cell),
-            t_cell,
-            STRETCH * max(cell_distance, 1) + 2,
+            corridor,
+            STRETCH * max(corridor[s_cell], 1) + 2,
         )
         if path is not None:
             # The hop limit IS the stretch bound, so no re-check needed.
@@ -379,10 +387,8 @@ class HierarchicalRouter:
         if path is None:
             self._paths[(source_id, target_id)] = (epoch, None, None)
             return None
-        grid = network.grid
-        cells = frozenset(
-            grid.cell_of(grid.position_of(node_id)) for node_id in path
-        )
+        item_cell = network.grid.item_cell
+        cells = tuple({item_cell(node_id) for node_id in path})
         self._paths[(source_id, target_id)] = (epoch, tuple(path), cells)
         return path
 

@@ -75,6 +75,29 @@ class TestRandomWaypoint:
                 env, [], Area(10, 10), RandomStreams(0), pause_range=(-1.0, 2.0)
             )
 
+    def test_inverted_speed_range_is_rejected(self):
+        # ``uniform(0.5, -1.0)`` draws speeds down to -1 m/s, and a
+        # negative step walks a node away from its waypoint forever.
+        env = Environment()
+        node = adhoc_node(env, "n0", 50.0, 50.0)
+        with pytest.raises(ValueError, match="maximum speed"):
+            RandomWaypoint(
+                env, [node], Area(100, 100), RandomStreams(1),
+                speed_range=(0.5, -1.0),
+            )
+        with pytest.raises(ValueError, match="maximum speed"):
+            RandomWaypoint(
+                env, [node], Area(100, 100), RandomStreams(1),
+                speed_range=(2.0, 1.0),
+            )
+        # A fixed speed stays allowed, and the walk stays in the area.
+        RandomWaypoint(
+            env, [node], Area(100, 100), RandomStreams(1),
+            speed_range=(1.0, 1.0),
+        )
+        env.run(until=1000.0)
+        assert Area(100, 100).contains(node.position)
+
     def test_one_point_area_without_pauses_is_rejected(self):
         # Every destination would be the start and every pause zero, so
         # the walk could never let time advance.

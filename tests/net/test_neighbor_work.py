@@ -15,6 +15,12 @@ group only when the walk backtracks into it.  The pinned per-plan
 counts below grow if an expansion ranks its whole neighbourhood, and no
 plan may rank more peers than the eager walk (which ranked every
 in-corridor peer once per plan) did.
+
+Moves and plans pay their fixed work once: a move computes one grid
+cell (``SpatialGrid.cell_of``), its new one, because the grid stores
+each node's cell; a plan computes none, reading the cells of its
+endpoints and of the path it remembers from the grid; and each missed
+plan builds its corridor map once.
 """
 
 import random
@@ -96,23 +102,24 @@ def test_corridor_plans_after_moves_build_no_links(monkeypatch):
 
 #: Per plan, for the 12 seeded pairs on a fresh lattice: (path length,
 #: expansions, candidates tested against the link predicate, peers
-#: ranked, ``SpatialGrid.cell_of`` calls).  The walk never backtracks
-#: here, so it expands every path node but the target; an expansion is
-#: one :meth:`Network.adhoc_radios` call, a ranking one ``hypot`` call,
-#: and ``cell_of`` runs only for the endpoints and the remembered path.
+#: ranked).  The walk never backtracks here, so it expands every path
+#: node but the target; an expansion is one
+#: :meth:`Network.adhoc_radios` call, a ranking one ``hypot`` call.  No
+#: plan calls ``SpatialGrid.cell_of``: the endpoints' and the
+#: remembered path's cells come from the grid index.
 PLAN_WORK = [
-    (4, 3, 16, 7, 6),
-    (12, 11, 93, 36, 14),
-    (5, 4, 19, 10, 7),
-    (4, 3, 20, 8, 6),
-    (2, 1, 1, 0, 4),
-    (9, 8, 38, 16, 11),
-    (8, 7, 56, 22, 10),
-    (5, 4, 26, 11, 7),
-    (11, 10, 79, 33, 13),
-    (15, 14, 99, 47, 17),
-    (13, 12, 81, 39, 15),
-    (7, 6, 36, 17, 9),
+    (4, 3, 16, 7),
+    (12, 11, 93, 36),
+    (5, 4, 19, 10),
+    (4, 3, 20, 8),
+    (2, 1, 1, 0),
+    (9, 8, 38, 16),
+    (8, 7, 56, 22),
+    (5, 4, 26, 11),
+    (11, 10, 79, 33),
+    (15, 14, 99, 47),
+    (13, 12, 81, 39),
+    (7, 6, 36, 17),
 ]
 
 #: Peers the eager walk ranked for the same plans: every in-corridor
@@ -165,11 +172,85 @@ def test_corridor_walk_ranks_only_the_nearest_cells(monkeypatch):
                 spent["expansions"],
                 spent["tested"],
                 spent["hypot"],
-                spent["cell_of"],
             )
         )
     monkeypatch.undo()
     assert work == PLAN_WORK
+    assert calls["cell_of"] == 0
     assert router.stats["greedy"] == PAIRS
-    for (_, _, _, ranked, _), eager in zip(work, EAGER_RANKED):
+    for (_, _, _, ranked), eager in zip(work, EAGER_RANKED):
         assert ranked <= eager
+
+
+def test_moves_and_missed_plans_pay_their_fixed_work_once(monkeypatch):
+    """A move computes one cell (its new one); a plan computes none, as
+    do epoch bumps that are no move and revalidated cache entries; and
+    each missed plan builds its corridor once, a hit none."""
+    network, nodes = build_lattice()
+    router = HierarchicalRouter(network)
+    rng = random.Random(5)
+    pairs = [tuple(rng.sample(nodes, 2)) for _ in range(PAIRS)]
+    # One node far off the lattice: its plans miss the walk and pay
+    # the flat fallback.
+    hermit = network.add_node(
+        NetworkNode(
+            nodes[0].env,
+            "hermit",
+            Position(-900.0, -900.0),
+            technologies=[WIFI_ADHOC],
+        )
+    )
+    pairs.append((nodes[0], hermit))
+    calls = {"cell_of": 0, "corridors": 0}
+    cell_of = SpatialGrid.cell_of
+    straight_corridor = HierarchicalRouter._straight_corridor
+
+    def counting_cell_of(self, position):
+        calls["cell_of"] += 1
+        return cell_of(self, position)
+
+    def counting_straight_corridor(self, start, goal):
+        calls["corridors"] += 1
+        return straight_corridor(self, start, goal)
+
+    monkeypatch.setattr(SpatialGrid, "cell_of", counting_cell_of)
+    monkeypatch.setattr(
+        HierarchicalRouter, "_straight_corridor", counting_straight_corridor
+    )
+    crossed = 0
+    for _ in range(ROUNDS):
+        movers = rng.sample(nodes, len(nodes) // 10)
+        before = calls["cell_of"]
+        for node in movers:
+            cell = network.grid.item_cell(node.id)
+            # Half the moves jump a whole cell (100 m) to the east.
+            step = 100.0 if rng.random() < 0.5 else rng.uniform(-5.0, 5.0)
+            node.move_to(Position(node.position.x + step, node.position.y))
+            crossed += network.grid.item_cell(node.id) != cell
+        assert calls["cell_of"] - before == len(movers)
+        # Bumps that move nobody compute no cell.
+        before = calls["cell_of"]
+        movers[0].crash()
+        movers[0].restart()
+        assert calls["cell_of"] == before
+        misses = router.stats["misses"]
+        corridors = calls["corridors"]
+        for source, target in pairs:
+            router.path(source.id, target.id)
+        missed = router.stats["misses"] - misses
+        assert missed > 0
+        assert calls["corridors"] - corridors == missed
+        # Cached paths the moves left alone cost no corridor.
+        corridors = calls["corridors"]
+        for source, target in pairs:
+            router.path(source.id, target.id)
+        assert calls["corridors"] == corridors
+        # Links cached before the next round's moves are revalidated
+        # against the stored cells.
+        for source, target in pairs[:4]:
+            network.links_between(source, target)
+        assert calls["cell_of"] == before
+    monkeypatch.undo()
+    assert crossed > 0
+    assert router.stats["flat_fallback"] > 0
+    assert network.cache_stats["revalidations"] > 0

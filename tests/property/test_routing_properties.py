@@ -27,7 +27,9 @@ test_topology_cache_properties so the same world shapes are covered):
     while the topology epoch stands still: every hop of a route either
     planner returns, with ``adhoc_only`` true or false and under an
     asymmetric link filter, passes ``Router._link_up`` at the epoch the
-    route was returned, across mutations with every cache live.
+    route was returned, across mutations with every cache live;
+(g) the corridor map the walk reads is the one-ring dilation of the
+    straight cell walk, each cell mapped to its cells to go.
 """
 
 import random
@@ -531,7 +533,7 @@ def _compare_walks(network, seed, pair_count, counts):
                 counts,
             )
             walked = router._greedy_corridor(
-                source_id, target_id, corridor, t_cell, hop_limit
+                source_id, target_id, corridor, hop_limit
             )
             assert walked == expected
             counts["found" if expected is not None else "missed"] += 1
@@ -625,3 +627,51 @@ class TestExactCorridorPaths:
         assert counts["backtracks"] > 100
         assert counts["found"] > 100
         assert counts["missed"] > 100
+
+
+def _dilated_walk(start, goal):
+    """The straight cell walk start→goal, one diagonal or axis step at
+    a time, dilated by one ring."""
+    walk = [start]
+    while walk[-1] != goal:
+        (cx, cy), (gx, gy) = walk[-1], goal
+        walk.append(
+            (cx + (gx > cx) - (gx < cx), cy + (gy > cy) - (gy < cy))
+        )
+    return {
+        (wx + dx, wy + dy)
+        for wx, wy in walk
+        for dx in (-1, 0, 1)
+        for dy in (-1, 0, 1)
+    }
+
+
+cell = st.tuples(st.integers(-12, 12), st.integers(-12, 12))
+#: Goal offsets from the start: none, along one axis, on a diagonal,
+#: or anywhere.
+goal_offset = st.one_of(
+    st.just((0, 0)),
+    st.tuples(st.integers(-12, 12), st.just(0)),
+    st.tuples(st.just(0), st.integers(-12, 12)),
+    st.integers(-12, 12).flatmap(
+        lambda d: st.sampled_from([(d, d), (d, -d)])
+    ),
+    st.tuples(st.integers(-12, 12), st.integers(-12, 12)),
+)
+
+
+class TestCorridorMap:
+    @given(start=cell, offset=goal_offset)
+    @settings(max_examples=300, deadline=None)
+    def test_keys_are_the_dilated_walk_and_values_the_cells_to_go(
+        self, start, offset
+    ):
+        """(g) ``_straight_corridor`` maps exactly the one-ring dilation
+        of the straight walk, each cell to its Chebyshev cells to go."""
+        goal = (start[0] + offset[0], start[1] + offset[1])
+        router = HierarchicalRouter(Network(Environment()))
+        corridor = router._straight_corridor(start, goal)
+        assert set(corridor) == _dilated_walk(start, goal)
+        for (x, y), to_go in corridor.items():
+            assert to_go == max(abs(x - goal[0]), abs(y - goal[1]))
+        assert corridor[start] == max(abs(offset[0]), abs(offset[1]))

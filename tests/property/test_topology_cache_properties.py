@@ -338,16 +338,17 @@ def _journal_fresh(network, dirty, positions):
 def _check_freshness(network, nodes, journal):
     registry = network.nodes
     entries = [
-        (epoch, (registry[a].position, registry[b].position))
-        for (a, b), (epoch, _) in network._links_cache.items()
+        (epoch, (a, b)) for (a, b), (epoch, _) in network._links_cache.items()
     ]
     for cache in (network._neighbors_cache, network._coverage_cache):
         entries.extend(
-            (epoch, (registry[node_id].position,))
-            for (node_id, _), (epoch, _) in cache.items()
+            (epoch, (node_id,)) for (node_id, _), (epoch, _) in cache.items()
         )
-    for epoch, positions in entries:
-        assert network._entry_fresh(epoch, *positions) == _journal_fresh(
+    # The stamps are read at the cells the grid stores; the oracle
+    # computes each node's cell from its position.
+    for epoch, node_ids in entries:
+        positions = [registry[node_id].position for node_id in node_ids]
+        assert network._entry_fresh(epoch, *node_ids) == _journal_fresh(
             network, _dirty_since(journal, epoch), positions
         )
     # Every epoch an entry or a path could carry, not only the live ones.
@@ -356,7 +357,7 @@ def _check_freshness(network, nodes, journal):
     for epoch in range(network.topology_epoch + 1):
         dirty = _dirty_since(journal, epoch)
         for node in nodes:
-            assert network._entry_fresh(epoch, node.position) == (
+            assert network._entry_fresh(epoch, node.id) == (
                 _journal_fresh(network, dirty, (node.position,))
             )
         # The path rule reads the exact cells, never the ring.
