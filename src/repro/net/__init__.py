@@ -12,13 +12,7 @@ from .geometry import Area, Position, SpatialGrid
 from .message import HEADER_BYTES, Message
 from .mobility import PathMobility, RandomWaypoint, grid_positions
 from .monitor import ConnectivityMonitor
-from .network import (
-    Link,
-    Network,
-    PhysicalNetwork,
-    prefer_fast,
-    prefer_free_then_fast,
-)
+from .network import Link, Network, PhysicalNetwork, prefer_free_then_fast
 from .node import Interface, NetworkNode
 from .routing import HierarchicalRouter, Router, RoutingTable
 from .technologies import (
@@ -62,6 +56,5 @@ __all__ = [
     "WIFI_ADHOC",
     "WIFI_INFRA",
     "grid_positions",
-    "prefer_fast",
     "prefer_free_then_fast",
 ]

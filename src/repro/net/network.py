@@ -23,14 +23,15 @@ bit-identical to the naive sweeps in ``tests/net/reference.py``
 
 Per-cell **stamps** let the fabric scale past ~10k nodes (see
 docs/PERFORMANCE.md, "City-scale routing"): each epoch bump writes the
-new epoch on every grid cell it changed and on the 3×3 ring around it.
-A per-pair/per-node cache entry survives later bumps while no ring
-stamp on its endpoints' cells is newer than the entry, an O(1) check
-per endpoint.  A path cached by the hierarchical router survives while
-no exact stamp on a cell it crosses is newer than the path
-(:meth:`Network.cells_unchanged_since`).  Whole-graph products still
-clear on every bump, and a global bump (grid rebuild, link-filter
-swap) drops every tagged entry.
+new epoch on every grid cell it changed — one cell for a node that
+stays in its cell, two for one that crosses — and nowhere else.  One
+rule reads them (:meth:`Network.cells_unchanged_since`): a path cached
+by the hierarchical router survives while no stamp on a cell it
+crosses is newer than the path, and a per-pair/per-node cache entry
+while no stamp on the 3×3 cells around its endpoints' cells is (nine
+lookups per distinct endpoint cell).  Whole-graph products still clear on every
+bump, and a global bump (grid rebuild, link-filter swap) drops every
+tagged entry.
 """
 
 from __future__ import annotations
@@ -105,18 +106,10 @@ def _backbone_link(sender: LinkTechnology, receiver: LinkTechnology) -> Link:
     )
 
 
-#: Orders candidate links; the default prefers free links, then faster ones.
-LinkPolicy = Callable[[Link], tuple]
-
-
 def prefer_free_then_fast(link: Link) -> tuple:
-    """Default link selection: free links first, then highest bandwidth."""
+    """The link rule: free links first, then highest bandwidth, then
+    lowest latency."""
     return (0 if link.is_free else 1, -link.bandwidth_bps, link.latency_s)
-
-
-def prefer_fast(link: Link) -> tuple:
-    """Latency/bandwidth-greedy selection, ignoring tariffs."""
-    return (-link.bandwidth_bps, link.latency_s)
 
 
 def bfs_tree(
@@ -184,7 +177,6 @@ class Network:
         self._neighbors_cache: Dict[
             Tuple[str, Optional[str]], Tuple[int, Tuple[NetworkNode, ...]]
         ] = {}
-        self._coverage_cache: Dict[Tuple[str, str], Tuple[int, bool]] = {}
         #: Whole-graph snapshots clear on any epoch change.
         self._adjacency_cache: Dict[bool, Dict[str, Tuple[str, ...]]] = {}
         self.cache_stats = {
@@ -194,13 +186,10 @@ class Network:
             "revalidations": 0,
             "dirty_nodes": 0,
         }
-        #: Cell -> newest epoch whose bump touched exactly this cell; a
-        #: cached path is stale once a cell it crosses is stamped newer.
+        #: Cell -> newest epoch whose bump touched this cell; a cached
+        #: path is stale once a cell it crosses is stamped newer, a
+        #: tagged entry once a cell around one of its endpoints is.
         self._cell_stamp: Dict[Cell, int] = {}
-        #: Cell -> newest epoch whose bump dirtied a cell within one
-        #: ring of it; a tagged entry is stale once a stamp on one of
-        #: its endpoints' cells is newer than the entry.
-        self._ring_stamp: Dict[Cell, int] = {}
         #: Epoch of the newest global bump; nothing older survives it.
         self._global_epoch = 0
         #: Optional admission predicate over (sender id, receiver id):
@@ -261,10 +250,9 @@ class Network:
         """Advance the epoch, stamping what changed.
 
         ``node_id=None`` records a *global* change (grid rebuild, link
-        filter swap): both stamp maps clear, and every tagged cache
-        entry and cached path from before it dies.  Otherwise each grid
-        cell the dirty node can have affected gets an exact stamp, and
-        the ring around it a ring stamp.
+        filter swap): the stamps clear, and every tagged cache entry and
+        cached path from before it dies.  Otherwise each grid cell the
+        dirty node can have affected gets the new epoch as its stamp.
         """
         self._epoch += 1
         epoch = self._epoch
@@ -272,20 +260,12 @@ class Network:
             self._global_epoch = epoch
             # No entry tagged before this epoch can be served again.
             self._cell_stamp.clear()
-            self._ring_stamp.clear()
             self._links_cache.clear()
             self._neighbors_cache.clear()
-            self._coverage_cache.clear()
         else:
-            exact = self._cell_stamp
-            stamp = self._ring_stamp
+            stamp = self._cell_stamp
             for cell in cells:
-                exact[cell] = epoch
-                cx, cy = cell
-                for x in (cx - 1, cx, cx + 1):
-                    stamp[(x, cy - 1)] = epoch
-                    stamp[(x, cy)] = epoch
-                    stamp[(x, cy + 1)] = epoch
+                stamp[cell] = epoch
             self.cache_stats["dirty_nodes"] += 1
 
     def cells_unchanged_since(self, epoch: int, cells: Iterable[Cell]) -> bool:
@@ -308,17 +288,24 @@ class Network:
 
         The entry is about the registered nodes ``node_ids``; it
         survives a newer epoch iff no global bump came after it and no
-        bump since dirtied a cell within one ring of any of their grid
+        bump since touched a cell within one ring of any of their grid
         cells — no mutation since could have touched a link predicate
-        whose endpoints sit there.
+        whose endpoints sit there, as the cell size is the longest
+        radio range.  :meth:`cells_unchanged_since` over those rings,
+        inlined: this runs on every revalidation.
         """
         if entry_epoch < self._global_epoch:
             return False
-        stamp = self._ring_stamp
+        stamp = self._cell_stamp.get
         item_cell = self._grid.item_cell
-        for node_id in node_ids:
-            if stamp.get(item_cell(node_id), -1) > entry_epoch:
-                return False
+        for cx, cy in set(map(item_cell, node_ids)):
+            for x in (cx - 1, cx, cx + 1):
+                if (
+                    stamp((x, cy - 1), -1) > entry_epoch
+                    or stamp((x, cy), -1) > entry_epoch
+                    or stamp((x, cy + 1), -1) > entry_epoch
+                ):
+                    return False
         return True
 
     def cache_info(self) -> Dict[str, float]:
@@ -394,28 +381,42 @@ class Network:
 
     # -- connectivity --------------------------------------------------------
 
+    def _cached(
+        self, cache: Dict, key: tuple, node_ids: Tuple[str, ...]
+    ) -> Optional[tuple]:
+        """The answer ``cache`` holds under ``key`` if it still holds,
+        re-tagged to the current epoch, or None (counted as a miss).
+
+        An entry tagged at an older epoch is served again only while
+        :meth:`_entry_fresh` vouches for its nodes ``node_ids``.
+        """
+        self._validate_caches()
+        epoch = self._epoch
+        stats = self.cache_stats
+        entry = cache.get(key)
+        if entry is not None:
+            entry_epoch, value = entry
+            if entry_epoch == epoch:
+                stats["hits"] += 1
+                return value
+            if self._entry_fresh(entry_epoch, *node_ids):
+                cache[key] = (epoch, value)
+                stats["hits"] += 1
+                stats["revalidations"] += 1
+                return value
+        stats["misses"] += 1
+        return None
+
     def links_between(self, a: NetworkNode, b: NetworkNode) -> Tuple[Link, ...]:
         """Every link that could carry a message from ``a`` to ``b`` now."""
         if a.id == b.id:
             raise NetworkError(f"node {a.id!r} cannot link to itself")
-        cacheable = self._registered(a) and self._registered(b)
-        if cacheable:
-            self._validate_caches()
-            key = (a.id, b.id)
-            entry = self._links_cache.get(key)
-            if entry is not None:
-                entry_epoch, links = entry
-                if entry_epoch == self._epoch:
-                    self.cache_stats["hits"] += 1
-                    return links
-                if self._entry_fresh(entry_epoch, a.id, b.id):
-                    self._links_cache[key] = (self._epoch, links)
-                    self.cache_stats["hits"] += 1
-                    self.cache_stats["revalidations"] += 1
-                    return links
-            self.cache_stats["misses"] += 1
-        links = self._compute_links(a, b)
-        if cacheable:
+        if not (self._registered(a) and self._registered(b)):
+            return self._compute_links(a, b)
+        key = (a.id, b.id)
+        links = self._cached(self._links_cache, key, key)
+        if links is None:
+            links = self._compute_links(a, b)
             self._links_cache[key] = (self._epoch, links)
         return links
 
@@ -461,25 +462,14 @@ class Network:
         Wired/cellular technologies (``range_m == 0``) are covered
         everywhere; radio infrastructure (e.g. hotspot Wi-Fi) needs a
         *fixed* node carrying the same technology within range — the
-        access point.  Fixed nodes are their own base stations.
+        access point.  Fixed nodes are their own base stations.  Not
+        cached: the answer only feeds :meth:`_compute_links`, whose
+        per-pair result is, and an access point in range sits within
+        one ring of ``node``'s cell, where that entry's stamps look.
         """
         technology = interface.technology
         if technology.range_m <= 0 or node.fixed:
             return True
-        cacheable = self._registered(node)
-        if cacheable:
-            self._validate_caches()
-            key = (node.id, technology.name)
-            entry = self._coverage_cache.get(key)
-            if entry is not None:
-                entry_epoch, covered = entry
-                if entry_epoch == self._epoch:
-                    return covered
-                if self._entry_fresh(entry_epoch, node.id):
-                    self._coverage_cache[key] = (self._epoch, covered)
-                    self.cache_stats["revalidations"] += 1
-                    return covered
-        covered = False
         for other_id in self._grid.near(node.position, technology.range_m):
             if other_id == node.id:
                 continue
@@ -487,26 +477,18 @@ class Network:
             if not other.fixed or not other.up:
                 continue
             access_point = other.interfaces.get(technology.name)
-            if access_point is None or not access_point.enabled:
-                continue
-            covered = True
-            break
-        if cacheable:
-            self._coverage_cache[key] = (self._epoch, covered)
-        return covered
+            if access_point is not None and access_point.enabled:
+                return True
+        return False
 
-    def best_link(
-        self,
-        a: NetworkNode,
-        b: NetworkNode,
-        policy: LinkPolicy = prefer_free_then_fast,
-    ) -> Optional[Link]:
-        """The preferred link from ``a`` to ``b``, or None if unreachable;
-        a lone link is returned without asking the policy."""
+    def best_link(self, a: NetworkNode, b: NetworkNode) -> Optional[Link]:
+        """The link from ``a`` to ``b`` that :func:`prefer_free_then_fast`
+        ranks first, or None if unreachable; a lone link is returned
+        without ranking."""
         links = self.links_between(a, b)
         if len(links) < 2:
             return links[0] if links else None
-        return min(links, key=policy)
+        return min(links, key=prefer_free_then_fast)
 
     def connected(self, a_id: str, b_id: str) -> bool:
         return self.best_link(self.node(a_id), self.node(b_id)) is not None
@@ -525,19 +507,9 @@ class Network:
         cacheable = self._registered(node)
         key = (node.id, technology.name if technology is not None else None)
         if cacheable:
-            self._validate_caches()
-            entry = self._neighbors_cache.get(key)
-            if entry is not None:
-                entry_epoch, cached = entry
-                if entry_epoch == self._epoch:
-                    self.cache_stats["hits"] += 1
-                    return cached
-                if self._entry_fresh(entry_epoch, node.id):
-                    self._neighbors_cache[key] = (self._epoch, cached)
-                    self.cache_stats["hits"] += 1
-                    self.cache_stats["revalidations"] += 1
-                    return cached
-            self.cache_stats["misses"] += 1
+            cached = self._cached(self._neighbors_cache, key, (node.id,))
+            if cached is not None:
+                return cached
         result: Tuple[NetworkNode, ...] = ()
         radios = self.adhoc_radios(node, technology)
         if radios:

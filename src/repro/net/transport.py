@@ -1,10 +1,11 @@
 """Message transport: timing, loss, cost, and delivery.
 
-``send`` models one unacknowledged transfer: pick a link under the
-policy, book the sender's radio for the transmission time (behind the
-transfers already booked on it, unicast and broadcast alike), then
-deliver after the propagation latency unless the link broke
-mid-transfer or the loss draw failed.  ``send_reliable`` adds
+``send`` models one unacknowledged transfer: pick a link
+(:meth:`~repro.net.network.Network.best_link`), book the sender's
+radio for the transmission time (behind the transfers already booked
+on it, unicast and broadcast alike), then deliver after the
+propagation latency unless the link broke mid-transfer or the loss
+draw failed.  ``send_reliable`` adds
 ARQ-style retransmission with a bounded number of attempts.
 ``broadcast`` models a single ad-hoc radio transmission heard by every
 in-range neighbour.
@@ -38,7 +39,7 @@ from ..sim import (
 )
 from ..sim.events import PENDING
 from .message import RELAY_KIND, Message
-from .network import Link, LinkPolicy, Network, prefer_free_then_fast
+from .network import Link, Network
 from .node import NetworkNode
 from .technologies import LinkTechnology
 
@@ -89,7 +90,6 @@ class _Leg:
     __slots__ = (
         "transport",
         "done",
-        "policy",
         "attempts",
         "message",
         "source",
@@ -104,12 +104,10 @@ class _Leg:
         self,
         transport: "Transport",
         message: Message,
-        policy: LinkPolicy,
         attempts: int,
     ) -> None:
         self.transport = transport
         self.message = message
-        self.policy = policy
         #: Attempt budget of a reliable send; 0 for an unacknowledged one.
         self.attempts = attempts
         self.attempt = 1
@@ -130,7 +128,7 @@ class _Leg:
     def _start(self) -> None:
         try:
             self.source, self.destination, link = self.transport._first_link(
-                self.message, self.policy
+                self.message
             )
             if isinstance(link, Exception):
                 self._fail(link)
@@ -324,9 +322,7 @@ class _Leg:
                 "net.retransmissions", destination.id
             ).increment()
             self.attempt += 1
-            link = transport.network.best_link(
-                self.source, destination, self.policy
-            )
+            link = transport.network.best_link(self.source, destination)
             if link is None:
                 self._fail(
                     TransportTimeout(
@@ -352,7 +348,6 @@ class Transport:
         streams: RandomStreams,
         trace: Optional[TraceLog] = None,
         metrics: Optional[MetricsRegistry] = None,
-        policy: LinkPolicy = prefer_free_then_fast,
         tracer: Optional[SpanTracer] = None,
     ) -> None:
         self.env = env
@@ -364,7 +359,6 @@ class Transport:
             if tracer is not None
             else SpanTracer(now=lambda: env.now, enabled=False)
         )
-        self.policy = policy
         self._rng = streams.stream("transport.loss")
         #: Optional message-fault hook (see :mod:`repro.faults`): when
         #: attached it may force extra loss before the delivery
@@ -397,17 +391,16 @@ class Transport:
 
     # -- public sends ---------------------------------------------------------
 
-    def send(self, message: Message, policy: Optional[LinkPolicy] = None) -> Event:
+    def send(self, message: Message) -> Event:
         """Start an unacknowledged transfer; the event fires with True
         (delivered) or False (lost in transit), and fails with
         :class:`Unreachable` when no link exists at send time."""
-        return _Leg(self, message, policy or self.policy, 0).done
+        return _Leg(self, message, 0).done
 
     def send_reliable(
         self,
         message: Message,
         max_attempts: int = RELIABLE_ATTEMPTS,
-        policy: Optional[LinkPolicy] = None,
     ) -> Event:
         """Transfer with retransmissions.
 
@@ -418,7 +411,7 @@ class Transport:
         """
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        return _Leg(self, message, policy or self.policy, max_attempts).done
+        return _Leg(self, message, max_attempts).done
 
     def broadcast(
         self,
@@ -439,7 +432,7 @@ class Transport:
 
     # -- internals -------------------------------------------------------------
 
-    def _first_link(self, message: Message, policy: LinkPolicy):
+    def _first_link(self, message: Message):
         """The prelude both sends share: ``(source, destination, link)``
         for the first attempt.  A down sender or an unreachable peer
         (counted and traced) gives the error in the link's place, built
@@ -454,7 +447,7 @@ class Transport:
             )
         if message.created_at == 0.0:
             message.created_at = self.env.now
-        link = self.network.best_link(source, destination, policy)
+        link = self.network.best_link(source, destination)
         if link is None:
             self._node_counter("net.unreachable", source.id).increment()
             self.trace.emit(

@@ -20,11 +20,11 @@ match.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.errors import TransportTimeout
 from repro.net.message import Message
-from repro.net.network import Link, LinkPolicy
+from repro.net.network import Link
 from repro.net.node import NetworkNode
 from repro.net.transport import ACK_BYTES, Transport, _check_size
 from repro.obs import NOOP_SPAN
@@ -34,11 +34,9 @@ from repro.sim import Process
 class ProcessLegTransport(Transport):
     """A :class:`Transport` whose legs are generator processes."""
 
-    def send(
-        self, message: Message, policy: Optional[LinkPolicy] = None
-    ) -> Process:
+    def send(self, message: Message) -> Process:
         return self.env.process(
-            self._send(message, policy or self.policy),
+            self._send(message),
             name=f"send#{message.id}",
         )
 
@@ -46,17 +44,16 @@ class ProcessLegTransport(Transport):
         self,
         message: Message,
         max_attempts: int = 4,
-        policy: Optional[LinkPolicy] = None,
     ) -> Process:
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         return self.env.process(
-            self._send_reliable(message, max_attempts, policy or self.policy),
+            self._send_reliable(message, max_attempts),
             name=f"send-reliable#{message.id}",
         )
 
-    def _send(self, message: Message, policy: LinkPolicy) -> Generator:
-        source, destination, link = self._first_link(message, policy)
+    def _send(self, message: Message) -> Generator:
+        source, destination, link = self._first_link(message)
         if isinstance(link, Exception):
             raise link
         delivered = yield from self._transmit(
@@ -157,14 +154,14 @@ class ProcessLegTransport(Transport):
         return True
 
     def _send_reliable(
-        self, message: Message, max_attempts: int, policy: LinkPolicy
+        self, message: Message, max_attempts: int
     ) -> Generator:
-        source, destination, link = self._first_link(message, policy)
+        source, destination, link = self._first_link(message)
         if isinstance(link, Exception):
             raise link
         for attempt in range(1, max_attempts + 1):
             if attempt > 1:
-                link = self.network.best_link(source, destination, policy)
+                link = self.network.best_link(source, destination)
                 if link is None:
                     raise TransportTimeout(
                         f"lost connectivity to {destination.id} after "

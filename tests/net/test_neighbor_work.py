@@ -20,7 +20,9 @@ Moves and plans pay their fixed work once: a move computes one grid
 cell (``SpatialGrid.cell_of``), its new one, because the grid stores
 each node's cell; a plan computes none, reading the cells of its
 endpoints and of the path it remembers from the grid; and each missed
-plan builds its corridor map once.
+plan builds its corridor map once.  A move stamps only the cells it
+touched: one stamp for a move inside a cell, two for a cell-crossing
+one.
 """
 
 import random
@@ -254,3 +256,35 @@ def test_moves_and_missed_plans_pay_their_fixed_work_once(monkeypatch):
     assert crossed > 0
     assert router.stats["flat_fallback"] > 0
     assert network.cache_stats["revalidations"] > 0
+
+
+def test_a_move_stamps_only_the_cells_it_touched():
+    """A same-cell move writes exactly one stamp entry, a cell-crossing
+    move exactly two, summed over every stamp map of the network."""
+    network, nodes = build_lattice()
+    written = []
+
+    class CountingStamps(dict):
+        def __setitem__(self, cell, epoch):
+            written.append(cell)
+            super().__setitem__(cell, epoch)
+
+    stamp_maps = [name for name in vars(network) if name.endswith("_stamp")]
+    assert stamp_maps
+    for name in stamp_maps:
+        setattr(network, name, CountingStamps(getattr(network, name)))
+    rng = random.Random(3)
+    crossings = 0
+    for node in rng.sample(nodes, 40):
+        cell = network.grid.item_cell(node.id)
+        # Half the moves jump a whole cell (100 m) to the east.
+        step = 100.0 if rng.random() < 0.5 else rng.uniform(-5.0, 5.0)
+        written.clear()
+        node.move_to(Position(node.position.x + step, node.position.y))
+        new_cell = network.grid.item_cell(node.id)
+        if new_cell == cell:
+            assert written == [cell]
+        else:
+            crossings += 1
+            assert sorted(written) == sorted([cell, new_cell])
+    assert 0 < crossings < 40

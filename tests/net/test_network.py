@@ -13,7 +13,6 @@ from repro.net import (
     Position,
     WIFI_ADHOC,
     RoutingTable,
-    prefer_fast,
 )
 from repro.sim import Environment
 from tests.net import reference as ref
@@ -167,13 +166,6 @@ class TestBackboneConnectivity:
         a.interface("gprs").attach()
         b.interface("gprs").attach()
         link = network.best_link(a, b)
-        assert link.sender_technology is WIFI_ADHOC
-
-    def test_prefer_fast_policy_picks_bandwidth(self):
-        env, network = make_network()
-        a = network.add_node(mobile(env, "a", 0, 0, techs=[BLUETOOTH, WIFI_ADHOC]))
-        b = network.add_node(mobile(env, "b", 5, 0, techs=[BLUETOOTH, WIFI_ADHOC]))
-        link = network.best_link(a, b, policy=prefer_fast)
         assert link.sender_technology is WIFI_ADHOC
 
 

@@ -22,7 +22,7 @@ from repro.net import (
     Transport,
     WIFI_ADHOC,
 )
-from repro.net.network import prefer_free_then_fast
+from repro.net import network as network_module
 from repro.obs import SpanTracer
 from repro.sim import Environment, RandomStreams
 
@@ -421,7 +421,7 @@ class TestBroadcast:
 class TestLegWorkCount:
     """Exact work per leg: one link lookup to pick the link, a second
     to confirm it survived the transfer only when the topology epoch
-    moved meanwhile, no link-policy call for a lone link, no span
+    moved meanwhile, no link-rule call for a lone link, no span
     unless tracing is on, and a pinned number of kernel events."""
 
     def _count_one_leg(self, monkeypatch, tracing, move_mid_transfer=False):
@@ -429,14 +429,13 @@ class TestLegWorkCount:
         network = Network(env)
         tracer = SpanTracer(now=lambda: env.now, enabled=tracing)
         calls = {"links_between": 0, "start": 0, "policy": 0}
+        rule = network_module.prefer_free_then_fast
 
-        def counting_policy(link):
+        def counting_rule(link):
             calls["policy"] += 1
-            return prefer_free_then_fast(link)
+            return rule(link)
 
-        transport = Transport(
-            env, network, RandomStreams(7), tracer=tracer, policy=counting_policy
-        )
+        transport = Transport(env, network, RandomStreams(7), tracer=tracer)
         transport._rng.random = lambda: 0.99  # never lose
         _, b = add_pair(env, network)
         links_between = Network.links_between
@@ -451,6 +450,10 @@ class TestLegWorkCount:
             return start(self, *args, **kwargs)
 
         monkeypatch.setattr(Network, "links_between", counting_links_between)
+        # ``best_link`` looks the link rule up in its module.
+        monkeypatch.setattr(
+            network_module, "prefer_free_then_fast", counting_rule
+        )
         monkeypatch.setattr(SpanTracer, "start", counting_start)
         message = Message("a", "b", "data", size_bytes=100)
         if move_mid_transfer:

@@ -340,10 +340,10 @@ def _check_freshness(network, nodes, journal):
     entries = [
         (epoch, (a, b)) for (a, b), (epoch, _) in network._links_cache.items()
     ]
-    for cache in (network._neighbors_cache, network._coverage_cache):
-        entries.extend(
-            (epoch, (node_id,)) for (node_id, _), (epoch, _) in cache.items()
-        )
+    entries.extend(
+        (epoch, (node_id,))
+        for (node_id, _), (epoch, _) in network._neighbors_cache.items()
+    )
     # The stamps are read at the cells the grid stores; the oracle
     # computes each node's cell from its position.
     for epoch, node_ids in entries:
@@ -360,7 +360,7 @@ def _check_freshness(network, nodes, journal):
             assert network._entry_fresh(epoch, node.id) == (
                 _journal_fresh(network, dirty, (node.position,))
             )
-        # The path rule reads the exact cells, never the ring.
+        # The path rule reads the cells themselves, not their rings.
         for cell in _ring(occupied):
             assert network.cells_unchanged_since(epoch, (cell,)) == (
                 dirty is not None and cell not in dirty
@@ -417,7 +417,6 @@ class TestCellStampFreshness:
         _apply_any(env, network, nodes, op)
         assert network._links_cache == {}
         assert network._neighbors_cache == {}
-        assert network._coverage_cache == {}
         _check_live_queries(network, nodes)
         _check_full(network, nodes)
 
