@@ -3,9 +3,12 @@
 Usage, from the repository root::
 
     python benchmarks/check_reports.py {e1,chaos-trace,chaos-health,chaos-series,matrix-cli,hostile}
+    python benchmarks/check_reports.py e2e-run FILE
 
 Each check reads one report written by the step before it, asserts the
-report's shape and prints a one-line summary.  ``chaos-health`` also
+report's shape and prints a one-line summary.  ``e2e-run`` reads the
+file it is given: the saved output of one ``benchmarks/e2e/run.py``
+run, whose last line is the run's JSON summary.  ``chaos-health`` also
 writes the chaos run's flight-recorder dumps to
 ``benchmarks/results/chaos_flight.json`` so CI can upload them.  Needs
 only the standard library.
@@ -132,6 +135,18 @@ def check_hostile() -> None:
           f"{len(per_node)} nodes, 0 escapes")
 
 
+def check_e2e_run(path: str) -> None:
+    """An e2e run's summary line (its output's last line) reports
+    every checked operation correct and none failed."""
+    with open(path) as handle:
+        lines = handle.read().splitlines()
+    assert lines, f"{path} is empty"
+    last = json.loads(lines[-1])
+    assert last["correct"] is True, f"correct is {last['correct']!r}"
+    assert last["failed"] == 0, f"{last['failed']} operations failed"
+    print(f"ok: {last['attempted']} operations, all correct, none failed")
+
+
 CHECKS = {
     "e1": check_e1,
     "chaos-trace": check_chaos_trace,
@@ -141,12 +156,24 @@ CHECKS = {
     "hostile": check_hostile,
 }
 
+#: Checks of a file named on the command line.
+FILE_CHECKS = {
+    "e2e-run": check_e2e_run,
+}
+
 
 def main(argv) -> int:
-    if len(argv) != 1 or argv[0] not in CHECKS:
-        print(f"usage: check_reports.py {{{','.join(CHECKS)}}}", file=sys.stderr)
+    if len(argv) == 1 and argv[0] in CHECKS:
+        CHECKS[argv[0]]()
+    elif len(argv) == 2 and argv[0] in FILE_CHECKS:
+        FILE_CHECKS[argv[0]](argv[1])
+    else:
+        print(
+            f"usage: check_reports.py {{{','.join(CHECKS)}}}\n"
+            f"       check_reports.py {{{','.join(FILE_CHECKS)}}} FILE",
+            file=sys.stderr,
+        )
         return 2
-    CHECKS[argv[0]]()
     return 0
 
 

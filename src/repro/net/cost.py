@@ -27,8 +27,13 @@ class CostMeter:
         self, technology: LinkTechnology, size_bytes: int, sent: bool
     ) -> float:
         """Record a transfer and return the monetary charge applied."""
+        if size_bytes < 0:
+            raise ValueError(f"negative transfer size {size_bytes}")
         book = self.bytes_sent if sent else self.bytes_received
         book[technology.name] = book.get(technology.name, 0) + size_bytes
+        if not technology.cost_per_mb:
+            # A free tariff charges 0.0, and ``money += 0.0`` is a no-op.
+            return 0.0
         charge = technology.transfer_cost(size_bytes)
         self.money += charge
         return charge

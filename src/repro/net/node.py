@@ -40,6 +40,9 @@ class Interface:
         """Book the radio for one transfer queued now, behind every
         transfer booked before it: returns the instants it goes on air
         and ends, and keeps the radio busy until the end."""
+        # ``not >=`` also rejects NaN: a booking never moves the radio back.
+        if not transfer_time >= 0:
+            raise ValueError(f"transfer time must be >= 0, got {transfer_time!r}")
         start = self.env.now
         if start < self.busy_until:
             start = self.busy_until

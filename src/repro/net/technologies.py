@@ -32,6 +32,19 @@ class LinkTechnology:
     setup_s: float  #: connection establishment time (dial-up, pairing)
     max_payload: int = 64 * 1024 * 1024  #: refuse transfers above this
 
+    def __post_init__(self) -> None:
+        # Each check is written ``not (valid)`` so that NaN fails it.
+        if not self.bandwidth_bps > 0:
+            raise ValueError(f"{self.name}: bandwidth_bps must be > 0")
+        if not self.latency_s >= 0:
+            raise ValueError(f"{self.name}: latency_s must be >= 0")
+        if not 0 <= self.loss <= 1:
+            raise ValueError(f"{self.name}: loss must lie in [0, 1]")
+        if not self.range_m >= 0:
+            raise ValueError(f"{self.name}: range_m must be >= 0")
+        if not self.max_payload > 0:
+            raise ValueError(f"{self.name}: max_payload must be > 0")
+
     def transfer_time(self, size_bytes: int) -> float:
         """Seconds of transmission time for ``size_bytes`` (no latency)."""
         return size_bytes * 8.0 / self.bandwidth_bps

@@ -12,10 +12,13 @@ in-range neighbour.
 
 A send is no process: it runs as a :class:`_Leg`, whose first step
 runs in the caller's event and whose later steps are callbacks on the
-events the transfer has to schedule anyway — the transmit and latency
-timeouts and, for a reliable send, the acknowledgement.  The returned
-:class:`Event` fires with the outcome at the instant the old sending
-process finished, so callers yield it exactly as before.
+events the transfer has to schedule anyway — the arrival and, for a
+reliable send, the acknowledgement.  The step that books the radio
+also bills the sender and schedules the arrival at the transfer's end
+plus the link latency, so an attempt costs one kernel event before its
+delivery decision.  The returned :class:`Event` fires with the outcome
+at the instant the old sending process finished, so callers yield it
+exactly as before.
 
 A delivered message lands in the receiver's inbox, except a router
 relay leg (kind :data:`~repro.net.message.RELAY_KIND`): the router
@@ -51,9 +54,14 @@ RELIABLE_ATTEMPTS = 4
 
 
 def _check_size(message: Message, link: Link) -> None:
-    if message.wire_size > link.sender_technology.max_payload:
+    # Checked before the radio is booked: a negative size would book
+    # it backwards in time.
+    if message.size_bytes < 0:
+        raise ValueError(f"negative message size {message.size_bytes}")
+    size = message.wire_size
+    if size > link.sender_technology.max_payload:
         raise MessageTooLarge(
-            f"{message.wire_size}B exceeds {link.sender_technology.name} limit"
+            f"{size}B exceeds {link.sender_technology.name} limit"
         )
 
 
@@ -62,13 +70,18 @@ class _Leg:
 
     The steps:
 
-    1. ``_start``, in the caller's event, picks the first link, books
-       the sender's radio (:meth:`~repro.net.node.Interface.reserve`)
-       and starts the timeout to the end of the booked transfer;
-    2. ``_sent`` bills the sender and starts the propagation timeout;
-    3. ``_arrived`` decides delivery or loss and settles ``done`` —
+    1. ``_start``, in the caller's event, picks the first link and
+       ``_transmit`` books the sender's radio
+       (:meth:`~repro.net.node.Interface.reserve`), bills the sender
+       and schedules the arrival at the end of the booked transfer
+       plus the link latency;
+    2. ``_arrived`` decides delivery or loss and settles ``done`` —
        or, for a lost attempt with attempts left, starts the ack
        timeout whose callback ``_retry`` retransmits.
+
+    Nothing unbooks a booked transfer, so the sender is billed in the
+    event that books its radio, the instant the host charges its
+    battery: the transfer's end needs no event of its own.
 
     ``done`` is the event the caller holds.  A plain send settles it
     when the delivery is decided; a reliable send's ``done`` *is* the
@@ -98,6 +111,7 @@ class _Leg:
         "attempt",
         "span",
         "epoch",
+        "size",
     )
 
     def __init__(
@@ -139,8 +153,8 @@ class _Leg:
             self._fail(error)
 
     def _transmit(self) -> None:
-        """Open this attempt's span, book the sender's radio and start
-        the timeout to the end of the transfer."""
+        """Open this attempt's span, book the sender's radio, bill the
+        sender and schedule the arrival."""
         # Hop timestamps for the trace analyzer: the span runs
         # enqueue -> on-air -> sent -> delivery decision, and ``t_air``/
         # ``t_sent`` split it into radio-queue, airtime, and transit.
@@ -150,44 +164,44 @@ class _Leg:
         env = transport.env
         link = self.link
         message = self.message
-        interface = self.source.interface(link.sender_technology.name)
-        start, end = interface.reserve(link.transfer_time(message.wire_size))
+        source = self.source
+        size = self.size = message.wire_size
+        technology = link.sender_technology
+        start, end = source.interface(technology.name).reserve(
+            link.transfer_time(size)
+        )
         tracer = transport.tracer
         span = NOOP_SPAN
         if tracer.enabled:
             span = tracer.start(
                 "net.transmit",
-                self.source.id,
+                source.id,
                 parent=message.trace_context,
                 msg=message.kind,
                 msg_id=message.id,
                 attempt=self.attempt,
                 to=self.destination.id,
-                bytes=message.wire_size,
+                bytes=size,
                 via=link.name,
                 t_air=start,
             )
+        # The transfer ends at ``now + (end - now)``, the instant a
+        # timeout of ``end - now`` fires, which can differ from ``end``
+        # in the last bit; the arrival is one link latency later.
+        now = env.now
+        t_sent = now + (end - now)
+        if span is not NOOP_SPAN:
+            span.attributes["t_sent"] = t_sent
         self.span = span
         # The link was picked in this event, at this epoch.
         self.epoch = transport.network.topology_epoch
-        Timeout(env, end - env.now).callbacks.append(self._sent)
-
-    def _sent(self, _event: Event) -> None:
-        try:
-            transport = self.transport
-            env = transport.env
-            span = self.span
-            if span is not NOOP_SPAN:
-                span.attributes["t_sent"] = env.now
-            # Bill the sender's access technology for the bytes put on air.
-            source = self.source
-            link = self.link
-            size = self.message.wire_size
-            source.costs.account_transfer(link.sender_technology, size, sent=True)
-            transport._node_counter("net.bytes_sent", source.id).increment(size)
-            Timeout(env, link.latency_s).callbacks.append(self._arrived)
-        except Exception as error:
-            self._fail(error)
+        # Bill the sender's access technology for the bytes it put on air.
+        source.costs.account_transfer(technology, size, sent=True)
+        transport._node_counter("net.bytes_sent", source.id).increment(size)
+        arrival = Event(env)
+        arrival._value = None
+        arrival.callbacks.append(self._arrived)
+        env.schedule_at(arrival, t_sent + link.latency_s)
 
     def _arrived(self, _event: Event) -> None:
         try:
@@ -236,8 +250,9 @@ class _Leg:
                         )
                     )
                 return
+            size = self.size
             destination.costs.account_transfer(
-                link.receiver_technology, message.wire_size, sent=False
+                link.receiver_technology, size, sent=False
             )
             message.via = link.name
             message.hops += 1
@@ -254,7 +269,7 @@ class _Leg:
                 to=destination.id,
                 msg=message.kind,
                 via=link.name,
-                bytes=message.wire_size,
+                bytes=size,
             )
             if span is not NOOP_SPAN:
                 transport.tracer.finish(span)

@@ -79,6 +79,18 @@ class Environment:
             self._queue, (self._now + delay, 0 if priority else 1, self._seq, event)
         )
 
+    def schedule_at(self, event: Event, when: float) -> None:
+        """Place a triggered event on the queue at the instant ``when``.
+
+        The absolute twin of :meth:`schedule`: a caller that already
+        holds the instant (``t + latency``) schedules it exactly, with
+        no ``when - now`` round trip through a delay."""
+        # ``not >=`` also rejects NaN, as in :meth:`schedule`.
+        if not when >= self._now:
+            raise ValueError(f"when must be >= now ({self._now!r}), got {when!r}")
+        self._seq += 1
+        heappush(self._queue, (when, 1, self._seq, event))
+
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")

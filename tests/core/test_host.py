@@ -270,13 +270,13 @@ class TestCapsuleGate:
 class TestRequestWorkCount:
     """Exact kernel work for sequential request/reply exchanges.
 
-    One 100 B exchange between two loss-free Wi-Fi hosts costs 11
-    events: the request leg's transmit, propagation and
-    acknowledgement (the leg starts, and books the radio, in the
-    caller's event); the server's inbox get and handler start; the
-    reply leg's three (it starts in the handler); the handler's end;
-    the client's inbox get; and the reply event, which resumes the
-    caller.  The deadline is
+    One 100 B exchange between two loss-free Wi-Fi hosts costs 9
+    events: the request leg's arrival and acknowledgement (the leg
+    starts, books the radio, bills the sender and schedules its
+    arrival in the caller's event); the server's inbox get and
+    handler start; the reply leg's two (it starts in the handler); the
+    handler's end; the client's inbox get; and the reply event, which
+    resumes the caller.  The deadline is
     cancelled once the reply wins, so the kernel never pops it, and no
     ``any_of`` condition sits between the reply event and the caller.
     """
@@ -316,10 +316,10 @@ class TestRequestWorkCount:
         world.run()  # until the queue is empty
         return steps, conditions
 
-    def test_exchange_costs_eleven_events(self, world, monkeypatch):
+    def test_exchange_costs_nine_events(self, world, monkeypatch):
         steps, _ = self._run(world, monkeypatch)
         # 100 exchanges, and the client process's start and end.
-        assert steps == 100 * 11 + 2
+        assert steps == 100 * 9 + 2
 
     def test_request_path_builds_no_condition(self, world, monkeypatch):
         _, conditions = self._run(world, monkeypatch)

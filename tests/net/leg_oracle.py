@@ -11,7 +11,11 @@ series — comes out the same.
 Only the sends are overridden; the prelude (``_first_link``), the
 labeled-metric lookups and ``broadcast`` are shared with the transport
 under test, and the process books the sender's radio through the same
-:meth:`~repro.net.node.Interface.reserve` as the leg does.  The process
+:meth:`~repro.net.node.Interface.reserve` as the leg does.  It bills
+the sender right after that booking, before its transmit timeout, as
+the leg bills in the event that books the radio; it keeps its own
+transmit and latency timeouts, so the leg's one scheduled arrival is
+checked against them.  The process
 keeps the leg's lookup rule too: it records the topology epoch at each
 link pick and looks the link up again after the transfer only when the
 epoch has moved, so the topology-cache counters in the sampled series
@@ -91,15 +95,16 @@ class ProcessLegTransport(Transport):
         start, end = interface.reserve(link.transfer_time(message.wire_size))
         if stamped:
             span.attributes["t_air"] = start
-        yield self.env.timeout(end - self.env.now)
-        if stamped:
-            span.attributes["t_sent"] = self.env.now
+        # The sender is billed when its radio is booked, as the leg does.
         source.costs.account_transfer(
             link.sender_technology, message.wire_size, sent=True
         )
         self._node_counter("net.bytes_sent", source.id).increment(
             message.wire_size
         )
+        yield self.env.timeout(end - self.env.now)
+        if stamped:
+            span.attributes["t_sent"] = self.env.now
         yield self.env.timeout(link.latency_s)
         still_connected = epoch == self.network.topology_epoch or bool(
             self.network.links_between(source, destination)

@@ -1,5 +1,6 @@
 """Unit tests for geometry and link technology profiles."""
 
+import dataclasses
 import random
 
 import pytest
@@ -70,6 +71,28 @@ class TestTechnologies:
 
     def test_dialup_has_slow_setup(self):
         assert DIALUP.setup_s >= 10.0
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("bandwidth_bps", 0.0),
+            ("latency_s", -0.001),
+            ("latency_s", float("nan")),
+            ("loss", -0.1),
+            ("loss", 1.5),
+            ("range_m", -1.0),
+            ("max_payload", 0),
+        ],
+    )
+    def test_invalid_field_rejected(self, field, value):
+        # A negative latency would land an arrival inside its own
+        # transmission; a NaN one would poison the clock.
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(WIFI_ADHOC, **{field: value})
+
+    def test_boundary_values_accepted(self):
+        dataclasses.replace(WIFI_ADHOC, latency_s=0.0, loss=1.0, range_m=0.0)
+        dataclasses.replace(LAN, loss=0.0)
 
 
 class TestSpatialGrid:

@@ -541,13 +541,12 @@ class TestRelayWorkCount:
         env.step = counting_step
         env.run()
         assert [message.kind for message in received] == ["data"] * 100
-        # 11 events per message: each leg's transmit, latency and ack
-        # (the first leg starts in the sender's event, each later one in
-        # the ack of the leg before it); the relay's event and the
-        # receiver's get.  The process-based relay takes 12 (1,203 in
-        # all): the same legs, the destination's put and the process's
-        # end.
-        assert steps == 1_103
+        # 8 events per message: each leg's arrival and ack (the first
+        # leg starts in the sender's event, each later one in the ack of
+        # the leg before it); the relay's event and the receiver's get.
+        # The process-based relay takes 9 (903 in all): the same legs,
+        # the destination's put and the process's end.
+        assert steps == 803
         # Nothing moves, so each hop looks its link up once, to pick it:
         # the relay trusts its plan's later hops and each leg its pick
         # while the topology epoch stands still.  Checking every later

@@ -23,6 +23,8 @@ from repro.net import (
     WIFI_ADHOC,
 )
 from repro.net import network as network_module
+from repro.net.cost import CostMeter
+from repro.net.transport import ACK_BYTES
 from repro.obs import SpanTracer
 from repro.sim import Environment, RandomStreams
 
@@ -175,6 +177,107 @@ class TestSend:
         assert times[1] - times[0] == pytest.approx(
             (500_000 + HEADER_BYTES) * 8 / WIFI_ADHOC.bandwidth_bps, rel=0.01
         )
+
+
+class TestNegativeSize:
+    """A negative size is refused before anything is booked or billed."""
+
+    @pytest.mark.parametrize("reliable", [False, True])
+    def test_negative_size_fails_before_booking_the_radio(self, reliable):
+        env, network, transport = build()
+        a, b = add_pair(env, network)
+        message = Message("a", "b", "x", size_bytes=-1000)
+        send = transport.send_reliable if reliable else transport.send
+        done = send(message)
+        with pytest.raises(ValueError):
+            env.run(until=done)
+        assert a.interface(WIFI_ADHOC.name).busy_until == 0.0
+        assert a.costs.bytes_sent == {} and b.costs.bytes_received == {}
+
+    @pytest.mark.parametrize("transfer_time", [-0.001, float("nan")])
+    def test_radio_refuses_a_backward_booking(self, transfer_time):
+        env, network, _ = build()
+        a, _ = add_pair(env, network)
+        interface = a.interface(WIFI_ADHOC.name)
+        interface.reserve(0.25)
+        with pytest.raises(ValueError):
+            interface.reserve(transfer_time)
+        assert interface.busy_until == 0.25
+
+    def test_meter_refuses_a_negative_transfer(self):
+        meter = CostMeter()
+        with pytest.raises(ValueError):
+            meter.account_transfer(GPRS, -1, sent=True)
+        assert meter.bytes_sent == {} and meter.money == 0.0
+
+
+class TestBillingInstants:
+    """Each end is billed at a fixed instant: the sender in the event
+    that books its radio, the receiver on delivery, the acknowledgement
+    bytes at the acknowledgement."""
+
+    @staticmethod
+    def sent_counter(transport, node_id):
+        return transport.metrics.snapshot().get(
+            f'net.bytes_sent{{node="{node_id}"}}', 0.0
+        )
+
+    def test_queued_transfer_is_billed_in_its_booking_event(self):
+        env, network, transport = build()
+        a, b = add_pair(env, network)
+        first = Message("a", "b", "first", size_bytes=500_000)
+        queued = Message("a", "b", "queued", size_bytes=1_000)
+        transport.send(first)
+        transport.send(queued)
+        # Both bookings ran in this event; ``queued`` goes on air only
+        # when ``first`` ends, 0.8 s from now.
+        assert a.interface(WIFI_ADHOC.name).busy_until > 0.8
+        billed = first.wire_size + queued.wire_size
+        assert a.costs.bytes_sent == {WIFI_ADHOC.name: billed}
+        assert self.sent_counter(transport, "a") == billed
+        assert b.costs.bytes_received == {}
+        env.run()
+        assert a.costs.bytes_sent == {WIFI_ADHOC.name: billed}
+        assert self.sent_counter(transport, "a") == billed
+        assert b.costs.bytes_received == {WIFI_ADHOC.name: billed}
+
+    def test_each_lost_attempt_is_billed_once(self):
+        env, network, transport = build()
+        a, b = add_pair(env, network)
+        transport._rng.random = lambda: 0.0  # lose every attempt
+        message = Message("a", "b", "data", size_bytes=1_000)
+        done = transport.send_reliable(message, max_attempts=3)
+        with pytest.raises(TransportTimeout):
+            env.run(until=done)
+        wire = message.wire_size
+        assert a.costs.bytes_sent == {WIFI_ADHOC.name: 3 * wire}
+        assert self.sent_counter(transport, "a") == 3 * wire
+        # Nothing was delivered; each attempt's ack timeout billed one
+        # acknowledgement at both ends.
+        assert b.costs.bytes_received == {}
+        assert b.costs.bytes_sent == {WIFI_ADHOC.name: 3 * ACK_BYTES}
+        assert a.costs.bytes_received == {WIFI_ADHOC.name: 3 * ACK_BYTES}
+
+    def test_receiver_is_billed_on_delivery_and_ack_bytes_at_the_ack(self):
+        env, network, transport = build()
+        transport._rng.random = lambda: 0.99  # never lose
+        a, b = add_pair(env, network)
+        message = Message("a", "b", "data", size_bytes=1_000)
+        done = transport.send_reliable(message)
+        wire = message.wire_size
+        latency = WIFI_ADHOC.latency_s
+        arrival = WIFI_ADHOC.transfer_time(wire) + latency
+        assert a.costs.bytes_sent == {WIFI_ADHOC.name: wire}
+        env.run(until=arrival)  # every event before the arrival
+        assert b.costs.bytes_received == {}
+        env.run(until=arrival + latency / 2)
+        assert b.costs.bytes_received == {WIFI_ADHOC.name: wire}
+        assert b.costs.bytes_sent == {} and a.costs.bytes_received == {}
+        assert env.run(until=done) == 1
+        assert env.now == pytest.approx(arrival + latency)
+        assert b.costs.bytes_sent == {WIFI_ADHOC.name: ACK_BYTES}
+        assert a.costs.bytes_received == {WIFI_ADHOC.name: ACK_BYTES}
+        assert a.costs.bytes_sent == {WIFI_ADHOC.name: wire}
 
 
 class TestSharedRadio:
@@ -523,16 +626,18 @@ class TestLegWorkCount:
         env.run(until=done)
         return steps
 
-    def test_plain_send_costs_four_events_per_message(self):
-        # Transmit, latency, the send's own event and the receiver's
-        # get; the leg starts, and books the radio, in the sender's
-        # event.  The process-based leg costs 602.
-        assert self._kernel_steps(reliable=False) == 402
+    def test_plain_send_costs_three_events_per_message(self):
+        # The arrival, the send's own event and the receiver's get; the
+        # leg starts, books the radio, bills the sender and schedules
+        # the arrival in the sender's event.  The process-based leg
+        # (with its transmit timeout) costs 602.
+        assert self._kernel_steps(reliable=False) == 302
 
-    def test_reliable_send_costs_four_events_per_message(self):
+    def test_reliable_send_costs_three_events_per_message(self):
         # The send's event is the final ack; the process-based leg
-        # (a put event, an ack timeout and a process-done) costs 703.
-        assert self._kernel_steps(reliable=True) == 403
+        # (a transmit timeout, a put event, an ack timeout and a
+        # process-done) costs 703.
+        assert self._kernel_steps(reliable=True) == 303
 
 
 class TestLegFailures:

@@ -121,6 +121,27 @@ class TestEventMisuse:
         with pytest.raises(ValueError):
             env.schedule(env.event(), delay=-1.0)
 
+    @pytest.mark.parametrize("when", [0.5, float("nan")])
+    def test_schedule_at_past_or_nan_rejected(self, when):
+        env = Environment(initial_time=1.0)
+        with pytest.raises(ValueError):
+            env.schedule_at(env.event(), when)
+        assert env.peek() == float("inf")
+
+    def test_schedule_at_fires_at_that_instant_in_fifo_order(self):
+        env = Environment()
+        fired = []
+        first = env.event()
+        first._value = "at"
+        first.callbacks.append(lambda event: fired.append((env.now, event.value)))
+        when = 0.1 + 0.2  # not 0.3: the instant is kept exactly
+        env.schedule_at(first, when)
+        env.timeout(when, "timeout").callbacks.append(
+            lambda event: fired.append((env.now, event.value))
+        )
+        env.run()
+        assert fired == [(when, "at"), (when, "timeout")]
+
     def test_yielding_event_of_another_environment_rejected(self):
         env, other = Environment(), Environment()
 
