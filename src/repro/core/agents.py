@@ -17,8 +17,8 @@ from typing import Callable, Dict, Generator, List, Optional
 
 from ..errors import (
     MigrationError,
+    NetworkError,
     RequestTimeout,
-    SandboxViolation,
     SecurityError,
     ServiceNotFound,
     TransportTimeout,
@@ -31,7 +31,6 @@ from ..net import HEADER_BYTES, Link, Message
 from ..security import (
     OP_ACCEPT_AGENT,
     WORK_UNITS_PER_SECOND,
-    ExecutionContext,
     sign_capsule,
 )
 from ..sim import Event
@@ -134,13 +133,10 @@ class AgentContext:
         self._runtime = runtime
         self._agent = agent
         self._trip = trip
-        host = runtime.require_host()
-        # The agent's whole stay at this host meters on one sandbox
-        # context: every ``execute``/``invoke_local`` charge lands on it
-        # under the agent's grant.
-        self._exec = ExecutionContext(
-            host.id, agent.agent_id, host.policy.grant_for(agent.agent_id)
-        )
+        # The agent's whole stay at this host is one guest run: every
+        # ``execute``/``invoke_local`` charge lands on one sandbox
+        # context under the agent's grant.
+        self._exec = runtime.require_host().guest_context(agent.agent_id)
 
     # -- observation ---------------------------------------------------------
 
@@ -300,8 +296,6 @@ class AgentRuntime(Component):
         #: RNG stream names) stay deterministic within one World, no
         #: matter what other simulations ran in the same process.
         self._launch_counter = 0
-        self.failures = 0
-        self.violations = 0
 
     def handlers(self) -> Dict[str, MessageHandler]:
         return {KIND_TRANSFER: self._handle_transfer}
@@ -361,51 +355,38 @@ class AgentRuntime(Component):
     def _lifecycle(self, agent: Agent, trip: object) -> Generator:
         host = self.require_host()
         context = AgentContext(self, agent, trip)
+        outcome = "completed"
         raised: Optional[Exception] = None
         try:
             yield from agent.on_arrival(context)
         except _MigrationComplete as move:
+            outcome, target = "departed", move.target
+        except _AgentDied:
+            outcome = "died"
+        except Exception as error:  # noqa: BLE001 - agent code is foreign
+            raised = error
+        # The stay is one guest run: the sandbox settles it (a recorded
+        # violation beats any other ending) and the host counts it.
+        result = host.count_guest(context._exec.settle(error=raised))
+        if not result.ok:
+            if result.violated:
+                outcome = "killed"
+            elif isinstance(raised, MigrationError):
+                outcome = "stranded"
+            else:
+                outcome = "crashed"
+            host.world.trace.emit(
+                self.env.now, host.id, f"agent.{outcome}",
+                agent=agent.agent_id, error=result.error,
+            )
+        elif outcome == "departed":
             self.hosted.pop(agent.agent_id, None)
             host.world.trace.emit(
                 self.env.now, host.id, "agent.departed",
-                agent=agent.agent_id, to=move.target,
+                agent=agent.agent_id, to=target,
             )
             return
-        except Exception as error:  # noqa: BLE001 - agent code is foreign
-            raised = error
-        # Preemption is final for the stay, as for a guest run: once a
-        # violation is recorded, the agent is killed whether it caught
-        # the violation and returned, died or raised something else.
-        violation = context._exec.violation
-        if violation is None and isinstance(raised, SandboxViolation):
-            violation = raised
-        if violation is not None:
-            self.violations += 1
-            host.guest_metrics.violations.increment()
-            host.world.trace.emit(
-                self.env.now, host.id, "agent.violation",
-                agent=agent.agent_id, error=str(violation),
-            )
-            self._finish(agent, outcome="killed")
-        elif raised is None:
-            self._finish(agent, outcome="completed")
-        elif isinstance(raised, _AgentDied):
-            self._finish(agent, outcome="died")
-        elif isinstance(raised, MigrationError):
-            self.failures += 1
-            host.world.trace.emit(
-                self.env.now, host.id, "agent.stranded",
-                agent=agent.agent_id, error=str(raised),
-            )
-            self._finish(agent, outcome="stranded")
-        else:
-            self.failures += 1
-            host.world.trace.emit(
-                self.env.now, host.id, "agent.crashed",
-                agent=agent.agent_id,
-                error=f"{type(raised).__name__}: {raised}",
-            )
-            self._finish(agent, outcome="crashed")
+        self._finish(agent, outcome)
 
     def _finish(self, agent: Agent, outcome: str) -> None:
         host = self.require_host()
@@ -518,15 +499,20 @@ class AgentRuntime(Component):
         try:
             yield from host.admit_capsule(capsule, OP_ACCEPT_AGENT)
         except SecurityError as error:
-            host.rejected_capsules += 1
+            # Answer the refusal if the sender can still hear it, then
+            # let the host's handler guard count and trace it as a
+            # capsule rejection either way.
             refusal = {"accepted": False, "reason": str(error)}
-            yield host.reply_to(
-                message,
-                KIND_ACK,
-                payload=refusal,
-                size_bytes=estimate_size(refusal),
-            )
-            return
+            try:
+                yield host.reply_to(
+                    message,
+                    KIND_ACK,
+                    payload=refusal,
+                    size_bytes=estimate_size(refusal),
+                )
+            except NetworkError:
+                pass
+            raise
         unit = capsule.code_units[0]
         agent_class = unit.instantiate()
         agent = agent_class()

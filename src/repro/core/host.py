@@ -46,7 +46,7 @@ ServiceHandler = Callable[[object, "MobileHost"], Tuple[object, int]]
 
 class GuestMetrics(NamedTuple):
     """One host's labeled children of the ``security.*`` families that
-    :meth:`MobileHost.run_guest` emits.  One attribute rather than six
+    :meth:`MobileHost.count_guest` emits.  One attribute rather than six
     keeps the host's instance dict within CPython's shared-keys limit
     (30 keys), which saves about 1.3 kB per host."""
 
@@ -82,7 +82,6 @@ class MobileHost:
         self.truststore = TrustStore()
         metrics = world.metrics
         labels = {"node": node.id}
-        #: ``violations`` also counts agent stays killed at their quota.
         self.guest_metrics = GuestMetrics(
             metrics.counter("security.sandbox_runs", labels=labels),
             metrics.counter("security.sandbox_violations", labels=labels),
@@ -117,7 +116,6 @@ class MobileHost:
         self.services: Dict[str, Tuple[ServiceHandler, float]] = {}
         self.context = ContextRegistry(now=lambda: self.env.now)
         self.unhandled_messages = 0
-        self.rejected_capsules = 0
         # Per-node labeled children of the host metric families, cached
         # once: each update lands on the ``{node=...}`` series *and*
         # forwards to the flat family total, so fleet-wide figures stay
@@ -391,34 +389,25 @@ class MobileHost:
             self.battery.consume_cpu(seconds)
         return seconds
 
-    def run_guest(
-        self,
-        guest: object,
-        principal: str,
-        *args: object,
-        services: Optional[Dict[str, object]] = None,
-        task_name: Optional[str] = None,
-    ) -> ExecuteResult:
-        """Run one guest callable in a fresh sandbox context.
-
-        The context's quotas are the policy's
-        :meth:`~repro.security.SecurityPolicy.grant_for` ``principal``.
-        The caller still pays the simulated CPU time:
-        ``yield from host.execute(result.work_used)``.  When
-        ``task_name`` is given and the guest metered any work, the
-        observation feeds the paradigm cost model
-        (:meth:`observed_guest_work`).
-        """
-        context = ExecutionContext(
-            self.id, principal, self.policy.grant_for(principal),
-            services=services,
+    def guest_context(
+        self, principal: str, services: Optional[Dict[str, object]] = None
+    ) -> ExecutionContext:
+        """A fresh sandbox context under the policy's grant for
+        ``principal``: one per guest run, an agent's stay included."""
+        return ExecutionContext(
+            self.id, principal, self.policy.grant_for(principal), services
         )
+
+    def count_guest(
+        self, result: ExecuteResult, task_name: Optional[str] = None
+    ) -> ExecuteResult:
+        """Count one settled guest run in the ``security.*`` families;
+        a named task's metered work feeds :meth:`observed_guest_work`."""
         guest_metrics = self.guest_metrics
         guest_metrics.runs.increment()
-        result = context.run(guest, *args)
         if result.ok:
             guest_metrics.work.observe(result.work_used)
-        elif context.violation is not None:
+        elif result.violated:
             guest_metrics.violations.increment()
         else:
             guest_metrics.errors.increment()
@@ -428,6 +417,19 @@ class MobileHost:
         if task_name is not None and result.work_used > 0:
             self._observed_work[task_name] = result.work_used
         return result
+
+    def run_guest(
+        self,
+        guest: object,
+        principal: str,
+        *args: object,
+        services: Optional[Dict[str, object]] = None,
+        task_name: Optional[str] = None,
+    ) -> ExecuteResult:
+        """Run one guest callable in a fresh context and count it.  The
+        caller pays its CPU: ``yield from host.execute(result.work_used)``."""
+        context = self.guest_context(principal, services)
+        return self.count_guest(context.run(guest, *args), task_name)
 
     def observed_guest_work(self, task_name: Optional[str]) -> Optional[float]:
         """Last metered work units a named task's guest consumed here."""
@@ -554,7 +556,6 @@ class MobileHost:
         try:
             yield from handler(message)
         except SecurityError as error:
-            self.rejected_capsules += 1
             self._m_rejections.increment()
             self.world.trace.emit(
                 self.env.now,

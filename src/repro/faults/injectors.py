@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Tuple
 
-from ..errors import SandboxViolation
 from ..net import Message, NetworkNode
 from ..net.message import RELAY_KIND
 from .hostile import HOSTILE_GUESTS
@@ -182,10 +181,7 @@ class FaultInjector:
                 storage_peak=result.peak_storage_bytes,
                 service_calls=result.service_calls,
             )
-            if (
-                not result.ok
-                and result.error_type == SandboxViolation.__name__
-            ):
+            if result.violated:
                 metrics.counter(
                     "hostile.terminated", labels=labels
                 ).increment()

@@ -41,8 +41,8 @@ from ..sim import (
     TraceLog,
 )
 from ..sim.events import PENDING
-from .message import RELAY_KIND, Message
-from .network import Link, Network
+from .message import HEADER_BYTES, RELAY_KIND, Message
+from .network import Network
 from .node import NetworkNode
 from .technologies import LinkTechnology
 
@@ -53,16 +53,14 @@ ACK_BYTES = 32
 RELIABLE_ATTEMPTS = 4
 
 
-def _check_size(message: Message, link: Link) -> None:
+def _check_size(size_bytes: int, technology: LinkTechnology) -> None:
     # Checked before the radio is booked: a negative size would book
     # it backwards in time.
-    if message.size_bytes < 0:
-        raise ValueError(f"negative message size {message.size_bytes}")
-    size = message.wire_size
-    if size > link.sender_technology.max_payload:
-        raise MessageTooLarge(
-            f"{size}B exceeds {link.sender_technology.name} limit"
-        )
+    if size_bytes < 0:
+        raise ValueError(f"negative message size {size_bytes}")
+    size = size_bytes + HEADER_BYTES
+    if size > technology.max_payload:
+        raise MessageTooLarge(f"{size}B exceeds {technology.name} limit")
 
 
 class _Leg:
@@ -346,7 +344,7 @@ class _Leg:
                     )
                 )
                 return
-            _check_size(self.message, link)
+            _check_size(self.message.size_bytes, link.sender_technology)
             self.link = link
             self._transmit()
         except Exception as error:
@@ -438,7 +436,8 @@ class Transport:
     ) -> Process:
         """One ad-hoc radio transmission heard by all in-range neighbours.
 
-        Resolves to the list of node ids that actually received it.
+        Resolves to the list of node ids that actually received it, or
+        fails before booking by the unicast size rule (``_check_size``).
         """
         return self.env.process(
             self._broadcast(source, kind, payload, size_bytes, technology),
@@ -471,7 +470,7 @@ class Transport:
             return source, destination, Unreachable(
                 f"{source.id} cannot reach {destination.id}"
             )
-        _check_size(message, link)
+        _check_size(message.size_bytes, link.sender_technology)
         return source, destination, link
 
     def _broadcast(
@@ -484,9 +483,6 @@ class Transport:
     ) -> Generator:
         if not source.up:
             raise NetworkError(f"sender {source.id} is down")
-        span = self.tracer.start(
-            "net.broadcast", source.id, msg=kind, bytes=size_bytes
-        )
         # Only a usable ad-hoc radio can transmit.
         adhoc = [
             iface.technology
@@ -507,8 +503,14 @@ class Transport:
                 ),
                 key=lambda tech: tech.name,
             ) or adhoc[:1]
+        # The unicast size rule, on every radio before any is booked.
+        for tech in techs:
+            _check_size(size_bytes, tech)
+        span = self.tracer.start(
+            "net.broadcast", source.id, msg=kind, bytes=size_bytes
+        )
         received: List[str] = []
-        wire = size_bytes + 64
+        wire = size_bytes + HEADER_BYTES
         for tech in techs:
             # The broadcast books the same radio as unicast legs do.
             _, end = source.interface(tech.name).reserve(

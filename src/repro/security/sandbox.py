@@ -7,7 +7,8 @@ storage, and host service calls.  Exceeding a budget raises
 :class:`SandboxViolation` inside the guest.  :meth:`ExecutionContext.run`
 runs one guest and converts any guest exception into a structured
 :class:`ExecuteResult`, so a hostile or buggy unit can never crash its
-host.
+host.  An agent's stay spans simulated time, so it ends through
+:meth:`ExecutionContext.settle`, the rule ``run`` ends with.
 
 The budgets come from the principal's
 :class:`~repro.security.policy.QuotaGrant`.  A guest is preempted at
@@ -66,6 +67,11 @@ class ExecuteResult:
             return None
         return str(self.error_wire.get(WIRE_TYPE_KEY)) or None
 
+    @property
+    def violated(self) -> bool:
+        """Whether the run ended in a :class:`SandboxViolation`."""
+        return self.error_type == SandboxViolation.__name__
+
 
 class ExecutionContext:
     """What guest code sees of its host: metered CPU, storage, services.
@@ -113,29 +119,27 @@ class ExecutionContext:
         No guest exception class escapes into the kernel: budget
         violations and guest bugs of *any* type (``BaseException``
         included) come back as a failed :class:`ExecuteResult` whose
-        ``error_wire`` carries the typed payload.  A guest that catches
-        a violation and returns (or raises something else) still fails
-        with that violation.
-        """
+        ``error_wire`` carries the typed payload (:meth:`settle`)."""
         try:
             value = guest(self, *args)
-        except SandboxViolation as violation:
-            if self.violation is None:
-                self.violation = violation
         except BaseException as error:  # noqa: BLE001 - guests are untrusted
-            if self.violation is None:
-                return self._result(error=error)
-        if self.violation is not None:
-            return self._result(error=self.violation)
-        return self._result(value=value)
+            return self.settle(error=error)
+        return self.settle(value)
 
-    def _result(
+    def settle(
         self, value: object = None, error: Optional[BaseException] = None
     ) -> ExecuteResult:
+        """End this context's run with ``value`` or ``error``; a
+        recorded violation (or one raised now) beats any other ending."""
+        if isinstance(error, SandboxViolation) and self.violation is None:
+            self.violation = error
+        if self.violation is not None:
+            error = self.violation
+        ok = error is None
         return ExecuteResult(
-            ok=error is None,
-            value=value,
-            error_wire=None if error is None else to_wire(error),
+            ok=ok,
+            value=value if ok else None,
+            error_wire=None if ok else to_wire(error),
             work_used=self.work_used,
             peak_storage_bytes=self.peak_storage_bytes,
             service_calls=self.service_calls,

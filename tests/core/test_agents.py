@@ -92,7 +92,7 @@ class TestLaunchAndCompletion:
         agent_id = runtime.launch(Greedy())
         final = run(a.world, _await(runtime, agent_id))
         assert final["outcome"] == "killed"
-        assert runtime.violations == 1
+        assert _count(a, "security.sandbox_violations") == 1
 
     def test_agent_crash_contained(self, adhoc_pair):
         a, _ = adhoc_pair
@@ -100,7 +100,7 @@ class TestLaunchAndCompletion:
         agent_id = runtime.launch(Buggy())
         final = run(a.world, _await(runtime, agent_id))
         assert final["outcome"] == "crashed"
-        assert runtime.failures == 1
+        assert _count(a, "security.sandbox_errors") == 1
 
 
 class TestMigration:
@@ -127,7 +127,28 @@ class TestMigration:
         agent_id = a.component("agents").launch(Hopper(), target="b")
         final = run(world, _await(a.component("agents"), agent_id))
         assert final["outcome"] == "stranded"
-        assert b.rejected_capsules == 1
+        # b counts the refusal once its reliable ACK is through: it is
+        # b's one capsule rejection, counted and traced on the host's
+        # rejection path like any other.
+        world.run(until=world.now + 10.0)
+        assert _count(b, "security.rejections") == 1
+        assert world.trace.count("host.capsule_rejected") == 1
+
+    def test_a_refusal_counts_when_its_ack_cannot_be_sent(self, world):
+        a = standard_host(world, "a", Position(0, 0), [WIFI_ADHOC])
+        b = standard_host(world, "b", Position(10, 0), [WIFI_ADHOC])
+        admit = b.admit_capsule
+
+        def admit_after_a_crashes(capsule, operation):
+            a.node.crash()  # the refusal ACK finds no route back
+            return (yield from admit(capsule, operation))
+
+        b.admit_capsule = admit_after_a_crashes
+        a.component("agents").launch(Hopper(), target="b")
+        world.run(until=120.0)
+        assert _count(b, "security.rejections") == 1
+        assert world.trace.count("host.capsule_rejected") == 1
+        assert world.trace.count("host.handler_netfail") == 0
 
     def test_policy_can_refuse_agents(self, world):
         a = standard_host(world, "a", Position(0, 0), [WIFI_ADHOC])
@@ -215,6 +236,10 @@ class TestTaskAgentItinerary:
         assert final["error"] is None
         assert final["results"] == [("v1", 30), ("v2", 10), ("v3", 20)]
         assert final["hops"] == 4  # three vendors + home
+
+
+def _count(host, family):
+    return host.world.metrics.counter(family, labels={"node": host.id}).value
 
 
 def _await(runtime, agent_id):

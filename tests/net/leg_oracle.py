@@ -172,7 +172,7 @@ class ProcessLegTransport(Transport):
                         f"lost connectivity to {destination.id} after "
                         f"{attempt - 1} attempts"
                     )
-                _check_size(message, link)
+                _check_size(message.size_bytes, link.sender_technology)
             delivered = yield from self._transmit(
                 message, source, destination, link, attempt=attempt
             )

@@ -462,6 +462,24 @@ class TestBroadcast:
         # The transmission itself still cost airtime bytes.
         assert a.costs.total_bytes_sent > 0
 
+    @pytest.mark.parametrize(
+        "size_bytes, error",
+        [(-10, ValueError), (4 * WIFI_ADHOC.max_payload, MessageTooLarge)],
+    )
+    def test_broadcast_follows_the_unicast_size_rule(self, size_bytes, error):
+        """A negative or oversized broadcast fails before its radio is
+        booked: nothing is delivered or billed at either end."""
+        env, network, transport = build()
+        transport._rng.random = lambda: 0.99  # no loss
+        a, b = add_pair(env, network)
+        done = transport.broadcast(a, "hello", size_bytes=size_bytes)
+        with pytest.raises(error):
+            env.run(until=done)
+        env.run()
+        assert a.interface(WIFI_ADHOC.name).busy_until == 0.0
+        assert a.costs.bytes_sent == {} and b.costs.bytes_received == {}
+        assert len(b.inbox.items) == 0
+
     def _pair_with_gprs(self):
         env, network, transport = build()
         transport._rng.random = lambda: 0.99  # no loss
